@@ -86,12 +86,14 @@ def figure5_table(
 
     With ``failures`` (a list), a benchmark that breaks is recorded
     there and skipped instead of aborting the whole table; without it,
-    errors propagate.  ``jobs``/``artifact_cache`` route the table
-    through the compile-once/trace-once engine
-    (:mod:`repro.evalharness.parallel`); the rows are bit-identical to
-    the serial path either way.  ``journal`` (a path) checkpoints
-    completed benchmarks so a killed run resumes where it left off.
-    ``engine`` pins the replay engine
+    errors propagate.  Each benchmark is one unit of the
+    compile-once/trace-once engine (:mod:`repro.evalharness.parallel`),
+    scored by the sweep dispatcher; ``jobs``/``artifact_cache`` fan the
+    units out and reuse stored traces.  The rows are bit-identical to
+    the reference replay behind
+    :func:`~repro.evalharness.experiment.run_benchmark`.  ``journal``
+    (a path) checkpoints completed benchmarks so a killed run resumes
+    where it left off.  ``engine`` pins the replay engine
     (``auto``/``stackdist``/``vectorized``/``multi``) for every unit;
     ``None`` defers to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All
     engines produce bit-identical rows.

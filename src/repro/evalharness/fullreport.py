@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import replay_trace
+from repro.cache.stackdist import replay_trace_sweep
 from repro.cache.timing import (
     LatencyModel,
     access_time_speedup,
@@ -27,15 +27,15 @@ from repro.evalharness.figure5 import (
 from repro.errors import failure_record
 from repro.evalharness.experiment import DEFAULT_CACHE
 from repro.evalharness.sweeps import (
+    _trace_for,
     kill_bit_ablation,
     spill_ablation,
 )
 from repro.evalharness.tables import format_table
 from repro.evalharness.unifiedcache import unified_cache_comparison
-from repro.programs import BENCHMARK_NAMES, get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
+from repro.programs import BENCHMARK_NAMES
+from repro.unified.pipeline import CompilationOptions
 from repro.vm.machine import set_default_max_steps
-from repro.vm.memory import RecordingMemory
 
 
 def _heading(text):
@@ -349,8 +349,7 @@ def combined_cache_section(failures=None):
 
 
 def _access_time_row(name, model, artifact_cache=None):
-    bench = get_benchmark(name)
-    cycles = {}
+    stats = {}
     refs = {}
     for label, options, honor in (
         ("conv",
@@ -364,31 +363,18 @@ def _access_time_row(name, model, artifact_cache=None):
                             bypass_user_refs=False),
          True),
     ):
-        if artifact_cache is not None:
-            artifact = artifact_cache.resolve(
-                bench.name, bench.source, options,
-                expected_output=bench.expected_output,
-            )
-            trace = artifact.trace
-        else:
-            program = compile_source(bench.source, options)
-            memory = RecordingMemory()
-            result = program.run(memory=memory)
-            assert tuple(result.output) == bench.expected_output
-            trace = memory.buffer
-        stats = replay_trace(
-            trace,
-            CacheConfig(honor_bypass=honor, honor_kill=honor),
+        trace, _program = _trace_for(
+            name, options=options, artifact_cache=artifact_cache
+        )
+        (stats[label],) = replay_trace_sweep(
+            trace, [CacheConfig(honor_bypass=honor, honor_kill=honor)]
         )
         refs[label] = len(trace)
-        cycles[label] = (stats, trace)
     total = refs["conv"]
-    conv = value_reference_time(cycles["conv"][0], 0, model)
-    pure = value_reference_time(
-        cycles["pure"][0], total - refs["pure"], model
-    )
+    conv = value_reference_time(stats["conv"], 0, model)
+    pure = value_reference_time(stats["pure"], total - refs["pure"], model)
     hybrid = value_reference_time(
-        cycles["hybrid"][0], total - refs["hybrid"], model
+        stats["hybrid"], total - refs["hybrid"], model
     )
     return [
         name,
@@ -431,9 +417,12 @@ def build_report(paper_scale=False, fast=False, failures=None,
     not cost the other results.  Without it, errors propagate.
     ``jobs`` fans the Figure 5 benchmarks out over worker processes;
     ``artifact_cache`` routes every compile+trace through the on-disk
-    store.  ``engine`` pins the trace-replay engine for the Figure 5
-    units (the other sections honor ``REPRO_SWEEP_ENGINE``, which the
-    CLI exports alongside the flag).  The report text is byte-identical
+    store.  Every flat-geometry cell (Figure 5, kill bits, spill,
+    policy zoo, access time) is scored by the sweep dispatcher;
+    :func:`~repro.cache.replay.replay_trace` is the tests' oracle.
+    ``engine`` pins the trace-replay engine for the Figure 5 units
+    (the other sections honor ``REPRO_SWEEP_ENGINE``, which the CLI
+    exports alongside the flag).  The report text is byte-identical
     either way (only the trailing wall-clock line differs).
     """
     started = time.time()

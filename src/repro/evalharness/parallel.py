@@ -54,7 +54,6 @@ from repro.evalharness.artifacts import (
 )
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
-    evaluate_trace,
     evaluate_trace_multi,
 )
 from repro.programs import get_benchmark
@@ -71,8 +70,9 @@ class EvalUnit:
     """One (benchmark × annotation-config) work item.
 
     ``cache_configs`` lists every geometry to score against the unit's
-    single reference trace; one entry uses the reference serial replay
-    path, several share the single-pass multi-configuration core.
+    single reference trace; however many there are, they are scored
+    together by the sweep dispatcher
+    (:func:`~repro.cache.stackdist.replay_trace_sweep`).
     ``engine`` pins the sweep engine for this unit
     (``auto``/``stackdist``/``vectorized``/``multi``); ``None`` defers
     to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All engines are
@@ -128,12 +128,13 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
     Returns the list of :class:`ExperimentResult`, one per entry of
     ``unit.cache_configs``, in order.
 
-    A single-geometry unit normally scores through the reference
-    serial replay (:func:`~repro.evalharness.experiment.evaluate_trace`);
-    setting ``unit.engine`` (the ``--engine`` flag) or
-    ``REPRO_SWEEP_ENGINE`` routes even that case through the sweep
-    dispatcher so CI can force any engine end to end.  The explicit
-    unit field wins over the environment.
+    Every unit, single-geometry ones included, scores through
+    :func:`~repro.evalharness.experiment.evaluate_trace_multi` and so
+    through the sweep dispatcher, with ``unit.engine`` passed straight
+    through (``None`` lets the dispatcher read ``REPRO_SWEEP_ENGINE``).
+    The results are bit-identical to the reference serial replay
+    (:func:`~repro.evalharness.experiment.evaluate_trace`), which the
+    equivalence battery and the golden Figure 5 pin hold them to.
     """
     bench = get_benchmark(unit.name, unit.paper_scale)
     options = unit.options or CompilationOptions()
@@ -174,18 +175,9 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
             row["benchmark"] = unit.name
             rows.append(row)
         return rows
-    configs = tuple(unit.cache_configs)
-    engine = unit.engine or os.environ.get("REPRO_SWEEP_ENGINE")
-    if len(configs) == 1 and not engine:
-        return [
-            evaluate_trace(
-                bench.name, program, trace, output, steps,
-                cache_config=configs[0], keep_trace=keep_trace,
-            )
-        ]
     return evaluate_trace_multi(
-        bench.name, program, trace, output, steps, configs,
-        keep_trace=keep_trace, engine=engine,
+        bench.name, program, trace, output, steps, unit.cache_configs,
+        keep_trace=keep_trace, engine=unit.engine,
     )
 
 

@@ -16,7 +16,7 @@ pipeline.
 
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import MinConfig
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.experiment import DEFAULT_CACHE, run_benchmark
 from repro.programs import BENCHMARK_NAMES, get_benchmark
@@ -316,7 +316,7 @@ def spill_ablation(name="pressure-kernel", base=DEFAULT_CACHE,
             memory = RecordingMemory()
             program.run(memory=memory)
             trace = memory.buffer
-        stats = replay_trace(trace, base)
+        (stats,) = replay_trace_sweep(trace, [base])
         summary = trace.summary()
         rows.append(
             {

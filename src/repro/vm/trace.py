@@ -9,6 +9,7 @@ directly or :class:`TraceEvent` views.
 import struct
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.ir.instructions import RefClass, RefOrigin
@@ -68,6 +69,12 @@ _ORIGIN_CODES = {
     RefOrigin.ARG_HOME: 3,
 }
 _CODE_ORIGINS = {code: origin for origin, code in _ORIGIN_CODES.items()}
+
+#: The flag bytes a trace may carry: a known origin code (instruction
+#: events too, since :meth:`TraceBuffer.events` decodes theirs).
+_VALID_FLAG_BYTES = bytes(
+    f for f in range(256) if (f & ORIGIN_MASK) >> ORIGIN_SHIFT in _CODE_ORIGINS
+)
 
 
 def encode_flags(ref, is_write):
@@ -231,6 +238,16 @@ def _decode_deltas_py(payload, count):
     return out
 
 
+def _checked_flags(flag_bytes):
+    """``flag_bytes``, once no byte is found to carry an unknown origin."""
+    bad = flag_bytes.translate(None, _VALID_FLAG_BYTES)
+    if bad:
+        code = (bad[0] & ORIGIN_MASK) >> ORIGIN_SHIFT
+        raise ValueError("corrupt trace: flag byte 0x{:02x} has unknown "
+                         "origin code {}".format(bad[0], code))
+    return flag_bytes
+
+
 class TraceBuffer:
     """Parallel-array storage for a data-reference trace.
 
@@ -380,7 +397,8 @@ class TraceBuffer:
         The format is detected from the magic, so both RPTRACE2 and
         legacy RPTRACE1 payloads load.  Raises :class:`ValueError` on
         a truncated, corrupted, or wrong-version payload rather than
-        returning a bad trace.
+        returning a bad trace, and :class:`ResourceExhausted` (as
+        :meth:`append` does) past ``max_events``.
         """
         if len(data) < _HEADER.size:
             raise ValueError("trace data shorter than its header")
@@ -397,6 +415,9 @@ class TraceBuffer:
                     version, expected_version
                 )
             )
+        if max_events is not None and count > max_events:
+            raise ResourceExhausted("trace payload holds {} events, over "
+                                    "the cap of {}".format(count, max_events))
 
         buffer = cls(max_events=max_events)
         if version == TRACE_FORMAT_VERSION_V1:
@@ -411,7 +432,7 @@ class TraceBuffer:
             buffer.addresses.frombytes(data[_HEADER.size:split])
             if sys.byteorder != "little":
                 buffer.addresses.byteswap()
-            buffer.flags.frombytes(data[split:])
+            buffer.flags.frombytes(_checked_flags(data[split:]))
             return buffer
 
         payload = data[_HEADER.size:]
@@ -422,7 +443,7 @@ class TraceBuffer:
             )
         split = len(payload) - count
         buffer.addresses = _decode_deltas(payload[:split], count)
-        buffer.flags.frombytes(payload[split:])
+        buffer.flags.frombytes(_checked_flags(payload[split:]))
         return buffer
 
     def save(self, path):
@@ -441,37 +462,30 @@ class TraceBuffer:
 
         Instruction-fetch events (combined traces) are reported under
         ``instructions`` and excluded from every data-reference count.
+        Every count is read off one 256-bin histogram of the flag bytes.
         """
-        writes = 0
-        bypassed = 0
-        killed = 0
-        ambiguous = 0
-        instructions = 0
-        by_origin = {origin: 0 for origin in _ORIGIN_CODES}
-        for flags in self.flags:
-            if flags & FLAG_INSTRUCTION:
-                instructions += 1
-                continue
-            if flags & FLAG_WRITE:
-                writes += 1
-            if flags & FLAG_BYPASS:
-                bypassed += 1
-            if flags & FLAG_KILL:
-                killed += 1
-            if flags & FLAG_AMBIGUOUS:
-                ambiguous += 1
-            by_origin[origin_from_flags(flags)] += 1
-        total = len(self) - instructions
+        data = [
+            (flags, count) for flags, count in Counter(self.flags).items()
+            if not flags & FLAG_INSTRUCTION
+        ]
+
+        def counted(bit):
+            return sum(count for flags, count in data if flags & bit)
+
+        by_origin = {origin.value: 0 for origin in _ORIGIN_CODES}
+        for flags, count in data:
+            by_origin[origin_from_flags(flags).value] += count
+        total = sum(count for _flags, count in data)
+        writes = counted(FLAG_WRITE)
+        ambiguous = counted(FLAG_AMBIGUOUS)
         return {
             "total": total,
             "reads": total - writes,
             "writes": writes,
-            "bypassed": bypassed,
-            "killed": killed,
+            "bypassed": counted(FLAG_BYPASS),
+            "killed": counted(FLAG_KILL),
             "ambiguous": ambiguous,
             "unambiguous": total - ambiguous,
-            "instructions": instructions,
-            "by_origin": {
-                origin.value: count for origin, count in by_origin.items()
-            },
+            "instructions": len(self) - total,
+            "by_origin": by_origin,
         }

@@ -17,12 +17,15 @@ and commit the refreshed ``tests/golden/figure5.json`` alongside the
 change that moved the numbers.
 
 ``REPRO_GOLDEN_ENGINE`` selects which cache engine produces the
-measured table — ``cache`` (the online simulator, the default),
-``functional`` (the data-carrying twin, re-executing every benchmark
-against it), ``multi`` (the shared-decode multi-replay core),
-``stackdist`` (the scalar one-pass sweep engines) or ``vectorized``
-(the set-major array kernels).  All five must match the same golden
-file exactly; CI runs the full matrix.
+measured table — ``cache`` (the default: the reference serial replay,
+``run_benchmark`` → ``evaluate_trace`` → ``replay_trace`` through the
+online simulator), ``functional`` (the data-carrying twin,
+re-executing every benchmark against it), ``multi`` (the
+shared-decode multi-replay core), ``stackdist`` (the scalar one-pass
+sweep engines) or ``vectorized`` (the set-major array kernels).  The
+last three run ``figure5_table`` with ``REPRO_SWEEP_ENGINE`` forced,
+the path ``repro-experiments`` ships.  All five must match the same
+golden file exactly; CI runs the full matrix.
 """
 
 import json
@@ -93,6 +96,25 @@ def functional_table():
     return rows
 
 
+def reference_table():
+    """The Figure 5 rows scored by the reference serial replay.
+
+    ``figure5_table`` scores through the sweep dispatcher, so this leg
+    builds its rows from ``run_benchmark`` instead: that path replays
+    each trace through :func:`~repro.cache.replay.replay_trace` and
+    the online simulator, keeping the oracle pinned to the golden file.
+    """
+    from repro.evalharness.experiment import run_benchmark
+    from repro.evalharness.figure5 import Figure5Row, figure5_options
+
+    return [
+        Figure5Row.from_result(
+            run_benchmark(name, options=figure5_options())
+        )
+        for name in BENCHMARK_NAMES
+    ]
+
+
 def measured_table():
     engine = os.environ.get("REPRO_GOLDEN_ENGINE", "cache")
     if engine not in GOLDEN_ENGINES:
@@ -104,7 +126,7 @@ def measured_table():
     if engine == "functional":
         return functional_table()
     if engine == "cache":
-        return figure5_table()
+        return reference_table()
     previous = os.environ.get("REPRO_SWEEP_ENGINE")
     os.environ["REPRO_SWEEP_ENGINE"] = engine
     try:

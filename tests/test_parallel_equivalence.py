@@ -6,6 +6,8 @@ process-pool fan-out — must produce results bit-identical to the
 serial ``run_benchmark`` baseline, on all six benchmarks.
 """
 
+import sys
+
 import pytest
 
 from repro import faultinject
@@ -182,3 +184,30 @@ class TestFigure5ByteIdentical:
         )
         assert parallel == serial
         assert warm == serial
+
+
+class TestReportRouting:
+    """The report's Figure 5 and spill rows never reach the reference
+    replay: they score through the sweep dispatcher, and still equal
+    the rows the reference produces."""
+
+    def test_rows_do_not_use_replay_trace(self, monkeypatch):
+        from repro.evalharness.figure5 import Figure5Row, figure5_options
+        from repro.evalharness.sweeps import spill_ablation
+
+        expected_figure5 = [Figure5Row.from_result(
+            run_benchmark("queen", options=figure5_options())
+        )]
+        expected_spill = spill_ablation()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a report row reached replay_trace")
+
+        for name, module in list(sys.modules.items()):
+            if module is None or name.split(".")[0] != "repro":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is replay_trace:
+                    monkeypatch.setattr(module, key, forbidden)
+        assert figure5_table(names=("queen",)) == expected_figure5
+        assert spill_ablation() == expected_spill

@@ -1,9 +1,14 @@
 """Trace encoding and memory-system wrapper tests."""
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from repro.ir.instructions import RefClass, RefInfo, RefOrigin, RegionKind
+from repro.lang.errors import ResourceExhausted
 from repro.vm.trace import (
     FLAG_AMBIGUOUS,
     FLAG_BYPASS,
+    FLAG_INSTRUCTION,
     FLAG_KILL,
     FLAG_WRITE,
     TraceBuffer,
@@ -21,6 +26,47 @@ def make_ref(bypass=False, kill=False, ambiguous=False,
     ref.bypass = bypass
     ref.kill = kill
     return ref
+
+
+#: Every flag byte :func:`encode_flags` can produce, as a data event
+#: and as an instruction fetch.
+ENCODABLE_FLAGS = sorted({
+    encode_flags(make_ref(bypass, kill, ambiguous, origin), is_write)
+    | instruction
+    for bypass in (False, True)
+    for kill in (False, True)
+    for ambiguous in (False, True)
+    for origin in RefOrigin
+    for is_write in (False, True)
+    for instruction in (0, FLAG_INSTRUCTION)
+})
+
+
+def summary_by_loop(buffer):
+    """The per-event reference for :meth:`TraceBuffer.summary`."""
+    writes = bypassed = killed = ambiguous = instructions = 0
+    by_origin = {origin.value: 0 for origin in RefOrigin}
+    for flags in buffer.flags:
+        if flags & FLAG_INSTRUCTION:
+            instructions += 1
+            continue
+        writes += bool(flags & FLAG_WRITE)
+        bypassed += bool(flags & FLAG_BYPASS)
+        killed += bool(flags & FLAG_KILL)
+        ambiguous += bool(flags & FLAG_AMBIGUOUS)
+        by_origin[origin_from_flags(flags).value] += 1
+    total = len(buffer) - instructions
+    return {
+        "total": total,
+        "reads": total - writes,
+        "writes": writes,
+        "bypassed": bypassed,
+        "killed": killed,
+        "ambiguous": ambiguous,
+        "unambiguous": total - ambiguous,
+        "instructions": instructions,
+        "by_origin": by_origin,
+    }
 
 
 class TestFlagEncoding:
@@ -90,20 +136,32 @@ class TestTraceBuffer:
         assert list(addresses) == [3, 4, 5]
         assert list(flags) == [FLAG_KILL, FLAG_WRITE, 0]
 
-    def test_summary_counts(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(ENCODABLE_FLAGS), max_size=300))
+    @example([])
+    @example([0, FLAG_WRITE, FLAG_BYPASS | FLAG_AMBIGUOUS, FLAG_KILL])
+    def test_summary_counts(self, flags):
         buffer = TraceBuffer()
-        buffer.append(1, 0)
-        buffer.append(2, FLAG_WRITE)
-        buffer.append(3, FLAG_BYPASS | FLAG_AMBIGUOUS)
-        buffer.append(4, FLAG_KILL)
-        summary = buffer.summary()
-        assert summary["total"] == 4
-        assert summary["reads"] == 3
-        assert summary["writes"] == 1
-        assert summary["bypassed"] == 1
-        assert summary["killed"] == 1
-        assert summary["ambiguous"] == 1
-        assert summary["unambiguous"] == 3
+        for address, value in enumerate(flags):
+            buffer.append(address, value)
+        assert buffer.summary() == summary_by_loop(buffer)
+
+    def test_from_bytes_rejects_unknown_origin_code(self):
+        buffer = TraceBuffer()
+        buffer.append(9, 0x40)  # a data event with origin code 4
+        for version in (1, 2):
+            with pytest.raises(ValueError, match="origin code 4"):
+                TraceBuffer.from_bytes(buffer.to_bytes(version=version))
+
+    def test_from_bytes_honours_max_events(self):
+        buffer = TraceBuffer()
+        for address in range(10):
+            buffer.append(address, FLAG_WRITE)
+        data = buffer.to_bytes()
+        with pytest.raises(ResourceExhausted):
+            TraceBuffer.from_bytes(data, max_events=3)
+        assert len(TraceBuffer.from_bytes(data, max_events=10)) == 10
+        assert len(TraceBuffer.from_bytes(data, max_events=None)) == 10
 
 
 class TestMemorySystems:
