@@ -12,9 +12,10 @@ Six claims, all asserted live:
   (:func:`repro.cache.replay.replay_trace_multi`) by at least **3x**
   single-core, with bit-identical statistics.
 * **Vectorized sweep**: the same ladder through the set-major array
-  kernels (:mod:`repro.cache.vectorized`, ``engine="vectorized"``)
-  beats the scalar stack-distance engine by at least **2x**
-  (min-of-3 wall clock), bit-identical again.
+  kernels (:mod:`repro.cache.vectorized`, the default
+  ``engine="auto"``) beats the scalar stack-distance engine
+  (``engine="stackdist"``) by at least **2x** (min-of-3 wall clock),
+  bit-identical again.
 * **FIFO / MIN sweeps**: the same ladder under FIFO and Belady MIN
   routes through the single-pass set-count stackers
   (:func:`repro.cache.semantics.fifo_sweep` /
@@ -32,10 +33,9 @@ Six claims, all asserted live:
   counts.
 
 The record also carries the RPTRACE2 delta-codec compression ratio
-over the same traces.  When the environment cannot support the claims
-(no NumPy for the vectorized decode, or the scheduler grants fewer
-than two CPUs for stable wall-clock ratios) the benchmark *skips* and
-records the reason instead of failing.
+over the same traces.  When the scheduler grants fewer than two CPUs
+for stable wall-clock ratios the benchmark *skips* and records the
+reason instead of failing.
 
 Run with::
 
@@ -45,8 +45,10 @@ Run with::
 import json
 import os
 import platform
+import struct
 import time
 
+import numpy
 import pytest
 
 from repro.cache.cache import CacheConfig
@@ -92,21 +94,18 @@ SUPERINSTRUCTION_SPEEDUP_FLOOR = 1.3
 #: in a way a single sample on a busy box is not.
 TIMING_REPS = 5
 
+#: The legacy RPTRACE1 layout, which the codec ratio is measured
+#: against: the shared header, then an int64 address and a flag byte
+#: per event.
+V1_HEADER_BYTES = struct.calcsize("<8sIQ")
+V1_EVENT_BYTES = 9
+
 
 class _UnfusedMachine(Machine):
     """The closure VM with superinstruction fusion disabled — the
     baseline side of the fused-vs-unfused ratio."""
 
     _enable_fusion = False
-
-
-def _numpy_version():
-    try:
-        import numpy
-
-        return numpy.__version__
-    except Exception:
-        return None
 
 
 def record_skip(path, reason):
@@ -142,12 +141,6 @@ def check_environment(path):
     """
     if os.environ.get("REPRO_BENCH_FORCE"):
         return
-    try:
-        import numpy  # noqa: F401
-    except Exception:
-        record_skip(path, "NumPy unavailable: the one-pass engines "
-                          "fall back to pure-Python decode and the "
-                          "speedup floors do not apply")
     cpus = effective_cpus()
     if cpus is not None and cpus < 2:
         record_skip(path, "only {} effective CPU(s): wall-clock "
@@ -240,7 +233,7 @@ def test_onepass_speedup_and_equivalence():
             for name, trace in traces.items()
         }
 
-    vectored = _sweep_all("vectorized")
+    vectored = _sweep_all("auto")
     for name in BENCHMARK_NAMES:
         for spec, want, got in zip(specs, multi[name], vectored[name]):
             assert got.as_dict() == want.as_dict(), ("vectorized", name, spec)
@@ -255,7 +248,7 @@ def test_onepass_speedup_and_equivalence():
         return best
 
     scalar_best = _min_of(TIMING_REPS, lambda: _sweep_all("stackdist"))
-    vector_best = _min_of(TIMING_REPS, lambda: _sweep_all("vectorized"))
+    vector_best = _min_of(TIMING_REPS, lambda: _sweep_all("auto"))
     vectorized_speedup = scalar_best / vector_best
 
     # -- superinstruction VM: fused run handlers vs per-op closures ---
@@ -313,7 +306,9 @@ def test_onepass_speedup_and_equivalence():
         }
 
     # -- trace codec: RPTRACE2 delta varints vs verbatim RPTRACE1 -----
-    v1_bytes = sum(len(t.to_bytes(version=1)) for t in traces.values())
+    v1_bytes = sum(
+        V1_HEADER_BYTES + V1_EVENT_BYTES * len(t) for t in traces.values()
+    )
     v2_bytes = sum(len(t.to_bytes()) for t in traces.values())
 
     replay_speedup = multi_seconds / sweep_seconds
@@ -355,7 +350,7 @@ def test_onepass_speedup_and_equivalence():
         "vm_speedup_floor": VM_SPEEDUP_FLOOR,
         "superinstruction_speedup_floor": SUPERINSTRUCTION_SPEEDUP_FLOOR,
         "python": platform.python_version(),
-        "numpy": _numpy_version(),
+        "numpy": numpy.__version__,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }

@@ -12,9 +12,8 @@ engine's remaining edge is the amortized compile+VM work and the
 shared single-decode replay, not a slower opponent.
 
 When the environment cannot support the claim — fewer than two
-effective CPUs for the ``jobs=4`` fan-out, or no NumPy for the shared
-decode — the benchmark *skips* and records the reason in
-``BENCH_parallel.json`` instead of failing.
+effective CPUs for the ``jobs=4`` fan-out — the benchmark *skips* and
+records the reason in ``BENCH_parallel.json`` instead of failing.
 
 Run with::
 
@@ -96,12 +95,6 @@ def check_environment(path):
     """
     if os.environ.get("REPRO_BENCH_FORCE"):
         return
-    try:
-        import numpy  # noqa: F401
-    except Exception:
-        record_skip(path, "NumPy unavailable: the shared single-decode "
-                          "replay core falls back to pure Python and "
-                          "the 3x floor does not apply")
     cpus = _effective_cpus()
     if cpus is not None and cpus < 2:
         record_skip(path, "only {} effective CPU(s): the jobs=4 "

@@ -464,10 +464,6 @@ def filtered_trace(trace, config):
     return cache.stats, downstream
 
 
-#: Backwards-compatible private name (pre-N-level callers).
-_filtered_trace = filtered_trace
-
-
 def hierarchy_stats(trace, spec):
     """Score ``trace`` through every level of ``spec``.
 

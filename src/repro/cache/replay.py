@@ -190,15 +190,8 @@ def replay_trace_multi(trace, configs, decoded=None):
                 state["columns"], effective + (config.write_policy,)
             )
             stream_cache[effective] = stream
-        blocks = (
-            stream.blocks_np if stream.blocks_np is not None
-            else stream.blocks_list
-        )
-        types = (
-            stream.types_np if stream.types_np is not None
-            else stream.types_list
-        )
-        runs = collapse_runs(blocks, types, config.num_sets)
+        runs = collapse_runs(stream.blocks_np, stream.types_np,
+                             config.num_sets)
         runs_cache[runs_key] = runs
         return runs
 

@@ -34,13 +34,10 @@ enforce it.
 
 from itertools import repeat as _repeat
 
+import numpy as _np
+
 from repro.cache.stats import CacheStats
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
-
-try:  # NumPy is an accelerator, never a requirement.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only off-image
-    _np = None
 
 _INFINITY = float("inf")
 
@@ -80,31 +77,20 @@ def decode_trace(trace):
 def flag_presence(columns):
     """Does the trace carry any bypass / kill bits at all?"""
     _addresses, flags = columns
-    if _np is not None and isinstance(flags, _np.ndarray):
-        present = int(
-            _np.bitwise_or.reduce(flags) if len(flags) else 0
-        )
-    else:
-        present = 0
-        for flag in flags:
-            present |= flag
-            if present & (FLAG_BYPASS | FLAG_KILL) == (
-                FLAG_BYPASS | FLAG_KILL
-            ):
-                break
+    present = int(_np.bitwise_or.reduce(flags) if len(flags) else 0)
     return bool(present & FLAG_BYPASS), bool(present & FLAG_KILL)
 
 
 class FlavorStream:
     """One flavor's decoded event stream.
 
-    The blocks and EV_* type codes both as NumPy arrays (``None``
-    without NumPy) and as Python lists, plus the geometry-independent
-    stat constants — all computed exactly once per flavor no matter
-    how many ``(num_sets, assoc)`` passes share them.  The list views
-    materialize lazily: the vectorized engine and the run-collapse
-    pre-pass stay entirely in array space, so decoding no longer pays
-    two ``tolist()`` walks consumers may never ask for.
+    The blocks and EV_* type codes both as NumPy arrays and as Python
+    lists, plus the geometry-independent stat constants — all computed
+    exactly once per flavor no matter how many ``(num_sets, assoc)``
+    passes share them.  The list views materialize lazily: the
+    vectorized engine and the run-collapse pre-pass stay entirely in
+    array space, so decoding never pays two ``tolist()`` walks
+    consumers may never ask for.
     """
 
     __slots__ = (
@@ -118,19 +104,11 @@ class FlavorStream:
             self._blocks_list = self.blocks_np.tolist()
         return self._blocks_list
 
-    @blocks_list.setter
-    def blocks_list(self, value):
-        self._blocks_list = value
-
     @property
     def types_list(self):
         if self._types_list is None:
             self._types_list = self.types_np.tolist()
         return self._types_list
-
-    @types_list.setter
-    def types_list(self, value):
-        self._types_list = value
 
 
 def flavor_decode(columns, flavor):
@@ -143,49 +121,21 @@ def flavor_decode(columns, flavor):
     addresses, flags = columns
     line_words, honor_bypass, honor_kill, _write_policy = flavor
     stream = FlavorStream()
-    if _np is not None:
-        a = _np.asarray(addresses, dtype=_np.int64)
-        f = _np.asarray(flags, dtype=_np.int64)
-        blocks = a if line_words == 1 else a // line_words
-        w = f & FLAG_WRITE
-        y = (f & FLAG_BYPASS) >> 1 if honor_bypass else 0
-        k = (f & FLAG_KILL) >> 2 if honor_kill else 0
-        # plain=0/1 by write bit; kill adds 2; bypass overrides to
-        # 4/5/6 (a bypass write sheds its kill bit: the probe already
-        # invalidates, so the kill is never separately honored).
-        types = (1 - y) * (w + 2 * k) + y * (4 + 2 * w + (1 - w) * k)
-        if isinstance(types, int):  # n == 0 with scalar y/k
-            types = w
-        stream.blocks_np = blocks
-        stream.types_np = types
-        stream._blocks_list = None
-        stream._types_list = None
-        counts = _np.bincount(types, minlength=7).tolist()
-    else:
-        stream.blocks_np = None
-        stream.types_np = None
-        stream.blocks_list = [
-            address if line_words == 1 else address // line_words
-            for address in addresses
-        ]
-        types = []
-        counts = [0] * 7
-        for flag in flags:
-            w = flag & FLAG_WRITE
-            y = (flag & FLAG_BYPASS) if honor_bypass else 0
-            k = (flag & FLAG_KILL) if honor_kill else 0
-            if y:
-                t = (
-                    EV_BYPASS_WRITE if w
-                    else (EV_BYPASS_READ_KILL if k else EV_BYPASS_READ)
-                )
-            elif k:
-                t = EV_KILL_WRITE if w else EV_KILL_READ
-            else:
-                t = EV_PLAIN_WRITE if w else EV_PLAIN_READ
-            types.append(t)
-            counts[t] += 1
-        stream.types_list = types
+    a = _np.asarray(addresses, dtype=_np.int64)
+    f = _np.asarray(flags, dtype=_np.int64)
+    blocks = a if line_words == 1 else a // line_words
+    w = f & FLAG_WRITE
+    y = (f & FLAG_BYPASS) >> 1 if honor_bypass else 0
+    k = (f & FLAG_KILL) >> 2 if honor_kill else 0
+    # plain=0/1 by write bit; kill adds 2; bypass overrides to 4/5/6 (a
+    # bypass write sheds its kill bit: the probe already invalidates,
+    # so the kill is never separately honored).
+    types = (1 - y) * (w + 2 * k) + y * (4 + 2 * w + (1 - w) * k)
+    stream.blocks_np = blocks
+    stream.types_np = types
+    stream._blocks_list = None
+    stream._types_list = None
+    counts = _np.bincount(types, minlength=7).tolist()
     stream.constants = flavor_constants(counts, flavor)
     stream.plain_only = (
         counts[EV_PLAIN_READ] + counts[EV_PLAIN_WRITE] == len(addresses)
@@ -243,48 +193,34 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
     one index serves every MIN configuration of a sweep that shares
     them.
     """
-    if _np is not None and hasattr(trace, "to_columns"):
-        addresses, flags = trace.to_columns()
-        n = len(addresses)
-        if n == 0:
-            return []
-        a = _np.asarray(addresses, dtype=_np.int64)
-        blocks = a if line_words == 1 else a // line_words
-        if honor_bypass:
-            f = _np.asarray(flags, dtype=_np.int64)
-            cached = _np.flatnonzero((f & FLAG_BYPASS) == 0)
-        else:
-            cached = _np.arange(n)
-        out = _np.full(n, -1.0)
-        if len(cached):
-            cb = blocks[cached]
-            order = _np.argsort(cb, kind="stable")
-            sorted_blocks = cb[order]
-            sorted_indices = cached[order]
-            # Within a block group the stable sort keeps time order,
-            # so each event's next use is simply its right neighbor.
-            nxt = _np.empty(len(cached))
-            if len(cached) > 1:
-                same = sorted_blocks[1:] == sorted_blocks[:-1]
-                nxt[:-1] = _np.where(same, sorted_indices[1:], _np.inf)
-            nxt[-1] = _np.inf
-            unsorted = _np.empty(len(cached))
-            unsorted[order] = nxt
-            out[cached] = unsorted
-        return out.tolist()
-    next_use = [0] * len(trace)
-    last_seen = {}
-    addresses = trace.addresses
-    flags_array = trace.flags
-    for index in range(len(trace) - 1, -1, -1):
-        flags = flags_array[index]
-        if honor_bypass and flags & FLAG_BYPASS:
-            next_use[index] = -1  # Marker: not a through-cache reference.
-            continue
-        block = addresses[index] // line_words
-        next_use[index] = last_seen.get(block, _INFINITY)
-        last_seen[block] = index
-    return next_use
+    addresses, flags = trace.to_columns()
+    n = len(addresses)
+    if n == 0:
+        return []
+    a = _np.asarray(addresses, dtype=_np.int64)
+    blocks = a if line_words == 1 else a // line_words
+    if honor_bypass:
+        f = _np.asarray(flags, dtype=_np.int64)
+        cached = _np.flatnonzero((f & FLAG_BYPASS) == 0)
+    else:
+        cached = _np.arange(n)
+    out = _np.full(n, -1.0)
+    if len(cached):
+        cb = blocks[cached]
+        order = _np.argsort(cb, kind="stable")
+        sorted_blocks = cb[order]
+        sorted_indices = cached[order]
+        # Within a block group the stable sort keeps time order, so
+        # each event's next use is simply its right neighbor.
+        nxt = _np.empty(len(cached))
+        if len(cached) > 1:
+            same = sorted_blocks[1:] == sorted_blocks[:-1]
+            nxt[:-1] = _np.where(same, sorted_indices[1:], _np.inf)
+        nxt[-1] = _np.inf
+        unsorted = _np.empty(len(cached))
+        unsorted[order] = nxt
+        out[cached] = unsorted
+    return out.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -296,11 +232,11 @@ class CollapsedRuns:
     """Per-set consecutive same-block plain runs, collapsed to heads.
 
     ``indices`` are the surviving event indices in time order (a NumPy
-    array when NumPy produced it, for fancy-indexing; ``indices_list``
-    is always a plain list).  ``run_writes[p]`` says a collapsed
-    follower of head ``p`` wrote; ``last_indices[p]`` is the original
-    index of the run's final event (the head itself for singleton
-    runs) — the index whose next-use value the MIN policies must see.
+    array, for fancy-indexing; ``indices_list`` is the same as a plain
+    list).  ``run_writes[p]`` says a collapsed follower of head ``p``
+    wrote; ``last_indices[p]`` is the original index of the run's
+    final event (the head itself for singleton runs) — the index whose
+    next-use value the MIN policies must see.
     ``follower_reads`` / ``follower_writes`` partition the
     ``collapsed`` guaranteed-hit followers.
     """
@@ -328,8 +264,8 @@ def collapse_runs(blocks, types, num_sets, order=None):
     events (``TraceBuffer.set_partition``); passing it skips the sort
     here so one partition serves every flavor of a geometry.
     """
-    if _np is None or len(blocks) == 0:
-        return _collapse_runs_py(blocks, types, num_sets)
+    if len(blocks) == 0:
+        return None
     b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
     t = _np.asarray(types, dtype=_np.int64)
     n = len(b)
@@ -405,7 +341,7 @@ class SortedRuns:
 
 
 def collapse_runs_sorted(blocks, types, num_sets, order):
-    """Collapse runs directly in set-major order (NumPy only).
+    """Collapse runs directly in set-major order.
 
     Same follower rule as :func:`collapse_runs` — and the same
     ``allocate_on_write`` validity caveat — but the result keeps the
@@ -457,58 +393,6 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
     )
     runs.follower_writes = int(follower_write_mask.sum())
     runs.follower_reads = collapsed - runs.follower_writes
-    runs.collapsed = collapsed
-    return runs
-
-
-def _collapse_runs_py(blocks, types, num_sets):
-    """Pure-Python twin of :func:`collapse_runs`.
-
-    Tracks each set's current run head by position so follower writes
-    dirty the right head even when other sets' events interleave.
-    """
-    last_block = {}
-    last_plain = {}
-    head_pos = {}
-    indices = []
-    run_writes = []
-    last_indices = []
-    follower_reads = 0
-    follower_writes = 0
-    for i, block in enumerate(blocks):
-        t = types[i]
-        s = block % num_sets
-        plain = t <= EV_PLAIN_WRITE
-        if (
-            plain
-            and last_plain.get(s, False)
-            and last_block.get(s) == block
-        ):
-            pos = head_pos[s]
-            last_indices[pos] = i
-            if t == EV_PLAIN_WRITE:
-                run_writes[pos] = True
-                follower_writes += 1
-            else:
-                follower_reads += 1
-        else:
-            if plain:
-                head_pos[s] = len(indices)
-            indices.append(i)
-            run_writes.append(False)
-            last_indices.append(i)
-        last_block[s] = block
-        last_plain[s] = plain
-    collapsed = follower_reads + follower_writes
-    if collapsed == 0:
-        return None
-    runs = CollapsedRuns()
-    runs.indices = indices
-    runs.indices_list = indices
-    runs.run_writes = run_writes
-    runs.last_indices = last_indices
-    runs.follower_reads = follower_reads
-    runs.follower_writes = follower_writes
     runs.collapsed = collapsed
     return runs
 
@@ -585,16 +469,12 @@ def signature_column(trace):
 
     Returns a list aligned with the trace's event positions; feed it
     to :func:`make_policy` for the signature-indexed policies (SHiP,
-    Hawkeye).  Uses the columnar decode when NumPy is available.
+    Hawkeye).
     """
-    if _np is not None:
-        columns = getattr(trace, "to_columns", None)
-        if columns is not None:
-            _addresses, flags = columns()
-            return _np.bitwise_and(
-                _np.asarray(flags, dtype=_np.int64), SIGNATURE_MASK
-            ).tolist()
-    return [flags & SIGNATURE_MASK for _address, flags in trace]
+    _addresses, flags = trace.to_columns()
+    return _np.bitwise_and(
+        _np.asarray(flags, dtype=_np.int64), SIGNATURE_MASK
+    ).tolist()
 
 
 _M64 = (1 << 64) - 1
@@ -1633,15 +1513,7 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     kill_invalidates = kill_mode == "invalidate" and line_words == 1
     runs = None
     if allocate_on_write:
-        blocks_src = (
-            stream.blocks_np if stream.blocks_np is not None
-            else stream.blocks_list
-        )
-        types_src = (
-            stream.types_np if stream.types_np is not None
-            else stream.types_list
-        )
-        runs = collapse_runs(blocks_src, types_src, num_sets)
+        runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
     blocks = stream.blocks_list
     types = stream.types_list
     if runs is not None:
@@ -1834,48 +1706,25 @@ def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
     kill_invalidates = kill_mode == "invalidate" and line_words == 1
     runs = None
     if allocate_on_write:
-        blocks_src = (
-            stream.blocks_np if stream.blocks_np is not None
-            else stream.blocks_list
-        )
-        types_src = (
-            stream.types_np if stream.types_np is not None
-            else stream.types_list
-        )
-        runs = collapse_runs(blocks_src, types_src, num_sets)
+        runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
     # Events carry everything the hot loop needs — block, set, type,
-    # follower-write flag, next-use position — precomputed once (and
-    # vectorized where NumPy holds the columns) so the per-lane walk
-    # does no arithmetic or index chasing of its own.
+    # follower-write flag, next-use position — precomputed once, and
+    # vectorized, so the per-lane walk does no arithmetic or index
+    # chasing of its own.
     if runs is not None:
-        if _np is not None and stream.blocks_np is not None:
-            eb = stream.blocks_np[runs.indices]
-            events = list(zip(
-                eb.tolist(),
-                (eb % num_sets).tolist(),
-                stream.types_np[runs.indices].tolist(),
-                runs.run_writes,
-                [next_use[i] for i in runs.last_indices],
-            ))
-        else:
-            blocks = stream.blocks_list
-            types = stream.types_list
-            events = [
-                (blocks[i], blocks[i] % num_sets, types[i], wrote,
-                 next_use[last])
-                for i, wrote, last in zip(
-                    runs.indices_list, runs.run_writes, runs.last_indices
-                )
-            ]
+        eb = stream.blocks_np[runs.indices]
+        events = list(zip(
+            eb.tolist(),
+            (eb % num_sets).tolist(),
+            stream.types_np[runs.indices].tolist(),
+            runs.run_writes,
+            [next_use[i] for i in runs.last_indices],
+        ))
         collapsed = runs.collapsed
     else:
-        if _np is not None and stream.blocks_np is not None:
-            set_indices = (stream.blocks_np % num_sets).tolist()
-        else:
-            set_indices = [b % num_sets for b in stream.blocks_list]
         events = list(zip(
-            stream.blocks_list, set_indices, stream.types_list,
-            _repeat(False), next_use,
+            stream.blocks_list, (stream.blocks_np % num_sets).tolist(),
+            stream.types_list, _repeat(False), next_use,
         ))
         collapsed = 0
 

@@ -57,9 +57,11 @@ write-around LRU, demoted-kill LRU — is the fallback path's job
 :func:`replay_trace_sweep` routes each requested configuration to
 whichever engine applies and merges the results in request order.
 
-NumPy (optional but present in the supported environment) accelerates
-the per-flavor decode and the run-collapse pre-pass; without it the
-same pre-pass runs on plain Python lists.
+The per-flavor decode and the run-collapse pre-pass are NumPy array
+code; the set-major array kernels in :mod:`repro.cache.vectorized`
+rebuild this module's profile for associativity caps up to
+``VECTOR_ASSOC_CAP_LIMIT``, and :func:`profile_pass` scores the rest
+(and every group under ``REPRO_SWEEP_ENGINE=stackdist``).
 """
 
 from itertools import repeat
@@ -352,23 +354,16 @@ def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
         "kill_write_hist": [0] * (assoc_cap + 2),
     }
 
-    if stream.blocks_np is not None:
-        runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    else:
-        runs = collapse_runs(stream.blocks_list, stream.types_list, num_sets)
+    runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
     profile.collapsed_hits = runs.collapsed if runs is not None else 0
 
     if runs is None:
         blocks_it = stream.blocks_list
         types_it = stream.types_list
         rw_it = repeat(False)
-    elif stream.blocks_np is not None:
+    else:
         blocks_it = stream.blocks_np[runs.indices].tolist()
         types_it = stream.types_np[runs.indices].tolist()
-        rw_it = runs.run_writes
-    else:
-        blocks_it = [stream.blocks_list[i] for i in runs.indices_list]
-        types_it = [stream.types_list[i] for i in runs.indices_list]
         rw_it = runs.run_writes
 
     if stream.plain_only:
@@ -618,18 +613,17 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
     :func:`repro.cache.semantics.random_sweep` /
     :func:`repro.cache.semantics.min_sweep`); everything else
     (the predictive zoo, write-around LRU, demoted-kill LRU) falls
-    back to the multi-replay core.  ``engine`` forces a path:
-    ``"stackdist"``
+    back to the multi-replay core.  ``engine`` picks the path:
+    ``"auto"`` routes per spec, scoring the profiled LRU groups with
+    the set-major array kernels (:mod:`repro.cache.vectorized`);
+    ``"stackdist"`` scores them with :func:`profile_pass` instead and
     raises :class:`ValueError` if any spec is outside the hole-stack
-    profiler (FIFO/Random/MIN included — they have no stack property),
-    ``"vectorized"`` scores the profiled groups with the set-major
-    array kernels (:mod:`repro.cache.vectorized`) and routes
-    everything else exactly like ``auto`` — fallback, not failure —
-    ``"multi"`` skips one-pass engines entirely, ``"auto"`` routes per
-    spec, preferring the vectorized kernels when NumPy is available.
-    When left ``None`` the ``REPRO_SWEEP_ENGINE`` environment
-    variable picks the engine (the CI golden-pin job forces each in
-    turn this way), defaulting to ``auto``.
+    profiler (FIFO/Random/MIN included — they have no stack property);
+    ``"multi"`` skips one-pass engines entirely.  When left ``None``
+    the ``REPRO_SWEEP_ENGINE`` environment variable picks the engine
+    (the CI golden-pin job forces each in turn this way), defaulting
+    to ``auto``.  This is the one engine override: every engine is
+    bit-identical, so it exists for tests and benchmarks.
     """
     import os
 
@@ -638,7 +632,7 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
     specs = list(specs)
     if engine is None:
         engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
-    if engine not in ("auto", "stackdist", "vectorized", "multi"):
+    if engine not in ("auto", "stackdist", "multi"):
         raise ValueError("unknown sweep engine {!r}".format(engine))
     if engine == "multi":
         return replay_trace_multi(trace, specs)
@@ -710,12 +704,9 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
             decoded_cache[flavor] = decoded
         return decoded
 
-    use_vector = False
-    if groups and engine != "stackdist":
-        from repro.cache.vectorized import (
-            vector_available, vector_profile_pass,
-        )
-        use_vector = engine == "vectorized" or vector_available()
+    use_vector = engine != "stackdist"
+    if groups and use_vector:
+        from repro.cache.vectorized import vector_profile_pass
 
     for (flavor, num_sets), members in groups.items():
         assoc_cap = max(spec.associativity for _i, spec in members)

@@ -7,7 +7,6 @@
 
 import argparse
 import functools
-import os
 import sys
 
 from repro.cache.cache import CacheConfig
@@ -149,17 +148,7 @@ def main_figure5(argv=None):
                              "'none' exposes the full reference stream, "
                              "where the static predictor decides the "
                              "most benchmarks exactly)")
-    parser.add_argument("--engine", default=None,
-                        choices=["auto", "stackdist", "vectorized", "multi"],
-                        help="pin the trace-replay engine (default: "
-                             "$REPRO_SWEEP_ENGINE or auto-selection; all "
-                             "engines are bit-identical, so this only "
-                             "affects speed)")
     args = parser.parse_args(argv)
-    if args.engine:
-        # Also export it so worker processes and any replay outside the
-        # figure5 units (hierarchy sweeps, predictor runs) honor it.
-        os.environ["REPRO_SWEEP_ENGINE"] = args.engine
     cache = CacheConfig(
         size_words=args.cache_words,
         line_words=1,
@@ -188,7 +177,6 @@ def main_figure5(argv=None):
         jobs=args.jobs,
         artifact_cache=artifact_cache,
         journal=args.journal,
-        engine=args.engine,
     )
     print(format_figure5(rows))
     status = 0

@@ -165,28 +165,25 @@ def evaluate_trace_multi(
     steps,
     cache_configs,
     keep_trace=False,
-    engine=None,
 ):
     """Score one recorded trace under many cache geometries at once.
 
     The unified and conventional replays of every geometry run through
     the sweep dispatcher
-    (:func:`~repro.cache.stackdist.replay_trace_sweep`): LRU
-    geometries are scored by the one-pass stack-distance profiler
-    (vectorized when NumPy is importable), everything else by the
-    single-pass multi-configuration core
+    (:func:`~repro.cache.stackdist.replay_trace_sweep`): by default
+    LRU geometries are scored by the set-major vectorized
+    stack-distance kernels, FIFO/Random/MIN by the single-pass
+    set-count sweeps, everything else by the multi-configuration core
     (:func:`~repro.cache.replay.replay_trace_multi`) — and the dynamic
     summary is computed once and shared; the per-geometry results are
     bit-identical to calling :func:`evaluate_trace` per config (the
-    equivalence battery asserts exactly that).  ``engine`` forces a
-    sweep engine (``auto``/``stackdist``/``vectorized``/``multi``);
-    ``None`` defers to ``REPRO_SWEEP_ENGINE`` or auto-selection.
+    equivalence battery asserts exactly that).
     """
     specs = []
     for cache_config in cache_configs:
         specs.append(cache_config)
         specs.append(conventional_config(cache_config))
-    stats = replay_trace_sweep(trace, specs, engine=engine)
+    stats = replay_trace_sweep(trace, specs)
     summary = trace.summary()
     output = tuple(output)
     results = []

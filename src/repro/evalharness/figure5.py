@@ -79,7 +79,6 @@ def figure5_table(
     jobs=None,
     artifact_cache=None,
     journal=None,
-    engine=None,
 ):
     """Run the full Figure 5 experiment; returns a list of rows plus
     an average row.
@@ -93,10 +92,8 @@ def figure5_table(
     the reference replay behind
     :func:`~repro.evalharness.experiment.run_benchmark`.  ``journal``
     (a path) checkpoints completed benchmarks so a killed run resumes
-    where it left off.  ``engine`` pins the replay engine
-    (``auto``/``stackdist``/``vectorized``/``multi``) for every unit;
-    ``None`` defers to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All
-    engines produce bit-identical rows.
+    where it left off.  The rows are bit-identical under every
+    ``REPRO_SWEEP_ENGINE`` value.
     """
     from repro.evalharness.parallel import EvalUnit, run_units
 
@@ -108,7 +105,6 @@ def figure5_table(
             paper_scale=paper_scale,
             options=options,
             cache_configs=(cache_config,),
-            engine=engine,
         )
         for name in names
     ]

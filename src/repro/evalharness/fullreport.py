@@ -7,7 +7,6 @@ with the paper's expectations alongside the measured values.
 """
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -43,12 +42,10 @@ def _heading(text):
 
 
 def figure5_section(paper_scale, failures=None, cache_config=DEFAULT_CACHE,
-                    jobs=None, artifact_cache=None, journal=None,
-                    engine=None):
+                    jobs=None, artifact_cache=None, journal=None):
     rows = figure5_table(
         paper_scale=paper_scale, cache_config=cache_config, failures=failures,
         jobs=jobs, artifact_cache=artifact_cache, journal=journal,
-        engine=engine,
     )
     if not rows:
         return "\n".join(
@@ -408,8 +405,7 @@ def access_time_section(failures=None, artifact_cache=None):
 def build_report(paper_scale=False, fast=False, failures=None,
                  cache_config=DEFAULT_CACHE, jobs=None, artifact_cache=None,
                  hierarchy=None, hierarchy_benchmarks=None, journal=None,
-                 policy_zoo=False, engine=None, multicore=None,
-                 partition="umon"):
+                 policy_zoo=False, multicore=None, partition="umon"):
     """Assemble the report string.
 
     With ``failures`` (a list), a section or benchmark that breaks is
@@ -420,10 +416,10 @@ def build_report(paper_scale=False, fast=False, failures=None,
     store.  Every flat-geometry cell (Figure 5, kill bits, spill,
     policy zoo, access time) is scored by the sweep dispatcher;
     :func:`~repro.cache.replay.replay_trace` is the tests' oracle.
-    ``engine`` pins the trace-replay engine for the Figure 5 units
-    (the other sections honor ``REPRO_SWEEP_ENGINE``, which the CLI
-    exports alongside the flag).  The report text is byte-identical
-    either way (only the trailing wall-clock line differs).
+    Every section honors ``REPRO_SWEEP_ENGINE`` (worker processes
+    inherit it): ``auto`` and ``multi`` give byte-identical text (only
+    the trailing wall-clock line differs), while ``stackdist`` refuses
+    the kill-bit section's demote-kill cells.
     """
     started = time.time()
     section_builders = [
@@ -431,7 +427,7 @@ def build_report(paper_scale=False, fast=False, failures=None,
          lambda: figure5_section(paper_scale, failures=failures,
                                  cache_config=cache_config, jobs=jobs,
                                  artifact_cache=artifact_cache,
-                                 journal=journal, engine=engine)),
+                                 journal=journal)),
         ("kill-bits", lambda: kill_section(artifact_cache=artifact_cache)),
         ("spill", lambda: spill_section(artifact_cache=artifact_cache)),
     ]
@@ -553,17 +549,7 @@ def main(argv=None):
                         help="add the E17 predictive-replacement zoo "
                              "section ({policy} x {conventional, unified} "
                              "hit ratios on every benchmark)")
-    parser.add_argument("--engine", default=None,
-                        choices=["auto", "stackdist", "vectorized", "multi"],
-                        help="pin the trace-replay engine (default: "
-                             "$REPRO_SWEEP_ENGINE or auto-selection; all "
-                             "engines are bit-identical, so this only "
-                             "affects speed)")
     args = parser.parse_args(argv)
-    if args.engine:
-        # Export it too so worker processes and the non-figure5
-        # sections (ablation sweeps, hierarchy, policy zoo) honor it.
-        os.environ["REPRO_SWEEP_ENGINE"] = args.engine
     set_default_max_steps(args.max_steps)
     cache_config = DEFAULT_CACHE
     if args.seed is not None:
@@ -590,7 +576,6 @@ def main(argv=None):
                        hierarchy_benchmarks=args.hierarchy_benchmarks,
                        journal=args.journal,
                        policy_zoo=args.policy_zoo,
-                       engine=args.engine,
                        multicore=multicore,
                        partition=args.partition))
     if failures:

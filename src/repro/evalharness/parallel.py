@@ -72,13 +72,9 @@ class EvalUnit:
     ``cache_configs`` lists every geometry to score against the unit's
     single reference trace; however many there are, they are scored
     together by the sweep dispatcher
-    (:func:`~repro.cache.stackdist.replay_trace_sweep`).
-    ``engine`` pins the sweep engine for this unit
-    (``auto``/``stackdist``/``vectorized``/``multi``); ``None`` defers
-    to ``REPRO_SWEEP_ENGINE`` / auto-selection.  All engines are
-    bit-identical (the conformance battery holds them to it), so the
-    choice never changes a result — it is deliberately excluded from
-    :func:`unit_fingerprint` and journal identity.
+    (:func:`~repro.cache.stackdist.replay_trace_sweep`), whose engine
+    only ``REPRO_SWEEP_ENGINE`` overrides (worker processes inherit
+    it).
 
     ``hierarchy`` switches the unit from flat geometries to hierarchy
     scoring: each entry is a :func:`~repro.cache.hierarchy.parse_hierarchy`
@@ -92,7 +88,6 @@ class EvalUnit:
     paper_scale: bool = False
     options: object = None
     cache_configs: tuple = field(default=(DEFAULT_CACHE,))
-    engine: object = None
     hierarchy: tuple = ()
 
 
@@ -102,8 +97,8 @@ def unit_fingerprint(unit):
     Journals key completed outcomes by this, and the fault-injection
     sites key worker-level decisions by it, so a unit keeps its
     identity no matter which process (or which resumed run) evaluates
-    it.  ``unit.engine`` is deliberately *not* part of the payload:
-    engines are bit-identical, so a journal written under one engine
+    it.  The sweep engine is not part of the payload: engines are
+    bit-identical, so a journal written under one ``REPRO_SWEEP_ENGINE``
     resumes correctly under another.
     """
     options = (unit.options or CompilationOptions()).normalized()
@@ -130,9 +125,8 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
 
     Every unit, single-geometry ones included, scores through
     :func:`~repro.evalharness.experiment.evaluate_trace_multi` and so
-    through the sweep dispatcher, with ``unit.engine`` passed straight
-    through (``None`` lets the dispatcher read ``REPRO_SWEEP_ENGINE``).
-    The results are bit-identical to the reference serial replay
+    through the sweep dispatcher.  The results are bit-identical to
+    the reference serial replay
     (:func:`~repro.evalharness.experiment.evaluate_trace`), which the
     equivalence battery and the golden Figure 5 pin hold them to.
     """
@@ -177,7 +171,7 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
         return rows
     return evaluate_trace_multi(
         bench.name, program, trace, output, steps, unit.cache_configs,
-        keep_trace=keep_trace, engine=unit.engine,
+        keep_trace=keep_trace,
     )
 
 

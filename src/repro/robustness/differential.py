@@ -27,13 +27,14 @@ asserts:
   against the reference path.
 * **Sweep-engine agreement** — the one-pass sweep dispatcher
   (:func:`repro.cache.stackdist.replay_trace_sweep`) reconstructs the
-  same configurations bit-identically: LRU through the hole-stack
-  automaton's per-set distance histograms, FIFO and MIN through the
-  single-pass set-count stackers, and a second pass under the forced
-  ``vectorized`` engine holds the set-major array kernels
-  (:mod:`repro.cache.vectorized`) to the same answers — so every
-  fuzzed trace cross-examines all one-pass engines against the
-  reference simulator.
+  same configurations bit-identically: under ``auto``, LRU through
+  the set-major array kernels (:mod:`repro.cache.vectorized`), FIFO,
+  Random and MIN through the single-pass set-count stackers; a second
+  pass under the ``stackdist`` engine holds the scalar hole-stack
+  profiler (:func:`repro.cache.stackdist.profile_pass`) to the same
+  answers on the two LRU configurations — so every fuzzed trace
+  cross-examines all one-pass engines against the reference
+  simulator.
 * **Superinstruction agreement** — the fused closure VM
   (:meth:`repro.vm.machine.Machine._fuse_block`) re-runs the heaviest
   configuration through the per-step
@@ -448,14 +449,18 @@ def _check_cache_models(run, baseline, cache_words, associativity):
                 "{} configuration: {!r}".format(label, diff),
             )
 
-    # engine="auto" routes LRU through the hole-stack profiler and
-    # FIFO/MIN through the single-pass set-count stackers; the forced
-    # "vectorized" pass sends the profiled groups through the set-major
-    # array kernels instead.  Every fuzzed trace holds all one-pass
-    # engines to the serial path.
-    for engine in ("auto", "vectorized"):
-        swept = replay_trace_sweep(run.trace, battery, engine=engine)
-        for label, stats in zip(labels, swept):
+    # engine="auto" routes LRU through the set-major array kernels and
+    # FIFO/Random/MIN through the single-pass set-count stackers;
+    # "stackdist" sends the two LRU specs through the scalar hole-stack
+    # profiler instead.  Every fuzzed trace holds all one-pass engines
+    # to the serial path.
+    legs = (
+        ("auto", labels, battery),
+        ("stackdist", ("unified", "conventional"), [config, blind]),
+    )
+    for engine, leg_labels, specs in legs:
+        swept = replay_trace_sweep(run.trace, specs, engine=engine)
+        for label, stats in zip(leg_labels, swept):
             if stats.as_dict() != serial[label]:
                 diff = {
                     key: (stats.as_dict()[key], serial[label][key])
@@ -463,7 +468,7 @@ def _check_cache_models(run, baseline, cache_words, associativity):
                     if stats.as_dict().get(key) != serial[label][key]
                 }
                 raise DifferentialError(
-                    "stackdist" if engine == "auto" else "vectorized",
+                    engine,
                     "one-pass sweep ({}) and serial replay disagree on "
                     "the {} configuration: {!r}".format(
                         engine, label, diff

@@ -12,15 +12,18 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy
+
 from repro.ir.instructions import RefClass, RefOrigin
 from repro.lang.errors import ResourceExhausted
 
 #: On-disk trace formats.  Both share the header (magic, format
 #: version, event count); the payloads differ:
 #:
-#: * ``RPTRACE1`` — the address array verbatim (little-endian int64)
-#:   followed by the flag array (one byte per event).
-#: * ``RPTRACE2`` (written by default) — each address as the zigzag
+#: * ``RPTRACE1`` (read only) — the address array verbatim
+#:   (little-endian int64) followed by the flag array (one byte per
+#:   event).
+#: * ``RPTRACE2`` (the one written) — each address as the zigzag
 #:   varint of its delta from the previous event's address (the first
 #:   event is relative to zero), followed by the raw flag bytes.
 #:   Reference streams walk arrays and stack frames in small strides,
@@ -36,11 +39,6 @@ TRACE_FORMAT_VERSION_V1 = 1
 TRACE_MAGIC = b"RPTRACE2"
 TRACE_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sIQ")
-
-#: 64-bit wrap mask: the delta codec works in uint64 arithmetic so the
-#: NumPy fast path and the pure-Python fallback agree bit-for-bit even
-#: on adversarial address extremes.
-_U64 = (1 << 64) - 1
 
 #: Default cap on buffered trace events.  Each event costs nine bytes
 #: (an int64 address plus a flag byte), so the default bounds one
@@ -122,15 +120,11 @@ class TraceEvent:
 def _encode_deltas(addresses):
     """Zigzag-varint encode previous-address deltas (RPTRACE2 body).
 
-    All arithmetic wraps at 64 bits so the NumPy path and the
-    pure-Python fallback produce identical bytes.
+    All arithmetic wraps at 64 bits, so address extremes whose deltas
+    overflow int64 still round-trip exactly.
     """
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - exercised off-image
-        numpy = None
-    if numpy is None or not len(addresses):
-        return _encode_deltas_py(addresses)
+    if not len(addresses):
+        return b""
     addrs = numpy.frombuffer(addresses.tobytes(), dtype=numpy.int64)
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         addrs = addrs.byteswap()
@@ -150,34 +144,17 @@ def _encode_deltas(addresses):
     return out.tobytes()
 
 
-def _encode_deltas_py(addresses):
-    out = bytearray()
-    previous = 0
-    for address in addresses:
-        delta = (address - previous) & _U64
-        previous = address
-        if delta >= 1 << 63:
-            delta -= 1 << 64
-        zig = ((delta << 1) ^ (delta >> 63)) & _U64
-        while zig > 0x7F:
-            out.append(0x80 | (zig & 0x7F))
-            zig >>= 7
-        out.append(zig)
-    return bytes(out)
-
-
 def _decode_deltas(payload, count):
     """Decode an RPTRACE2 varint body into an ``array('q')``.
 
     Raises :class:`ValueError` unless the payload holds exactly
     ``count`` well-formed varints.
     """
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - exercised off-image
-        numpy = None
-    if numpy is None or not count:
-        return _decode_deltas_py(payload, count)
+    if not count:
+        if payload:
+            raise ValueError("corrupt trace: trailing bytes after the "
+                             "varint stream")
+        return array("q")
     data = numpy.frombuffer(bytes(payload), dtype=numpy.uint8)
     ends = numpy.flatnonzero(data < 0x80)
     if len(ends) != count or (len(data) and ends[-1] != len(data) - 1):
@@ -202,39 +179,6 @@ def _decode_deltas(payload, count):
     addrs = numpy.cumsum(deltas, dtype=numpy.int64)
     out = array("q")
     out.frombytes(addrs.tobytes())  # native order on both sides
-    return out
-
-
-def _decode_deltas_py(payload, count):
-    out = array("q")
-    position = 0
-    previous = 0
-    data = bytes(payload)
-    for _ in range(count):
-        zig = 0
-        shift = 0
-        while True:
-            if position >= len(data) or shift > 63:
-                raise ValueError(
-                    "corrupt trace: varint stream does not hold the "
-                    "promised event count"
-                )
-            byte = data[position]
-            position += 1
-            zig |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        zig &= _U64
-        delta = (zig >> 1) ^ -(zig & 1)
-        previous = (previous + delta) & _U64
-        value = previous
-        if value >= 1 << 63:
-            value -= 1 << 64
-        out.append(value)
-    if position != len(data):
-        raise ValueError("corrupt trace: trailing bytes after the "
-                         "varint stream")
     return out
 
 
@@ -304,52 +248,38 @@ class TraceBuffer:
     def to_columns(self):
         """The packed stream as flat ``(addresses, flags)`` columns.
 
-        Returns NumPy int64/uint8 arrays when NumPy is importable,
-        otherwise the underlying ``array`` objects.  The result is
-        cached (and invalidated by :meth:`append`); callers must treat
-        it as read-only — the replay engines and the stack-distance
-        profiler all share one decode.
+        Returns NumPy int64/uint8 arrays.  The result is cached (and
+        invalidated by :meth:`append`); callers must treat it as
+        read-only — the replay engines and the stack-distance profiler
+        all share one decode.
         """
         if self._columns is None:
-            try:
-                import numpy
-            except Exception:  # pragma: no cover - exercised off-image
-                self._columns = (self.addresses, self.flags)
-            else:
-                # tobytes() detaches the columns from the live arrays:
-                # exporting the arrays' own buffers would make a later
-                # append raise BufferError while a caller held them.
-                self._columns = (
-                    numpy.frombuffer(
-                        self.addresses.tobytes(), dtype=numpy.int64
-                    ),
-                    numpy.frombuffer(self.flags.tobytes(), dtype=numpy.uint8),
-                )
+            # tobytes() detaches the columns from the live arrays:
+            # exporting the arrays' own buffers would make a later
+            # append raise BufferError while a caller held them.
+            self._columns = (
+                numpy.frombuffer(self.addresses.tobytes(), dtype=numpy.int64),
+                numpy.frombuffer(self.flags.tobytes(), dtype=numpy.uint8),
+            )
         return self._columns
 
     def set_partition(self, num_sets, line_words=1):
         """A stable argsort of the trace by cache-set index.
 
         Returns a NumPy int64 permutation that groups events set-major
-        (all of set 0's events in time order, then set 1's, ...), or
-        ``None`` when NumPy is unavailable.  The sort key is
-        ``(address // line_words) % num_sets`` — the set index every
-        replay engine derives — so one partition is shared by the
-        stack-distance profiler's run collapse and the vectorized
-        set-major kernels for every flavor of the same geometry.
+        (all of set 0's events in time order, then set 1's, ...).  The
+        sort key is ``(address // line_words) % num_sets`` — the set
+        index every replay engine derives — so one partition is shared
+        by the stack-distance profiler's run collapse and the
+        vectorized set-major kernels for every flavor of the same
+        geometry.
         Cached per ``(num_sets, line_words)`` and invalidated by
         :meth:`append`; callers must treat the array as read-only.
         """
         key = (int(num_sets), int(line_words))
         if self._partitions is not None and key in self._partitions:
             return self._partitions[key]
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - exercised off-image
-            return None
         addresses, _ = self.to_columns()
-        if not isinstance(addresses, numpy.ndarray):  # pragma: no cover
-            return None
         blocks = addresses if line_words == 1 else addresses // line_words
         order = numpy.argsort(blocks % num_sets, kind="stable")
         if self._partitions is None:
@@ -359,36 +289,15 @@ class TraceBuffer:
 
     # -- serialization -------------------------------------------------
 
-    def to_bytes(self, version=TRACE_FORMAT_VERSION):
-        """Serialize to the versioned on-disk format.
-
-        ``version=2`` (default) writes the zigzag-varint delta codec;
-        ``version=1`` writes the verbatim little-endian layout for
-        tooling that predates the codec.
-        """
-        if version == TRACE_FORMAT_VERSION:
-            return b"".join(
-                [
-                    _HEADER.pack(TRACE_MAGIC, TRACE_FORMAT_VERSION,
-                                 len(self)),
-                    _encode_deltas(self.addresses),
-                    self.flags.tobytes(),
-                ]
-            )
-        if version == TRACE_FORMAT_VERSION_V1:
-            addresses = self.addresses
-            if sys.byteorder != "little":
-                addresses = array("q", addresses)
-                addresses.byteswap()
-            return b"".join(
-                [
-                    _HEADER.pack(TRACE_MAGIC_V1, TRACE_FORMAT_VERSION_V1,
-                                 len(self)),
-                    addresses.tobytes(),
-                    self.flags.tobytes(),
-                ]
-            )
-        raise ValueError("unknown trace format version {!r}".format(version))
+    def to_bytes(self):
+        """Serialize to the RPTRACE2 on-disk format."""
+        return b"".join(
+            [
+                _HEADER.pack(TRACE_MAGIC, TRACE_FORMAT_VERSION, len(self)),
+                _encode_deltas(self.addresses),
+                self.flags.tobytes(),
+            ]
+        )
 
     @classmethod
     def from_bytes(cls, data, max_events=DEFAULT_MAX_EVENTS):

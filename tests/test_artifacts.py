@@ -30,13 +30,11 @@ from repro.vm.trace import (
     FLAG_KILL,
     FLAG_WRITE,
     TRACE_MAGIC,
-    TRACE_MAGIC_V1,
     TraceBuffer,
     _decode_deltas,
-    _decode_deltas_py,
     _encode_deltas,
-    _encode_deltas_py,
 )
+from scalar_reference import decode_deltas_py, encode_deltas_py, rptrace1_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -133,38 +131,32 @@ class TestTraceV2Codec:
 
     @pytest.mark.parametrize("addresses", STREAMS)
     def test_v1_still_written_and_read(self, addresses):
+        """RPTRACE1 is read-only now: the test writes the payload."""
         trace = self._trace(addresses)
-        legacy = trace.to_bytes(version=1)
-        assert legacy.startswith(TRACE_MAGIC_V1)
+        legacy = rptrace1_bytes(addresses, trace.flags)
         clone = TraceBuffer.from_bytes(legacy)
         assert list(clone.addresses) == list(trace.addresses)
         assert list(clone.flags) == list(trace.flags)
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            self._trace([1, 2]).to_bytes(version=3)
-
     @pytest.mark.parametrize("addresses", STREAMS)
     def test_numpy_and_python_encoders_agree(self, addresses):
-        pytest.importorskip("numpy")
         packed = self._trace(addresses).addresses
-        assert _encode_deltas(packed) == _encode_deltas_py(packed)
+        assert _encode_deltas(packed) == encode_deltas_py(packed)
 
     @pytest.mark.parametrize("addresses", STREAMS)
     def test_numpy_and_python_decoders_agree(self, addresses):
-        pytest.importorskip("numpy")
         packed = self._trace(addresses).addresses
-        payload = _encode_deltas_py(packed)
+        payload = encode_deltas_py(packed)
         count = len(packed)
         assert list(_decode_deltas(payload, count)) == list(
-            _decode_deltas_py(payload, count)
+            decode_deltas_py(payload, count)
         )
 
     def test_small_deltas_compress(self):
         """The point of the codec: a strided walk costs about one byte
         per address instead of eight."""
         trace = self._trace(list(range(0, 4000, 4)))
-        v1 = len(trace.to_bytes(version=1))
+        v1 = len(rptrace1_bytes(trace.addresses, trace.flags))
         v2 = len(trace.to_bytes())
         assert v2 < v1 / 3
 
@@ -191,10 +183,17 @@ class TestTraceV2Codec:
             TraceBuffer.from_bytes(data)
 
     def test_python_decoder_rejects_trailing_bytes(self):
+        """The decoder and its loop reference both refuse a payload
+        holding more varints than promised, including none at all."""
         packed = self._trace([1, 2, 3]).addresses
-        payload = _encode_deltas_py(packed) + b"\x05"
+        payload = encode_deltas_py(packed) + b"\x05"
         with pytest.raises(ValueError, match="trailing"):
-            _decode_deltas_py(payload, len(packed))
+            decode_deltas_py(payload, len(packed))
+        with pytest.raises(ValueError):
+            _decode_deltas(payload, len(packed))
+        for decode in (_decode_deltas, decode_deltas_py):
+            with pytest.raises(ValueError, match="trailing"):
+                decode(b"\x05", 0)
 
     def test_save_load_is_v2(self, tmp_path):
         trace = self._trace(list(range(64)))

@@ -16,16 +16,16 @@ To regenerate after an *intentional* semantics change::
 and commit the refreshed ``tests/golden/figure5.json`` alongside the
 change that moved the numbers.
 
-``REPRO_GOLDEN_ENGINE`` selects which cache engine produces the
-measured table — ``cache`` (the default: the reference serial replay,
-``run_benchmark`` → ``evaluate_trace`` → ``replay_trace`` through the
-online simulator), ``functional`` (the data-carrying twin,
-re-executing every benchmark against it), ``multi`` (the
-shared-decode multi-replay core), ``stackdist`` (the scalar one-pass
-sweep engines) or ``vectorized`` (the set-major array kernels).  The
-last three run ``figure5_table`` with ``REPRO_SWEEP_ENGINE`` forced,
-the path ``repro-experiments`` ships.  All five must match the same
-golden file exactly; CI runs the full matrix.
+The pin runs three legs, each producing the whole table its own way:
+``reference`` (the serial replay, ``run_benchmark`` →
+``evaluate_trace`` → ``replay_trace`` through the online simulator),
+``functional`` (the data-carrying twin, re-executing every benchmark
+against it) and ``sweep`` (``figure5_table``, the path
+``repro-experiments`` ships, under whatever ``REPRO_SWEEP_ENGINE``
+the environment sets).  All three must match the same golden file
+exactly.  Tier-1 runs the ``sweep`` leg on the default engine; CI
+reruns this file under ``REPRO_SWEEP_ENGINE=stackdist`` and
+``multi``.
 """
 
 import json
@@ -39,10 +39,6 @@ from repro.programs import BENCHMARK_NAMES
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "figure5.json"
 )
-
-GOLDEN_ENGINES = ("cache", "functional", "multi", "stackdist",
-                  "vectorized")
-
 
 def functional_table():
     """The Figure 5 rows scored by the functional twin.
@@ -115,27 +111,12 @@ def reference_table():
     ]
 
 
-def measured_table():
-    engine = os.environ.get("REPRO_GOLDEN_ENGINE", "cache")
-    if engine not in GOLDEN_ENGINES:
-        raise ValueError(
-            "REPRO_GOLDEN_ENGINE={!r} (expected one of {})".format(
-                engine, "/".join(GOLDEN_ENGINES)
-            )
-        )
-    if engine == "functional":
-        return functional_table()
-    if engine == "cache":
-        return reference_table()
-    previous = os.environ.get("REPRO_SWEEP_ENGINE")
-    os.environ["REPRO_SWEEP_ENGINE"] = engine
-    try:
-        return figure5_table()
-    finally:
-        if previous is None:
-            del os.environ["REPRO_SWEEP_ENGINE"]
-        else:
-            os.environ["REPRO_SWEEP_ENGINE"] = previous
+#: The golden pin's legs: how each one builds the measured table.
+LEGS = {
+    "reference": reference_table,
+    "functional": functional_table,
+    "sweep": figure5_table,
+}
 
 
 def row_payload(row):
@@ -149,14 +130,10 @@ def row_payload(row):
     }
 
 
-@pytest.fixture(scope="module")
-def measured():
-    rows = measured_table()
-    return {row.name: row_payload(row) for row in rows}
-
-
-def test_figure5_matches_golden(measured):
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
+@pytest.mark.parametrize("leg", sorted(LEGS))
+def test_figure5_matches_golden(leg):
+    measured = {row.name: row_payload(row) for row in LEGS[leg]()}
+    if os.environ.get("REPRO_REGEN_GOLDEN") and leg == "reference":
         with open(GOLDEN_PATH, "w") as handle:
             json.dump(measured, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -466,10 +466,11 @@ class TestFunctionalTwinZoo:
 
 
 class TestGoldenFigure5Pin:
-    """The golden Figure 5 numbers through all four engines.
+    """The golden Figure 5 numbers through four engines.
 
-    Two benchmarks keep the runtime proportionate; the CI matrix job
-    runs the full table per engine via ``REPRO_GOLDEN_ENGINE``.
+    Two benchmarks keep the runtime proportionate;
+    ``tests/test_figure5_golden.py`` pins the full table on its
+    reference, functional and sweep legs.
     """
 
     NAMES = ("towers", "intmm")

@@ -19,7 +19,6 @@ from repro.cache.replay import (
 )
 from repro.cache.semantics import (
     MinPolicy,
-    _collapse_runs_py,
     collapse_runs,
     flag_presence,
     flavor_decode,
@@ -27,6 +26,7 @@ from repro.cache.semantics import (
     replay_decoded,
 )
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from scalar_reference import collapse_runs_py
 
 
 def make_trace(refs):
@@ -212,15 +212,9 @@ def collapse_for(trace, config):
         config.honor_kill and has_kill,
     )
     stream = flavor_decode(columns, effective + (config.write_policy,))
-    blocks = (
-        stream.blocks_np if stream.blocks_np is not None
-        else stream.blocks_list
+    return stream, collapse_runs(
+        stream.blocks_np, stream.types_np, config.num_sets
     )
-    types = (
-        stream.types_np if stream.types_np is not None
-        else stream.types_list
-    )
-    return stream, collapse_runs(blocks, types, config.num_sets)
 
 
 #: Collapse is only sound under write-allocation (a write-around head
@@ -298,13 +292,12 @@ class TestRunCollapseBitIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_numpy_and_python_collapse_agree(self, refs):
-        pytest.importorskip("numpy")
         trace = make_trace(refs)
         for config in COLLAPSE_CONFIGS[:3]:
             stream, runs = collapse_for(trace, config)
             blocks = stream.blocks_list
             types = stream.types_list
-            pure = _collapse_runs_py(blocks, types, config.num_sets)
+            pure = collapse_runs_py(blocks, types, config.num_sets)
             if runs is None or pure is None:
                 assert runs is None and pure is None
                 continue

@@ -66,6 +66,26 @@ class TestDifferential:
         )
         assert info["configs"] == 8
 
+    def test_sweep_legs_reach_the_scalar_profiler(self, monkeypatch):
+        """``auto`` scores LRU on the vector kernels, so only the
+        ``stackdist`` leg exercises the scalar hole-stack profiler."""
+        import repro.cache.stackdist as stackdist
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(stackdist, "profile_pass", reached)
+        generated = generate_program(0)
+        with pytest.raises(Reached):
+            check_source(
+                generated.source,
+                expected_output=generated.expected_output,
+                expected_return=generated.expected_return,
+            )
+
     def test_wrong_model_prediction_is_flagged(self):
         generated = generate_program(0)
         with pytest.raises(DifferentialError) as excinfo:

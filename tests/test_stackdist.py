@@ -199,8 +199,10 @@ class TestEngineContract:
         assert_sweep_matches_serial(TraceBuffer(), BATTERY)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep engine"):
-            replay_trace_sweep(TraceBuffer(), BATTERY, engine="belady")
+        # "vectorized" names the kernels auto runs, not an engine.
+        for engine in ("belady", "vectorized"):
+            with pytest.raises(ValueError, match="unknown sweep engine"):
+                replay_trace_sweep(TraceBuffer(), BATTERY, engine=engine)
 
     def test_forced_stackdist_rejects_fifo(self):
         config = CacheConfig(size_words=16, line_words=1, associativity=2,

@@ -17,6 +17,7 @@ from repro.vm.trace import (
     origin_from_flags,
 )
 from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
+from scalar_reference import rptrace1_bytes
 
 
 def make_ref(bypass=False, kill=False, ambiguous=False,
@@ -149,9 +150,9 @@ class TestTraceBuffer:
     def test_from_bytes_rejects_unknown_origin_code(self):
         buffer = TraceBuffer()
         buffer.append(9, 0x40)  # a data event with origin code 4
-        for version in (1, 2):
+        for data in (rptrace1_bytes([9], [0x40]), buffer.to_bytes()):
             with pytest.raises(ValueError, match="origin code 4"):
-                TraceBuffer.from_bytes(buffer.to_bytes(version=version))
+                TraceBuffer.from_bytes(data)
 
     def test_from_bytes_honours_max_events(self):
         buffer = TraceBuffer()

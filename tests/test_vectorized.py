@@ -4,10 +4,10 @@ The contract under test mirrors ``tests/test_stackdist.py`` one level
 down: :func:`repro.cache.vectorized.vector_profile_pass` must rebuild
 the scalar profiler's :class:`StackDistanceProfile` **bit-identically**
 — same totals, same histograms, same reconstructed ``CacheStats`` for
-every associativity — whether the NumPy kernel, the pure-Python twin,
-or the scalar fallback ends up doing the work.  The geometry battery
-deliberately includes the degenerate shapes (one set, one way, lines
-wider than the address range) where segmented-scan bugs hide.
+every associativity — whether the NumPy kernel or the scalar fallback
+ends up doing the work.  The geometry battery deliberately includes
+the degenerate shapes (one set, one way, lines wider than the address
+range) where segmented-scan bugs hide.
 """
 
 import pytest
@@ -20,11 +20,7 @@ from repro.cache.stackdist import (
     profile_pass,
     replay_trace_sweep,
 )
-from repro.cache.vectorized import (
-    VECTOR_ASSOC_CAP_LIMIT,
-    vector_available,
-    vector_profile_pass,
-)
+from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
 from repro.vm.trace import FLAG_KILL, FLAG_WRITE, TraceBuffer
 from test_stackdist import (
     BATTERY,
@@ -35,24 +31,20 @@ from test_stackdist import (
     traces,
 )
 
-requires_numpy = pytest.mark.skipif(
-    not vector_available(), reason="NumPy not importable"
-)
-
-
 class TestPropertyEquivalence:
-    """Forced ``engine="vectorized"`` versus the serial replay.
+    """``engine="auto"`` versus the serial replay.
 
-    The forced engine routes unsupported specs through the same
-    fallbacks as ``auto`` (fallback, never failure), so the whole
-    battery — every honor_bypass/honor_kill/write_policy combination
-    over every degenerate geometry — runs through one assertion.
+    ``auto`` scores the profiled LRU groups with the vector kernels and
+    routes unsupported specs through the other sweeps (fallback, never
+    failure), so the whole battery — every
+    honor_bypass/honor_kill/write_policy combination over every
+    degenerate geometry — runs through one assertion.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(events=traces)
     def test_byte_identical_across_battery(self, events):
-        _assert_identical(make_trace(events), BATTERY, "vectorized")
+        _assert_identical(make_trace(events), BATTERY, "auto")
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -65,7 +57,7 @@ class TestPropertyEquivalence:
         )
     )
     def test_sparse_address_space(self, events):
-        _assert_identical(make_trace(events), BATTERY, "vectorized")
+        _assert_identical(make_trace(events), BATTERY, "auto")
 
     def test_degenerate_geometries_with_annotations(self):
         """One set, one way, wide lines — with bypass and kill traffic
@@ -82,7 +74,7 @@ class TestPropertyEquivalence:
             for size, lw, assoc in GEOMETRIES
             for wp in ("writeback", "writethrough")
         ]
-        _assert_identical(trace, degenerate, "vectorized")
+        _assert_identical(trace, degenerate, "auto")
 
 
 class TestFuzzerTraces:
@@ -101,7 +93,7 @@ class TestFuzzerTraces:
         )
         memory = RecordingMemory()
         program.run(memory=memory)
-        _assert_identical(memory.buffer, BATTERY, "vectorized")
+        _assert_identical(memory.buffer, BATTERY, "auto")
 
 
 def _profile_stats(profile, assoc_cap):
@@ -118,24 +110,12 @@ class TestKernelSelection:
                   (5, 0), (3, FLAG_WRITE), (1, FLAG_KILL | FLAG_WRITE)]
         return make_trace(events).to_columns()
 
-    @requires_numpy
     def test_numpy_kernel_reported_and_identical(self):
         columns = self._columns()
         info = {}
         got = vector_profile_pass(columns, self.FLAVOR, 4, 4, info=info)
         want = profile_pass(columns, self.FLAVOR, 4, 4)
         assert info["kernel"] == "numpy"
-        assert _profile_stats(got, 4) == _profile_stats(want, 4)
-
-    def test_python_twin_reported_and_identical(self, monkeypatch):
-        import repro.cache.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "_np", None)
-        columns = self._columns()
-        info = {}
-        got = vector_profile_pass(columns, self.FLAVOR, 4, 4, info=info)
-        want = profile_pass(columns, self.FLAVOR, 4, 4)
-        assert info["kernel"] == "python"
         assert _profile_stats(got, 4) == _profile_stats(want, 4)
 
     def test_oversize_assoc_cap_delegates_to_scalar(self):
@@ -162,9 +142,10 @@ class TestKernelSelection:
 
 class TestDispatch:
     def test_forced_vectorized_falls_back_not_fails(self):
-        """Specs outside the stack-distance model (FIFO, Random, MIN,
-        demote-kill) route through the sweeps/multi core — the forced
-        vector engine never raises the way ``stackdist`` does."""
+        """``auto`` forces the LRU group onto the vector kernels and
+        routes specs outside the stack-distance model (FIFO, Random,
+        MIN, demote-kill) through the sweeps/multi core — it never
+        raises the way ``stackdist`` does."""
         trace = make_trace([(3, 0), (5, FLAG_WRITE), (3, FLAG_KILL),
                             (5, 0), (3, 0)])
         specs = [
@@ -178,36 +159,12 @@ class TestDispatch:
                         policy="lru", kill_mode="demote"),
             MinConfig(size_words=16, line_words=1, associativity=2),
         ]
-        swept = replay_trace_sweep(trace, specs, engine="vectorized")
+        swept = replay_trace_sweep(trace, specs, engine="auto")
         for spec, got in zip(specs, swept):
             if isinstance(spec, MinConfig):
                 continue  # covered by the multi-replay battery
             want = replay_trace(trace, spec)
             assert got.as_dict() == want.as_dict()
 
-    def test_forced_vectorized_without_numpy(self, monkeypatch):
-        """With NumPy gone the dispatcher still honors the forced
-        engine through the pure-Python twin, bit-identically."""
-        import repro.cache.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "_np", None)
-        trace = make_trace([(a, f) for a in (0, 3, 1, 0, 3)
-                            for f in (0, FLAG_WRITE, FLAG_KILL)])
-        configs = [
-            CacheConfig(size_words=16, line_words=1, associativity=a,
-                        policy="lru")
-            for a in (1, 2, 4)
-        ]
-        _assert_identical(trace, configs, "vectorized")
-
     def test_empty_trace(self):
-        _assert_identical(TraceBuffer(), BATTERY, "vectorized")
-
-    def test_env_var_selects_vectorized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "vectorized")
-        trace = make_trace([(3, 0), (5, FLAG_WRITE), (3, 0)])
-        config = CacheConfig(size_words=16, line_words=1, associativity=2,
-                             policy="lru")
-        swept = replay_trace_sweep(trace, [config])
-        want = replay_trace(trace, config)
-        assert swept[0].as_dict() == want.as_dict()
+        _assert_identical(TraceBuffer(), BATTERY, "auto")
