@@ -33,8 +33,13 @@ Two inclusion disciplines are modeled:
   per-level hit counts follow from the standalone scores.  The nesting
   conditions are validated at construction.
 * ``"non-inclusive"`` — each level sees only the references its inner
-  neighbour could not serve.  Every inner level is replayed online
-  (recording the filtered stream); the outermost level is scored on
+  neighbour could not serve.  Every inner level is scored once per
+  trace and config as a *level outcome* (:func:`level_outcome`: the
+  level's stats plus a per-event hit mask) — on the set-major kernel
+  for an LRU level, where an event hits exactly when its stack
+  distance is at most the associativity, and by the reference loop
+  over :class:`Cache` otherwise — and the mask cuts the filtered
+  stream out of the trace's columns; the outermost level is scored on
   the final residual stream through the sweep dispatcher.
   :class:`HierarchyCache` chains the online simulators and is
   bit-identical to this by construction — the differential harness
@@ -44,7 +49,8 @@ Every level is a full :class:`~repro.cache.semantics.UnifiedCache`
 over a pluggable :class:`~repro.cache.semantics.ReplacementPolicy`, so
 any zoo policy works at any level (``L2:512x8@srrip``); the offline
 scorer materializes each level's stream, which is what the
-signature-indexed predictors (SHiP, Hawkeye) need.
+signature-indexed predictors (SHiP, Hawkeye) need.  Those levels take
+the reference loop.
 
 Modeling simplification, stated once: a level's victim writebacks are
 accounted as bus words on the bus *below* it but do not allocate or
@@ -55,8 +61,17 @@ Each level's ``bus_words`` therefore measures the traffic below it
 
 from dataclasses import replace
 
+import numpy
+
 from repro.cache.cache import Cache, CacheConfig, POLICIES
-from repro.cache.stackdist import replay_trace_sweep
+from repro.cache.semantics import flag_presence
+from repro.cache.stackdist import (
+    flavor_key,
+    replay_trace_sweep,
+    supports_stackdist,
+    sweep_engine,
+)
+from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
 from repro.errors import ReproError
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 
@@ -424,44 +439,98 @@ class HierarchyStats:
         return row
 
 
-def filtered_trace(trace, config):
-    """Replay one level online; return ``(stats, stream_passed_down)``.
+def level_outcome(trace, config):
+    """One level's ``(stats, hits)`` over ``trace``: its level outcome.
 
-    The downstream stream keeps every flag except ``FLAG_KILL`` (kills
-    are an innermost-level directive; whether an outer level honors
-    the surviving bypass bit is that level's ``honor_bypass`` gate).
-    The level's policy is built for this exact stream, so the
-    signature-indexed predictors work at inner levels too.
+    ``stats`` is the level's :class:`~repro.cache.stats.CacheStats`
+    (a fresh copy on every call); ``hits`` is a read-only NumPy
+    boolean mask with one entry per event, true exactly where
+    :meth:`Cache.access` returns ``"hit"``.  An LRU level inside the
+    stack-distance model (:func:`~repro.cache.stackdist.supports_stackdist`,
+    at most ``VECTOR_ASSOC_CAP_LIMIT`` ways) is scored by the
+    set-major kernel under the default ``auto`` engine: an event hits
+    exactly when its stack distance is at most the associativity.
+    Every other level, and every level when ``REPRO_SWEEP_ENGINE`` is
+    ``stackdist`` or ``multi``, runs the reference loop over
+    :class:`Cache`.  The outcome is memoized per config on the trace
+    (:meth:`~repro.vm.trace.TraceBuffer.memoized`), so every caller
+    that filters the same trace through the same level shares one
+    scoring.
     """
+    stats, hits = trace.memoized(
+        ("level_outcome", config), lambda: _score_level(trace, config)
+    )
+    return replace(stats), hits
+
+
+def _score_level(trace, config):
+    """:func:`level_outcome` without the memo."""
+    if (
+        sweep_engine() == "auto"
+        and config.associativity <= VECTOR_ASSOC_CAP_LIMIT
+    ):
+        columns = trace.to_columns()
+        has_bypass, has_kill = flag_presence(columns)
+        if supports_stackdist(config, has_bypass, has_kill):
+            hits = numpy.empty(len(trace), dtype=bool)
+            profile = vector_profile_pass(
+                columns, flavor_key(config, has_bypass, has_kill),
+                config.num_sets, config.associativity,
+                order=trace.set_partition(config.num_sets, config.line_words),
+                hits=hits,
+            )
+            hits.flags.writeable = False
+            return profile.stats_for(config.associativity), hits
+
     from repro.cache.replay import policy_for_trace
 
     cache = Cache(config, policy=policy_for_trace(trace, config))
     access = cache.access
-    downstream = TraceBuffer(max_events=None)
-    append = downstream.append
-    drop = ~FLAG_KILL
     if cache.policy.needs_index:
-        for index, (address, flags) in enumerate(trace):
-            outcome = access(
+        outcomes = (
+            access(
                 address,
                 bool(flags & FLAG_WRITE),
                 bool(flags & FLAG_BYPASS),
                 bool(flags & FLAG_KILL),
                 index=index,
-            )
-            if outcome != "hit":
-                append(address, flags & drop)
+            ) == "hit"
+            for index, (address, flags) in enumerate(trace)
+        )
     else:
-        for address, flags in trace:
-            outcome = access(
+        outcomes = (
+            access(
                 address,
                 bool(flags & FLAG_WRITE),
                 bool(flags & FLAG_BYPASS),
                 bool(flags & FLAG_KILL),
-            )
-            if outcome != "hit":
-                append(address, flags & drop)
-    return cache.stats, downstream
+            ) == "hit"
+            for address, flags in trace
+        )
+    hits = numpy.fromiter(outcomes, dtype=bool, count=len(trace))
+    hits.flags.writeable = False
+    return cache.stats, hits
+
+
+def filtered_trace(trace, config):
+    """Score one level; return ``(stats, stream_passed_down)``.
+
+    The level's :func:`level_outcome` decides which events it serves;
+    the downstream stream is every other event (misses and bypasses),
+    in order, with every flag except ``FLAG_KILL`` (kills are an
+    innermost-level directive; whether an outer level honors the
+    surviving bypass bit is that level's ``honor_bypass`` gate).  The
+    stream is cut out of the trace's columns with the miss mask.
+    """
+    stats, hits = level_outcome(trace, config)
+    addresses, flags = trace.to_columns()
+    passed = ~hits
+    downstream = TraceBuffer(max_events=None)
+    downstream.addresses.frombytes(addresses[passed].tobytes())
+    downstream.flags.frombytes(
+        (flags[passed] & (0xFF ^ FLAG_KILL)).tobytes()
+    )
+    return stats, downstream
 
 
 def hierarchy_stats(trace, spec):

@@ -13,7 +13,11 @@ bypass/kill stream; every reference the private level cannot serve
 falls through to one shared :class:`~repro.cache.semantics.UnifiedCache`
 whose tag space is partitioned per core (disjoint block offsets that
 preserve each core's set mapping, so contention is for *ways*, exactly
-the shared-LLC regime the partitioning literature studies).
+the shared-LLC regime the partitioning literature studies).  A
+private level only ever sees its own core's stream, so it is scored
+once per core trace (:func:`~repro.cache.hierarchy.level_outcome`,
+memoized on the trace and shared by every grid cell and UMON); only
+the shared level runs event by event, over the private levels' misses.
 
 Two capacity-management levers are modeled at the shared level:
 
@@ -25,10 +29,11 @@ Two capacity-management levers are modeled at the shared level:
   policy-independent kill reuse) applies within the allowed candidate
   set, so partition isolation survives the kill bits.
 * **UMON utility monitoring**: per-core shadow-tag stack-distance
-  counters (:func:`utility_curves`, reusing the
-  :mod:`repro.cache.stackdist` profiler over each core's private-level
-  demand stream) yield hits-versus-ways curves; :func:`utility_partition`
-  converts them into quotas by greedy marginal utility (UCP-lite).
+  counters (:func:`utility_curves`: one profiling pass over each
+  core's private-level demand stream, on the set-major kernel under
+  the default engine) yield hits-versus-ways curves;
+  :func:`utility_partition` converts them into quotas by greedy
+  marginal utility (UCP-lite).
 
 Kill bits default to the hierarchy core's rule (innermost level only),
 but :func:`simulate_multicore` exposes ``shared_kill``: when set, kill
@@ -42,9 +47,12 @@ shared ways directly.
 
 from array import array
 from dataclasses import replace
+from itertools import compress
+
+import numpy
 
 from repro.cache.cache import Cache
-from repro.cache.hierarchy import HierarchyError, filtered_trace
+from repro.cache.hierarchy import HierarchyError, level_outcome
 from repro.cache.semantics import (
     ENTRY_DEAD,
     ENTRY_DIRTY,
@@ -54,8 +62,9 @@ from repro.cache.semantics import (
     _by_stamp,
     _mix64,
 )
-from repro.cache.stackdist import flavor_key, profile_pass
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from repro.cache.stackdist import flavor_key, profile_pass, sweep_engine
+from repro.cache.vectorized import vector_profile_pass
+from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
 #: Way-list slot holding the installing core's id (the first slot past
 #: the shared ``_WAY_INSERTED`` tail; the RRIP family's extra slots
@@ -228,26 +237,32 @@ class PartitionedLRUPolicy(LRUPolicy):
 def utility_curves(traces, l1_config, shared_config):
     """Per-core UMON curves: shared-level hits as a function of ways.
 
-    Each core's private level is replayed once
-    (:func:`~repro.cache.hierarchy.filtered_trace`) to obtain the
-    demand stream that reaches the shared level; a shadow-tag
-    stack-distance pass (:func:`~repro.cache.stackdist.profile_pass`
-    at the shared geometry, kills and bypasses ignored — UMON monitors
-    raw reuse) yields the aggregate distance histogram, whose prefix
-    sums are exactly "hits this core would score with w ways".
-    Returns ``curves[core][w]`` for ``w in 0..associativity``.
+    Each core's demand stream — the events its private level does not
+    serve, read off the memoized
+    :func:`~repro.cache.hierarchy.level_outcome` — feeds a shadow-tag
+    stack-distance pass at the shared geometry (kills and bypasses
+    ignored: UMON monitors raw reuse).  The pass runs on the set-major
+    kernel (:func:`~repro.cache.vectorized.vector_profile_pass`) under
+    the default ``auto`` engine and on
+    :func:`~repro.cache.stackdist.profile_pass` under ``stackdist`` or
+    ``multi``.  The aggregate distance histogram's prefix sums are
+    exactly "hits this core would score with w ways".  Returns
+    ``curves[core][w]`` for ``w in 0..associativity``.
     """
     monitor_config = replace(
         shared_config, policy="lru", honor_bypass=False, honor_kill=False,
     )
     assoc = monitor_config.associativity
+    flavor = flavor_key(monitor_config, False, False)
+    score = vector_profile_pass if sweep_engine() == "auto" else profile_pass
     curves = []
     for trace in traces:
-        _l1_stats, demand = filtered_trace(trace, l1_config)
-        columns = demand.to_columns()
-        flavor = flavor_key(monitor_config, False, False)
-        profile = profile_pass(
-            columns, flavor, monitor_config.num_sets, assoc
+        _l1_stats, hits = level_outcome(trace, l1_config)
+        addresses, flags = trace.to_columns()
+        demand = ~hits
+        profile = score(
+            (addresses[demand], flags[demand]), flavor,
+            monitor_config.num_sets, assoc,
         )
         histogram = profile.distance_histogram()
         curve = [0] * (assoc + 1)
@@ -365,15 +380,22 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
     ``shared_config.policy``.  ``shared_kill`` extends kill bits to
     the shared level (see the module docstring); bypass stays a
     first-level directive, the E16 answer.  ``merged`` short-circuits
-    the interleave with a prebuilt :class:`MergedTrace` (the overhead
-    benchmark reuses one merge across configurations).
+    the interleave with a prebuilt :class:`MergedTrace` of the same
+    traces (the overhead benchmark reuses one merge across
+    configurations).
+
+    A private level only ever sees its own core's stream, so each
+    core's L1 is scored once on its own trace
+    (:func:`~repro.cache.hierarchy.level_outcome`, memoized on the
+    trace) and its hit mask is scattered into merged order.  Only the
+    shared level is driven event by event, over the L1 non-hits plus,
+    with ``shared_kill``, the kill probes of L1-hit kill events.
     """
     cores = len(traces)
     if merged is None:
         merged = interleave_traces(traces, seed=seed, chunk=chunk)
     if names is None:
         names = ["core{}".format(index) for index in range(cores)]
-    l1s = [Cache(l1_config) for _ in range(cores)]
     shared_effective = replace(
         shared_config,
         honor_bypass=False,
@@ -401,42 +423,60 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
     stride_blocks = -(-(max_block + 1) // num_sets) * num_sets
     stride_words = stride_blocks * line_words
 
+    # Each core's private-level outcome, scattered into merged order
+    # (the interleave keeps every core's events in its own order).
+    l1_stats = []
+    l1_hit = numpy.empty(len(merged), dtype=bool)
+    merged_cores = numpy.frombuffer(merged.cores, dtype=numpy.uint8)
+    for core, trace in enumerate(traces):
+        stats, hits = level_outcome(trace, l1_config)
+        l1_stats.append(stats)
+        l1_hit[merged_cores == core] = hits
+    visit = ~l1_hit
     probe_kills = bool(shared_kill and l1_config.honor_kill)
+    if probe_kills:
+        visit |= (
+            numpy.frombuffer(merged.flags, dtype=numpy.uint8) & FLAG_KILL
+        ).astype(bool)
+
     shared_policy = shared.policy
     shared_stats = shared.stats
     kill_probes = 0
     shared_refs = [0] * cores
     shared_hits = [0] * cores
-    l1_access = [cache.access for cache in l1s]
     shared_access = shared.access
-    for core, address, flags in merged:
-        is_write = bool(flags & FLAG_WRITE)
-        bypass = bool(flags & FLAG_BYPASS)
-        kill = bool(flags & FLAG_KILL)
-        outcome = l1_access[core](address, is_write, bypass, kill)
+    for core, address, flags, l1_hit_event in compress(
+        zip(merged.cores, merged.addresses, merged.flags, l1_hit.tobytes()),
+        visit.tobytes(),
+    ):
         shifted = address + core * stride_words
-        if outcome == "hit":
-            if kill and probe_kills:
-                # The private level retired the line; a stale shared
-                # copy is dead too — free the way without a reference.
-                block = shifted // line_words
-                set_index = block % num_sets
-                entry = shared_policy.lookup(set_index, block)
-                if entry is not None:
-                    if entry[ENTRY_DIRTY]:
-                        shared_stats.dead_drops += 1
-                    shared_policy.invalidate(set_index, block, entry)
-                    shared_stats.dead_line_frees += 1
-                    kill_probes += 1
+        if l1_hit_event:
+            # A kill the private level served retired its line; a
+            # stale shared copy is dead too — free the way without a
+            # reference.
+            block = shifted // line_words
+            set_index = block % num_sets
+            entry = shared_policy.lookup(set_index, block)
+            if entry is not None:
+                if entry[ENTRY_DIRTY]:
+                    shared_stats.dead_drops += 1
+                shared_policy.invalidate(set_index, block, entry)
+                shared_stats.dead_line_frees += 1
+                kill_probes += 1
             continue
         if policy is not None:
             policy.core = core
         shared_refs[core] += 1
-        if shared_access(shifted, is_write, bypass, kill) == "hit":
+        if shared_access(
+            shifted,
+            bool(flags & FLAG_WRITE),
+            bool(flags & FLAG_BYPASS),
+            bool(flags & FLAG_KILL),
+        ) == "hit":
             shared_hits[core] += 1
     return MulticoreResult(
         names=tuple(names),
-        l1_stats=[cache.stats for cache in l1s],
+        l1_stats=l1_stats,
         shared_stats=shared.stats,
         shared_refs=shared_refs,
         shared_hits=shared_hits,

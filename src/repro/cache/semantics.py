@@ -111,6 +111,24 @@ class FlavorStream:
         return self._types_list
 
 
+#: The flag bits the flavor decode reads.
+_EVENT_BITS = FLAG_WRITE | FLAG_BYPASS | FLAG_KILL
+
+
+def _event_types(honor_bypass, honor_kill):
+    """EV_* code for every value of a flag byte's ``_EVENT_BITS``."""
+    table = _np.zeros(_EVENT_BITS + 1, dtype=_np.int64)
+    for bits in range(_EVENT_BITS + 1):
+        w = bits & FLAG_WRITE
+        y = (bits & FLAG_BYPASS) >> 1 if honor_bypass else 0
+        k = (bits & FLAG_KILL) >> 2 if honor_kill else 0
+        # plain=0/1 by write bit; kill adds 2; bypass overrides to
+        # 4/5/6 (a bypass write sheds its kill bit: the probe already
+        # invalidates, so the kill is never separately honored).
+        table[bits] = (1 - y) * (w + 2 * k) + y * (4 + 2 * w + (1 - w) * k)
+    return table
+
+
 def flavor_decode(columns, flavor):
     """Decode the packed columns into a :class:`FlavorStream`.
 
@@ -122,15 +140,11 @@ def flavor_decode(columns, flavor):
     line_words, honor_bypass, honor_kill, _write_policy = flavor
     stream = FlavorStream()
     a = _np.asarray(addresses, dtype=_np.int64)
-    f = _np.asarray(flags, dtype=_np.int64)
     blocks = a if line_words == 1 else a // line_words
-    w = f & FLAG_WRITE
-    y = (f & FLAG_BYPASS) >> 1 if honor_bypass else 0
-    k = (f & FLAG_KILL) >> 2 if honor_kill else 0
-    # plain=0/1 by write bit; kill adds 2; bypass overrides to 4/5/6 (a
-    # bypass write sheds its kill bit: the probe already invalidates,
-    # so the kill is never separately honored).
-    types = (1 - y) * (w + 2 * k) + y * (4 + 2 * w + (1 - w) * k)
+    # One table lookup per event on the write/bypass/kill bits: no
+    # whole-trace int64 temporaries besides the result.
+    low = _np.asarray(flags, dtype=_np.uint8) & _EVENT_BITS
+    types = _event_types(honor_bypass, honor_kill)[low]
     stream.blocks_np = blocks
     stream.types_np = types
     stream._blocks_list = None
@@ -330,12 +344,14 @@ class SortedRuns:
     set-major (partition) order — exactly the layout the age-matrix
     kernels consume — so no back-to-time argsort, raw-index bookkeeping
     or list materialization is ever paid.  ``blocks`` / ``types`` /
-    ``sets`` are the gathered head columns; ``run_writes[p]`` says a
-    collapsed follower of head ``p`` wrote.
+    ``sets`` are the gathered head columns; ``heads`` holds each head's
+    raw event index (for scattering per-head results back to time
+    order); ``run_writes[p]`` says a collapsed follower of head ``p``
+    wrote.
     """
 
     __slots__ = (
-        "blocks", "types", "sets", "run_writes",
+        "blocks", "types", "sets", "heads", "run_writes",
         "follower_reads", "follower_writes", "collapsed",
     )
 
@@ -346,17 +362,19 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
     Same follower rule as :func:`collapse_runs` — and the same
     ``allocate_on_write`` validity caveat — but the result keeps the
     partition's set-major layout and always includes the gathered
-    block/type/set columns, even when nothing collapses.
+    block/type/set columns, even when nothing collapses.  ``order``
+    may cover only some whole sets of the stream (one set block of
+    the vectorized kernel); the result then covers exactly those
+    events.
     """
     b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
     t = _np.asarray(types, dtype=_np.int64)
-    n = len(b)
+    n = len(order)
     runs = SortedRuns()
     runs.follower_reads = runs.follower_writes = runs.collapsed = 0
     if n == 0:
-        runs.blocks = b
-        runs.types = t
-        runs.sets = b
+        empty = _np.zeros(0, dtype=_np.int64)
+        runs.blocks = runs.types = runs.sets = runs.heads = empty
         runs.run_writes = _np.zeros(0, dtype=bool)
         return runs
     sb = b[order]
@@ -379,6 +397,7 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
         runs.blocks = sb
         runs.types = st
         runs.sets = ss
+        runs.heads = order
         runs.run_writes = _np.zeros(n, dtype=bool)
         return runs
     keep = ~follower
@@ -388,6 +407,7 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
     runs.blocks = sb[keep]
     runs.types = st[keep]
     runs.sets = ss[keep]
+    runs.heads = order[keep]
     runs.run_writes = (
         _np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
     )

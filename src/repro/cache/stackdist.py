@@ -64,6 +64,7 @@ rebuild this module's profile for associativity caps up to
 (and every group under ``REPRO_SWEEP_ENGINE=stackdist``).
 """
 
+import os
 from itertools import repeat
 
 from repro.cache.semantics import (
@@ -83,6 +84,22 @@ from repro.cache.semantics import (
     random_sweep,
 )
 from repro.cache.stats import CacheStats
+
+
+def sweep_engine(engine=None):
+    """The replay engine to use: ``engine``, else ``REPRO_SWEEP_ENGINE``.
+
+    ``"auto"`` (the default) scores LRU through the set-major array
+    kernels, ``"stackdist"`` through :func:`profile_pass`, and
+    ``"multi"`` through the per-event replay core; see
+    :func:`replay_trace_sweep`.  Raises :class:`ValueError` on any
+    other value.
+    """
+    if engine is None:
+        engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
+    if engine not in ("auto", "stackdist", "multi"):
+        raise ValueError("unknown sweep engine {!r}".format(engine))
+    return engine
 
 
 def supports_stackdist(config, has_bypass, has_kill):
@@ -435,8 +452,15 @@ def _run_plain(profile, iterator, num_sets, assoc_cap, write_policy):
             (hist_cw if is_write else hist_cr)[miss_bucket] += 1
 
 
-def _run_general(profile, iterator, num_sets, assoc_cap, write_policy):
-    """The full automaton: bypass probes and kills leave holes."""
+def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
+                 sink=None):
+    """The full automaton: bypass probes and kills leave holes.
+
+    ``sink``, when a list, receives one boolean per event: whether the
+    ``assoc_cap``-way cache served it as a hit (the block sat in the
+    stack and the event goes through the cache).
+    """
+    emit = sink.append if sink is not None else None
     writeback = write_policy == "writeback"
     clean = assoc_cap + 1
     miss_bucket = assoc_cap + 1
@@ -465,6 +489,8 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy):
             if entry[0] == block:
                 pos = idx + 1
                 break
+        if emit is not None:
+            emit(pos != 0 and event_type <= EV_KILL_WRITE)
 
         if event_type <= EV_KILL_WRITE:
             # Through-cache reference: touch (kill-write touches then
@@ -625,15 +651,10 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
     to ``auto``.  This is the one engine override: every engine is
     bit-identical, so it exists for tests and benchmarks.
     """
-    import os
-
     from repro.cache.replay import MinConfig, replay_trace_multi
 
     specs = list(specs)
-    if engine is None:
-        engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
-    if engine not in ("auto", "stackdist", "multi"):
-        raise ValueError("unknown sweep engine {!r}".format(engine))
+    engine = sweep_engine(engine)
     if engine == "multi":
         return replay_trace_multi(trace, specs)
 

@@ -45,6 +45,19 @@ exact profile with NumPy array kernels over the columnar trace that
   (a difference array over ``q``), and evictions are one more
   bincount of per-event shift widths.
 
+* **Set blocks.**  Sets are independent and every profile field is
+  additive, so the kernel walks the set-major order in blocks of whole
+  sets holding at most ``SET_BLOCK_EVENTS`` events and sums the
+  results; its per-event temporaries are sized by the block, not the
+  trace.
+
+* **Per-event hits.**  For the cache at the cap associativity an
+  event's outcome falls out of the same pass: a collapsed run
+  follower hits, an offline-set head hits when it goes through the
+  cache at stack distance ``<= assoc_cap``, and a flagged-set head
+  takes the outcome the automaton reports.  The hierarchy layer reads
+  these masks (:func:`repro.cache.hierarchy.level_outcome`).
+
 The result is a :class:`repro.cache.stackdist.StackDistanceProfile`
 whose every field is bit-identical to :func:`profile_pass` — the
 reconstruction arithmetic in ``stats_for`` is shared, so equal
@@ -77,9 +90,15 @@ from repro.cache.stackdist import (
 #: and the pass delegates to the scalar profiler.
 VECTOR_ASSOC_CAP_LIMIT = 64
 
+#: Most events one set block may hold.  The kernel walks the set-major
+#: order in blocks of whole sets (a set with more events than this is a
+#: block of its own), so its per-event temporaries — about 25 int64
+#: columns — are sized by the block, not by the trace.
+SET_BLOCK_EVENTS = 1 << 15
+
 
 def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
-                        decoded=None, order=None, info=None):
+                        decoded=None, order=None, info=None, hits=None):
     """Drop-in twin of :func:`profile_pass` built on array kernels.
 
     Same contract: returns a :class:`StackDistanceProfile` for
@@ -88,9 +107,27 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     an optional pre-computed set-major partition
     (:meth:`TraceBuffer.set_partition`); ``info``, when a dict, is
     populated with ``kernel`` (``"numpy"``/``"stackdist"``),
-    ``offline_sets`` and ``fallback_sets`` for benchmarks and tests.
+    ``offline_sets``, ``fallback_sets`` and ``fallback_events`` for
+    benchmarks and tests.
+
+    ``hits``, when given, is a writable boolean array with one slot
+    per trace event.  The kernel fills it in time order with each
+    event's outcome in the ``assoc_cap``-way cache: true exactly when
+    :meth:`~repro.cache.semantics.UnifiedCache.access` would return
+    ``"hit"``.  Only the array kernel fills it, so ``assoc_cap`` must
+    not exceed ``VECTOR_ASSOC_CAP_LIMIT``.
+
+    The kernel runs over set blocks of at most ``SET_BLOCK_EVENTS``
+    events (``docs/PERFORMANCE.md``, "Set blocks"); the profile and
+    the ``info`` counts are sums over the blocks.
     """
     if assoc_cap > VECTOR_ASSOC_CAP_LIMIT:
+        if hits is not None:
+            raise ValueError(
+                "per-event hits need assoc_cap <= {} (got {})".format(
+                    VECTOR_ASSOC_CAP_LIMIT, assoc_cap
+                )
+            )
         if info is not None:
             info["kernel"] = "stackdist"
         return profile_pass(columns, flavor, num_sets, assoc_cap,
@@ -101,10 +138,17 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     if stream is None:
         stream = _flavor_decode(columns, flavor)
     profile = _fresh_profile(stream, flavor, num_sets, assoc_cap)
+    tally = {"offline_sets": 0, "fallback_sets": 0, "fallback_events": 0}
+    blocks = stream.blocks_np
+    if len(blocks):
+        if order is None:
+            order = _np.argsort(blocks % num_sets, kind="stable")
+        for lo, hi in _set_blocks(blocks, num_sets):
+            _profile_block(profile, stream, num_sets, assoc_cap,
+                           write_policy, order[lo:hi], tally, hits)
     if info is not None:
         info["kernel"] = "numpy"
-    _vector_profile_pass_np(profile, stream, num_sets, assoc_cap,
-                            write_policy, order, info)
+        info.update(tally)
     return profile
 
 
@@ -131,30 +175,38 @@ def _fresh_profile(stream, flavor, num_sets, assoc_cap):
 # ----------------------------------------------------------------------
 
 
-def _vector_profile_pass_np(profile, stream, num_sets, assoc_cap,
-                            write_policy, order, info):
-    blocks = stream.blocks_np
-    types = stream.types_np
-    nraw = len(blocks)
-    if nraw == 0:
-        if info is not None:
-            info["offline_sets"] = 0
-            info["fallback_sets"] = 0
-        return
+def _set_blocks(blocks, num_sets):
+    """``(lo, hi)`` bounds of the set blocks in set-major order.
 
+    Each block is a run of whole sets holding at most
+    ``SET_BLOCK_EVENTS`` events, or a single larger set.
+    """
+    ends = _np.cumsum(_np.bincount(blocks % num_sets, minlength=num_sets))
+    total = int(ends[-1])
+    lo = 0
+    while lo < total:
+        fit = int(_np.searchsorted(ends, lo + SET_BLOCK_EVENTS, side="right"))
+        hi = int(ends[fit - 1]) if fit else lo
+        if hi <= lo:
+            hi = int(ends[_np.searchsorted(ends, lo, side="right")])
+        yield lo, hi
+        lo = hi
+
+
+def _profile_block(profile, stream, num_sets, assoc_cap, write_policy,
+                   order, tally, hits):
+    """Add one set block's events (``order``) into ``profile``."""
     writeback = write_policy == "writeback"
     cap = assoc_cap
     clean = cap + 1
     miss_bucket = cap + 1
 
-    if order is None:
-        order = _np.argsort(blocks % num_sets, kind="stable")
-
     # Collapse directly in set-major order: the head columns come out
     # already partitioned, so no back-to-time remap, keep-mask
     # regather or list materialization is paid on this path.
-    runs = collapse_runs_sorted(blocks, types, num_sets, order)
-    profile.collapsed_hits = runs.collapsed
+    runs = collapse_runs_sorted(stream.blocks_np, stream.types_np,
+                                num_sets, order)
+    profile.collapsed_hits += runs.collapsed
     sb = runs.blocks
     st = runs.types
     ss = runs.sets
@@ -264,10 +316,10 @@ def _vector_profile_pass_np(profile, stream, num_sets, assoc_cap,
     mutating = (st == EV_KILL_WRITE) | (probe & resident)
     bad_set = _np.bincount(sid[mutating], minlength=n_sets_present) > 0
     good = ~bad_set[sid]
-    if info is not None:
-        info["fallback_sets"] = int(bad_set.sum())
-        info["offline_sets"] = n_sets_present - info["fallback_sets"]
-        info["fallback_events"] = int((~good).sum())
+    fallback_sets = int(bad_set.sum())
+    tally["fallback_sets"] += fallback_sets
+    tally["offline_sets"] += n_sets_present - fallback_sets
+    tally["fallback_events"] += int((~good).sum())
 
     hist_len = cap + 2
 
@@ -346,16 +398,31 @@ def _vector_profile_pass_np(profile, stream, num_sets, assoc_cap,
         for q in range(1, cap + 1):
             wb[q] += int(running[q])
 
+    # Per-event hits: a head in an offline set hits when it goes
+    # through the cache within the cap (offline probes all miss).
+    head_hit = None
+    if hits is not None:
+        head_hit = plain & (pos <= cap)
+
     # Flagged sets: replay their events — still set-major, so each
     # set's slice is in time order — through the exact automaton into
     # the same additive profile.
-    if bad_set.any():
+    if fallback_sets:
         bi = _np.flatnonzero(~good)
+        sink = None if head_hit is None else []
         _run_general(
             profile,
             zip(sb[bi].tolist(), st[bi].tolist(), sw[bi].tolist()),
-            num_sets, assoc_cap, write_policy,
+            num_sets, assoc_cap, write_policy, sink,
         )
+        if sink is not None:
+            head_hit[bi] = sink
+
+    if hits is not None:
+        # Collapsed followers are MRU hits; heads scatter back to their
+        # time-order slots.
+        hits[order] = True
+        hits[runs.heads] = head_hit
 
 
 def _add_list(target, counts):

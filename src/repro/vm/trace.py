@@ -205,7 +205,7 @@ class TraceBuffer:
         self.max_events = max_events
         self._events = None
         self._columns = None
-        self._partitions = None
+        self._memo = None
 
     def append(self, address, flags):
         if self.max_events is not None and len(self.addresses) >= self.max_events:
@@ -216,11 +216,11 @@ class TraceBuffer:
         if (
             self._events is not None
             or self._columns is not None
-            or self._partitions is not None
+            or self._memo is not None
         ):
             self._events = None
             self._columns = None
-            self._partitions = None
+            self._memo = None
         self.addresses.append(address)
         self.flags.append(flags)
 
@@ -276,16 +276,29 @@ class TraceBuffer:
         Cached per ``(num_sets, line_words)`` and invalidated by
         :meth:`append`; callers must treat the array as read-only.
         """
-        key = (int(num_sets), int(line_words))
-        if self._partitions is not None and key in self._partitions:
-            return self._partitions[key]
-        addresses, _ = self.to_columns()
-        blocks = addresses if line_words == 1 else addresses // line_words
-        order = numpy.argsort(blocks % num_sets, kind="stable")
-        if self._partitions is None:
-            self._partitions = {}
-        self._partitions[key] = order
-        return order
+        def build():
+            addresses, _ = self.to_columns()
+            blocks = addresses if line_words == 1 else addresses // line_words
+            return numpy.argsort(blocks % num_sets, kind="stable")
+
+        return self.memoized(
+            ("set_partition", int(num_sets), int(line_words)), build
+        )
+
+    def memoized(self, key, build):
+        """``build()``, computed once per ``key`` until :meth:`append`.
+
+        The cache behind :meth:`set_partition` and the hierarchy
+        layer's per-level outcomes
+        (:func:`repro.cache.hierarchy.level_outcome`); callers must
+        treat the value as read-only.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- serialization -------------------------------------------------
 

@@ -1,18 +1,33 @@
 """Pure-Python references for the NumPy kernels, used only by tests.
 
-The production run collapse (:func:`repro.cache.semantics.collapse_runs`)
-and the RPTRACE2 delta codec (:mod:`repro.vm.trace`) are NumPy array
-code.  These are the plain loops they replaced: tests require the
-kernels to agree with them exactly, bit for bit.  The module also
-builds legacy RPTRACE1 payloads, which the library still reads but no
-longer writes.
+The production run collapse (:func:`repro.cache.semantics.collapse_runs`),
+the RPTRACE2 delta codec (:mod:`repro.vm.trace`) and the multi-core
+private levels (:func:`repro.cache.multicore.simulate_multicore`) run
+on NumPy arrays.  These are the plain loops they replaced: tests
+require the kernels to agree with them exactly, bit for bit.  The
+module also builds legacy RPTRACE1 payloads, which the library still
+reads but no longer writes.
 """
 
 import struct
 from array import array
+from dataclasses import replace
 
-from repro.cache.semantics import EV_PLAIN_WRITE, CollapsedRuns
-from repro.vm.trace import TRACE_FORMAT_VERSION_V1, TRACE_MAGIC_V1
+from repro.cache.cache import Cache
+from repro.cache.hierarchy import HierarchyError
+from repro.cache.multicore import (
+    MulticoreResult,
+    PartitionedLRUPolicy,
+    interleave_traces,
+)
+from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE, CollapsedRuns
+from repro.vm.trace import (
+    FLAG_BYPASS,
+    FLAG_KILL,
+    FLAG_WRITE,
+    TRACE_FORMAT_VERSION_V1,
+    TRACE_MAGIC_V1,
+)
 
 #: 64-bit wrap mask: the codec works in uint64 arithmetic, so the
 #: loops agree with the NumPy kernels on address extremes.
@@ -131,3 +146,84 @@ def decode_deltas_py(payload, count):
         raise ValueError("corrupt trace: trailing bytes after the "
                          "varint stream")
     return out
+
+
+def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
+                          shared_kill=False, seed=0, chunk=8, names=None,
+                          merged=None):
+    """Per-event reference for
+    :func:`repro.cache.multicore.simulate_multicore`.
+
+    Walks the merged stream once, driving each core's private
+    :class:`Cache` and, for every reference the private level does not
+    serve as a hit, the shared level — the loop the production code
+    replaced with one private-level outcome per core.
+    """
+    cores = len(traces)
+    if merged is None:
+        merged = interleave_traces(traces, seed=seed, chunk=chunk)
+    if names is None:
+        names = ["core{}".format(index) for index in range(cores)]
+    l1s = [Cache(l1_config) for _ in range(cores)]
+    shared_effective = replace(
+        shared_config,
+        honor_bypass=False,
+        honor_kill=bool(shared_kill and shared_config.honor_kill),
+    )
+    policy = None
+    if quotas is not None:
+        if len(quotas) != cores:
+            raise HierarchyError("need one way quota per core")
+        policy = PartitionedLRUPolicy(quotas)
+        shared = Cache(replace(shared_effective, policy="lru"),
+                       policy=policy)
+    else:
+        shared = Cache(shared_effective)
+
+    line_words = shared_effective.line_words
+    num_sets = shared_effective.num_sets
+    max_block = merged.max_address // line_words
+    stride_blocks = -(-(max_block + 1) // num_sets) * num_sets
+    stride_words = stride_blocks * line_words
+
+    probe_kills = bool(shared_kill and l1_config.honor_kill)
+    shared_policy = shared.policy
+    shared_stats = shared.stats
+    kill_probes = 0
+    shared_refs = [0] * cores
+    shared_hits = [0] * cores
+    for core, address, flags in merged:
+        is_write = bool(flags & FLAG_WRITE)
+        bypass = bool(flags & FLAG_BYPASS)
+        kill = bool(flags & FLAG_KILL)
+        outcome = l1s[core].access(address, is_write, bypass, kill)
+        shifted = address + core * stride_words
+        if outcome == "hit":
+            if kill and probe_kills:
+                block = shifted // line_words
+                set_index = block % num_sets
+                entry = shared_policy.lookup(set_index, block)
+                if entry is not None:
+                    if entry[ENTRY_DIRTY]:
+                        shared_stats.dead_drops += 1
+                    shared_policy.invalidate(set_index, block, entry)
+                    shared_stats.dead_line_frees += 1
+                    kill_probes += 1
+            continue
+        if policy is not None:
+            policy.core = core
+        shared_refs[core] += 1
+        if shared.access(shifted, is_write, bypass, kill) == "hit":
+            shared_hits[core] += 1
+    return MulticoreResult(
+        names=tuple(names),
+        l1_stats=[cache.stats for cache in l1s],
+        shared_stats=shared.stats,
+        shared_refs=shared_refs,
+        shared_hits=shared_hits,
+        quotas=tuple(quotas) if quotas is not None else None,
+        events=len(merged),
+        kill_probes=kill_probes,
+        seed=merged.seed,
+        chunk=merged.chunk,
+    )

@@ -12,21 +12,28 @@ bit-identical to an inline two-level reference chain (the pre-refactor
 L1/L2 model) on fuzzer-generated traces.
 """
 
+import os
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
+from repro.cache import vectorized
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.hierarchy import (
     HierarchyCache,
     HierarchyError,
     HierarchySpec,
+    filtered_trace,
     hierarchy_stats,
+    level_outcome,
     parse_hierarchy,
 )
-from repro.cache.replay import replay_trace
+from repro.cache.replay import policy_for_trace, replay_trace
 from repro.errors import ReproError
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from test_stackdist import BATTERY, make_trace as make_event_trace, traces
 
 
 def make_trace(refs):
@@ -470,3 +477,117 @@ class TestReferenceEquivalence:
             assert offline["L2"].as_dict() == l2_ref.as_dict()
 
         property_()
+
+
+#: The LRU battery plus levels the kernel never scores: other
+#: policies (one of them indexed), demoted kills and write-around.
+OUTCOME_CONFIGS = BATTERY + [
+    CacheConfig(size_words=16, associativity=2, policy="fifo"),
+    CacheConfig(size_words=16, associativity=4, policy="srrip"),
+    CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
+    CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
+    CacheConfig(size_words=16, associativity=2, allocate_on_write=False),
+]
+
+
+def reference_outcome(trace, config):
+    """``Cache.access(...) == "hit"``, event by event."""
+    cache = Cache(config, policy=policy_for_trace(trace, config))
+    return [
+        cache.access(
+            address,
+            bool(flags & FLAG_WRITE),
+            bool(flags & FLAG_BYPASS),
+            bool(flags & FLAG_KILL),
+            index=index,
+        ) == "hit"
+        for index, (address, flags) in enumerate(trace)
+    ]
+
+
+def assert_outcomes_exact(trace, configs):
+    for config in configs:
+        want_hits = reference_outcome(trace, config)
+        stats, hits = level_outcome(trace, config)
+        assert hits.tolist() == want_hits, config
+        assert stats == replay_trace(trace, config), config
+        _stats, downstream = filtered_trace(trace, config)
+        passed = [
+            (address, flags & ~FLAG_KILL)
+            for (address, flags), hit in zip(trace, want_hits) if not hit
+        ]
+        assert list(downstream) == passed, config
+
+
+def fuzzer_trace(seed):
+    from repro.robustness.generator import generate_program
+    from repro.unified.pipeline import CompilationOptions, compile_source
+    from repro.vm.memory import RecordingMemory
+
+    program = compile_source(
+        generate_program(seed).source,
+        CompilationOptions(scheme="unified", promotion="aggressive"),
+    )
+    memory = RecordingMemory()
+    program.run(memory=memory)
+    return memory.buffer
+
+
+#: ``(REPRO_SWEEP_ENGINE, set-block budget)``: the kernel over one set
+#: block, the kernel over blocks of a few events, the reference loop.
+OUTCOME_PATHS = [
+    ("auto", vectorized.SET_BLOCK_EVENTS),
+    ("auto", 3),
+    ("multi", vectorized.SET_BLOCK_EVENTS),
+]
+OUTCOME_PATH_IDS = ["kernel", "kernel-small-blocks", "reference"]
+
+
+class TestLevelOutcome:
+    """The per-level outcome (stats plus per-event hit mask) is exact
+    on every path: the set-major kernel, over one set block or many,
+    and the reference loop."""
+
+    @pytest.mark.parametrize("engine,budget", OUTCOME_PATHS,
+                             ids=OUTCOME_PATH_IDS)
+    def test_synthetic_traces(self, engine, budget):
+        @settings(max_examples=25, deadline=None)
+        @given(events=traces)
+        def property_(events):
+            assert_outcomes_exact(make_event_trace(events), OUTCOME_CONFIGS)
+
+        with mock.patch.dict(os.environ, {"REPRO_SWEEP_ENGINE": engine}), \
+                mock.patch.object(vectorized, "SET_BLOCK_EVENTS", budget):
+            property_()
+
+    @pytest.mark.parametrize("seed", [45, 79, 117])
+    @pytest.mark.parametrize("engine,budget", OUTCOME_PATHS,
+                             ids=OUTCOME_PATH_IDS)
+    def test_fuzzer_traces(self, engine, budget, seed):
+        trace = fuzzer_trace(seed)
+        with mock.patch.dict(os.environ, {"REPRO_SWEEP_ENGINE": engine}), \
+                mock.patch.object(vectorized, "SET_BLOCK_EVENTS", budget):
+            assert_outcomes_exact(trace, OUTCOME_CONFIGS)
+
+    def test_memoized_per_config(self):
+        trace = mixed_trace(events=500)
+        config = CacheConfig(size_words=16, associativity=2)
+        first_stats, first_hits = level_outcome(trace, config)
+        first_stats.hits += 1  # callers get their own copy
+        stats, hits = level_outcome(trace, config)
+        assert hits is first_hits
+        assert not hits.flags.writeable
+        assert stats == replay_trace(trace, config)
+
+    def test_append_clears_the_memo(self):
+        trace = mixed_trace(events=500)
+        config = CacheConfig(size_words=16, associativity=2)
+        filtered_trace(trace, config)
+        trace.append(7, FLAG_WRITE | FLAG_KILL)
+        stats, downstream = filtered_trace(trace, config)
+        fresh = TraceBuffer()
+        for address, flags in trace:
+            fresh.append(address, flags)
+        want_stats, want_downstream = filtered_trace(fresh, config)
+        assert stats == want_stats
+        assert list(downstream) == list(want_downstream)

@@ -11,6 +11,7 @@ schedule.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.cache.multicore import (
 )
 from repro.cache.replay import replay_trace
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from scalar_reference import simulate_multicore_py
 
 L1 = CacheConfig(size_words=16, line_words=1, associativity=2)
 SHARED = CacheConfig(size_words=64, line_words=1, associativity=8)
@@ -198,6 +200,27 @@ class TestUtilityMonitor:
             assert curve[0] == 0
             assert all(b >= a for a, b in zip(curve, curve[1:]))
 
+    def test_auto_engine_skips_the_scalar_profiler(self, monkeypatch):
+        """UMON's shadow-tag pass follows the engine override: the
+        array kernel under ``auto``, ``profile_pass`` under
+        ``stackdist``."""
+        traces = [synth_trace(seed=1), synth_trace(seed=2)]
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
+        want = utility_curves(traces, L1, SHARED)
+
+        class Reached(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("repro.cache.multicore.profile_pass", refuse)
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "auto")
+        assert utility_curves(traces, L1, SHARED) == want
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
+        with pytest.raises(Reached):
+            utility_curves(traces, L1, SHARED)
+
     def test_partition_sums_and_favours_utility(self):
         # Core 0 gains 10 hits per way, core 1 is flat: greedy must
         # give core 0 everything above the floor.
@@ -299,3 +322,40 @@ class TestGrid:
         assert (
             grid["kill"].as_dict() != grid["shared"].as_dict()
         )
+
+
+class TestAgainstPerEventReference:
+    """Every grid cell -- quotas and shared kills included -- equals
+    the per-event loop that drove each private L1 alongside the shared
+    level (``tests/scalar_reference.py``)."""
+
+    def assert_grid_matches(self, traces, quotas, seed):
+        grid = multicore_grid(traces, L1, SHARED, quotas=quotas, seed=seed)
+        merged = interleave_traces(traces, seed=seed)
+        no_kill = replace(L1, honor_kill=False)
+        cells = {
+            "shared": (no_kill, None, False),
+            "partitioned": (no_kill, quotas, False),
+            "kill": (L1, None, True),
+            "kill+partitioned": (L1, quotas, True),
+        }
+        for config, (l1, cell_quotas, shared_kill) in cells.items():
+            want = simulate_multicore_py(
+                traces, l1, SHARED, quotas=cell_quotas,
+                shared_kill=shared_kill, merged=merged,
+            )
+            got = grid[config]
+            assert got.as_dict() == want.as_dict(), config
+            assert got.l1_stats == want.l1_stats, config
+            assert got.shared_stats == want.shared_stats, config
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kill_heavy_pair(self, seed):
+        traces = [synth_trace(seed=seed, kill=0.3),
+                  synth_trace(seed=seed + 10, kill=0.3)]
+        self.assert_grid_matches(traces, (6, 2), seed)
+
+    def test_three_cores_with_an_empty_one(self):
+        traces = [synth_trace(seed=3, kill=0.3), TraceBuffer(),
+                  synth_trace(seed=4, kill=0.3, addresses=20)]
+        self.assert_grid_matches(traces, (4, 2, 2), 5)

@@ -10,15 +10,22 @@ the degenerate shapes (one set, one way, lines wider than the address
 range) where segmented-scan bugs hide.
 """
 
+from unittest import mock
+
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import vectorized
 from repro.cache.cache import CacheConfig
 from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import (
+    StackDistanceProfile,
+    _flag_presence,
     flavor_key,
     profile_pass,
     replay_trace_sweep,
+    supports_stackdist,
 )
 from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
 from repro.vm.trace import FLAG_KILL, FLAG_WRITE, TraceBuffer
@@ -127,6 +134,16 @@ class TestKernelSelection:
         assert info["kernel"] == "stackdist"
         assert _profile_stats(got, cap) == _profile_stats(want, cap)
 
+    def test_hits_need_the_array_kernel(self):
+        """The scalar profiler reports no per-event outcomes, so an
+        oversize cap refuses a ``hits`` array instead of leaving it
+        unfilled."""
+        with pytest.raises(ValueError, match="per-event hits"):
+            vector_profile_pass(
+                self._columns(), self.FLAVOR, 1, VECTOR_ASSOC_CAP_LIMIT + 1,
+                hits=numpy.zeros(7, dtype=bool),
+            )
+
     def test_flavor_key_shape_matches_kernel_contract(self):
         """The dispatcher hands ``flavor_key`` tuples straight to the
         kernel; both sides must agree on the layout."""
@@ -138,6 +155,47 @@ class TestKernelSelection:
         assert write_policy == "writethrough"
         assert isinstance(honor_bypass, bool)
         assert isinstance(honor_kill, bool)
+
+
+def _fields(profile):
+    return {
+        name: getattr(profile, name)
+        for name in StackDistanceProfile.__slots__
+    }
+
+
+class TestSetBlocks:
+    """Sets are independent and every profile field is additive, so
+    the kernel over blocks of a few events equals the scalar profiler
+    field by field, and its ``info`` counts sum to the one-block ones.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=traces)
+    def test_small_blocks_match_scalar_profiler(self, events):
+        columns = make_trace(events).to_columns()
+        has_bypass, has_kill = _flag_presence(columns)
+        for config in BATTERY:
+            if not supports_stackdist(config, has_bypass, has_kill):
+                continue
+            flavor = flavor_key(config, has_bypass, has_kill)
+            geometry = (config.num_sets, config.associativity)
+            want = profile_pass(columns, flavor, *geometry)
+            one_block = {}
+            vector_profile_pass(columns, flavor, *geometry, info=one_block)
+            blocks = {}
+            with mock.patch.object(vectorized, "SET_BLOCK_EVENTS", 3):
+                got = vector_profile_pass(columns, flavor, *geometry,
+                                          info=blocks)
+            assert _fields(got) == _fields(want), config
+            assert blocks == one_block, config
+
+    def test_blocks_are_whole_sets_within_budget(self):
+        blocks = numpy.array([0, 4, 8, 1, 2, 6, 10, 14, 18, 3])
+        with mock.patch.object(vectorized, "SET_BLOCK_EVENTS", 3):
+            bounds = list(vectorized._set_blocks(blocks, 4))
+        # Set sizes 3, 1, 5, 1: sets 0 | 1 | 2 (over budget, alone) | 3.
+        assert bounds == [(0, 3), (3, 4), (4, 9), (9, 10)]
 
 
 class TestDispatch:
