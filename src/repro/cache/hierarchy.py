@@ -65,13 +65,8 @@ import numpy
 
 from repro.cache.cache import Cache, CacheConfig, POLICIES
 from repro.cache.semantics import flag_presence
-from repro.cache.stackdist import (
-    flavor_key,
-    replay_trace_sweep,
-    supports_stackdist,
-    sweep_engine,
-)
-from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
+from repro.cache.stackdist import engines_for, flavor_key, replay_trace_sweep
+from repro.cache.vectorized import vector_profile_pass
 from repro.errors import ReproError
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 
@@ -445,14 +440,12 @@ def level_outcome(trace, config):
     ``stats`` is the level's :class:`~repro.cache.stats.CacheStats`
     (a fresh copy on every call); ``hits`` is a read-only NumPy
     boolean mask with one entry per event, true exactly where
-    :meth:`Cache.access` returns ``"hit"``.  An LRU level inside the
-    stack-distance model (:func:`~repro.cache.stackdist.supports_stackdist`,
-    at most ``VECTOR_ASSOC_CAP_LIMIT`` ways) is scored by the
-    set-major kernel under the default ``auto`` engine: an event hits
-    exactly when its stack distance is at most the associativity.
-    Every other level, and every level when ``REPRO_SWEEP_ENGINE`` is
-    ``stackdist`` or ``multi``, runs the reference loop over
-    :class:`Cache`.  The outcome is memoized per config on the trace
+    :meth:`Cache.access` returns ``"hit"``.  The engine table
+    (:func:`~repro.cache.stackdist.engines_for`, consumer ``"hits"``)
+    picks the scorer: the set-major kernel, where an event hits
+    exactly when its stack distance is at most the associativity, or
+    the reference loop over :class:`Cache`.  The outcome is memoized
+    per config on the trace
     (:meth:`~repro.vm.trace.TraceBuffer.memoized`), so every caller
     that filters the same trace through the same level shares one
     scoring.
@@ -465,22 +458,19 @@ def level_outcome(trace, config):
 
 def _score_level(trace, config):
     """:func:`level_outcome` without the memo."""
-    if (
-        sweep_engine() == "auto"
-        and config.associativity <= VECTOR_ASSOC_CAP_LIMIT
-    ):
-        columns = trace.to_columns()
-        has_bypass, has_kill = flag_presence(columns)
-        if supports_stackdist(config, has_bypass, has_kill):
-            hits = numpy.empty(len(trace), dtype=bool)
-            profile = vector_profile_pass(
-                columns, flavor_key(config, has_bypass, has_kill),
-                config.num_sets, config.associativity,
-                order=trace.set_partition(config.num_sets, config.line_words),
-                hits=hits,
-            )
-            hits.flags.writeable = False
-            return profile.stats_for(config.associativity), hits
+    columns = trace.to_columns()
+    has_bypass, has_kill = flag_presence(columns)
+    name = engines_for(config, has_bypass, has_kill, "hits")[0]
+    if name == "vector_profile_pass":
+        hits = numpy.empty(len(trace), dtype=bool)
+        profile = vector_profile_pass(
+            columns, flavor_key(config, has_bypass, has_kill),
+            config.num_sets, config.associativity,
+            order=trace.set_partition(config.num_sets, config.line_words),
+            hits=hits,
+        )
+        hits.flags.writeable = False
+        return profile.stats_for(config.associativity), hits
 
     from repro.cache.replay import policy_for_trace
 

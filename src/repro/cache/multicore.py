@@ -62,7 +62,7 @@ from repro.cache.semantics import (
     _by_stamp,
     _mix64,
 )
-from repro.cache.stackdist import flavor_key, profile_pass, sweep_engine
+from repro.cache.stackdist import engines_for, flavor_key, profile_pass
 from repro.cache.vectorized import vector_profile_pass
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
@@ -241,20 +241,27 @@ def utility_curves(traces, l1_config, shared_config):
     serve, read off the memoized
     :func:`~repro.cache.hierarchy.level_outcome` — feeds a shadow-tag
     stack-distance pass at the shared geometry (kills and bypasses
-    ignored: UMON monitors raw reuse).  The pass runs on the set-major
-    kernel (:func:`~repro.cache.vectorized.vector_profile_pass`) under
-    the default ``auto`` engine and on
-    :func:`~repro.cache.stackdist.profile_pass` under ``stackdist`` or
-    ``multi``.  The aggregate distance histogram's prefix sums are
-    exactly "hits this core would score with w ways".  Returns
+    ignored: UMON monitors raw reuse).  The engine table
+    (:func:`~repro.cache.stackdist.engines_for`, consumer
+    ``"histogram"``) picks the pass: the set-major kernel
+    (:func:`~repro.cache.vectorized.vector_profile_pass`) or
+    :func:`~repro.cache.stackdist.profile_pass`.  The aggregate
+    distance histogram's prefix sums are exactly "hits this core would
+    score with w ways".  Returns
     ``curves[core][w]`` for ``w in 0..associativity``.
     """
+    # Shadow tags install on every miss whatever the shared level's
+    # allocation policy: the monitor is write-allocate LRU.
     monitor_config = replace(
         shared_config, policy="lru", honor_bypass=False, honor_kill=False,
+        allocate_on_write=True,
     )
     assoc = monitor_config.associativity
     flavor = flavor_key(monitor_config, False, False)
-    score = vector_profile_pass if sweep_engine() == "auto" else profile_pass
+    name = engines_for(monitor_config, False, False, "histogram")[0]
+    score = (
+        vector_profile_pass if name == "vector_profile_pass" else profile_pass
+    )
     curves = []
     for trace in traces:
         _l1_stats, hits = level_outcome(trace, l1_config)

@@ -15,8 +15,8 @@ Two entry points:
   same-block run collapse wherever the configuration's allocation
   policy makes followers guaranteed hits; MIN slots (requested with
   :class:`MinConfig`) share one precomputed next-use index per
-  ``(line_words, honor_bypass)`` combination.  The equivalence battery
-  (``tests/test_parallel_equivalence.py``) and the fuzzer's
+  ``(line_words, honor_bypass)`` combination.  The engine-table
+  conformance test (``tests/test_engine_table.py``) and the fuzzer's
   differential loop both assert the two paths agree on every counter.
 """
 
@@ -126,22 +126,20 @@ def policy_for_trace(trace, config):
     return make_policy(config, next_use=next_use, signatures=signatures)
 
 
-def replay_trace_multi(trace, configs, decoded=None):
+def replay_trace_multi(trace, configs):
     """Replay ``trace`` through every configuration of a sweep at once.
 
     ``configs`` is a sequence of :class:`CacheConfig` (any online
     policy, the predictive zoo included) and/or :class:`MinConfig`
-    (offline Belady)
-    entries; the result is the list of :class:`CacheStats` in the same
-    order, each bit-identical to what :func:`replay_trace` produces
-    for that entry alone.  The trace is decoded once (pass ``decoded``
-    to amortize even that across calls), the MIN next-use index is
-    computed once per ``(line_words, honor_bypass)`` combination, and
-    the same-block run collapse is computed once per effective flavor
-    and set count, shared across every configuration that can use it.
+    (offline Belady) entries; the result is the list of
+    :class:`CacheStats` in the same order, each bit-identical to what
+    :func:`replay_trace` produces for that entry alone.  The trace is
+    decoded once, the MIN next-use index is computed once per
+    ``(line_words, honor_bypass)`` combination, and the same-block run
+    collapse is computed once per effective flavor and set count,
+    shared across every configuration that can use it.
     """
-    if decoded is None:
-        decoded = decode_trace(trace)
+    decoded = decode_trace(trace)
     next_use_cache = {}
     stream_cache = {}
     runs_cache = {}

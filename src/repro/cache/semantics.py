@@ -1,15 +1,25 @@
-"""The canonical per-event cache semantics, in exactly one place.
+"""The canonical per-event cache semantics.
 
-Every cache engine in the repo — the online :class:`~repro.cache.cache.Cache`,
-the data-carrying functional twin, the multi-configuration replay, the
-offline MIN simulator, and the stack-distance sweep's flavor decode —
-drives the paper's bypass/kill transfer function through this module.
-The transfer function itself lives in :meth:`UnifiedCache.access`;
-replacement decisions are delegated to a state-owning
-:class:`ReplacementPolicy` (LRU, FIFO, Random, MIN, and the predictive
-zoo: SRRIP, BRRIP, DRRIP, SHiP-lite, Hawkeye-lite — see
-``docs/POLICIES.md``), so adding a policy or changing a semantic rule
-happens once and is visible to all engines at once.
+The paper's bypass/kill transfer function lives in
+:meth:`UnifiedCache.access`; replacement decisions are delegated to a
+state-owning :class:`ReplacementPolicy` (LRU, FIFO, Random, MIN, and
+the predictive zoo: SRRIP, BRRIP, DRRIP, SHiP-lite, Hawkeye-lite — see
+``docs/POLICIES.md``).  The online :class:`~repro.cache.cache.Cache`,
+the data-carrying functional twin, the multi-configuration replay and
+the offline MIN simulator all drive that one method, so a policy or a
+semantic rule changes once for all of them.
+
+Four one-pass engines re-derive the same transfer function for speed
+instead of calling it: the hole-stack automaton
+(:func:`repro.cache.stackdist._run_general`), the set-major kernel
+(:func:`repro.cache.vectorized.vector_profile_pass`), and this
+module's lane walk (:func:`_lane_sweep`, behind :func:`fifo_sweep` and
+:func:`random_sweep`) and :func:`min_sweep`.  Each is held
+bit-identical to :class:`UnifiedCache` (through
+:func:`repro.cache.replay.replay_trace`) by the engine-table
+conformance test, ``tests/test_engine_table.py``, on every spec the
+engine table (:data:`repro.cache.stackdist.ENGINE_TABLE`) lists it
+for, and by the differential fuzzer on every fuzzed trace.
 
 Three layers:
 
@@ -17,19 +27,17 @@ Three layers:
   ``flavor_decode`` (the EV_* typed stream shared by the sweep
   engines), ``flag_presence`` and ``next_use_index``.
 * **The transfer function** — :class:`UnifiedCache` plus the policy
-  protocol.  The per-event handling of bypass probes, kill bits
+  protocol: the reference handling of bypass probes, kill bits
   (invalidate vs demote), write policies, write-allocation, and
-  dirty-writeback accounting appears *only* here.
+  dirty-writeback accounting.
 * **Batch drivers** — :func:`replay_decoded` (one config, optionally
   fronted by the same-block run collapse), and the single-pass
-  multi-associativity sweeps :func:`fifo_sweep` / :func:`min_sweep`
-  that score a whole geometry column in one walk of the stream.
+  multi-associativity sweeps :func:`fifo_sweep` /
+  :func:`random_sweep` / :func:`min_sweep` that score a whole
+  geometry column in one walk of the stream.
 
 The contract between every pair of engines is bit-identical
-:class:`~repro.cache.stats.CacheStats`, never approximately-equal; the
-differential fuzzer and the equivalence batteries in
-``tests/test_replay_multi.py`` / ``tests/test_policy_protocol.py``
-enforce it.
+:class:`~repro.cache.stats.CacheStats`, never approximately-equal.
 """
 
 from itertools import repeat as _repeat
@@ -95,7 +103,7 @@ class FlavorStream:
 
     __slots__ = (
         "blocks_np", "types_np", "_blocks_list", "_types_list",
-        "constants", "plain_only",
+        "constants",
     )
 
     @property
@@ -151,9 +159,6 @@ def flavor_decode(columns, flavor):
     stream._types_list = None
     counts = _np.bincount(types, minlength=7).tolist()
     stream.constants = flavor_constants(counts, flavor)
-    stream.plain_only = (
-        counts[EV_PLAIN_READ] + counts[EV_PLAIN_WRITE] == len(addresses)
-    )
     return stream
 
 

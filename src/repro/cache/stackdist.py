@@ -53,22 +53,25 @@ set-count stackers in :mod:`repro.cache.semantics`
 :func:`~repro.cache.semantics.min_sweep`).  Everything else — the
 predictive zoo (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye),
 write-around LRU, demoted-kill LRU — is the fallback path's job
-(:func:`repro.cache.replay.replay_trace_multi`);
-:func:`replay_trace_sweep` routes each requested configuration to
-whichever engine applies and merges the results in request order.
+(:func:`repro.cache.replay.replay_trace_multi`).
 
-The per-flavor decode and the run-collapse pre-pass are NumPy array
-code; the set-major array kernels in :mod:`repro.cache.vectorized`
-rebuild this module's profile for associativity caps up to
-``VECTOR_ASSOC_CAP_LIMIT``, and :func:`profile_pass` scores the rest
-(and every group under ``REPRO_SWEEP_ENGINE=stackdist``).
+Which engine scores which spec is decided in one place: the engine
+table (:data:`ENGINE_TABLE`) lists, per spec family, the engines exact
+for it, and :func:`engines_for` answers every dispatcher —
+:func:`replay_trace_sweep`, the hierarchy's
+:func:`~repro.cache.hierarchy.level_outcome` and the multi-core
+:func:`~repro.cache.multicore.utility_curves`.  The set-major array
+kernels in :mod:`repro.cache.vectorized` rebuild this module's profile
+for associativity caps up to ``VECTOR_ASSOC_CAP_LIMIT``, and
+:func:`profile_pass` scores the rest (and every LRU group under
+``REPRO_SWEEP_ENGINE=stackdist``).
 """
 
 import os
 from itertools import repeat
 
+from repro.cache.replay import MinConfig, replay_trace_multi
 from repro.cache.semantics import (
-    EV_BYPASS_READ,
     EV_BYPASS_READ_KILL,
     EV_BYPASS_WRITE,
     EV_KILL_READ,
@@ -87,13 +90,12 @@ from repro.cache.stats import CacheStats
 
 
 def sweep_engine(engine=None):
-    """The replay engine to use: ``engine``, else ``REPRO_SWEEP_ENGINE``.
+    """The engine override: ``engine``, else ``REPRO_SWEEP_ENGINE``.
 
-    ``"auto"`` (the default) scores LRU through the set-major array
-    kernels, ``"stackdist"`` through :func:`profile_pass`, and
-    ``"multi"`` through the per-event replay core; see
-    :func:`replay_trace_sweep`.  Raises :class:`ValueError` on any
-    other value.
+    ``"auto"`` (the default) follows the engine table,
+    ``"stackdist"`` and ``"multi"`` take the array kernel away from
+    every consumer; see :func:`engines_for`, the only reader.  Raises
+    :class:`ValueError` on any other value.
     """
     if engine is None:
         engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
@@ -140,6 +142,91 @@ def flavor_key(config, has_bypass, has_kill):
     )
 
 
+#: Above this associativity cap the array kernel's level loop stops
+#: paying for itself; the engine table sends wider caps to
+#: :func:`profile_pass`, and the kernel refuses them.
+VECTOR_ASSOC_CAP_LIMIT = 64
+
+#: The engine table.  ``"families"`` lists, for each spec family, the
+#: engines exact for it in the order ``auto`` tries them: ``"lru"`` is
+#: LRU inside the stack-distance model (:func:`supports_stackdist`),
+#: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, and ``"other"``
+#: is everything no one-pass engine claims (the predictive zoo,
+#: write-around LRU, LRU with demote or multi-word-line kills on a trace
+#: that carries kills).  ``"reference"`` is the per-event
+#: ``Cache.access`` loop, exact for every family.  ``"consumers"`` lists
+#: the engines that give what each consumer needs: ``CacheStats`` for a
+#: sweep (every engine), a per-event hit mask for ``level_outcome``, a
+#: distance histogram for ``utility_curves``.  Entries are names, not
+#: functions: each dispatcher looks the function up through its module
+#: attribute when it calls it.  ``docs/PERFORMANCE.md`` renders the
+#: table, and ``tests/test_engine_table.py`` holds the two together.
+ENGINE_TABLE = {
+    "families": {
+        "lru": ("vector_profile_pass", "profile_pass", "replay_trace_multi",
+                "reference"),
+        "fifo": ("fifo_sweep", "replay_trace_multi", "reference"),
+        "random": ("random_sweep", "replay_trace_multi", "reference"),
+        "min": ("min_sweep", "replay_trace_multi", "reference"),
+        "other": ("replay_trace_multi", "reference"),
+    },
+    "consumers": {
+        "stats": ("vector_profile_pass", "profile_pass", "fifo_sweep",
+                  "random_sweep", "min_sweep", "replay_trace_multi",
+                  "reference"),
+        "hits": ("vector_profile_pass", "reference"),
+        "histogram": ("vector_profile_pass", "profile_pass"),
+    },
+}
+
+
+def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
+    """The engines that may score ``spec`` for ``consumer``, best first.
+
+    The first entry is the one every dispatcher calls; the differential
+    fuzzer and the conformance test run them all.  ``has_bypass`` and
+    ``has_kill`` describe the trace (see :func:`supports_stackdist`);
+    ``consumer`` is ``"stats"``, ``"hits"`` or ``"histogram"``; the
+    override (:func:`sweep_engine`) applies on top of the table:
+    ``"stackdist"`` and ``"multi"`` drop the array kernel,
+    ``"multi"`` sends every stats spec to
+    :func:`~repro.cache.replay.replay_trace_multi`, and
+    ``"stackdist"`` raises :class:`ValueError` for a stats spec outside
+    the ``"lru"`` family.  The kernel serves caps up to
+    ``VECTOR_ASSOC_CAP_LIMIT`` only.  Raises :class:`ValueError` when
+    no engine gives what ``consumer`` needs.
+    """
+    override = sweep_engine(engine)
+    if isinstance(spec, MinConfig):
+        family = "min"
+    elif spec.policy in ("fifo", "random"):
+        family = spec.policy
+    elif supports_stackdist(spec, has_bypass, has_kill):
+        family = "lru"
+    else:
+        family = "other"
+    if consumer == "stats" and override == "multi":
+        return ("replay_trace_multi",)
+    if consumer == "stats" and override == "stackdist" and family != "lru":
+        raise ValueError(
+            "stack-distance engine cannot profile {!r}".format(spec)
+        )
+    gives = ENGINE_TABLE["consumers"][consumer]
+    names = tuple(
+        name for name in ENGINE_TABLE["families"][family]
+        if name in gives and not (
+            name == "vector_profile_pass"
+            and (override != "auto"
+                 or spec.associativity > VECTOR_ASSOC_CAP_LIMIT)
+        )
+    )
+    if not names:
+        raise ValueError(
+            "no engine gives {} for {!r}".format(consumer, spec)
+        )
+    return names
+
+
 class StackDistanceProfile:
     """Exact sweep results for one ``(flavor, num_sets)`` pass.
 
@@ -160,6 +247,7 @@ class StackDistanceProfile:
         "hist_cached_read",
         "hist_cached_write",
         "hist_kill_read",
+        "hist_kill_write",
         "hist_bypass_read",
         "hist_bypass_write",
         "hist2_kill_read",
@@ -168,7 +256,6 @@ class StackDistanceProfile:
         "shift_prefix",
         "wb_hist",
         "collapsed_hits",
-        "totals",
     )
 
     def __init__(self, num_sets, assoc_cap, line_words, write_policy,
@@ -185,6 +272,7 @@ class StackDistanceProfile:
         self.hist_cached_read = [0] * cap
         self.hist_cached_write = [0] * cap
         self.hist_kill_read = [0] * cap
+        self.hist_kill_write = [0] * cap
         self.hist_bypass_read = [0] * cap
         self.hist_bypass_write = [0] * cap
         # 2-D (position, dirty-threshold) histograms for the flush
@@ -204,7 +292,6 @@ class StackDistanceProfile:
         #: profiled associativity (split read/write only for the
         #: histograms' totals; both hit everywhere).
         self.collapsed_hits = 0
-        self.totals = {}
 
     # -- reconstruction -------------------------------------------------
 
@@ -220,12 +307,12 @@ class StackDistanceProfile:
         lw = self.line_words
         writeback = self.write_policy == "writeback"
         up_to = assoc + 1  # positions 1..assoc hit
-        kill_write_hist = self.hist_kill_write_positions()
+        kill_writes = c["counts"][EV_KILL_WRITE]
 
         cached_read_hits = sum(self.hist_cached_read[1:up_to])
         cached_write_hits = sum(self.hist_cached_write[1:up_to])
         kill_read_hits = sum(self.hist_kill_read[1:up_to])
-        kill_write_hits = sum(kill_write_hist[1:up_to])
+        kill_write_hits = sum(self.hist_kill_write[1:up_to])
         bypass_read_hits = sum(self.hist_bypass_read[1:up_to])
         bypass_write_hits = sum(self.hist_bypass_write[1:up_to])
 
@@ -235,7 +322,7 @@ class StackDistanceProfile:
         plain_read_misses = sum(self.hist_cached_read[up_to:])
         plain_write_misses = sum(self.hist_cached_write[up_to:])
         kill_read_misses = sum(self.hist_kill_read[up_to:])
-        kill_write_misses = sum(kill_write_hist[up_to:])
+        kill_write_misses = sum(self.hist_kill_write[up_to:])
         bypass_read_misses = sum(self.hist_bypass_read[up_to:])
 
         hits = (
@@ -273,13 +360,13 @@ class StackDistanceProfile:
             dead_drops = (
                 _prefix2(self.hist2_bypass_read_kill, assoc)
                 + _prefix2(self.hist2_kill_read, assoc)
-                + self.totals["kill_write"]
+                + kill_writes
             )
         writebacks = victim_writebacks + flush_writebacks
 
         words_to_memory = c["words_to_memory_const"] + writebacks * lw
 
-        dead_line_frees = kill_read_hits + self.totals["kill_write"]
+        dead_line_frees = kill_read_hits + kill_writes
 
         return CacheStats(
             refs_total=c["refs_total"],
@@ -302,14 +389,6 @@ class StackDistanceProfile:
             bypass_writes=c["bypass_writes"],
         )
 
-    def hist_kill_write_positions(self):
-        """Kill-write position histogram (stored with the 2-D data)."""
-        return self._kill_write_hist
-
-    @property
-    def _kill_write_hist(self):
-        return self.totals["kill_write_hist"]
-
     def distance_histogram(self):
         """Aggregate per-set LRU distance histogram of cached refs.
 
@@ -321,13 +400,12 @@ class StackDistanceProfile:
         cap = self.assoc_cap + 2
         out = [0] * cap
         out[0] = self.collapsed_hits
-        kill_write = self.hist_kill_write_positions()
         for p in range(cap):
             out[p] += (
                 self.hist_cached_read[p]
                 + self.hist_cached_write[p]
                 + self.hist_kill_read[p]
-                + kill_write[p]
+                + self.hist_kill_write[p]
             )
         return out
 
@@ -361,100 +439,23 @@ def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
     profile = StackDistanceProfile(
         num_sets, assoc_cap, line_words, write_policy, stream.constants
     )
-    counts = stream.constants["counts"]
-    profile.totals = {
-        "plain_read": counts[EV_PLAIN_READ],
-        "plain_write": counts[EV_PLAIN_WRITE],
-        "kill_read": counts[EV_KILL_READ],
-        "kill_write": counts[EV_KILL_WRITE],
-        "bypass_read": counts[EV_BYPASS_READ] + counts[EV_BYPASS_READ_KILL],
-        "kill_write_hist": [0] * (assoc_cap + 2),
-    }
-
     runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    profile.collapsed_hits = runs.collapsed if runs is not None else 0
-
     if runs is None:
-        blocks_it = stream.blocks_list
-        types_it = stream.types_list
-        rw_it = repeat(False)
+        events = zip(stream.blocks_list, stream.types_list, repeat(False))
     else:
-        blocks_it = stream.blocks_np[runs.indices].tolist()
-        types_it = stream.types_np[runs.indices].tolist()
-        rw_it = runs.run_writes
-
-    if stream.plain_only:
-        _run_plain(profile, zip(blocks_it, types_it, rw_it),
-                   num_sets, assoc_cap, write_policy)
-    else:
-        _run_general(profile, zip(blocks_it, types_it, rw_it),
-                     num_sets, assoc_cap, write_policy)
+        profile.collapsed_hits = runs.collapsed
+        events = zip(
+            stream.blocks_np[runs.indices].tolist(),
+            stream.types_np[runs.indices].tolist(),
+            runs.run_writes,
+        )
+    _run_general(profile, events, num_sets, assoc_cap, write_policy)
     return profile
-
-
-def _run_plain(profile, iterator, num_sets, assoc_cap, write_policy):
-    """The no-hole fast path: the stream is plain reads/writes only.
-
-    Without bypasses or kills nothing is ever invalidated, so the
-    stack never contains holes and every touch is the classic Mattson
-    move-to-front.
-    """
-    writeback = write_policy == "writeback"
-    clean = assoc_cap + 1
-    miss_bucket = assoc_cap + 1
-    sets = [[] for _ in range(num_sets)]
-    hist_cr = profile.hist_cached_read
-    hist_cw = profile.hist_cached_write
-    shift_prefix = profile.shift_prefix
-    wb_hist = profile.wb_hist
-
-    for block, is_write, follower_wrote in iterator:
-        stack = sets[block % num_sets]
-        pos = 0
-        for idx, entry in enumerate(stack):
-            if entry[0] == block:
-                pos = idx + 1
-                break
-        if pos == 1:
-            if writeback and (is_write or follower_wrote):
-                stack[0][1] = 1
-            (hist_cw if is_write else hist_cr)[1] += 1
-            continue
-        if pos:
-            entry = stack[pos - 1]
-            shift_prefix[pos - 1] += 1
-            if writeback:
-                for q in range(pos - 1):
-                    if stack[q][1] <= q + 1:
-                        wb_hist[q + 1] += 1
-                if is_write or follower_wrote:
-                    entry[1] = 1
-                elif entry[1] < pos:
-                    entry[1] = pos
-            del stack[pos - 1]
-            stack.insert(0, entry)
-            (hist_cw if is_write else hist_cr)[pos] += 1
-        else:
-            depth = len(stack)
-            shift_prefix[depth] += 1
-            if writeback:
-                for q in range(depth):
-                    if stack[q][1] <= q + 1:
-                        wb_hist[q + 1] += 1
-            if depth == assoc_cap:
-                # The bottom entry falls past the deepest profiled
-                # cache; its eviction is already in the prefix count.
-                del stack[-1]
-            stack.insert(0, [
-                block,
-                1 if (is_write or follower_wrote) and writeback else clean,
-            ])
-            (hist_cw if is_write else hist_cr)[miss_bucket] += 1
 
 
 def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
                  sink=None):
-    """The full automaton: bypass probes and kills leave holes.
+    """The automaton: bypass probes and kills leave holes.
 
     ``sink``, when a list, receives one boolean per event: whether the
     ``assoc_cap``-way cache served it as a hit (the block sat in the
@@ -474,7 +475,7 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
     hist_kr = profile.hist_kill_read
     hist_br = profile.hist_bypass_read
     hist_bw = profile.hist_bypass_write
-    hist_kw = profile.totals["kill_write_hist"]
+    hist_kw = profile.hist_kill_write
     h2_kr = profile.hist2_kill_read
     h2_brk = profile.hist2_bypass_read_kill
     h2_brn = profile.hist2_bypass_read_nokill
@@ -624,7 +625,7 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
 # ----------------------------------------------------------------------
 
 
-def replay_trace_sweep(trace, specs, columns=None, engine=None):
+def replay_trace_sweep(trace, specs, engine=None):
     """Score every spec of a sweep, one-pass where the math allows.
 
     ``specs`` mixes :class:`~repro.cache.cache.CacheConfig` and
@@ -632,159 +633,85 @@ def replay_trace_sweep(trace, specs, columns=None, engine=None):
     :func:`~repro.cache.replay.replay_trace_multi`; the result list is
     aligned with the input and bit-identical to the serial
     :func:`~repro.cache.replay.replay_trace` path for every entry.
-    Supported LRU configurations are grouped by flavor and set count
-    and scored by :func:`profile_pass`; FIFO, Random, and Belady MIN
-    specs are grouped the same way and scored by the single-pass
-    set-count stackers (:func:`repro.cache.semantics.fifo_sweep` /
-    :func:`repro.cache.semantics.random_sweep` /
-    :func:`repro.cache.semantics.min_sweep`); everything else
-    (the predictive zoo, write-around LRU, demoted-kill LRU) falls
-    back to the multi-replay core.  ``engine`` picks the path:
-    ``"auto"`` routes per spec, scoring the profiled LRU groups with
-    the set-major array kernels (:mod:`repro.cache.vectorized`);
-    ``"stackdist"`` scores them with :func:`profile_pass` instead and
-    raises :class:`ValueError` if any spec is outside the hole-stack
-    profiler (FIFO/Random/MIN included — they have no stack property);
-    ``"multi"`` skips one-pass engines entirely.  When left ``None``
-    the ``REPRO_SWEEP_ENGINE`` environment variable picks the engine
-    (the CI golden-pin job forces each in turn this way), defaulting
-    to ``auto``.  This is the one engine override: every engine is
-    bit-identical, so it exists for tests and benchmarks.
+    Specs sharing a family, flavor and set count (and, for Random, a
+    seed) form one group, scored in one pass by the engine
+    :func:`engines_for` names for the group's widest member; the specs
+    it sends to :func:`~repro.cache.replay.replay_trace_multi` share
+    one call.  ``engine`` overrides ``REPRO_SWEEP_ENGINE`` (see
+    :func:`sweep_engine`); every engine is bit-identical, so the
+    override exists for tests and benchmarks.
     """
-    from repro.cache.replay import MinConfig, replay_trace_multi
+    from repro.cache import vectorized
 
     specs = list(specs)
-    engine = sweep_engine(engine)
-    if engine == "multi":
-        return replay_trace_multi(trace, specs)
-
-    if columns is None:
-        columns = trace.to_columns()
+    columns = trace.to_columns()
     has_bypass, has_kill = _flag_presence(columns)
 
-    def policy_sweep_key(config):
-        """Group key for the FIFO/MIN single-pass stackers.
-
-        Like :func:`flavor_key` plus the knobs those sweeps honor
-        directly; the kill mode is normalized away when the effective
-        stream carries no kills.
-        """
-        eff_hk = bool(config.honor_kill and has_kill)
-        return (
-            config.line_words,
-            bool(config.honor_bypass and has_bypass),
-            eff_hk,
-            config.kill_mode if eff_hk else "invalidate",
-            config.write_policy,
-            config.allocate_on_write,
-            config.num_sets,
-        )
-
     groups = {}
-    fifo_groups = {}
-    random_groups = {}
-    min_groups = {}
     fallback = []
     for index, spec in enumerate(specs):
-        if isinstance(spec, MinConfig):
-            if engine == "stackdist":
-                raise ValueError(
-                    "stack-distance engine cannot profile {!r}".format(spec)
-                )
-            config = spec.config
-            key = policy_sweep_key(config)
-            min_groups.setdefault(key, []).append((index, config))
+        name = engines_for(spec, has_bypass, has_kill, engine=engine)[0]
+        if name == "replay_trace_multi":
+            fallback.append((index, spec))
             continue
-        if supports_stackdist(spec, has_bypass, has_kill):
-            key = (flavor_key(spec, has_bypass, has_kill), spec.num_sets)
-            groups.setdefault(key, []).append((index, spec))
-            continue
-        if engine == "stackdist":
-            raise ValueError(
-                "stack-distance engine cannot profile {!r}".format(spec)
-            )
-        if spec.policy == "fifo":
-            key = policy_sweep_key(spec)
-            fifo_groups.setdefault(key, []).append((index, spec))
-            continue
-        if spec.policy == "random":
+        config = spec.config if isinstance(spec, MinConfig) else spec
+        kind = "min" if config is not spec else config.policy
+        flavor = flavor_key(config, has_bypass, has_kill)
+        key = (
+            kind,
+            flavor,
+            # The kill mode only matters when the stream carries kills.
+            config.kill_mode if flavor[2] else "invalidate",
+            config.allocate_on_write,
+            config.num_sets,
             # The counter-based RNG is a pure function of (seed, set,
             # draw ordinal), so lanes sharing a seed sweep together.
-            key = policy_sweep_key(spec) + (spec.seed,)
-            random_groups.setdefault(key, []).append((index, spec))
-            continue
-        fallback.append((index, spec))
+            config.seed if kind == "random" else None,
+        )
+        groups.setdefault(key, []).append((index, spec, config))
 
     results = [None] * len(specs)
     decoded_cache = {}
-
-    def stream_for(flavor):
-        decoded = decoded_cache.get(flavor)
-        if decoded is None:
-            decoded = _flavor_decode(columns, flavor)
-            decoded_cache[flavor] = decoded
-        return decoded
-
-    use_vector = engine != "stackdist"
-    if groups and use_vector:
-        from repro.cache.vectorized import vector_profile_pass
-
-    for (flavor, num_sets), members in groups.items():
-        assoc_cap = max(spec.associativity for _i, spec in members)
-        if use_vector:
-            partition = getattr(trace, "set_partition", None)
-            order = (
-                partition(num_sets, flavor[0])
-                if partition is not None else None
-            )
-            profile = vector_profile_pass(
-                columns, flavor, num_sets, assoc_cap,
-                decoded=stream_for(flavor), order=order,
-            )
-        else:
-            profile = profile_pass(
-                columns, flavor, num_sets, assoc_cap,
-                decoded=stream_for(flavor),
-            )
-        for index, spec in members:
-            results[index] = profile.stats_for(spec.associativity)
-
     next_use_cache = {}
-    for kind, kind_groups in (
-        ("fifo", fifo_groups),
-        ("random", random_groups),
-        ("min", min_groups),
-    ):
-        for key, members in kind_groups.items():
-            seed = None
-            if kind == "random":
-                key, seed = key[:-1], key[-1]
-            (line_words, eff_hb, eff_hk, kill_mode, write_policy,
-             allocate_on_write, num_sets) = key
-            stream = stream_for((line_words, eff_hb, eff_hk, write_policy))
-            assocs = sorted({spec.associativity for _i, spec in members})
-            if kind == "fifo":
-                sweep = fifo_sweep(
-                    stream, num_sets, assocs, line_words, kill_mode,
-                    write_policy, allocate_on_write,
-                )
-            elif kind == "random":
-                sweep = random_sweep(
-                    stream, num_sets, assocs, line_words, kill_mode,
-                    write_policy, allocate_on_write, seed,
-                )
+    for key, members in groups.items():
+        _kind, flavor, kill_mode, allocate_on_write, num_sets, seed = key
+        line_words, eff_hb, _eff_hk, write_policy = flavor
+        # One pass scores the group up to its widest member, so that
+        # member's associativity decides the side of the kernel's cap.
+        widest = max(members, key=lambda member: member[2].associativity)
+        name = engines_for(widest[1], has_bypass, has_kill,
+                           engine=engine)[0]
+        stream = decoded_cache.get(flavor)
+        if stream is None:
+            stream = decoded_cache[flavor] = _flavor_decode(columns, flavor)
+        cap = widest[2].associativity
+
+        if name == "vector_profile_pass":
+            scored = vectorized.vector_profile_pass(
+                columns, flavor, num_sets, cap, decoded=stream,
+                order=trace.set_partition(num_sets, line_words),
+            ).stats_for
+        elif name == "profile_pass":
+            scored = profile_pass(columns, flavor, num_sets, cap,
+                                  decoded=stream).stats_for
+        else:
+            lane_args = (
+                stream, num_sets,
+                sorted({member[2].associativity for member in members}),
+                line_words, kill_mode, write_policy, allocate_on_write,
+            )
+            if name == "fifo_sweep":
+                lanes = fifo_sweep(*lane_args)
+            elif name == "random_sweep":
+                lanes = random_sweep(*lane_args, seed)
             else:
                 nu_key = (line_words, eff_hb)
-                next_use = next_use_cache.get(nu_key)
-                if next_use is None:
-                    next_use = next_use_index(trace, line_words, eff_hb)
-                    next_use_cache[nu_key] = next_use
-                sweep = min_sweep(
-                    stream, num_sets, assocs, line_words, kill_mode,
-                    write_policy, allocate_on_write, next_use,
-                )
-            for index, spec in members:
-                results[index] = sweep[spec.associativity]
+                if nu_key not in next_use_cache:
+                    next_use_cache[nu_key] = next_use_index(trace, *nu_key)
+                lanes = min_sweep(*lane_args, next_use_cache[nu_key])
+            scored = lanes.__getitem__
+        for index, _spec, config in members:
+            results[index] = scored(config.associativity)
 
     if fallback:
         fallback_stats = replay_trace_multi(

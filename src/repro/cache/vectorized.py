@@ -61,10 +61,11 @@ exact profile with NumPy array kernels over the columnar trace that
 The result is a :class:`repro.cache.stackdist.StackDistanceProfile`
 whose every field is bit-identical to :func:`profile_pass` — the
 reconstruction arithmetic in ``stats_for`` is shared, so equal
-profiles mean equal :class:`~repro.cache.stats.CacheStats`.  Geometry
-outside the kernel's comfort zone (associativity caps above
-``VECTOR_ASSOC_CAP_LIMIT``) falls back to :func:`profile_pass` —
-fallback, never failure.  ``docs/PERFORMANCE.md`` ("The set-major
+profiles mean equal :class:`~repro.cache.stats.CacheStats`.  The
+kernel serves associativity caps up to ``VECTOR_ASSOC_CAP_LIMIT`` and
+refuses wider ones; the engine table
+(:data:`repro.cache.stackdist.ENGINE_TABLE`) sends those to
+:func:`profile_pass`.  ``docs/PERFORMANCE.md`` ("The set-major
 vectorized kernel") has the derivation and measured speedups.
 """
 
@@ -75,20 +76,15 @@ from repro.cache.semantics import (
     EV_BYPASS_READ_KILL,
     EV_KILL_READ,
     EV_KILL_WRITE,
-    EV_PLAIN_READ,
     EV_PLAIN_WRITE,
     collapse_runs_sorted,
     flavor_decode as _flavor_decode,
 )
 from repro.cache.stackdist import (
+    VECTOR_ASSOC_CAP_LIMIT,
     StackDistanceProfile,
     _run_general,
-    profile_pass,
 )
-
-#: Above this associativity cap the level loop stops paying for itself
-#: and the pass delegates to the scalar profiler.
-VECTOR_ASSOC_CAP_LIMIT = 64
 
 #: Most events one set block may hold.  The kernel walks the set-major
 #: order in blocks of whole sets (a set with more events than this is a
@@ -103,41 +99,36 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
 
     Same contract: returns a :class:`StackDistanceProfile` for
     ``(flavor, num_sets)`` scoring every ``assoc <= assoc_cap``,
-    bit-identical field by field to the scalar profiler.  ``order`` is
-    an optional pre-computed set-major partition
-    (:meth:`TraceBuffer.set_partition`); ``info``, when a dict, is
-    populated with ``kernel`` (``"numpy"``/``"stackdist"``),
-    ``offline_sets``, ``fallback_sets`` and ``fallback_events`` for
-    benchmarks and tests.
+    bit-identical field by field to the scalar profiler.  ``assoc_cap``
+    must not exceed ``VECTOR_ASSOC_CAP_LIMIT`` (:class:`ValueError`
+    otherwise).  ``order`` is an optional pre-computed set-major
+    partition (:meth:`TraceBuffer.set_partition`); ``info``, when a
+    dict, is populated with ``offline_sets``, ``fallback_sets`` and
+    ``fallback_events`` for benchmarks and tests.
 
     ``hits``, when given, is a writable boolean array with one slot
     per trace event.  The kernel fills it in time order with each
     event's outcome in the ``assoc_cap``-way cache: true exactly when
     :meth:`~repro.cache.semantics.UnifiedCache.access` would return
-    ``"hit"``.  Only the array kernel fills it, so ``assoc_cap`` must
-    not exceed ``VECTOR_ASSOC_CAP_LIMIT``.
+    ``"hit"``.
 
     The kernel runs over set blocks of at most ``SET_BLOCK_EVENTS``
     events (``docs/PERFORMANCE.md``, "Set blocks"); the profile and
     the ``info`` counts are sums over the blocks.
     """
     if assoc_cap > VECTOR_ASSOC_CAP_LIMIT:
-        if hits is not None:
-            raise ValueError(
-                "per-event hits need assoc_cap <= {} (got {})".format(
-                    VECTOR_ASSOC_CAP_LIMIT, assoc_cap
-                )
-            )
-        if info is not None:
-            info["kernel"] = "stackdist"
-        return profile_pass(columns, flavor, num_sets, assoc_cap,
-                            decoded=decoded)
+        raise ValueError(
+            "the array kernel and its per-event hits need assoc_cap <= {} "
+            "(got {})".format(VECTOR_ASSOC_CAP_LIMIT, assoc_cap)
+        )
 
     line_words, _hb, _hk, write_policy = flavor
     stream = decoded
     if stream is None:
         stream = _flavor_decode(columns, flavor)
-    profile = _fresh_profile(stream, flavor, num_sets, assoc_cap)
+    profile = StackDistanceProfile(
+        num_sets, assoc_cap, line_words, write_policy, stream.constants
+    )
     tally = {"offline_sets": 0, "fallback_sets": 0, "fallback_events": 0}
     blocks = stream.blocks_np
     if len(blocks):
@@ -147,26 +138,7 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
             _profile_block(profile, stream, num_sets, assoc_cap,
                            write_policy, order[lo:hi], tally, hits)
     if info is not None:
-        info["kernel"] = "numpy"
         info.update(tally)
-    return profile
-
-
-def _fresh_profile(stream, flavor, num_sets, assoc_cap):
-    """An empty profile with the same totals ``profile_pass`` seeds."""
-    line_words, _hb, _hk, write_policy = flavor
-    profile = StackDistanceProfile(
-        num_sets, assoc_cap, line_words, write_policy, stream.constants
-    )
-    counts = stream.constants["counts"]
-    profile.totals = {
-        "plain_read": counts[EV_PLAIN_READ],
-        "plain_write": counts[EV_PLAIN_WRITE],
-        "kill_read": counts[EV_KILL_READ],
-        "kill_write": counts[EV_KILL_WRITE],
-        "bypass_read": counts[EV_BYPASS_READ] + counts[EV_BYPASS_READ_KILL],
-        "kill_write_hist": [0] * (assoc_cap + 2),
-    }
     return profile
 
 

@@ -170,14 +170,11 @@ def evaluate_trace_multi(
 
     The unified and conventional replays of every geometry run through
     the sweep dispatcher
-    (:func:`~repro.cache.stackdist.replay_trace_sweep`): by default
-    LRU geometries are scored by the set-major vectorized
-    stack-distance kernels, FIFO/Random/MIN by the single-pass
-    set-count sweeps, everything else by the multi-configuration core
-    (:func:`~repro.cache.replay.replay_trace_multi`) — and the dynamic
-    summary is computed once and shared; the per-geometry results are
-    bit-identical to calling :func:`evaluate_trace` per config (the
-    equivalence battery asserts exactly that).
+    (:func:`~repro.cache.stackdist.replay_trace_sweep`), which scores
+    each spec on the engine the engine table names for it, and the
+    dynamic summary is computed once and shared; the per-geometry
+    results are bit-identical to calling :func:`evaluate_trace` per
+    config (the equivalence battery asserts exactly that).
     """
     specs = []
     for cache_config in cache_configs:

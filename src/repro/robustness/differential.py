@@ -19,22 +19,16 @@ asserts:
   data-carrying functional cache produces the same program output,
   the same final memory as flat memory, and *exactly* the same
   statistics as the tag-only simulator replaying the recorded trace.
-* **Multi-replay agreement** — the single-pass multi-configuration
-  replay core (:func:`repro.cache.replay.replay_trace_multi`) produces
-  bit-identical statistics to the serial replays for the unified, the
-  annotation-blind, and the MIN configuration of the same trace; every
-  fuzzed program thereby exercises the parallel engine's fast path
-  against the reference path.
-* **Sweep-engine agreement** — the one-pass sweep dispatcher
-  (:func:`repro.cache.stackdist.replay_trace_sweep`) reconstructs the
-  same configurations bit-identically: under ``auto``, LRU through
-  the set-major array kernels (:mod:`repro.cache.vectorized`), FIFO,
-  Random and MIN through the single-pass set-count stackers; a second
-  pass under the ``stackdist`` engine holds the scalar hole-stack
-  profiler (:func:`repro.cache.stackdist.profile_pass`) to the same
-  answers on the two LRU configurations — so every fuzzed trace
-  cross-examines all one-pass engines against the reference
-  simulator.
+* **Engine agreement** — every engine the engine table
+  (:func:`repro.cache.stackdist.engines_for`) lists for the unified,
+  annotation-blind, MIN, FIFO, Random and predictive-zoo
+  configurations of the same trace reproduces the serial replays
+  bit-identically: the set-major array kernels and the scalar
+  hole-stack profiler for LRU, the lane sweeps for FIFO, Random and
+  MIN, and the multi-replay core
+  (:func:`repro.cache.replay.replay_trace_multi`) for all of them.
+  Each runs through the sweep dispatcher under the override that
+  routes the spec to it, and a mismatch names the engine.
 * **Superinstruction agreement** — the fused closure VM
   (:meth:`repro.vm.machine.Machine._fuse_block`) re-runs the heaviest
   configuration through the per-step
@@ -70,8 +64,9 @@ from repro.cache.hierarchy import (
     hierarchy_stats,
     parse_hierarchy,
 )
-from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
-from repro.cache.stackdist import replay_trace_sweep
+from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.semantics import flag_presence
+from repro.cache.stackdist import engines_for, replay_trace_sweep
 from repro.errors import ReproError
 from repro.regalloc.promotion import PromotionLevel
 from repro.unified.pipeline import CompilationOptions, Scheme, compile_source
@@ -435,32 +430,32 @@ def _check_cache_models(run, baseline, cache_words, associativity):
         serial[zoo_policy] = replay_trace(run.trace, zoo_config).as_dict()
         labels = labels + (zoo_policy,)
         battery.append(zoo_config)
-    multi = replay_trace_multi(run.trace, battery)
-    for label, stats in zip(labels, multi):
-        if stats.as_dict() != serial[label]:
-            diff = {
-                key: (stats.as_dict()[key], serial[label][key])
-                for key in serial[label]
-                if stats.as_dict().get(key) != serial[label][key]
-            }
-            raise DifferentialError(
-                "multi-replay",
-                "multi-config replay and serial replay disagree on the "
-                "{} configuration: {!r}".format(label, diff),
-            )
+    # Every engine the engine table lists for each spec, held to the
+    # serial path.  The sweep dispatcher reaches each one under the
+    # first override that routes the spec to it.
+    presence = flag_presence(run.trace.to_columns())
 
-    # engine="auto" routes LRU through the set-major array kernels and
-    # FIFO/Random/MIN through the single-pass set-count stackers;
-    # "stackdist" sends the two LRU specs through the scalar hole-stack
-    # profiler instead.  Every fuzzed trace holds all one-pass engines
-    # to the serial path.
-    legs = (
-        ("auto", labels, battery),
-        ("stackdist", ("unified", "conventional"), [config, blind]),
-    )
-    for engine, leg_labels, specs in legs:
-        swept = replay_trace_sweep(run.trace, specs, engine=engine)
-        for label, stats in zip(leg_labels, swept):
+    def reached(spec, override):
+        try:
+            return engines_for(spec, *presence, engine=override)[0]
+        except ValueError:  # stackdist refuses specs outside LRU
+            return None
+
+    legs = {}
+    for label, spec in zip(labels, battery):
+        for name in engines_for(spec, *presence, engine="auto"):
+            if name == "reference":
+                continue  # the serial replays above
+            override = next(
+                override for override in ("auto", "stackdist", "multi")
+                if reached(spec, override) == name
+            )
+            legs.setdefault(override, []).append((label, spec, name))
+    for override, leg in legs.items():
+        swept = replay_trace_sweep(
+            run.trace, [spec for _label, spec, _name in leg], engine=override
+        )
+        for (label, _spec, name), stats in zip(leg, swept):
             if stats.as_dict() != serial[label]:
                 diff = {
                     key: (stats.as_dict()[key], serial[label][key])
@@ -468,11 +463,9 @@ def _check_cache_models(run, baseline, cache_words, associativity):
                     if stats.as_dict().get(key) != serial[label][key]
                 }
                 raise DifferentialError(
-                    engine,
-                    "one-pass sweep ({}) and serial replay disagree on "
-                    "the {} configuration: {!r}".format(
-                        engine, label, diff
-                    ),
+                    name,
+                    "{} and serial replay disagree on the {} "
+                    "configuration: {!r}".format(name, label, diff),
                 )
 
     _check_hierarchy(run, cache_words, associativity)

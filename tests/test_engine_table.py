@@ -1,0 +1,644 @@
+"""Conformance test for the engine table.
+
+:data:`repro.cache.stackdist.ENGINE_TABLE` lists, for each spec
+family, the replay engines exact for it, and
+:func:`repro.cache.stackdist.engines_for` answers every dispatcher
+from it.  This file holds the table to both of its promises:
+
+* **Exactness.**  Every engine the table lists for a spec is
+  bit-identical to the serial reference :func:`replay_trace` (for MIN,
+  ``replay_trace(policy="min")``) over one trace corpus: Hypothesis
+  traces over dense and sparse addresses using every flag byte, the
+  empty trace, hand-built traces, fuzzer programs and the six Figure 5
+  benchmarks.  The outputs only some engines give are held too: the
+  kernel's per-event hit mask equals ``Cache.access(...) == "hit"``
+  event by event, and each profiler's distance histogram reproduces
+  the hit count.  Every engine is called explicitly, so the result
+  does not depend on the ambient ``REPRO_SWEEP_ENGINE``.
+* **Routing.**  Each consumer — the sweep dispatcher, the hierarchy's
+  level outcome, the UMON curves — reaches the engine that the
+  override table in ``docs/PERFORMANCE.md`` names, for every family,
+  override value and side of the associativity cap.  These checks wrap
+  each engine wherever a ``repro`` module binds it and take their
+  expectations from the document, so they use none of the table's own
+  API; a last check holds the document's tables to the engine table.
+"""
+
+import os
+import sys
+from dataclasses import asdict
+
+import numpy
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache import stackdist
+from repro.cache.cache import POLICIES, Cache, CacheConfig
+from repro.cache.hierarchy import level_outcome
+from repro.cache.multicore import utility_curves
+from repro.cache.replay import (
+    MinConfig,
+    policy_for_trace,
+    replay_trace,
+    replay_trace_multi,
+)
+from repro.cache.semantics import (
+    fifo_sweep,
+    flag_presence,
+    flavor_decode,
+    min_sweep,
+    next_use_index,
+    random_sweep,
+)
+from repro.cache.stackdist import flavor_key, profile_pass, replay_trace_sweep
+from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
+from repro.vm.trace import (
+    FLAG_AMBIGUOUS,
+    FLAG_BYPASS,
+    FLAG_INSTRUCTION,
+    FLAG_KILL,
+    FLAG_WRITE,
+    TraceBuffer,
+)
+from test_replay_multi import (
+    HAND_REFS,
+    SWEEP_CONFIGS,
+    make_trace as make_ref_trace,
+)
+
+# ----------------------------------------------------------------------
+# The spec battery
+# ----------------------------------------------------------------------
+
+#: Geometries chosen to cover every structural edge: one set, one way,
+#: a single fully-associative set, direct-mapped many-set, multi-word
+#: lines, and lines wider than the whole generated address range.
+GEOMETRIES = (
+    (1, 1, 1),      # the single-line cache
+    (2, 2, 1),      # one set, one way, two-word line
+    (4, 1, 4),      # one fully-associative set
+    (16, 1, 2),     # 8 sets, 2-way
+    (16, 4, 1),     # direct-mapped, 4-word lines
+    (64, 1, 4),     # the Figure 5 ladder shape
+    (8, 8, 1),      # line wider than the small address ranges below
+)
+
+#: The LRU battery: every geometry under every honor/write-policy
+#: combination.
+BATTERY = [
+    CacheConfig(
+        size_words=size,
+        line_words=lw,
+        associativity=assoc,
+        policy="lru",
+        honor_bypass=honor_bypass,
+        honor_kill=honor_kill,
+        write_policy=write_policy,
+    )
+    for size, lw, assoc in GEOMETRIES
+    for honor_bypass in (True, False)
+    for honor_kill in (True, False)
+    for write_policy in ("writeback", "writethrough")
+]
+
+#: The LRU battery plus levels the kernel never scores: other
+#: policies (one of them indexed), demoted kills and write-around.
+OUTCOME_CONFIGS = BATTERY + [
+    CacheConfig(size_words=16, associativity=2, policy="fifo"),
+    CacheConfig(size_words=16, associativity=4, policy="srrip"),
+    CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
+    CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
+    CacheConfig(size_words=16, associativity=2, allocate_on_write=False),
+]
+
+
+def policy_configs(policy):
+    """The behaviorally distinct config family for one policy name."""
+    base = dict(size_words=8, line_words=1, associativity=2, policy=policy)
+    if policy == "random":
+        base["seed"] = 17
+    return [
+        CacheConfig(**base),
+        CacheConfig(**dict(base, honor_bypass=False, honor_kill=False)),
+        CacheConfig(**dict(base, write_policy="writethrough")),
+        CacheConfig(**dict(base, allocate_on_write=False)),
+        CacheConfig(**dict(base, kill_mode="demote")),
+    ]
+
+
+MIN_CONFIGS = [
+    MinConfig(size_words=8, line_words=1, associativity=2),
+    MinConfig(size_words=8, line_words=1, associativity=2,
+              honor_kill=False),
+    MinConfig(size_words=8, line_words=1, associativity=2,
+              honor_bypass=False),
+    MinConfig(size_words=4, line_words=1, associativity=1),
+    MinConfig(size_words=16, line_words=4, associativity=2),
+    MinConfig(size_words=16, line_words=1, associativity=4,
+              kill_mode="demote"),
+]
+
+#: One fully associative Random set, and one LRU set wider than the
+#: kernel's cap (the table sends it to the scalar profiler).
+WIDE_CONFIGS = [
+    CacheConfig(size_words=8, line_words=1, associativity=8,
+                policy="random", seed=7),
+    CacheConfig(size_words=128, line_words=1,
+                associativity=VECTOR_ASSOC_CAP_LIMIT * 2),
+]
+
+
+def _unique(specs):
+    seen = {}
+    for spec in specs:
+        seen.setdefault(repr(spec), spec)
+    return list(seen.values())
+
+
+#: The union of every battery above.
+SPECS = _unique(
+    OUTCOME_CONFIGS
+    + SWEEP_CONFIGS
+    + [config for policy in POLICIES for config in policy_configs(policy)]
+    + MIN_CONFIGS
+    + WIDE_CONFIGS
+)
+
+# ----------------------------------------------------------------------
+# The trace corpus
+# ----------------------------------------------------------------------
+
+#: Every flag byte the VM can emit (modulo origin bits, which replay
+#: ignores): read/write × bypass × kill, plus ambiguity and
+#: instruction-fetch markers to prove they never perturb the math.
+FLAG_CHOICES = [
+    w | b | k
+    for w in (0, FLAG_WRITE)
+    for b in (0, FLAG_BYPASS)
+    for k in (0, FLAG_KILL)
+] + [FLAG_AMBIGUOUS, FLAG_WRITE | FLAG_AMBIGUOUS, FLAG_INSTRUCTION | 0x10]
+
+
+def make_trace(events):
+    buffer = TraceBuffer()
+    for address, flags in events:
+        buffer.append(address, flags)
+    return buffer
+
+
+traces = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from(FLAG_CHOICES)),
+    max_size=300,
+)
+
+sparse_traces = st.lists(
+    st.tuples(st.integers(0, 100000), st.sampled_from(FLAG_CHOICES)),
+    max_size=120,
+)
+
+#: One set, one way, wide lines — with bypass and kill traffic (the
+#: kernel's probe/mutation path) on every address.
+ANNOTATED_EVENTS = [
+    (address, flags)
+    for address in (0, 3, 1, 0, 7, 3, 1, 1, 0, 5, 7, 2)
+    for flags in (0, FLAG_WRITE, FLAG_KILL)
+]
+
+FUZZER_SEEDS = (3, 7, 11, 17, 23, 29, 45, 79, 91, 117)
+
+
+def fuzzer_trace(seed):
+    """The trace of one generated program, bypass/kill annotated."""
+    from repro.robustness.generator import generate_program
+    from repro.unified.pipeline import CompilationOptions, compile_source
+    from repro.vm.memory import RecordingMemory
+
+    program = compile_source(
+        generate_program(seed).source,
+        CompilationOptions(scheme="unified", promotion="aggressive"),
+    )
+    memory = RecordingMemory()
+    program.run(memory=memory)
+    return memory.buffer
+
+
+@pytest.fixture(scope="session")
+def figure5_traces():
+    from repro.evalharness.sweeps import _trace_for
+    from repro.programs import BENCHMARK_NAMES
+
+    return {name: _trace_for(name)[0] for name in BENCHMARK_NAMES}
+
+
+#: The Figure 5 traces hold 25 k to 219 k events, so they take one
+#: spec per family the report's ablations score.
+FIGURE5_SPECS = [
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="lru"),
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="fifo"),
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="random", seed=12345),
+    CacheConfig(size_words=64, line_words=1, associativity=2,
+                policy="lru", honor_bypass=False, honor_kill=False),
+    MinConfig(size_words=256, associativity=4),
+]
+
+# ----------------------------------------------------------------------
+# Exactness: every listed engine against the serial reference
+# ----------------------------------------------------------------------
+
+
+def serial(trace, spec):
+    """The reference stats: ``replay_trace``, MIN included."""
+    if isinstance(spec, MinConfig):
+        fields = asdict(spec.config)
+        del fields["policy"]
+        return replay_trace(trace, policy="min", **fields)
+    return replay_trace(trace, spec)
+
+
+def reference_hits(trace, config):
+    """``Cache.access(...) == "hit"``, event by event."""
+    cache = Cache(config, policy=policy_for_trace(trace, config))
+    return [
+        cache.access(
+            address,
+            bool(flags & FLAG_WRITE),
+            bool(flags & FLAG_BYPASS),
+            bool(flags & FLAG_KILL),
+            index=index,
+        ) == "hit"
+        for index, (address, flags) in enumerate(trace)
+    ]
+
+
+def lane_stats(name, trace, spec, presence):
+    """``spec`` scored by the lane sweep ``name``."""
+    config = spec.config if isinstance(spec, MinConfig) else spec
+    flavor = flavor_key(config, *presence)
+    line_words, honor_bypass, honor_kill, write_policy = flavor
+    args = (
+        flavor_decode(trace.to_columns(), flavor), config.num_sets,
+        [config.associativity], line_words,
+        config.kill_mode if honor_kill else "invalidate",
+        write_policy, config.allocate_on_write,
+    )
+    if name == "fifo_sweep":
+        lanes = fifo_sweep(*args)
+    elif name == "random_sweep":
+        lanes = random_sweep(*args, config.seed)
+    else:
+        assert name == "min_sweep", name
+        lanes = min_sweep(
+            *args, next_use_index(trace, line_words, honor_bypass)
+        )
+    return lanes[config.associativity]
+
+
+#: The stack-distance profilers, called as the sweep dispatcher calls
+#: them: once per ``(flavor, num_sets)`` group at its widest cap.
+PROFILERS = ("vector_profile_pass", "profile_pass")
+
+
+def assert_same(engine, spec, got, want):
+    got, want = got.as_dict(), want.as_dict()
+    assert got == want, (engine, spec, {
+        key: (want[key], got[key]) for key in want if want[key] != got[key]
+    })
+
+
+def assert_table_exact(trace, specs, masks=True):
+    """Every engine the table lists for each spec equals the oracle.
+
+    The profilers also hand the UMON consumer a distance histogram,
+    whose prefix through the associativity is the hit count, and the
+    kernel hands the level-outcome consumer a per-event hit mask for
+    its cap, held to ``Cache.access`` unless ``masks`` is false (that
+    oracle costs a second reference replay per LRU spec).
+    """
+    columns = trace.to_columns()
+    presence = flag_presence(columns)
+    groups = {}
+    multi = replay_trace_multi(trace, specs)
+    for spec, multi_stats in zip(specs, multi):
+        want = serial(trace, spec)
+        for name in stackdist.engines_for(spec, *presence, engine="auto"):
+            if name == "replay_trace_multi":
+                assert_same(name, spec, multi_stats, want)
+            elif name in PROFILERS:
+                key = (name, flavor_key(spec, *presence), spec.num_sets)
+                groups.setdefault(key, []).append((spec, want))
+            elif name != "reference":  # the oracle itself
+                assert_same(name, spec,
+                            lane_stats(name, trace, spec, presence), want)
+    for (name, flavor, num_sets), members in groups.items():
+        cap = max(spec.associativity for spec, _want in members)
+        profile, hits = profiled(name, columns, flavor, num_sets, cap)
+        histogram = profile.distance_histogram()
+        for spec, want in members:
+            assoc = spec.associativity
+            assert_same(name, spec, profile.stats_for(assoc), want)
+            assert sum(histogram[:assoc + 1]) == want.hits, (name, spec)
+            if masks and hits is not None:
+                mask = hits if assoc == cap else profiled(
+                    name, columns, flavor, num_sets, assoc
+                )[1]
+                assert mask.tolist() == reference_hits(trace, spec), spec
+
+
+def profiled(name, columns, flavor, num_sets, cap):
+    """``(profile, hits)`` from profiler ``name``; ``hits`` is the
+    kernel's per-event mask for the ``cap``-way cache (else ``None``)."""
+    if name == "profile_pass":
+        return profile_pass(columns, flavor, num_sets, cap), None
+    hits = numpy.empty(len(columns[0]), dtype=bool)
+    profile = vector_profile_pass(columns, flavor, num_sets, cap, hits=hits)
+    return profile, hits
+
+
+def test_corpus_covers_every_family():
+    """Each family row of the table is some battery spec's engine list
+    (with the kernel), and the wide LRU spec drops the kernel."""
+    lists = {
+        stackdist.engines_for(spec, True, True, engine="auto")
+        for spec in SPECS
+    }
+    rows = stackdist.ENGINE_TABLE["families"]
+    assert set(rows.values()) <= lists
+    assert rows["lru"][1:] in lists
+
+
+class TestExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(events=traces)
+    def test_dense_addresses(self, events):
+        assert_table_exact(make_trace(events), SPECS)
+
+    @settings(max_examples=30, deadline=None)
+    @given(events=sparse_traces)
+    def test_sparse_addresses(self, events):
+        # Sparse addresses almost never reuse a block, so the kernel's
+        # mask is its run collapse alone; the dense traces check masks.
+        assert_table_exact(make_trace(events), SPECS, masks=False)
+
+    def test_empty_trace(self):
+        assert_table_exact(TraceBuffer(), SPECS)
+
+    def test_hand_traces(self):
+        assert_table_exact(make_ref_trace(HAND_REFS), SPECS)
+        assert_table_exact(make_trace(ANNOTATED_EVENTS), SPECS)
+
+    @pytest.mark.parametrize("seed", FUZZER_SEEDS)
+    def test_fuzzer_traces(self, seed):
+        assert_table_exact(fuzzer_trace(seed), SPECS)
+
+    def test_figure5_traces(self, figure5_traces):
+        for trace in figure5_traces.values():
+            assert_table_exact(trace, FIGURE5_SPECS, masks=False)
+
+
+# ----------------------------------------------------------------------
+# Routing: every consumer reaches the engine the document names
+# ----------------------------------------------------------------------
+
+DOC_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "docs", "PERFORMANCE.md"
+)
+
+#: The engines the routing checks watch, by name and home module.
+ENGINES = {
+    "vector_profile_pass": "repro.cache.vectorized",
+    "profile_pass": "repro.cache.stackdist",
+    "fifo_sweep": "repro.cache.semantics",
+    "random_sweep": "repro.cache.semantics",
+    "min_sweep": "repro.cache.semantics",
+    "replay_trace_multi": "repro.cache.replay",
+}
+
+#: The override table's consumer labels.
+CONSUMERS = {
+    "sweep": "stats",
+    "hit mask": "hits",
+    "distance histogram": "histogram",
+}
+
+WIDE = VECTOR_ASSOC_CAP_LIMIT * 2
+
+#: Representative specs per override-table column; the families whose
+#: row does not split at the cap take a spec on each side of it.
+FAMILY_SPECS = {
+    "lru": [CacheConfig(size_words=16, associativity=2)],
+    "lru-wide": [CacheConfig(size_words=WIDE, associativity=WIDE)],
+    "fifo": [
+        CacheConfig(size_words=16, associativity=2, policy="fifo"),
+        CacheConfig(size_words=WIDE, associativity=WIDE, policy="fifo"),
+    ],
+    "random": [
+        CacheConfig(size_words=16, associativity=2, policy="random"),
+        CacheConfig(size_words=WIDE, associativity=WIDE, policy="random"),
+    ],
+    "min": [
+        MinConfig(size_words=16, associativity=2),
+        MinConfig(size_words=WIDE, associativity=WIDE),
+    ],
+    "other": [
+        CacheConfig(size_words=16, associativity=4, policy="srrip"),
+        CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
+        CacheConfig(size_words=16, associativity=2, allocate_on_write=False),
+        CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
+        CacheConfig(size_words=16, line_words=2, associativity=2),
+        CacheConfig(size_words=WIDE, associativity=WIDE, kill_mode="demote"),
+    ],
+}
+
+#: Carries bypass and kill bits, so the demote and two-word-line LRU
+#: specs above fall outside the stack-distance model.
+ROUTING_EVENTS = [
+    (3, 0), (5, FLAG_WRITE), (3, FLAG_KILL), (9, FLAG_BYPASS),
+    (5, 0), (3, FLAG_WRITE), (11, FLAG_WRITE | FLAG_KILL), (5, 0),
+]
+
+
+def doc_table(header):
+    """The rows of the ``docs/PERFORMANCE.md`` table under ``header``."""
+    with open(DOC_PATH, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index(header)
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+OVERRIDE_HEADER = (
+    "| `REPRO_SWEEP_ENGINE` | consumer | `lru` ≤ {0} ways "
+    "| `lru` > {0} ways | `fifo` | `random` | `min` | `other` |"
+).format(VECTOR_ASSOC_CAP_LIMIT)
+FAMILY_HEADER = (
+    "| family | specs | exact engines, in the order `auto` tries them |"
+)
+CONSUMER_HEADER = "| consumer | needs | engines that give it |"
+OVERRIDE_COLUMNS = ("lru", "lru-wide", "fifo", "random", "min", "other")
+
+
+def engine_names(cell):
+    return [name.strip().strip("`") for name in cell.split(",")]
+
+
+def override_cells():
+    """``(override, consumer, column, expected)`` per table cell."""
+    cells = []
+    for row in doc_table(OVERRIDE_HEADER):
+        override, consumer = row[0].strip("`"), CONSUMERS[row[1]]
+        for column, cell in zip(OVERRIDE_COLUMNS, row[2:]):
+            cells.append((override, consumer, column, cell.strip("`")))
+    return cells
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """Wrap every engine wherever a ``repro`` module binds it; the
+    returned list records each engine entered, in order."""
+    calls = []
+    for name, home in ENGINES.items():
+        raw = getattr(sys.modules[home], name)
+
+        def wrapper(*args, _name=name, _raw=raw, **kwargs):
+            calls.append(_name)
+            return _raw(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module is None or module_name.split(".")[0] != "repro":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def drive(consumer, spec, reached):
+    """The engines ``consumer`` enters, asked once for ``spec``.
+
+    Runs on a fresh trace (the level outcome is memoized per trace)
+    and checks the consumer's answer against the reference.
+    """
+    trace = make_trace(ROUTING_EVENTS)
+    l1_config = CacheConfig(size_words=2, associativity=1)
+    if consumer == "stats":
+        want = serial(trace, spec)
+    elif consumer == "hits":
+        want = reference_hits(trace, spec)
+    else:
+        # UMON reads the private level's outcome first: score it now.
+        level_outcome(trace, l1_config)
+    del reached[:]
+    if consumer == "stats":
+        (stats,) = replay_trace_sweep(trace, [spec])
+        assert stats == want, spec
+    elif consumer == "hits":
+        _stats, hits = level_outcome(trace, spec)
+        assert hits.tolist() == want, spec
+    else:
+        utility_curves([trace], l1_config, spec)
+    return list(reached)
+
+
+class TestRouting:
+    """Every consumer reaches the engine the override table names.
+
+    An engine may delegate to another, so the engine that scored is
+    the innermost one entered — the last recorded.  ``reference`` means
+    no engine was entered: the consumer ran the ``Cache.access`` loop.
+    """
+
+    def test_override_table_is_complete(self):
+        cells = override_cells()
+        assert {cell[:3] for cell in cells} == {
+            (override, consumer, column)
+            for override in ("auto", "stackdist", "multi")
+            for consumer in CONSUMERS.values()
+            for column in OVERRIDE_COLUMNS
+        }
+
+    @pytest.mark.parametrize("override", ["auto", "stackdist", "multi"])
+    def test_consumers_reach_the_named_engine(self, override, reached,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", override)
+        checked = 0
+        for row_override, consumer, column, expected in override_cells():
+            if row_override != override:
+                continue
+            if consumer == "hits" and column == "min":
+                continue  # a MinConfig is never a hierarchy level
+            if consumer == "histogram" and not column.startswith("lru"):
+                continue  # UMON always asks for a write-allocate LRU
+            for spec in FAMILY_SPECS[column]:
+                if expected == "ValueError":
+                    with pytest.raises(ValueError, match="cannot profile"):
+                        drive(consumer, spec, reached)
+                    continue
+                entered = drive(consumer, spec, reached)
+                if expected == "reference":
+                    assert entered == [], (consumer, spec)
+                else:
+                    assert entered[-1:] == [expected], (consumer, spec)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("override", ["auto", "multi"])
+    def test_one_sweep_over_every_family(self, override, monkeypatch):
+        """One dispatcher call spanning every family merges each
+        group's results back in request order."""
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", override)
+        trace = make_trace(ROUTING_EVENTS)
+        specs = [spec for specs in FAMILY_SPECS.values() for spec in specs]
+        for spec, stats in zip(specs, replay_trace_sweep(trace, specs)):
+            assert stats == serial(trace, spec), spec
+
+    def test_unclaimed_specs_land_on_multi_or_the_reference(
+            self, reached, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
+        for spec in FAMILY_SPECS["other"]:
+            assert drive("stats", spec, reached) == ["replay_trace_multi"]
+            assert drive("hits", spec, reached) == []
+
+
+# ----------------------------------------------------------------------
+# The document follows the table
+# ----------------------------------------------------------------------
+
+
+class TestDocumentedTables:
+    def test_family_table(self):
+        rows = {
+            row[0].strip("`"): engine_names(row[2])
+            for row in doc_table(FAMILY_HEADER)
+        }
+        assert rows == {
+            family: list(names)
+            for family, names in stackdist.ENGINE_TABLE["families"].items()
+        }
+
+    def test_consumer_table(self):
+        documented = [
+            engine_names(row[2]) for row in doc_table(CONSUMER_HEADER)
+        ]
+        assert documented == [
+            list(names)
+            for names in stackdist.ENGINE_TABLE["consumers"].values()
+        ]
+
+    def test_override_table(self):
+        for override, consumer, column, expected in override_cells():
+            for spec in FAMILY_SPECS[column]:
+                try:
+                    (got, *_rest) = stackdist.engines_for(
+                        spec, True, True, consumer, engine=override
+                    )
+                except ValueError:
+                    got = "ValueError"
+                assert got == expected, (override, consumer, column, spec)
+

@@ -30,10 +30,16 @@ from repro.cache.hierarchy import (
     level_outcome,
     parse_hierarchy,
 )
-from repro.cache.replay import policy_for_trace, replay_trace
+from repro.cache.replay import replay_trace
 from repro.errors import ReproError
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
-from test_stackdist import BATTERY, make_trace as make_event_trace, traces
+from test_engine_table import (
+    OUTCOME_CONFIGS,
+    fuzzer_trace,
+    make_trace as make_event_trace,
+    reference_hits as reference_outcome,
+    traces,
+)
 
 
 def make_trace(refs):
@@ -479,32 +485,6 @@ class TestReferenceEquivalence:
         property_()
 
 
-#: The LRU battery plus levels the kernel never scores: other
-#: policies (one of them indexed), demoted kills and write-around.
-OUTCOME_CONFIGS = BATTERY + [
-    CacheConfig(size_words=16, associativity=2, policy="fifo"),
-    CacheConfig(size_words=16, associativity=4, policy="srrip"),
-    CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
-    CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
-    CacheConfig(size_words=16, associativity=2, allocate_on_write=False),
-]
-
-
-def reference_outcome(trace, config):
-    """``Cache.access(...) == "hit"``, event by event."""
-    cache = Cache(config, policy=policy_for_trace(trace, config))
-    return [
-        cache.access(
-            address,
-            bool(flags & FLAG_WRITE),
-            bool(flags & FLAG_BYPASS),
-            bool(flags & FLAG_KILL),
-            index=index,
-        ) == "hit"
-        for index, (address, flags) in enumerate(trace)
-    ]
-
-
 def assert_outcomes_exact(trace, configs):
     for config in configs:
         want_hits = reference_outcome(trace, config)
@@ -519,20 +499,6 @@ def assert_outcomes_exact(trace, configs):
         assert list(downstream) == passed, config
 
 
-def fuzzer_trace(seed):
-    from repro.robustness.generator import generate_program
-    from repro.unified.pipeline import CompilationOptions, compile_source
-    from repro.vm.memory import RecordingMemory
-
-    program = compile_source(
-        generate_program(seed).source,
-        CompilationOptions(scheme="unified", promotion="aggressive"),
-    )
-    memory = RecordingMemory()
-    program.run(memory=memory)
-    return memory.buffer
-
-
 #: ``(REPRO_SWEEP_ENGINE, set-block budget)``: the kernel over one set
 #: block, the kernel over blocks of a few events, the reference loop.
 OUTCOME_PATHS = [
@@ -544,9 +510,10 @@ OUTCOME_PATH_IDS = ["kernel", "kernel-small-blocks", "reference"]
 
 
 class TestLevelOutcome:
-    """The per-level outcome (stats plus per-event hit mask) is exact
-    on every path: the set-major kernel, over one set block or many,
-    and the reference loop."""
+    """The per-level outcome (stats plus per-event hit mask, and the
+    filtered stream cut from it) is exact on every path: the set-major
+    kernel, over one set block or many, and the reference loop; and
+    the outcome is memoized per trace."""
 
     @pytest.mark.parametrize("engine,budget", OUTCOME_PATHS,
                              ids=OUTCOME_PATH_IDS)

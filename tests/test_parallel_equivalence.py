@@ -12,7 +12,7 @@ import pytest
 
 from repro import faultinject
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
+from repro.cache.replay import replay_trace
 from repro.evalharness.artifacts import ArtifactCache
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
@@ -21,7 +21,6 @@ from repro.evalharness.experiment import (
 )
 from repro.evalharness.figure5 import figure5_table, format_figure5
 from repro.evalharness.parallel import EvalUnit, evaluate_unit, run_units
-from repro.evalharness.sweeps import _trace_for
 from repro.programs import BENCHMARK_NAMES
 
 
@@ -113,37 +112,11 @@ class TestEngineEqualsSerial:
 
 
 class TestReplayLevelEquivalence:
-    """Serial replay vs multi-config replay on every benchmark trace."""
+    """The trace-level evaluation against the serial benchmark run.
 
-    @pytest.fixture(scope="class")
-    def traces(self):
-        return {
-            name: _trace_for(name)[0]
-            for name in BENCHMARK_NAMES
-        }
-
-    def test_all_policies_all_benchmarks(self, traces):
-        configs = [
-            CacheConfig(size_words=256, line_words=1, associativity=4,
-                        policy="lru"),
-            CacheConfig(size_words=256, line_words=1, associativity=4,
-                        policy="fifo"),
-            CacheConfig(size_words=256, line_words=1, associativity=4,
-                        policy="random", seed=12345),
-            CacheConfig(size_words=64, line_words=1, associativity=2,
-                        policy="lru", honor_bypass=False, honor_kill=False),
-        ]
-        for name, trace in traces.items():
-            serial = [replay_trace(trace, config) for config in configs]
-            min_serial = replay_trace(
-                trace, policy="min", size_words=256, associativity=4
-            )
-            multi = replay_trace_multi(
-                trace,
-                configs + [MinConfig(size_words=256, associativity=4)],
-            )
-            for expect, got in zip(serial + [min_serial], multi):
-                assert got.as_dict() == expect.as_dict(), name
+    Every engine on the six benchmark traces is held to the serial
+    replay by ``tests/test_engine_table.py``.
+    """
 
     def test_evaluate_trace_multi_matches_evaluate_trace(self,
                                                          artifact_cache):

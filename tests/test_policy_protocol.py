@@ -20,6 +20,10 @@ suite checks the contract from four angles:
   reproduced through all four engines — online :class:`Cache`, the
   data-carrying functional twin, the multi-replay core, and the
   stack-distance sweep.
+
+Every engine the engine table lists, called one by one on the same
+policy families, is held to the serial replay by
+``tests/test_engine_table.py``.
 """
 
 import json
@@ -53,7 +57,6 @@ from repro.cache.semantics import (
     UnifiedCache,
     make_policy,
     next_use_index,
-    signature_column,
 )
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.experiment import (
@@ -66,6 +69,7 @@ from repro.programs import get_benchmark
 from repro.unified.pipeline import compile_source
 from repro.vm.memory import RecordingMemory
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from test_engine_table import policy_configs, serial
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "figure5.json"
@@ -128,20 +132,6 @@ HAND_REFS = [
     (1, False, False, False),
     (3, False, False, False),
 ]
-
-
-def policy_configs(policy):
-    """The behaviorally distinct config family for one policy name."""
-    base = dict(size_words=8, line_words=1, associativity=2, policy=policy)
-    if policy == "random":
-        base["seed"] = 17
-    return [
-        CacheConfig(**base),
-        CacheConfig(**dict(base, honor_bypass=False, honor_kill=False)),
-        CacheConfig(**dict(base, write_policy="writethrough")),
-        CacheConfig(**dict(base, allocate_on_write=False)),
-        CacheConfig(**dict(base, kill_mode="demote")),
-    ]
 
 
 class TestProtocolSurface:
@@ -260,26 +250,12 @@ class TestProtocolSurface:
 class TestCrossEngineBitIdentity:
     """serial replay == multi replay == sweep dispatcher, per policy."""
 
-    def serial(self, trace, spec):
-        if isinstance(spec, MinConfig):
-            return replay_trace(
-                trace,
-                policy="min",
-                size_words=spec.config.size_words,
-                line_words=spec.config.line_words,
-                associativity=spec.config.associativity,
-                honor_bypass=spec.config.honor_bypass,
-                honor_kill=spec.config.honor_kill,
-                kill_mode=spec.config.kill_mode,
-            )
-        return replay_trace(trace, spec)
-
     def engines(self, trace, specs):
-        serial = [self.serial(trace, spec) for spec in specs]
+        wants = [serial(trace, spec) for spec in specs]
         multi = replay_trace_multi(trace, specs)
         auto = replay_trace_sweep(trace, specs, engine="auto")
         fallback = replay_trace_sweep(trace, specs, engine="multi")
-        for spec, want, a, b, c in zip(specs, serial, multi, auto, fallback):
+        for spec, want, a, b, c in zip(specs, wants, multi, auto, fallback):
             assert a.as_dict() == want.as_dict(), ("multi", spec)
             assert b.as_dict() == want.as_dict(), ("auto", spec)
             assert c.as_dict() == want.as_dict(), ("fallback", spec)

@@ -5,6 +5,9 @@ honoring, write policies, allocation policy, kill modes, multi-word
 lines, MIN — must produce bit-identical statistics whether it runs
 through :func:`replay_trace` (the reference serial path) or through
 :func:`replay_trace_multi` (the engine's shared-decode fast path).
+``tests/test_engine_table.py`` takes ``SWEEP_CONFIGS`` and the hand
+trace from here and holds every engine the engine table lists to the
+same oracle.
 """
 
 import pytest
@@ -148,14 +151,6 @@ class TestMultiEqualsSerial:
                                                 associativity=2)]
         )
         assert all(s.refs_total == 0 for s in stats)
-
-    def test_precomputed_decode_shared_across_calls(self):
-        trace = make_trace(HAND_REFS)
-        decoded = decode_trace(trace)
-        direct = replay_trace_multi(trace, [SWEEP_CONFIGS[0]])
-        shared = replay_trace_multi(trace, [SWEEP_CONFIGS[0]],
-                                    decoded=decoded)
-        assert direct[0].as_dict() == shared[0].as_dict()
 
     @given(
         refs=st.lists(

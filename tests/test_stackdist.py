@@ -9,95 +9,41 @@ combination, tiny address ranges that alias heavily, instruction bits
 — and the battery of geometries includes the degenerate shapes (one
 set, one way, fully associative, lines wider than the address range)
 where stacking bugs hide.
+
+The cases here drive the dispatcher under each ``REPRO_SWEEP_ENGINE``
+value and pin the override's own contract: three values, and
+``stackdist`` refusing what the stack-distance profiler cannot score.
+Every engine the engine table lists, called one by one, is held to the
+same oracle by ``tests/test_engine_table.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import MinConfig
 from repro.cache.stackdist import (
     _flag_presence,
     flavor_key,
     replay_trace_sweep,
     supports_stackdist,
 )
-from repro.vm.trace import (
-    FLAG_AMBIGUOUS,
-    FLAG_BYPASS,
-    FLAG_INSTRUCTION,
-    FLAG_KILL,
-    FLAG_WRITE,
-    TraceBuffer,
+from repro.vm.trace import FLAG_KILL, FLAG_WRITE, TraceBuffer
+from test_engine_table import (
+    BATTERY,
+    assert_same,
+    fuzzer_trace,
+    make_trace,
+    serial,
+    sparse_traces,
+    traces,
 )
-
-#: Geometries chosen to cover every structural edge: one set, one way,
-#: a single fully-associative set, direct-mapped many-set, multi-word
-#: lines, and lines wider than the whole generated address range.
-GEOMETRIES = (
-    (1, 1, 1),      # the single-line cache
-    (2, 2, 1),      # one set, one way, two-word line
-    (4, 1, 4),      # one fully-associative set
-    (16, 1, 2),     # 8 sets, 2-way
-    (16, 4, 1),     # direct-mapped, 4-word lines
-    (64, 1, 4),     # the Figure 5 ladder shape
-    (8, 8, 1),      # line wider than the small address ranges below
-)
-
-
-def lru_battery():
-    configs = []
-    for size, lw, assoc in GEOMETRIES:
-        for honor_bypass in (True, False):
-            for honor_kill in (True, False):
-                for write_policy in ("writeback", "writethrough"):
-                    configs.append(
-                        CacheConfig(
-                            size_words=size,
-                            line_words=lw,
-                            associativity=assoc,
-                            policy="lru",
-                            honor_bypass=honor_bypass,
-                            honor_kill=honor_kill,
-                            write_policy=write_policy,
-                        )
-                    )
-    return configs
-
-
-BATTERY = lru_battery()
-
-#: Every flag byte the VM can emit (modulo origin bits, which replay
-#: ignores): read/write × bypass × kill, plus ambiguity and
-#: instruction-fetch markers to prove they never perturb the math.
-FLAG_CHOICES = [
-    w | b | k
-    for w in (0, FLAG_WRITE)
-    for b in (0, FLAG_BYPASS)
-    for k in (0, FLAG_KILL)
-] + [FLAG_AMBIGUOUS, FLAG_WRITE | FLAG_AMBIGUOUS, FLAG_INSTRUCTION | 0x10]
-
-
-def make_trace(events):
-    buffer = TraceBuffer()
-    for address, flags in events:
-        buffer.append(address, flags)
-    return buffer
 
 
 def _assert_identical(trace, configs, engine):
     swept = replay_trace_sweep(trace, configs, engine=engine)
     for config, got in zip(configs, swept):
-        want = replay_trace(trace, config)
-        assert got.as_dict() == want.as_dict(), (
-            engine,
-            config,
-            {
-                key: (want.as_dict()[key], got.as_dict()[key])
-                for key in want.as_dict()
-                if want.as_dict()[key] != got.as_dict()[key]
-            },
-        )
+        assert_same(engine, config, got, serial(trace, config))
 
 
 def assert_sweep_matches_serial(trace, configs, engine=None):
@@ -121,12 +67,6 @@ def assert_sweep_matches_serial(trace, configs, engine=None):
     _assert_identical(trace, configs, "auto")
 
 
-traces = st.lists(
-    st.tuples(st.integers(0, 40), st.sampled_from(FLAG_CHOICES)),
-    max_size=300,
-)
-
-
 class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(events=traces)
@@ -135,15 +75,7 @@ class TestPropertyEquivalence:
         assert_sweep_matches_serial(trace, BATTERY)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.integers(0, 100000),
-                st.sampled_from(FLAG_CHOICES),
-            ),
-            max_size=120,
-        )
-    )
+    @given(events=sparse_traces)
     def test_sparse_address_space(self, events):
         trace = make_trace(events)
         assert_sweep_matches_serial(trace, BATTERY)
@@ -167,12 +99,7 @@ class TestPropertyEquivalence:
             CacheConfig(size_words=64, line_words=1, associativity=4,
                         policy="lru", write_policy="writethrough"),
         ]
-        swept = replay_trace_sweep(trace, specs, engine="auto")
-        for spec, got in zip(specs, swept):
-            if isinstance(spec, MinConfig):
-                continue  # covered by the multi-replay battery
-            want = replay_trace(trace, spec)
-            assert got.as_dict() == want.as_dict()
+        _assert_identical(trace, specs, "auto")
 
 
 class TestFuzzerTraces:
@@ -180,18 +107,7 @@ class TestFuzzerTraces:
     def test_generated_programs_round_trip(self, seed):
         """Real compiler-emitted traces (bypass/kill annotated by the
         unified pipeline) agree between the two engines."""
-        from repro.robustness.generator import generate_program
-        from repro.unified.pipeline import CompilationOptions, compile_source
-        from repro.vm.memory import RecordingMemory
-
-        generated = generate_program(seed)
-        program = compile_source(
-            generated.source,
-            CompilationOptions(scheme="unified", promotion="aggressive"),
-        )
-        memory = RecordingMemory()
-        program.run(memory=memory)
-        assert_sweep_matches_serial(memory.buffer, BATTERY)
+        assert_sweep_matches_serial(fuzzer_trace(seed), BATTERY)
 
 
 class TestEngineContract:

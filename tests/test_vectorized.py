@@ -3,22 +3,25 @@
 The contract under test mirrors ``tests/test_stackdist.py`` one level
 down: :func:`repro.cache.vectorized.vector_profile_pass` must rebuild
 the scalar profiler's :class:`StackDistanceProfile` **bit-identically**
-— same totals, same histograms, same reconstructed ``CacheStats`` for
-every associativity — whether the NumPy kernel or the scalar fallback
-ends up doing the work.  The geometry battery deliberately includes
-the degenerate shapes (one set, one way, lines wider than the address
-range) where segmented-scan bugs hide.
+— same histograms, same reconstructed ``CacheStats`` for every
+associativity — and the ``auto`` dispatcher that runs it must match
+the serial replay.  The geometry battery deliberately includes the
+degenerate shapes (one set, one way, lines wider than the address
+range) where segmented-scan bugs hide.  Above ``VECTOR_ASSOC_CAP_LIMIT``
+the kernel refuses, and the engine table sends those caps to the
+scalar profiler.  ``tests/test_engine_table.py`` runs the kernel on
+every spec the engine table lists it for.
 """
 
 from unittest import mock
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.cache import vectorized
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import MinConfig
 from repro.cache.stackdist import (
     StackDistanceProfile,
     _flag_presence,
@@ -29,14 +32,18 @@ from repro.cache.stackdist import (
 )
 from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
 from repro.vm.trace import FLAG_KILL, FLAG_WRITE, TraceBuffer
-from test_stackdist import (
+from test_engine_table import (
+    ANNOTATED_EVENTS,
     BATTERY,
-    FLAG_CHOICES,
     GEOMETRIES,
-    _assert_identical,
+    fuzzer_trace,
     make_trace,
+    serial,
+    sparse_traces,
     traces,
 )
+from test_stackdist import _assert_identical
+
 
 class TestPropertyEquivalence:
     """``engine="auto"`` versus the serial replay.
@@ -54,27 +61,14 @@ class TestPropertyEquivalence:
         _assert_identical(make_trace(events), BATTERY, "auto")
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.integers(0, 100000),
-                st.sampled_from(FLAG_CHOICES),
-            ),
-            max_size=120,
-        )
-    )
+    @given(events=sparse_traces)
     def test_sparse_address_space(self, events):
         _assert_identical(make_trace(events), BATTERY, "auto")
 
     def test_degenerate_geometries_with_annotations(self):
         """One set, one way, wide lines — with bypass and kill traffic
         (the probe/mutation path) exercised deterministically."""
-        events = []
-        for address in (0, 3, 1, 0, 7, 3, 1, 1, 0, 5, 7, 2):
-            events.append((address, 0))
-            events.append((address, FLAG_WRITE))
-            events.append((address, FLAG_KILL))
-        trace = make_trace(events)
+        trace = make_trace(ANNOTATED_EVENTS)
         degenerate = [
             CacheConfig(size_words=size, line_words=lw, associativity=assoc,
                         policy="lru", write_policy=wp)
@@ -89,18 +83,7 @@ class TestFuzzerTraces:
     def test_generated_programs_round_trip(self, seed):
         """Real compiler-emitted traces (bypass/kill annotated by the
         unified pipeline) score identically under the vector kernels."""
-        from repro.robustness.generator import generate_program
-        from repro.unified.pipeline import CompilationOptions, compile_source
-        from repro.vm.memory import RecordingMemory
-
-        generated = generate_program(seed)
-        program = compile_source(
-            generated.source,
-            CompilationOptions(scheme="unified", promotion="aggressive"),
-        )
-        memory = RecordingMemory()
-        program.run(memory=memory)
-        _assert_identical(memory.buffer, BATTERY, "auto")
+        _assert_identical(fuzzer_trace(seed), BATTERY, "auto")
 
 
 def _profile_stats(profile, assoc_cap):
@@ -108,40 +91,52 @@ def _profile_stats(profile, assoc_cap):
 
 
 class TestKernelSelection:
-    """The ``info`` side channel plus the fallback ladder."""
+    """The ``info`` side channel plus the cap the engine table enforces."""
 
     FLAVOR = (1, True, True, "writeback")
+    EVENTS = [(3, 0), (5, FLAG_WRITE), (3, FLAG_KILL), (9, 0),
+              (5, 0), (3, FLAG_WRITE), (1, FLAG_KILL | FLAG_WRITE)]
 
     def _columns(self):
-        events = [(3, 0), (5, FLAG_WRITE), (3, FLAG_KILL), (9, 0),
-                  (5, 0), (3, FLAG_WRITE), (1, FLAG_KILL | FLAG_WRITE)]
-        return make_trace(events).to_columns()
+        return make_trace(self.EVENTS).to_columns()
 
     def test_numpy_kernel_reported_and_identical(self):
         columns = self._columns()
         info = {}
         got = vector_profile_pass(columns, self.FLAVOR, 4, 4, info=info)
         want = profile_pass(columns, self.FLAVOR, 4, 4)
-        assert info["kernel"] == "numpy"
+        # Addresses 3, 5, 9 and 1 fall in sets 3 and 1 of four; the
+        # kernel reports each present set as offline or fallback.
+        assert info["offline_sets"] + info["fallback_sets"] == 2
+        assert info["fallback_events"] <= len(self.EVENTS)
         assert _profile_stats(got, 4) == _profile_stats(want, 4)
 
     def test_oversize_assoc_cap_delegates_to_scalar(self):
-        columns = self._columns()
-        info = {}
+        """Above the cap the dispatcher hands the group to the scalar
+        profiler and never enters the kernel."""
+        trace = make_trace(self.EVENTS)
         cap = VECTOR_ASSOC_CAP_LIMIT + 1
-        got = vector_profile_pass(columns, self.FLAVOR, 1, cap, info=info)
-        want = profile_pass(columns, self.FLAVOR, 1, cap)
-        assert info["kernel"] == "stackdist"
-        assert _profile_stats(got, cap) == _profile_stats(want, cap)
+        config = CacheConfig(size_words=cap, line_words=1,
+                             associativity=cap, policy="lru")
+        with mock.patch.object(vectorized, "vector_profile_pass",
+                               side_effect=AssertionError("kernel entered")):
+            (got,) = replay_trace_sweep(trace, [config], engine="auto")
+        want = profile_pass(self._columns(), self.FLAVOR, 1, cap)
+        assert got.as_dict() == want.stats_for(cap).as_dict()
+        assert got.as_dict() == serial(trace, config).as_dict()
 
     def test_hits_need_the_array_kernel(self):
-        """The scalar profiler reports no per-event outcomes, so an
-        oversize cap refuses a ``hits`` array instead of leaving it
-        unfilled."""
+        """Above the cap the kernel refuses, with or without a
+        ``hits`` array, instead of scoring some other way; the engine
+        table sends those caps to the scalar profiler."""
         with pytest.raises(ValueError, match="per-event hits"):
             vector_profile_pass(
                 self._columns(), self.FLAVOR, 1, VECTOR_ASSOC_CAP_LIMIT + 1,
                 hits=numpy.zeros(7, dtype=bool),
+            )
+        with pytest.raises(ValueError, match="assoc_cap"):
+            vector_profile_pass(
+                self._columns(), self.FLAVOR, 1, VECTOR_ASSOC_CAP_LIMIT + 1,
             )
 
     def test_flavor_key_shape_matches_kernel_contract(self):
@@ -217,12 +212,7 @@ class TestDispatch:
                         policy="lru", kill_mode="demote"),
             MinConfig(size_words=16, line_words=1, associativity=2),
         ]
-        swept = replay_trace_sweep(trace, specs, engine="auto")
-        for spec, got in zip(specs, swept):
-            if isinstance(spec, MinConfig):
-                continue  # covered by the multi-replay battery
-            want = replay_trace(trace, spec)
-            assert got.as_dict() == want.as_dict()
+        _assert_identical(trace, specs, "auto")
 
     def test_empty_trace(self):
         _assert_identical(TraceBuffer(), BATTERY, "auto")
