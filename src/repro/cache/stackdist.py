@@ -68,10 +68,14 @@ for associativity caps up to ``VECTOR_ASSOC_CAP_LIMIT``, and
 """
 
 import os
-from itertools import repeat
+from itertools import compress, repeat
+from operator import le
+
+import numpy as _np
 
 from repro.cache.replay import MinConfig, replay_trace_multi
 from repro.cache.semantics import (
+    EV_BYPASS_READ,
     EV_BYPASS_READ_KILL,
     EV_BYPASS_WRITE,
     EV_KILL_READ,
@@ -293,6 +297,20 @@ class StackDistanceProfile:
         #: histograms' totals; both hit everywhere).
         self.collapsed_hits = 0
 
+    def add_missed_probes(self, types):
+        """Record probes (an EV_* array) that miss at every associativity.
+
+        This is all the automaton does for a probe whose block is
+        absent: kill reads and bypass reads land in their miss bucket,
+        bypass writes record nothing.
+        """
+        counts = _np.bincount(types, minlength=EV_BYPASS_WRITE + 1)
+        miss_bucket = self.assoc_cap + 1
+        self.hist_kill_read[miss_bucket] += int(counts[EV_KILL_READ])
+        self.hist_bypass_read[miss_bucket] += int(
+            counts[EV_BYPASS_READ] + counts[EV_BYPASS_READ_KILL]
+        )
+
     # -- reconstruction -------------------------------------------------
 
     def stats_for(self, assoc):
@@ -425,12 +443,50 @@ def _prefix2(hist2, assoc):
 # ----------------------------------------------------------------------
 
 
+def cold_probes(blocks, types, order=None):
+    """Mask of the *cold probes* in a decoded stream.
+
+    A probe is an event that does not install its block: a kill read
+    or a bypass.  It is cold when its block has no previous event, or
+    when that event is not an install (``EV_PLAIN_READ`` /
+    ``EV_PLAIN_WRITE``).  Only an install makes a block resident and
+    every other event leaves it absent, so a cold probe misses at every
+    associativity; the profilers count it with
+    :meth:`StackDistanceProfile.add_missed_probes` instead of replaying
+    it.  Run collapse drops only installs that follow an install of
+    the same block, so the mask means the same on a collapsed stream.
+
+    ``blocks`` and ``types`` are parallel arrays in time order within
+    each set (blocks never span sets); ``order``, a stable argsort of
+    ``blocks`` that lays each block's events out in a row, saves the
+    sort when the caller has one.
+    """
+    if order is None:
+        order = _np.argsort(blocks, kind="stable")
+    chain_blocks = blocks[order]
+    chain_types = types[order]
+    after_install = _np.zeros(len(order), dtype=bool)
+    after_install[1:] = (
+        (chain_blocks[1:] == chain_blocks[:-1])
+        & (chain_types[:-1] <= EV_PLAIN_WRITE)
+    )
+    cold = _np.empty(len(order), dtype=bool)
+    cold[order] = (
+        (chain_types > EV_PLAIN_WRITE)
+        & (chain_types != EV_KILL_WRITE)
+        & ~after_install
+    )
+    return cold
+
+
 def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
     """One pass: profile ``(flavor, num_sets)`` up to ``assoc_cap``.
 
     Returns a :class:`StackDistanceProfile` from which
     :meth:`~StackDistanceProfile.stats_for` reconstructs exact stats
-    for every ``assoc <= assoc_cap``.
+    for every ``assoc <= assoc_cap``.  The collapsed stream's cold
+    probes (:func:`cold_probes`) are counted as misses; everything
+    else replays through the automaton.
     """
     line_words, _hb, _hk, write_policy = flavor
     stream = decoded
@@ -439,16 +495,20 @@ def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
     profile = StackDistanceProfile(
         num_sets, assoc_cap, line_words, write_policy, stream.constants
     )
-    runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    if runs is None:
-        events = zip(stream.blocks_list, stream.types_list, repeat(False))
-    else:
+    blocks = stream.blocks_np
+    types = stream.types_np
+    run_writes = repeat(False)
+    runs = collapse_runs(blocks, types, num_sets)
+    if runs is not None:
         profile.collapsed_hits = runs.collapsed
-        events = zip(
-            stream.blocks_np[runs.indices].tolist(),
-            stream.types_np[runs.indices].tolist(),
-            runs.run_writes,
-        )
+        blocks = blocks[runs.indices]
+        types = types[runs.indices]
+        run_writes = runs.run_writes
+    cold = cold_probes(blocks, types)
+    profile.add_missed_probes(types[cold])
+    replay = ~cold
+    events = zip(blocks[replay].tolist(), types[replay].tolist(),
+                 compress(run_writes, replay.tolist()))
     _run_general(profile, events, num_sets, assoc_cap, write_policy)
     return profile
 
@@ -456,6 +516,13 @@ def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
 def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
                  sink=None):
     """The automaton: bypass probes and kills leave holes.
+
+    Each set's stack is two parallel lists, most recent first: the
+    blocks (``None`` marks a hole) and their dirty thresholds (a
+    hole's is never read).  The block search and the first-hole search
+    are ``list.index`` calls, and the writeback-crossing scan is a
+    ``compress`` over the thresholds, so no Python step runs per stack
+    entry.
 
     ``sink``, when a list, receives one boolean per event: whether the
     ``assoc_cap``-way cache served it as a hit (the block sat in the
@@ -465,10 +532,14 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
     writeback = write_policy == "writeback"
     clean = assoc_cap + 1
     miss_bucket = assoc_cap + 1
-    sets = [[] for _ in range(num_sets)]
+    set_blocks = [[] for _ in range(num_sets)]
+    set_dirty = [[] for _ in range(num_sets)]
     #: Holes per set, so hole searches are skipped while a set has
     #: none (the common case even in unified streams).
     hole_count = [0] * num_sets
+    #: ``crossings[k]`` are the boundaries ``1..k`` that the top ``k``
+    #: entries cross when they shift down one position.
+    crossings = [range(1, k + 1) for k in range(assoc_cap + 1)]
 
     hist_cr = profile.hist_cached_read
     hist_cw = profile.hist_cached_write
@@ -484,24 +555,21 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
 
     for block, event_type, follower_wrote in iterator:
         s = block % num_sets
-        stack = sets[s]
-        pos = 0
-        for idx, entry in enumerate(stack):
-            if entry[0] == block:
-                pos = idx + 1
-                break
+        blocks = set_blocks[s]
+        pos = blocks.index(block) + 1 if block in blocks else 0
         if emit is not None:
             emit(pos != 0 and event_type <= EV_KILL_WRITE)
 
         if event_type <= EV_KILL_WRITE:
             # Through-cache reference: touch (kill-write touches then
             # invalidates; kill-read never installs).
+            dirty = set_dirty[s]
             if event_type == EV_KILL_READ:
                 if pos:
                     hist_kr[pos] += 1
                     if writeback:
-                        h2_kr[pos][stack[pos - 1][1]] += 1
-                    stack[pos - 1][0] = None
+                        h2_kr[pos][dirty[pos - 1]] += 1
+                    blocks[pos - 1] = None
                     hole_count[s] += 1
                 else:
                     hist_kr[miss_bucket] += 1
@@ -511,83 +579,68 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
             if pos == 1:
                 # MRU hit: nothing moves, no holes involved.
                 if writeback and (is_write or follower_wrote):
-                    stack[0][1] = 1
+                    dirty[0] = 1
                 if event_type == EV_PLAIN_READ:
                     hist_cr[1] += 1
                 elif event_type == EV_PLAIN_WRITE:
                     hist_cw[1] += 1
                 else:
                     hist_kw[1] += 1
-                    stack[0][0] = None
+                    blocks[0] = None
                     hole_count[s] += 1
                 continue
 
+            # The top ``top`` entries shift down one position and slot
+            # ``top`` is consumed: the block's own slot, the first hole
+            # above it, or (on a miss) the first hole or the free slot
+            # below the stack.
             if pos:
-                entry = stack[pos - 1]
-                hole = -1
+                top = pos - 1
                 if hole_count[s]:
-                    for idx in range(pos - 1):
-                        if stack[idx][0] is None:
-                            hole = idx
-                            break
-                if hole >= 0:
-                    # Fill absorbed by the hole at ``hole + 1``: the
-                    # entries above it shift; the block's old slot
-                    # becomes the migrated hole (hole count is net
-                    # unchanged).
-                    shift_prefix[hole] += 1
-                    if writeback:
-                        for q in range(hole):
-                            if stack[q][1] <= q + 1:
-                                wb_hist[q + 1] += 1
-                    stack[pos - 1] = [None, 0]
-                    del stack[hole]
+                    hole = blocks.index(None)
+                    if hole < top:
+                        # The hole absorbs the fill and the block's old
+                        # slot becomes the migrated hole (the hole count
+                        # is net unchanged).
+                        blocks[top] = None
+                        top = hole
+                if not writeback:
+                    threshold = clean
+                elif is_write or follower_wrote:
+                    threshold = 1
                 else:
-                    shift_prefix[pos - 1] += 1
-                    if writeback:
-                        for q in range(pos - 1):
-                            if stack[q][1] <= q + 1:
-                                wb_hist[q + 1] += 1
-                    del stack[pos - 1]
-                if writeback:
-                    if is_write or follower_wrote:
-                        entry[1] = 1
-                    elif entry[1] < pos:
-                        entry[1] = pos
-                stack.insert(0, entry)
+                    threshold = max(dirty[pos - 1], pos)
                 record = pos
             else:
                 # Cold (or previously invalidated/fallen-off) install.
                 if hole_count[s]:
-                    for idx, entry in enumerate(stack):
-                        if entry[0] is None:
-                            hole = idx
-                            break
-                    shift_prefix[hole] += 1
-                    if writeback:
-                        for q in range(hole):
-                            if stack[q][1] <= q + 1:
-                                wb_hist[q + 1] += 1
-                    del stack[hole]
+                    top = blocks.index(None)
                     hole_count[s] -= 1
                 else:
-                    depth = len(stack)
-                    shift_prefix[depth] += 1
-                    if writeback:
-                        for q in range(depth):
-                            if stack[q][1] <= q + 1:
-                                wb_hist[q + 1] += 1
-                    if depth == assoc_cap:
-                        # The bottom entry falls past the deepest
-                        # profiled cache; its eviction is already in
-                        # the prefix count.
-                        del stack[-1]
-                dirty = (
+                    top = len(blocks)
+                threshold = (
                     1 if (is_write or follower_wrote) and writeback
                     else clean
                 )
-                stack.insert(0, [block, dirty])
                 record = miss_bucket
+            shift_prefix[top] += 1
+            if writeback and top:
+                # Entry ``q`` crosses the ``q -> q+1`` boundary: a
+                # writeback from the ``assoc == q`` cache when dirty
+                # there.
+                span = crossings[top]
+                for q in compress(span, map(le, dirty, span)):
+                    wb_hist[q] += 1
+            if top < len(blocks):
+                del blocks[top]
+                del dirty[top]
+            elif top == assoc_cap:
+                # The bottom entry falls past the deepest profiled
+                # cache; its eviction is already in the prefix count.
+                del blocks[-1]
+                del dirty[-1]
+            blocks.insert(0, block)
+            dirty.insert(0, threshold)
 
             if event_type == EV_PLAIN_READ:
                 hist_cr[record] += 1
@@ -595,7 +648,7 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
                 hist_cw[record] += 1
             else:
                 hist_kw[record] += 1
-                stack[0][0] = None
+                blocks[0] = None
                 hole_count[s] += 1
             continue
 
@@ -603,18 +656,18 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
         if event_type == EV_BYPASS_WRITE:
             if pos:
                 hist_bw[pos] += 1
-                stack[pos - 1][0] = None
+                blocks[pos - 1] = None
                 hole_count[s] += 1
             continue
         if pos:
             hist_br[pos] += 1
             if writeback:
-                d = stack[pos - 1][1]
+                d = set_dirty[s][pos - 1]
                 if event_type == EV_BYPASS_READ_KILL:
                     h2_brk[pos][d] += 1
                 else:
                     h2_brn[pos][d] += 1
-            stack[pos - 1][0] = None
+            blocks[pos - 1] = None
             hole_count[s] += 1
         else:
             hist_br[miss_bucket] += 1

@@ -28,13 +28,17 @@ exact profile with NumPy array kernels over the columnar trace that
   kills) read the age matrix without driving it.  A probe that would
   *hit* — and a kill-write, which always invalidates — mutates the
   recency state in ways the offline matrix does not model, so its set
-  is flagged and that whole set's events are replayed through the
-  exact hole-stack automaton (:func:`repro.cache.stackdist._run_general`)
+  is flagged and that set's events are replayed through the exact
+  hole-stack automaton (:func:`repro.cache.stackdist._run_general`)
   instead.  The flag is sound: the first mutating event of a set is
   classified under a still-valid no-mutation history, and everything
   after it in that set is recomputed sequentially.  Measured on the
   six Figure 5 benchmarks, 0-42 % of a unified stream's events live in
-  flagged sets; conventional flavors carry no probes at all.
+  flagged sets; conventional flavors carry no probes at all.  A
+  flagged set's *cold probes* (:func:`repro.cache.stackdist.cold_probes`:
+  no install since the block's last event) are known misses and are
+  counted without the automaton, from the chain order the kernel
+  already sorts.
 
 * **Dirty thresholds and writebacks as gap algebra.**  Between two
   touches of a block its dirty threshold ``D`` is constant and its
@@ -54,9 +58,10 @@ exact profile with NumPy array kernels over the columnar trace that
 * **Per-event hits.**  For the cache at the cap associativity an
   event's outcome falls out of the same pass: a collapsed run
   follower hits, an offline-set head hits when it goes through the
-  cache at stack distance ``<= assoc_cap``, and a flagged-set head
-  takes the outcome the automaton reports.  The hierarchy layer reads
-  these masks (:func:`repro.cache.hierarchy.level_outcome`).
+  cache at stack distance ``<= assoc_cap``, a cold probe misses, and
+  every other flagged-set head takes the outcome the automaton
+  reports.  The hierarchy layer reads these masks
+  (:func:`repro.cache.hierarchy.level_outcome`).
 
 The result is a :class:`repro.cache.stackdist.StackDistanceProfile`
 whose every field is bit-identical to :func:`profile_pass` — the
@@ -72,9 +77,6 @@ vectorized kernel") has the derivation and measured speedups.
 import numpy as _np
 
 from repro.cache.semantics import (
-    EV_BYPASS_READ,
-    EV_BYPASS_READ_KILL,
-    EV_KILL_READ,
     EV_KILL_WRITE,
     EV_PLAIN_WRITE,
     collapse_runs_sorted,
@@ -84,6 +86,7 @@ from repro.cache.stackdist import (
     VECTOR_ASSOC_CAP_LIMIT,
     StackDistanceProfile,
     _run_general,
+    cold_probes,
 )
 
 #: Most events one set block may hold.  The kernel walks the set-major
@@ -303,16 +306,14 @@ def _profile_block(profile, stream, num_sets, assoc_cap, write_policy,
     _add_list(profile.hist_cached_write, bc_w)
     _add_list(profile.hist_cached_read, bc_r)
 
-    # Offline probes are all misses (a hit would have flagged the
-    # set): kill reads and bypass reads record their miss bucket,
-    # bypass writes record nothing.
-    gq = probe & good
-    profile.hist_kill_read[miss_bucket] += int(
-        (gq & (st == EV_KILL_READ)).sum()
-    )
-    profile.hist_bypass_read[miss_bucket] += int(
-        (gq & ((st == EV_BYPASS_READ) | (st == EV_BYPASS_READ_KILL))).sum()
-    )
+    # Probes that miss without a replay: every probe of an offline set
+    # (a hit would have flagged the set) and every cold probe of a
+    # flagged set (its block is absent, see ``cold_probes``).  The
+    # rest of a flagged set replays through the automaton below.
+    settled = good
+    if fallback_sets:
+        settled = good | cold_probes(sb, st, corder)
+    profile.add_missed_probes(st[probe & settled])
 
     # Evictions: per-event shift widths.  A hit at position p shifts
     # the p-1 entries above it (MRU hits shift nothing); an install
@@ -376,11 +377,12 @@ def _profile_block(profile, stream, num_sets, assoc_cap, write_policy,
     if hits is not None:
         head_hit = plain & (pos <= cap)
 
-    # Flagged sets: replay their events — still set-major, so each
-    # set's slice is in time order — through the exact automaton into
-    # the same additive profile.
+    # Flagged sets: replay their unsettled events — still set-major, so
+    # each set's slice is in time order — through the exact automaton
+    # into the same additive profile.  Settled probes keep the miss
+    # ``head_hit`` already holds for them.
     if fallback_sets:
-        bi = _np.flatnonzero(~good)
+        bi = _np.flatnonzero(~settled)
         sink = None if head_hit is None else []
         _run_general(
             profile,

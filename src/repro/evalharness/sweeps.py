@@ -216,18 +216,21 @@ def policy_zoo_sweep(
 
 
 def kill_bit_ablation(name, base=DEFAULT_CACHE, paper_scale=False,
-                      sizes=(32, 64, 128, 256), options=None,
+                      sizes=(32, 64, 128, 256),
+                      modes=("invalidate", "demote", "off"), options=None,
                       artifact_cache=None):
     """Kill bits on/off and invalidate-vs-demote (Section 3.2).
 
     Small caches make the LRU-decay waste visible: without kill bits a
     dead line occupies a slot for O(associativity) further misses.
+    One row per ``(size, mode)`` cell, sizes outermost; ``modes`` picks
+    among ``"invalidate"``, ``"demote"`` and ``"off"``.
     """
     trace, _program = _trace_for(name, paper_scale, options, artifact_cache)
     cells = []
     specs = []
     for size in sizes:
-        for mode in ("invalidate", "demote", "off"):
+        for mode in modes:
             specs.append(
                 _variant(
                     base,

@@ -14,7 +14,9 @@ from it.  This file holds the table to both of its promises:
   kernel's per-event hit mask equals ``Cache.access(...) == "hit"``
   event by event, and each profiler's distance histogram reproduces
   the hit count.  Every engine is called explicitly, so the result
-  does not depend on the ambient ``REPRO_SWEEP_ENGINE``.
+  does not depend on the ambient ``REPRO_SWEEP_ENGINE``.  Both
+  profilers are also held to what they hand the hole-stack automaton:
+  never a cold probe, whose miss is known in advance.
 * **Routing.**  Each consumer — the sweep dispatcher, the hierarchy's
   level outcome, the UMON curves — reaches the engine that the
   override table in ``docs/PERFORMANCE.md`` names, for every family,
@@ -27,12 +29,13 @@ from it.  This file holds the table to both of its promises:
 import os
 import sys
 from dataclasses import asdict
+from unittest import mock
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import stackdist
+from repro.cache import stackdist, vectorized
 from repro.cache.cache import POLICIES, Cache, CacheConfig
 from repro.cache.hierarchy import level_outcome
 from repro.cache.multicore import utility_curves
@@ -43,6 +46,9 @@ from repro.cache.replay import (
     replay_trace_multi,
 )
 from repro.cache.semantics import (
+    EV_KILL_WRITE,
+    EV_PLAIN_READ,
+    EV_PLAIN_WRITE,
     fifo_sweep,
     flag_presence,
     flavor_decode,
@@ -195,6 +201,26 @@ sparse_traces = st.lists(
     st.tuples(st.integers(0, 100000), st.sampled_from(FLAG_CHOICES)),
     max_size=120,
 )
+
+#: Probe-heavy traces: episodes of up to four events on one address,
+#: mostly bypasses, mixed with the installs, kill reads and kill-writes
+#: that leave a later probe warm or cold (reinstalls after kills, probes
+#: after kill-writes).  Sixteen addresses put bypassed and cached words
+#: in the same block under four-word lines.
+PROBE_FLAGS = (
+    [FLAG_BYPASS, FLAG_BYPASS | FLAG_KILL, FLAG_BYPASS | FLAG_WRITE] * 2
+    + [0, FLAG_WRITE, FLAG_KILL, FLAG_WRITE | FLAG_KILL]
+)
+
+probe_traces = st.lists(
+    st.tuples(
+        st.integers(0, 15),
+        st.lists(st.sampled_from(PROBE_FLAGS), min_size=1, max_size=4),
+    ),
+    max_size=80,
+).map(lambda episodes: [
+    (address, flags) for address, run in episodes for flags in run
+])
 
 #: One set, one way, wide lines — with bypass and kill traffic (the
 #: kernel's probe/mutation path) on every address.
@@ -382,6 +408,11 @@ class TestExactness:
         # mask is its run collapse alone; the dense traces check masks.
         assert_table_exact(make_trace(events), SPECS, masks=False)
 
+    @settings(max_examples=40, deadline=None)
+    @given(events=probe_traces)
+    def test_probe_heavy(self, events):
+        assert_table_exact(make_trace(events), SPECS)
+
     def test_empty_trace(self):
         assert_table_exact(TraceBuffer(), SPECS)
 
@@ -396,6 +427,95 @@ class TestExactness:
     def test_figure5_traces(self, figure5_traces):
         for trace in figure5_traces.values():
             assert_table_exact(trace, FIGURE5_SPECS, masks=False)
+
+
+# ----------------------------------------------------------------------
+# Cold probes never reach the automaton
+# ----------------------------------------------------------------------
+
+INSTALLS = (EV_PLAIN_READ, EV_PLAIN_WRITE)
+
+
+def automaton_inputs(trace, specs):
+    """The events each automaton call receives from both profilers.
+
+    Runs ``profile_pass`` and ``vector_profile_pass`` (with a hit mask,
+    so the sink path runs too) once per group of the LRU ``specs`` in
+    the stack-distance model, with ``_run_general`` wrapped wherever a
+    profiler binds it.
+    """
+    columns = trace.to_columns()
+    presence = flag_presence(columns)
+    caps = {}
+    for spec in specs:
+        if (isinstance(spec, CacheConfig)
+                and stackdist.supports_stackdist(spec, *presence)):
+            key = (flavor_key(spec, *presence), spec.num_sets)
+            caps[key] = max(caps.get(key, 0), spec.associativity)
+    calls = []
+    real = stackdist._run_general
+
+    def automaton(profile, iterator, *args, **kwargs):
+        events = list(iterator)
+        calls.append(events)
+        return real(profile, iter(events), *args, **kwargs)
+
+    with mock.patch.object(stackdist, "_run_general", automaton), \
+            mock.patch.object(vectorized, "_run_general", automaton):
+        for (flavor, num_sets), cap in caps.items():
+            for name in PROFILERS:
+                profiled(name, columns, flavor, num_sets, cap)
+    return calls
+
+
+def assert_no_cold_probes(trace, specs=BATTERY):
+    """Every probe the automaton receives follows an install.
+
+    One call holds whole sets and a block never spans sets, so a block's
+    previous event within a call is its previous replayed event.  A
+    warm probe's previous event is an install, which always replays; a
+    cold probe that slipped through would follow no event, a probe or
+    a kill-write instead.  Returns how many probes were checked.
+    """
+    checked = 0
+    for events in automaton_inputs(trace, specs):
+        previous = {}
+        for index, (block, event_type, _wrote) in enumerate(events):
+            if event_type not in INSTALLS and event_type != EV_KILL_WRITE:
+                assert previous.get(block) in INSTALLS, (
+                    index, block, event_type, previous.get(block)
+                )
+                checked += 1
+            previous[block] = event_type
+    return checked
+
+
+class TestColdProbes:
+    @settings(max_examples=40, deadline=None)
+    @given(events=probe_traces)
+    def test_probe_heavy(self, events):
+        assert_no_cold_probes(make_trace(events))
+
+    @settings(max_examples=20, deadline=None)
+    @given(events=traces)
+    def test_dense_addresses(self, events):
+        assert_no_cold_probes(make_trace(events))
+
+    def test_hand_traces(self):
+        assert_no_cold_probes(make_ref_trace(HAND_REFS))
+        assert_no_cold_probes(make_trace(ANNOTATED_EVENTS))
+
+    @pytest.mark.parametrize("seed", FUZZER_SEEDS)
+    def test_fuzzer_traces(self, seed):
+        assert_no_cold_probes(fuzzer_trace(seed))
+
+    def test_figure5_traces(self, figure5_traces):
+        # The report's unified streams do hand the automaton warm
+        # probes, so the wrapped automaton is the one the profilers call.
+        assert sum(
+            assert_no_cold_probes(trace, FIGURE5_SPECS)
+            for trace in figure5_traces.values()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,15 @@
 
 import pytest
 
+import repro.cache.stackdist as stackdist
+import repro.evalharness.sweeps as sweeps
 import repro.programs.registry as registry
-from repro.evalharness.fullreport import build_report, format_failures, main
+from repro.evalharness.fullreport import (
+    build_report,
+    format_failures,
+    kill_section,
+    main,
+)
 
 
 class TestReport:
@@ -29,6 +36,41 @@ class TestReport:
         assert main(["--fast", "--seed", "7", "--max-steps",
                      "100000000"]) == 0
         assert "Reproduction report" in capsys.readouterr().out
+
+
+class TestKillSection:
+    def test_scores_only_the_printed_cells(self, monkeypatch):
+        """E5 asks the sweep dispatcher for the six (size, mode) cells
+        it prints, all inside the stack-distance model, so nothing
+        falls back to the multi-replay."""
+        monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
+        swept = []
+        multi_calls = []
+        real_sweep = sweeps.replay_trace_sweep
+        real_multi = stackdist.replay_trace_multi
+
+        def sweep(trace, specs, *args, **kwargs):
+            specs = list(specs)
+            swept.extend(specs)
+            return real_sweep(trace, specs, *args, **kwargs)
+
+        def multi(trace, specs, *args, **kwargs):
+            multi_calls.append(specs)
+            return real_multi(trace, specs, *args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "replay_trace_sweep", sweep)
+        monkeypatch.setattr(stackdist, "replay_trace_multi", multi)
+        kill_section()
+        cells = [
+            (spec.size_words, spec.kill_mode if spec.honor_kill else "off")
+            for spec in swept
+        ]
+        assert cells == [
+            (size, mode)
+            for size in (32, 64, 256)
+            for mode in ("invalidate", "off")
+        ]
+        assert multi_calls == []
 
 
 @pytest.fixture
