@@ -9,13 +9,13 @@ the data-carrying functional twin, the multi-configuration replay and
 the offline MIN simulator all drive that one method, so a policy or a
 semantic rule changes once for all of them.
 
-Four one-pass engines re-derive the same transfer function for speed
+Five one-pass engines re-derive the same transfer function for speed
 instead of calling it: the hole-stack automaton
 (:func:`repro.cache.stackdist._run_general`), the set-major kernel
 (:func:`repro.cache.vectorized.vector_profile_pass`), and this
-module's lane walk (:func:`_lane_sweep`, behind :func:`fifo_sweep` and
-:func:`random_sweep`) and :func:`min_sweep`.  Each is held
-bit-identical to :class:`UnifiedCache` (through
+module's lane walks: :func:`_lane_sweep` (behind :func:`fifo_sweep`
+and :func:`random_sweep`), :func:`min_sweep` and :func:`rrip_sweep`.
+Each is held bit-identical to :class:`UnifiedCache` (through
 :func:`repro.cache.replay.replay_trace`) by the engine-table
 conformance test, ``tests/test_engine_table.py``, on every spec the
 engine table (:data:`repro.cache.stackdist.ENGINE_TABLE`) lists it
@@ -33,8 +33,8 @@ Three layers:
 * **Batch drivers** — :func:`replay_decoded` (one config, optionally
   fronted by the same-block run collapse), and the single-pass
   multi-associativity sweeps :func:`fifo_sweep` /
-  :func:`random_sweep` / :func:`min_sweep` that score a whole
-  geometry column in one walk of the stream.
+  :func:`random_sweep` / :func:`min_sweep` / :func:`rrip_sweep` that
+  score a whole geometry column in one walk of the stream.
 
 The contract between every pair of engines is bit-identical
 :class:`~repro.cache.stats.CacheStats`, never approximately-equal.
@@ -489,6 +489,72 @@ HAWKEYE_INIT = 4
 SIGNATURE_MASK = 0x7F
 
 
+def _duel_roles(num_sets):
+    """DRRIP's per-set dueling role: ``"srrip"``/``"brrip"``/``None``.
+
+    Leader sets sit every ``DUEL_PERIOD`` sets, clamped to the
+    geometry: phase 0 duels for SRRIP, the opposite phase for BRRIP.
+    """
+    period = min(num_sets, DUEL_PERIOD)
+    roles = []
+    for set_index in range(num_sets):
+        phase = set_index % period
+        if phase == 0:
+            roles.append("srrip")
+        elif period >= 2 and phase == period // 2:
+            roles.append("brrip")
+        else:
+            roles.append(None)
+    return roles
+
+
+def _bimodal_insert(throttle, set_index):
+    """BRRIP's insertion RRPV: long every ``BRRIP_THROTTLE``-th install
+    in the set (``throttle`` holds the per-set install counts)."""
+    count = throttle[set_index]
+    throttle[set_index] = count + 1
+    return RRPV_LONG if count % BRRIP_THROTTLE == 0 else RRPV_MAX
+
+
+def _duel_insert(role, psel, throttle, set_index):
+    """DRRIP's insertion RRPV for one install, and the PSEL after it.
+
+    A leader install charges PSEL against its side and inserts as that
+    side would; a follower inserts BRRIP-style while PSEL sits above
+    its midpoint, SRRIP-style otherwise.
+    """
+    if role == "srrip":
+        return RRPV_LONG, min(psel + 1, PSEL_MAX)
+    if role == "brrip":
+        return _bimodal_insert(throttle, set_index), max(psel - 1, 0)
+    if psel > PSEL_INIT:
+        return _bimodal_insert(throttle, set_index), psel
+    return RRPV_LONG, psel
+
+
+def _optgen(shadow, counters, assoc, block, sig, position):
+    """One access through Hawkeye's shadow OPT set; trains ``counters``.
+
+    ``shadow`` is one set's ``{block: next-use position}`` dict with
+    :class:`MinPolicy`'s victim order: farthest next use, the first in
+    insertion order on infinity ties (``max`` keeps the first maximum).
+    A shadow hit trains ``sig`` cache-friendly, a miss averse.  Returns
+    whether the shadow hit.
+    """
+    count = counters.get(sig, HAWKEYE_INIT)
+    hit = block in shadow
+    if hit:
+        if count < HAWKEYE_MAX:
+            counters[sig] = count + 1
+    else:
+        if count > 0:
+            counters[sig] = count - 1
+        if len(shadow) >= assoc:
+            del shadow[max(shadow, key=shadow.__getitem__)]
+    shadow[block] = position
+    return hit
+
+
 def signature_column(trace):
     """Per-event static reference signatures for a trace.
 
@@ -883,9 +949,7 @@ class BRRIPPolicy(_RRIPPolicy):
         self._throttle = [0] * config.num_sets
 
     def _insert(self, set_index, sig, index):
-        count = self._throttle[set_index]
-        self._throttle[set_index] = count + 1
-        return RRPV_LONG if count % BRRIP_THROTTLE == 0 else RRPV_MAX
+        return _bimodal_insert(self._throttle, set_index)
 
 
 class DRRIPPolicy(_RRIPPolicy):
@@ -909,36 +973,14 @@ class DRRIPPolicy(_RRIPPolicy):
         num_sets = config.num_sets
         self._throttle = [0] * num_sets
         self._psel = PSEL_INIT
-        period = min(num_sets, DUEL_PERIOD)
-        roles = []
-        for set_index in range(num_sets):
-            phase = set_index % period
-            if phase == 0:
-                roles.append("srrip")
-            elif period >= 2 and phase == period // 2:
-                roles.append("brrip")
-            else:
-                roles.append(None)
-        self._roles = roles
+        self._roles = _duel_roles(num_sets)
         self.monitor = {"srrip": {}, "brrip": {}}
 
     def _insert(self, set_index, sig, index):
-        role = self._roles[set_index]
-        if role == "srrip":
-            if self._psel < PSEL_MAX:
-                self._psel += 1
-            brrip = False
-        elif role == "brrip":
-            if self._psel > 0:
-                self._psel -= 1
-            brrip = True
-        else:
-            brrip = self._psel > PSEL_INIT
-        if not brrip:
-            return RRPV_LONG
-        count = self._throttle[set_index]
-        self._throttle[set_index] = count + 1
-        return RRPV_LONG if count % BRRIP_THROTTLE == 0 else RRPV_MAX
+        rrpv, self._psel = _duel_insert(
+            self._roles[set_index], self._psel, self._throttle, set_index
+        )
+        return rrpv
 
     def _on_hit(self, entry, index):
         role = self._roles[entry[_WAY_SET]]
@@ -1047,32 +1089,11 @@ class HawkeyePolicy(_RRIPPolicy):
 
     def _optgen(self, set_index, block, index):
         """One access through the shadow OPT; trains the predictor."""
-        shadow = self._shadow[set_index]
-        sig = self._signatures[index]
-        counters = self._predictor
-        count = counters.get(sig, HAWKEYE_INIT)
         self.optgen_refs += 1
-        if block in shadow:
+        if _optgen(self._shadow[set_index], self._predictor,
+                   self._shadow_assoc, block, self._signatures[index],
+                   self._next_use[index]):
             self.optgen_hits += 1
-            if count < HAWKEYE_MAX:
-                counters[sig] = count + 1
-        else:
-            if count > 0:
-                counters[sig] = count - 1
-            if len(shadow) >= self._shadow_assoc:
-                # MinPolicy's victim order: farthest next use, first
-                # strict winner on infinity ties (insertion order).
-                victim_block = None
-                victim_key = None
-                for resident, position in shadow.items():
-                    key = (
-                        -position if position != _INFINITY else -_INFINITY
-                    )
-                    if victim_key is None or key < victim_key:
-                        victim_key = key
-                        victim_block = resident
-                del shadow[victim_block]
-        shadow[block] = self._next_use[index]
 
 
 _POLICY_CLASSES = {
@@ -1090,6 +1111,10 @@ _POLICY_CLASSES = {
 #: (next-use index and/or signature column) — drivers build these
 #: through :func:`make_policy` before replaying.
 PREDICTOR_POLICIES = ("ship", "hawkeye")
+
+#: The RRIP family: every policy whose victim is the RRPV frontier.
+#: :func:`rrip_sweep` scores them all.
+RRIP_POLICIES = ("srrip", "brrip", "drrip", "ship", "hawkeye")
 
 
 def policy_collapse_safe(name):
@@ -1539,16 +1564,18 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     runs = None
     if allocate_on_write:
         runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    blocks = stream.blocks_list
-    types = stream.types_list
+    # Plain lists built here and dropped with the walk: no tuple per
+    # event, and no whole-stream list cached on the stream.
     if runs is not None:
-        events = [
-            (blocks[i], types[i], wrote)
-            for i, wrote in zip(runs.indices_list, runs.run_writes)
-        ]
+        events = zip(
+            stream.blocks_np[runs.indices].tolist(),
+            stream.types_np[runs.indices].tolist(),
+            runs.run_writes,
+        )
         collapsed = runs.collapsed
     else:
-        events = zip(blocks, types, _false_forever())
+        events = zip(stream.blocks_np.tolist(), stream.types_np.tolist(),
+                     _repeat(False))
         collapsed = 0
 
     uniq = sorted(set(assocs))
@@ -1899,6 +1926,224 @@ def _min_evict(lines, counters, line_words):
         counters[_C_WORDS_TO] += line_words
 
 
-def _false_forever():
-    while True:
-        yield False
+# RRIP lane entry slots after the shared dirty/dead/stamp prefix.
+_LANE_RRPV = 3
+_LANE_SIG = 4
+_LANE_OUTCOME = 5
+
+
+def rrip_sweep(stream, num_sets, assocs, line_words, kill_mode,
+               write_policy, allocate_on_write, policy, signatures=None,
+               next_use=None):
+    """Score every associativity of one RRIP-family group in one pass.
+
+    ``policy`` is one of :data:`RRIP_POLICIES`.  SHiP and Hawkeye also
+    read the trace's ``signatures`` (:func:`signature_column`), and
+    Hawkeye its ``next_use`` index (:func:`next_use_index` for the
+    flavor's line size and bypass honoring).  Each lane (one
+    associativity) keeps per-set ``{block: entry}`` dicts and its own
+    predictor state: the DRRIP PSEL and BRRIP throttles, the SHiP
+    counters, the Hawkeye counters and shadow OPT sets.
+
+    Dicts are exact because no RRIP-family victim choice reads way
+    order.  A dead line goes first, smallest stamp among the dead; else
+    the set ages to the RRPV frontier and the smallest stamp there
+    goes.  Stamps are the event index of a line's last touch, so they
+    are unique.  The walk is uncollapsed, as :class:`UnifiedCache`
+    replays these policies: hit promotion and predictor training are
+    not idempotent within a same-block run.  Returns
+    ``{assoc: CacheStats}``.
+    """
+    if policy not in RRIP_POLICIES:
+        raise ValueError("not an RRIP-family policy: {!r}".format(policy))
+    ship = policy == "ship"
+    hawkeye = policy == "hawkeye"
+    if (ship or hawkeye) and signatures is None:
+        raise ValueError("the {} policy needs a signature column".format(
+            policy))
+    if hawkeye and next_use is None:
+        raise ValueError("the hawkeye policy needs a next-use index")
+    writethrough = write_policy == "writethrough"
+    kill_invalidates = kill_mode == "invalidate" and line_words == 1
+    roles = _duel_roles(num_sets) if policy == "drrip" else None
+    bimodal = policy == "brrip"
+    counts = stream.constants["counts"]
+    # Only a demoting kill leaves a dead line behind.
+    demotes = not kill_invalidates and bool(
+        counts[EV_KILL_READ] + counts[EV_KILL_WRITE]
+    )
+
+    # A lane: (assoc, sets, counters, predictor counters, shadow sets,
+    # per-set BRRIP throttle, [PSEL]).
+    lanes = [
+        (assoc, [{} for _ in range(num_sets)], [0] * _C_SLOTS, {},
+         [{} for _ in range(num_sets)] if hawkeye else None,
+         [0] * num_sets, [PSEL_INIT])
+        for assoc in sorted(set(assocs))
+    ]
+
+    def miss(lane, lines, set_index, block, event_type, index):
+        """A through-cache miss: serve around, write around, or install
+        (evicting from a full set), then honor a kill."""
+        assoc, _sets, c, table, shadows, throttle, psel = lane
+        c[_C_MISSES] += 1
+        is_write = event_type & 1  # the EV_*_WRITE codes are odd
+        if is_write:
+            if not allocate_on_write:
+                if not writethrough:
+                    c[_C_WORDS_TO] += 1
+                return
+            if line_words != 1:
+                c[_C_WORDS_FROM] += line_words
+        elif event_type == EV_KILL_READ:
+            c[_C_KILLS] += 1
+            c[_C_WORDS_FROM] += 1
+            return
+        else:
+            c[_C_WORDS_FROM] += line_words
+        if len(lines) >= assoc:
+            victim = lines.pop(_rrip_victim(lines, demotes))
+            c[_C_EVICTIONS] += 1
+            if victim[0]:
+                c[_C_WRITEBACKS] += 1
+                c[_C_WORDS_TO] += line_words
+            victim_sig = victim[_LANE_SIG]
+            if ship and victim_sig is not None and not victim[_LANE_OUTCOME]:
+                count = table.get(victim_sig, SHCT_INIT)
+                if count > 0:
+                    table[victim_sig] = count - 1
+        sig = None
+        if hawkeye:
+            sig = signatures[index]
+            _optgen(shadows[set_index], table, assoc, block, sig,
+                    next_use[index])
+            friendly = table.get(sig, HAWKEYE_INIT) >= HAWKEYE_INIT
+            rrpv = 0 if friendly else RRPV_MAX
+        elif ship:
+            sig = signatures[index]
+            rrpv = RRPV_MAX if table.get(sig, SHCT_INIT) == 0 else RRPV_LONG
+        elif roles is not None:
+            rrpv, psel[0] = _duel_insert(roles[set_index], psel[0],
+                                         throttle, set_index)
+        elif bimodal:
+            rrpv = _bimodal_insert(throttle, set_index)
+        else:
+            rrpv = RRPV_LONG
+        entry = [bool(is_write) and not writethrough, False, index, rrpv,
+                 sig, False]
+        lines[block] = entry
+        if event_type == EV_KILL_WRITE:
+            kill(c, lines, block, entry)
+
+    def kill(c, lines, block, entry):
+        """Retire a dead value after its final touch."""
+        c[_C_KILLS] += 1
+        if kill_invalidates:
+            if entry[0]:
+                c[_C_DEAD_DROPS] += 1
+            del lines[block]
+            c[_C_DEAD_FREES] += 1
+        else:
+            entry[1] = True
+            entry[_LANE_RRPV] = RRPV_MAX
+            entry[_LANE_SIG] = None
+
+    for index, (block, event_type) in enumerate(
+        zip(stream.blocks_np.tolist(), stream.types_np.tolist())
+    ):
+        set_index = block % num_sets
+        if event_type <= EV_KILL_WRITE:
+            for lane in lanes:
+                lines = lane[1][set_index]
+                entry = lines.get(block)
+                if entry is None:
+                    miss(lane, lines, set_index, block, event_type, index)
+                    continue
+                # A hit (counted at the end): stamp, promote to RRPV 0,
+                # train the predictor.
+                if event_type & 1 and not writethrough:
+                    entry[0] = True
+                entry[1] = False
+                entry[2] = index
+                entry[_LANE_RRPV] = 0
+                if ship:
+                    entry_sig = entry[_LANE_SIG]
+                    if entry_sig is not None:
+                        entry[_LANE_OUTCOME] = True
+                        table = lane[3]
+                        count = table.get(entry_sig, SHCT_INIT)
+                        if count < SHCT_MAX:
+                            table[entry_sig] = count + 1
+                elif hawkeye:
+                    _optgen(lane[4][set_index], lane[3], lane[0], block,
+                            signatures[index], next_use[index])
+                if event_type >= EV_KILL_READ:
+                    kill(lane[2], lines, block, entry)
+            continue
+        if event_type == EV_BYPASS_WRITE:
+            for lane in lanes:
+                lines = lane[1][set_index]
+                if block in lines:
+                    lane[2][_C_PROBE_HITS] += 1
+                    del lines[block]
+            continue
+        is_kill = event_type == EV_BYPASS_READ_KILL
+        for lane in lanes:
+            c = lane[2]
+            entry = lane[1][set_index].pop(block, None)
+            if entry is not None:
+                c[_C_PROBE_HITS] += 1
+                c[_C_BYPASS_READ_HITS] += 1
+                if entry[0]:
+                    if is_kill:
+                        c[_C_DEAD_DROPS] += 1
+                    else:
+                        c[_C_WRITEBACKS] += 1
+                        c[_C_WORDS_TO] += line_words
+            else:
+                c[_C_WORDS_FROM] += 1
+                c[_C_BYPASS_READ_MEM] += 1
+            if is_kill:
+                c[_C_KILLS] += 1
+
+    cached = stream.constants["cached_events"]
+    for lane in lanes:
+        counters = lane[2]
+        counters[_C_HITS] = cached - counters[_C_MISSES]
+    return {lane[0]: _sweep_stats(stream, lane[2], 0) for lane in lanes}
+
+
+def _rrip_victim(lines, demotes):
+    """The block an RRIP-family lane evicts from a full set.
+
+    :class:`_RRIPPolicy`'s order over a ``{block: entry}`` dict: the
+    dead line with the smallest stamp (looked for only when
+    ``demotes``: no other kill leaves a dead line); else the line with
+    the highest RRPV, smallest stamp among ties, after every line ages
+    by the distance from that RRPV to ``RRPV_MAX``.  Aging moves every
+    line alike, so the frontier after aging is the highest RRPV before
+    it.  Stamps are unique, so the dict's order never decides.
+    """
+    if demotes:
+        dead_block = None
+        dead_stamp = 0
+        for block, entry in lines.items():
+            if entry[1] and (dead_block is None or entry[2] < dead_stamp):
+                dead_block = block
+                dead_stamp = entry[2]
+        if dead_block is not None:
+            return dead_block
+    victim = None
+    top = -1
+    stamp = 0
+    for block, entry in lines.items():
+        rrpv = entry[_LANE_RRPV]
+        if rrpv > top or (rrpv == top and entry[2] < stamp):
+            victim = block
+            top = rrpv
+            stamp = entry[2]
+    bump = RRPV_MAX - top
+    if bump:
+        for entry in lines.values():
+            entry[_LANE_RRPV] += bump
+    return victim

@@ -45,13 +45,13 @@ The profiler is exact for LRU with write-allocate (any write policy,
 any line size), with kills honored only when they fully invalidate
 (``kill_mode == "invalidate"`` and one-word lines — the demote mode
 reorders evictions away from pure recency and has no stack property).
-FIFO, Random, and Belady MIN have no stack property, but their sweeps
-still share one walk of the typed stream per flavor through the
-set-count stackers in :mod:`repro.cache.semantics`
-(:func:`~repro.cache.semantics.fifo_sweep` /
-:func:`~repro.cache.semantics.random_sweep` /
-:func:`~repro.cache.semantics.min_sweep`).  Everything else — the
-predictive zoo (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye),
+FIFO, Random, Belady MIN and the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/
+Hawkeye) have no stack property, but their sweeps still share one walk
+of the typed stream per flavor through the lane walks in
+:mod:`repro.cache.semantics` (:func:`~repro.cache.semantics.fifo_sweep`
+/ :func:`~repro.cache.semantics.random_sweep` /
+:func:`~repro.cache.semantics.min_sweep` /
+:func:`~repro.cache.semantics.rrip_sweep`).  Everything else —
 write-around LRU, demoted-kill LRU — is the fallback path's job
 (:func:`repro.cache.replay.replay_trace_multi`).
 
@@ -82,6 +82,8 @@ from repro.cache.semantics import (
     EV_KILL_WRITE,
     EV_PLAIN_READ,
     EV_PLAIN_WRITE,
+    PREDICTOR_POLICIES,
+    RRIP_POLICIES,
     collapse_runs,
     fifo_sweep,
     flag_presence as _flag_presence,
@@ -89,6 +91,8 @@ from repro.cache.semantics import (
     min_sweep,
     next_use_index,
     random_sweep,
+    rrip_sweep,
+    signature_column,
 )
 from repro.cache.stats import CacheStats
 
@@ -154,10 +158,11 @@ VECTOR_ASSOC_CAP_LIMIT = 64
 #: The engine table.  ``"families"`` lists, for each spec family, the
 #: engines exact for it in the order ``auto`` tries them: ``"lru"`` is
 #: LRU inside the stack-distance model (:func:`supports_stackdist`),
-#: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, and ``"other"``
-#: is everything no one-pass engine claims (the predictive zoo,
-#: write-around LRU, LRU with demote or multi-word-line kills on a trace
-#: that carries kills).  ``"reference"`` is the per-event
+#: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, ``"rrip"`` is
+#: the predictive zoo (:data:`~repro.cache.semantics.RRIP_POLICIES`),
+#: and ``"other"`` is everything no one-pass engine claims
+#: (write-around LRU, LRU with demote or multi-word-line kills on a
+#: trace that carries kills).  ``"reference"`` is the per-event
 #: ``Cache.access`` loop, exact for every family.  ``"consumers"`` lists
 #: the engines that give what each consumer needs: ``CacheStats`` for a
 #: sweep (every engine), a per-event hit mask for ``level_outcome``, a
@@ -172,12 +177,13 @@ ENGINE_TABLE = {
         "fifo": ("fifo_sweep", "replay_trace_multi", "reference"),
         "random": ("random_sweep", "replay_trace_multi", "reference"),
         "min": ("min_sweep", "replay_trace_multi", "reference"),
+        "rrip": ("rrip_sweep", "replay_trace_multi", "reference"),
         "other": ("replay_trace_multi", "reference"),
     },
     "consumers": {
         "stats": ("vector_profile_pass", "profile_pass", "fifo_sweep",
-                  "random_sweep", "min_sweep", "replay_trace_multi",
-                  "reference"),
+                  "random_sweep", "min_sweep", "rrip_sweep",
+                  "replay_trace_multi", "reference"),
         "hits": ("vector_profile_pass", "reference"),
         "histogram": ("vector_profile_pass", "profile_pass"),
     },
@@ -205,6 +211,8 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
         family = "min"
     elif spec.policy in ("fifo", "random"):
         family = spec.policy
+    elif spec.policy in RRIP_POLICIES:
+        family = "rrip"
     elif supports_stackdist(spec, has_bypass, has_kill):
         family = "lru"
     else:
@@ -686,7 +694,7 @@ def replay_trace_sweep(trace, specs, engine=None):
     :func:`~repro.cache.replay.replay_trace_multi`; the result list is
     aligned with the input and bit-identical to the serial
     :func:`~repro.cache.replay.replay_trace` path for every entry.
-    Specs sharing a family, flavor and set count (and, for Random, a
+    Specs sharing a policy, flavor and set count (and, for Random, a
     seed) form one group, scored in one pass by the engine
     :func:`engines_for` names for the group's widest member; the specs
     it sends to :func:`~repro.cache.replay.replay_trace_multi` share
@@ -726,8 +734,9 @@ def replay_trace_sweep(trace, specs, engine=None):
     results = [None] * len(specs)
     decoded_cache = {}
     next_use_cache = {}
+    signatures = None
     for key, members in groups.items():
-        _kind, flavor, kill_mode, allocate_on_write, num_sets, seed = key
+        kind, flavor, kill_mode, allocate_on_write, num_sets, seed = key
         line_words, eff_hb, _eff_hk, write_policy = flavor
         # One pass scores the group up to its widest member, so that
         # member's associativity decides the side of the kernel's cap.
@@ -753,15 +762,22 @@ def replay_trace_sweep(trace, specs, engine=None):
                 sorted({member[2].associativity for member in members}),
                 line_words, kill_mode, write_policy, allocate_on_write,
             )
+            nu_key = (line_words, eff_hb)
+            if kind in ("min", "hawkeye") and nu_key not in next_use_cache:
+                next_use_cache[nu_key] = next_use_index(trace, *nu_key)
             if name == "fifo_sweep":
                 lanes = fifo_sweep(*lane_args)
             elif name == "random_sweep":
                 lanes = random_sweep(*lane_args, seed)
-            else:
-                nu_key = (line_words, eff_hb)
-                if nu_key not in next_use_cache:
-                    next_use_cache[nu_key] = next_use_index(trace, *nu_key)
+            elif name == "min_sweep":
                 lanes = min_sweep(*lane_args, next_use_cache[nu_key])
+            else:
+                if signatures is None and kind in PREDICTOR_POLICIES:
+                    signatures = signature_column(trace)
+                lanes = rrip_sweep(
+                    *lane_args, kind, signatures,
+                    next_use_cache[nu_key] if kind == "hawkeye" else None,
+                )
             scored = lanes.__getitem__
         for index, _spec, config in members:
             results[index] = scored(config.associativity)

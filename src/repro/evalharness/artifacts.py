@@ -84,6 +84,11 @@ _ENTRY_FILES = _PAYLOAD_FILES + ("meta.json", "stamp")
 #: Name of the quarantine directory under the root.
 QUARANTINE_DIR = "quarantine"
 
+#: Prefixes of a store's staging directory and of a staging directory
+#: ``gc`` has claimed for deletion; entries never start with a dot.
+_STAGING_PREFIX = ".staging-"
+_TOMBSTONE_PREFIX = ".tombstone-"
+
 
 def default_cache_root():
     root = os.environ.get(CACHE_ROOT_ENV)
@@ -335,7 +340,13 @@ class ArtifactCache:
         Returns ``(staging_removed, evicted)``.  Staging directories
         are only removed once older than ``max_staging_age`` seconds so
         a concurrent in-flight store is never swept from under the
-        writer.
+        writer.  A stale one is first claimed by renaming it to a
+        private tombstone name, and only the claimed directory is
+        deleted.  The claim and the writer's publishing rename are both
+        atomic, so exactly one wins: a writer that publishes first keeps
+        its entry whole, and one that comes second fails its rename into
+        its ``OSError`` path.  Tombstones an interrupted ``gc`` left
+        behind are reaped too.
         """
         removed = 0
         now = time.time()
@@ -345,15 +356,24 @@ class ArtifactCache:
                 if len(shard) != 2 or not os.path.isdir(shard_dir):
                     continue
                 for item in os.listdir(shard_dir):
-                    if not item.startswith(".staging-"):
+                    path = os.path.join(shard_dir, item)
+                    if item.startswith(_TOMBSTONE_PREFIX):
+                        shutil.rmtree(path, ignore_errors=True)
                         continue
-                    staging = os.path.join(shard_dir, item)
+                    if not item.startswith(_STAGING_PREFIX):
+                        continue
+                    tombstone = os.path.join(
+                        shard_dir,
+                        _TOMBSTONE_PREFIX + item[len(_STAGING_PREFIX):],
+                    )
                     try:
-                        if now - os.path.getmtime(staging) >= max_staging_age:
-                            shutil.rmtree(staging, ignore_errors=True)
-                            removed += 1
+                        if now - os.path.getmtime(path) < max_staging_age:
+                            continue
+                        os.rename(path, tombstone)
                     except OSError:
-                        pass
+                        continue  # published or removed by its writer
+                    shutil.rmtree(tombstone, ignore_errors=True)
+                    removed += 1
         evicted = self._enforce_budget()
         return removed, evicted
 
@@ -547,7 +567,7 @@ class ArtifactCache:
         parent = os.path.dirname(entry)
         faultinject.raise_oserror("store_oserror", key)
         os.makedirs(parent, exist_ok=True)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=parent)
+        staging = tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=parent)
         try:
             program_bytes = pickle.dumps(
                 artifact.program, protocol=pickle.HIGHEST_PROTOCOL

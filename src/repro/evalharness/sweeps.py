@@ -8,6 +8,7 @@ Each sweep obtains its reference trace once (compile + VM run, or an
 every configuration of the battery through the single-pass
 sweep dispatcher (:func:`~repro.cache.stackdist.replay_trace_sweep`):
 LRU geometries share one stack-distance profiling pass per flavor,
+FIFO, Random, MIN and the RRIP family one lane walk per flavor, and
 everything else runs the single-pass multi-replay core
 (:func:`~repro.cache.replay.replay_trace_multi`) — either way the
 per-configuration cost is far below a full compile-run-replay
@@ -179,8 +180,9 @@ def policy_zoo_sweep(
     *conventional* (annotation bits ignored — prediction alone) and
     once *unified* (bypass and kill honored — prediction plus the
     compiler's liveness).  One :func:`replay_trace_sweep` call scores
-    the whole grid; the LRU pairs ride the one-pass engines while the
-    predictive policies take the multi-replay fallback.
+    the whole grid: the LRU pairs ride the stack-distance kernel and
+    the predictive policies the RRIP lane walk
+    (:func:`~repro.cache.semantics.rrip_sweep`).
     """
     trace, _program = _trace_for(name, paper_scale, options, artifact_cache)
     cells = []

@@ -24,8 +24,9 @@ asserts:
   annotation-blind, MIN, FIFO, Random and predictive-zoo
   configurations of the same trace reproduces the serial replays
   bit-identically: the set-major array kernels and the scalar
-  hole-stack profiler for LRU, the lane sweeps for FIFO, Random and
-  MIN, and the multi-replay core
+  hole-stack profiler for LRU, the lane sweeps for FIFO, Random, MIN
+  and the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye), and the
+  multi-replay core
   (:func:`repro.cache.replay.replay_trace_multi`) for all of them.
   Each runs through the sweep dispatcher under the override that
   routes the spec to it, and a mismatch names the engine.

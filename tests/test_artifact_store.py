@@ -351,7 +351,61 @@ def _race_worker(payload):
     return outputs
 
 
+#: The ``os`` calls a ``gc`` pass makes, its ``shutil.rmtree`` included;
+#: the deterministic race below lets the writer publish before each.
+_FS_CALLS = ("stat", "lstat", "open", "scandir", "listdir", "unlink",
+             "rmdir", "rename", "replace")
+
+
 class TestConcurrentAccess:
+    def test_publish_at_every_point_of_a_gc_pass(self, tmp_path,
+                                                 monkeypatch):
+        """A writer publishes a stale staging directory (``os.rename``
+        onto its entry) just before the n-th filesystem call of a
+        ``gc(max_staging_age=0)`` pass, for every n the pass makes.
+        Between gc's listing and its claim the publish wins and the
+        entry must stay whole; once gc has claimed the directory the
+        publish must fail cleanly.  Either way nothing torn is left."""
+        cache = ArtifactCache(str(tmp_path / "store"))
+        source = program_printing(4)
+        real_rename = os.rename
+        outcomes = set()
+        step = 0
+        while True:
+            assert cache.resolve("race", source).output == (7,)
+            ((_key, entry),) = list(cache.entries())
+            staging = os.path.join(os.path.dirname(entry), ".staging-racer")
+            real_rename(entry, staging)  # staged, not yet published
+            calls = [0]
+            published = []
+
+            def racing(real):
+                def call(*args, **kwargs):
+                    if calls[0] == step and not published:
+                        try:
+                            real_rename(staging, entry)
+                            published.append(True)
+                        except OSError:
+                            published.append(False)  # gc claimed it
+                    calls[0] += 1
+                    return real(*args, **kwargs)
+
+                return call
+
+            with monkeypatch.context() as patch:
+                for name in _FS_CALLS:
+                    patch.setattr(os, name, racing(getattr(os, name)))
+                cache.gc(max_staging_age=0.0)
+            if not published:
+                break  # the writer has raced every call of the pass
+            _checked, bad = cache.verify()
+            assert bad == [], (step, bad)
+            assert not os.path.exists(staging), step
+            assert os.path.isdir(entry) == published[0], step
+            outcomes.add(published[0])
+            step += 1
+        assert outcomes == {True, False}
+
     def test_two_processes_racing_store_load_gc(self, tmp_path):
         root = str(tmp_path / "shared-store")
         sources = [program_printing(value) for value in (1, 2, 3)]

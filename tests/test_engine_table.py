@@ -28,7 +28,7 @@ from it.  This file holds the table to both of its promises:
 
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy
@@ -49,15 +49,19 @@ from repro.cache.semantics import (
     EV_KILL_WRITE,
     EV_PLAIN_READ,
     EV_PLAIN_WRITE,
+    RRIP_POLICIES,
     fifo_sweep,
     flag_presence,
     flavor_decode,
     min_sweep,
     next_use_index,
     random_sweep,
+    rrip_sweep,
+    signature_column,
 )
 from repro.cache.stackdist import flavor_key, profile_pass, replay_trace_sweep
 from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
+from repro.evalharness.sweeps import ZOO_GEOMETRY
 from repro.vm.trace import (
     FLAG_AMBIGUOUS,
     FLAG_BYPASS,
@@ -154,6 +158,20 @@ WIDE_CONFIGS = [
 ]
 
 
+#: RRIP-family shapes the per-policy families above miss: two-word
+#: lines (their kills always demote), eight ways, one-way BRRIP over
+#: sixteen sets, and one two-way SHiP set for ``DEMOTED_REVIVAL``.
+RRIP_CONFIGS = [
+    CacheConfig(size_words=16, line_words=2, associativity=2, policy="ship"),
+    CacheConfig(size_words=16, line_words=2, associativity=2,
+                policy="hawkeye", write_policy="writethrough"),
+    CacheConfig(size_words=16, line_words=1, associativity=8, policy="drrip"),
+    CacheConfig(size_words=16, line_words=1, associativity=1, policy="brrip"),
+    CacheConfig(size_words=2, line_words=1, associativity=2, policy="ship",
+                kill_mode="demote"),
+]
+
+
 def _unique(specs):
     seen = {}
     for spec in specs:
@@ -168,6 +186,7 @@ SPECS = _unique(
     + [config for policy in POLICIES for config in policy_configs(policy)]
     + MIN_CONFIGS
     + WIDE_CONFIGS
+    + RRIP_CONFIGS
 )
 
 # ----------------------------------------------------------------------
@@ -230,6 +249,14 @@ ANNOTATED_EVENTS = [
     for flags in (0, FLAG_WRITE, FLAG_KILL)
 ]
 
+#: A demoted line revived by a hit must not train SHiP: block 0's
+#: signature counter then reaches zero two evictions later, block 3
+#: inserts at the frontier and the last read of block 0 hits.  Had the
+#: revival trained, block 0 would be the victim and that read a miss.
+DEMOTED_REVIVAL = [
+    (0, 0), (0, FLAG_KILL), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 0),
+]
+
 FUZZER_SEEDS = (3, 7, 11, 17, 23, 29, 45, 79, 91, 117)
 
 
@@ -257,7 +284,9 @@ def figure5_traces():
 
 
 #: The Figure 5 traces hold 25 k to 219 k events, so they take one
-#: spec per family the report's ablations score.
+#: spec per family the report's ablations score, plus two E17 zoo
+#: cells (bypass and kill honored): DRRIP's set dueling and Hawkeye's
+#: shadow OPT.
 FIGURE5_SPECS = [
     CacheConfig(size_words=256, line_words=1, associativity=4,
                 policy="lru"),
@@ -268,6 +297,8 @@ FIGURE5_SPECS = [
     CacheConfig(size_words=64, line_words=1, associativity=2,
                 policy="lru", honor_bypass=False, honor_kill=False),
     MinConfig(size_words=256, associativity=4),
+    replace(ZOO_GEOMETRY, policy="drrip"),
+    replace(ZOO_GEOMETRY, policy="hawkeye"),
 ]
 
 # ----------------------------------------------------------------------
@@ -314,6 +345,11 @@ def lane_stats(name, trace, spec, presence):
         lanes = fifo_sweep(*args)
     elif name == "random_sweep":
         lanes = random_sweep(*args, config.seed)
+    elif name == "rrip_sweep":
+        lanes = rrip_sweep(
+            *args, config.policy, signature_column(trace),
+            next_use_index(trace, line_words, honor_bypass),
+        )
     else:
         assert name == "min_sweep", name
         lanes = min_sweep(
@@ -419,6 +455,7 @@ class TestExactness:
     def test_hand_traces(self):
         assert_table_exact(make_ref_trace(HAND_REFS), SPECS)
         assert_table_exact(make_trace(ANNOTATED_EVENTS), SPECS)
+        assert_table_exact(make_trace(DEMOTED_REVIVAL), SPECS)
 
     @pytest.mark.parametrize("seed", FUZZER_SEEDS)
     def test_fuzzer_traces(self, seed):
@@ -427,6 +464,27 @@ class TestExactness:
     def test_figure5_traces(self, figure5_traces):
         for trace in figure5_traces.values():
             assert_table_exact(trace, FIGURE5_SPECS, masks=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(events=traces)
+    def test_one_rrip_walk_scores_a_ways_ladder(self, events):
+        """The dispatcher hands ``rrip_sweep`` a whole ways ladder over
+        four sets in one call, and every lane equals the oracle."""
+        trace = make_trace(events)
+        for policy in RRIP_POLICIES:
+            for kill_mode in ("invalidate", "demote"):
+                specs = [
+                    CacheConfig(size_words=4 * assoc, associativity=assoc,
+                                policy=policy, kill_mode=kill_mode)
+                    for assoc in (1, 2, 4, 8)
+                ]
+                with mock.patch.object(
+                    stackdist, "rrip_sweep", wraps=rrip_sweep
+                ) as walk:
+                    swept = replay_trace_sweep(trace, specs, engine="auto")
+                assert walk.call_count == 1
+                for spec, stats in zip(specs, swept):
+                    assert_same("rrip_sweep", spec, stats, serial(trace, spec))
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +591,7 @@ ENGINES = {
     "fifo_sweep": "repro.cache.semantics",
     "random_sweep": "repro.cache.semantics",
     "min_sweep": "repro.cache.semantics",
+    "rrip_sweep": "repro.cache.semantics",
     "replay_trace_multi": "repro.cache.replay",
 }
 
@@ -562,9 +621,12 @@ FAMILY_SPECS = {
         MinConfig(size_words=16, associativity=2),
         MinConfig(size_words=WIDE, associativity=WIDE),
     ],
-    "other": [
+    "rrip": [
         CacheConfig(size_words=16, associativity=4, policy="srrip"),
         CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
+        CacheConfig(size_words=WIDE, associativity=WIDE, policy="ship"),
+    ],
+    "other": [
         CacheConfig(size_words=16, associativity=2, allocate_on_write=False),
         CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
         CacheConfig(size_words=16, line_words=2, associativity=2),
@@ -595,13 +657,15 @@ def doc_table(header):
 
 OVERRIDE_HEADER = (
     "| `REPRO_SWEEP_ENGINE` | consumer | `lru` ≤ {0} ways "
-    "| `lru` > {0} ways | `fifo` | `random` | `min` | `other` |"
+    "| `lru` > {0} ways | `fifo` | `random` | `min` | `rrip` | `other` |"
 ).format(VECTOR_ASSOC_CAP_LIMIT)
 FAMILY_HEADER = (
     "| family | specs | exact engines, in the order `auto` tries them |"
 )
 CONSUMER_HEADER = "| consumer | needs | engines that give it |"
-OVERRIDE_COLUMNS = ("lru", "lru-wide", "fifo", "random", "min", "other")
+OVERRIDE_COLUMNS = (
+    "lru", "lru-wide", "fifo", "random", "min", "rrip", "other",
+)
 
 
 def engine_names(cell):
