@@ -8,19 +8,20 @@ Six claims, all asserted live:
   every geometry answered by the same per-set distance histograms),
   the stack-distance engine
   (:func:`repro.cache.stackdist.replay_trace_sweep`) beats the
-  inlined multi-replay core
-  (:func:`repro.cache.replay.replay_trace_multi`) by at least **3x**
-  single-core, with bit-identical statistics.
+  reference per-event loop (:func:`repro.cache.replay.replay_trace`,
+  one spec at a time) by at least **5.8x** single-core, with
+  bit-identical statistics.
 * **Vectorized sweep**: the same ladder through the set-major array
   kernels (:mod:`repro.cache.vectorized`, the default
   ``engine="auto"``) beats the scalar stack-distance engine
-  (``engine="stackdist"``) by at least **2x** (min-of-3 wall clock),
-  bit-identical again.
+  (``engine="stackdist"``) by at least **2x** (min-of-5 per side,
+  interleaved), bit-identical again.
 * **FIFO / MIN sweeps**: the same ladder under FIFO and Belady MIN
-  routes through the single-pass set-count stackers
+  routes through the single-pass lane walks
   (:func:`repro.cache.semantics.fifo_sweep` /
-  :func:`repro.cache.semantics.min_sweep`), each at least **2x** over
-  the per-configuration replay path, bit-identical.
+  :func:`repro.cache.semantics.min_sweep`), at least **2.3x** and
+  **3.1x** over the reference per-event loop (min-of-5 per side,
+  interleaved), bit-identical.
 * **Trace generation**: the closure-compiled VM hot loop
   (:class:`repro.vm.machine.Machine`) produces the recorded reference
   traces at least **1.5x** faster than the per-step dispatch reference
@@ -47,12 +48,13 @@ import os
 import platform
 import struct
 import time
+from dataclasses import asdict
 
 import numpy
 import pytest
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace_multi
+from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.experiment import conventional_config
 from repro.evalharness.figure5 import figure5_options
@@ -82,10 +84,15 @@ RECORD_PATH = os.path.join(
     "BENCH_onepass.json",
 )
 
-REPLAY_SPEEDUP_FLOOR = 3.0
+#: The LRU, FIFO and MIN floors are held against the reference loop.
+#: Each is its earlier floor against the retired multi-configuration
+#: replay (3.0, 2.0, 2.0) times the reference/multi-replay time ratio
+#: on the same ladder (1.91, 1.11, 1.51, timed as these floors are),
+#: rounded up.
+REPLAY_SPEEDUP_FLOOR = 5.8
 VECTORIZED_SPEEDUP_FLOOR = 2.0
-FIFO_SPEEDUP_FLOOR = 2.0
-MIN_SPEEDUP_FLOOR = 2.0
+FIFO_SPEEDUP_FLOOR = 2.3
+MIN_SPEEDUP_FLOOR = 3.1
 VM_SPEEDUP_FLOOR = 1.5
 SUPERINSTRUCTION_SPEEDUP_FLOOR = 1.3
 
@@ -172,6 +179,30 @@ def _policy_specs(policy):
     ]
 
 
+def _reference(trace, spec):
+    """``spec`` through the reference per-event loop, MIN included."""
+    if isinstance(spec, MinConfig):
+        fields = asdict(spec.config)
+        del fields["policy"]
+        return replay_trace(trace, policy="min", **fields)
+    return replay_trace(trace, spec)
+
+
+def _min_of(reps, *fns):
+    """Best wall clock of each of ``fns`` over ``reps`` rounds, the
+    functions interleaved within a round so a slow spell of a shared
+    host hits every side."""
+    best = [None] * len(fns)
+    for _ in range(reps):
+        for slot, fn in enumerate(fns):
+            started = time.perf_counter()
+            fn()
+            seconds = time.perf_counter() - started
+            if best[slot] is None or seconds < best[slot]:
+                best[slot] = seconds
+    return best
+
+
 def _trace_with(vm_class, program):
     memory = RecordingMemory()
     vm = vm_class(program.module, memory=memory,
@@ -206,14 +237,14 @@ def test_onepass_speedup_and_equivalence():
         assert ref_result.steps == result.steps
         assert list(ref_trace) == list(trace)
 
-    # -- warm path: geometry sweep, stackdist vs multi-replay ---------
+    # -- warm path: geometry sweep, stackdist vs the reference loop ----
     specs = _specs()
-    multi_started = time.perf_counter()
-    multi = {
-        name: replay_trace_multi(trace, specs)
+    reference_started = time.perf_counter()
+    reference = {
+        name: [_reference(trace, spec) for spec in specs]
         for name, trace in traces.items()
     }
-    multi_seconds = time.perf_counter() - multi_started
+    reference_seconds_lru = time.perf_counter() - reference_started
 
     sweep_started = time.perf_counter()
     swept = {
@@ -223,7 +254,7 @@ def test_onepass_speedup_and_equivalence():
     sweep_seconds = time.perf_counter() - sweep_started
 
     for name in BENCHMARK_NAMES:
-        for spec, want, got in zip(specs, multi[name], swept[name]):
+        for spec, want, got in zip(specs, reference[name], swept[name]):
             assert got.as_dict() == want.as_dict(), (name, spec)
 
     # -- vectorized sweep: set-major array kernels vs scalar profiler -
@@ -235,20 +266,14 @@ def test_onepass_speedup_and_equivalence():
 
     vectored = _sweep_all("auto")
     for name in BENCHMARK_NAMES:
-        for spec, want, got in zip(specs, multi[name], vectored[name]):
+        for spec, want, got in zip(specs, reference[name], vectored[name]):
             assert got.as_dict() == want.as_dict(), ("vectorized", name, spec)
 
-    def _min_of(reps, fn):
-        best = None
-        for _ in range(reps):
-            started = time.perf_counter()
-            fn()
-            seconds = time.perf_counter() - started
-            best = seconds if best is None else min(best, seconds)
-        return best
-
-    scalar_best = _min_of(TIMING_REPS, lambda: _sweep_all("stackdist"))
-    vector_best = _min_of(TIMING_REPS, lambda: _sweep_all("auto"))
+    scalar_best, vector_best = _min_of(
+        TIMING_REPS,
+        lambda: _sweep_all("stackdist"),
+        lambda: _sweep_all("auto"),
+    )
     vectorized_speedup = scalar_best / vector_best
 
     # -- superinstruction VM: fused run handlers vs per-op closures ---
@@ -276,33 +301,33 @@ def test_onepass_speedup_and_equivalence():
         )
     superinstruction_speedup = unfused_seconds / fused_seconds
 
-    # -- FIFO / MIN ladders: set-count stackers vs per-config replay --
+    # -- FIFO / MIN ladders: lane walks vs the reference loop ----------
+    # Min-of-N on both sides: one shot of either swings by 15-20 % on a
+    # shared host.
     policy_speedups = {}
     for policy in ("fifo", "min"):
         policy_specs = _policy_specs(policy)
-        fallback_started = time.perf_counter()
-        fallback = {
-            name: replay_trace_multi(trace, policy_specs)
-            for name, trace in traces.items()
-        }
-        fallback_seconds = time.perf_counter() - fallback_started
-
-        stacked_started = time.perf_counter()
-        stacked = {
-            name: replay_trace_sweep(trace, policy_specs, engine="auto")
-            for name, trace in traces.items()
-        }
-        stacked_seconds = time.perf_counter() - stacked_started
-
-        for name in BENCHMARK_NAMES:
-            for spec, want, got in zip(
-                policy_specs, fallback[name], stacked[name]
-            ):
+        for name, trace in traces.items():
+            stacked = replay_trace_sweep(trace, policy_specs, engine="auto")
+            for spec, got in zip(policy_specs, stacked):
+                want = _reference(trace, spec)
                 assert got.as_dict() == want.as_dict(), (policy, name, spec)
+        reference_seconds, stacked_seconds = _min_of(
+            TIMING_REPS,
+            lambda: [
+                [_reference(trace, spec) for spec in policy_specs]
+                for trace in traces.values()
+            ],
+            lambda: [
+                replay_trace_sweep(trace, policy_specs, engine="auto")
+                for trace in traces.values()
+            ],
+        )
         policy_speedups[policy] = {
-            "fallback_seconds": round(fallback_seconds, 3),
+            "reference_seconds": round(reference_seconds, 3),
             "sweep_seconds": round(stacked_seconds, 3),
-            "speedup": round(fallback_seconds / stacked_seconds, 2),
+            "speedup": round(reference_seconds / stacked_seconds, 2),
+            "timing_reps": TIMING_REPS,
         }
 
     # -- trace codec: RPTRACE2 delta varints vs verbatim RPTRACE1 -----
@@ -311,7 +336,7 @@ def test_onepass_speedup_and_equivalence():
     )
     v2_bytes = sum(len(t.to_bytes()) for t in traces.values())
 
-    replay_speedup = multi_seconds / sweep_seconds
+    replay_speedup = reference_seconds_lru / sweep_seconds
     vm_speedup = reference_seconds / vm_seconds
     record = {
         "benchmarks": list(BENCHMARK_NAMES),
@@ -319,7 +344,7 @@ def test_onepass_speedup_and_equivalence():
         "ways": list(SWEEP_WAYS),
         "geometry_sizes": [g.size_words for g in GEOMETRIES],
         "specs_per_trace": len(specs),
-        "multi_replay_seconds": round(multi_seconds, 3),
+        "reference_replay_seconds": round(reference_seconds_lru, 3),
         "stackdist_seconds": round(sweep_seconds, 3),
         "replay_speedup": round(replay_speedup, 2),
         "reference_vm_seconds": round(reference_seconds, 3),
@@ -364,9 +389,9 @@ def test_onepass_speedup_and_equivalence():
 
     assert replay_speedup >= REPLAY_SPEEDUP_FLOOR, (
         "stack-distance sweep speedup {:.2f}x is below the {}x floor "
-        "(multi {:.2f}s, stackdist {:.2f}s)".format(
+        "(reference {:.2f}s, stackdist {:.2f}s)".format(
             replay_speedup, REPLAY_SPEEDUP_FLOOR,
-            multi_seconds, sweep_seconds,
+            reference_seconds_lru, sweep_seconds,
         )
     )
     assert vectorized_speedup >= VECTORIZED_SPEEDUP_FLOOR, (
@@ -394,9 +419,9 @@ def test_onepass_speedup_and_equivalence():
                           ("min", MIN_SPEEDUP_FLOOR)):
         timing = policy_speedups[policy]
         assert timing["speedup"] >= floor, (
-            "{} set-count sweep speedup {:.2f}x is below the {}x floor "
-            "(per-config {:.2f}s, sweep {:.2f}s)".format(
+            "{} lane sweep speedup {:.2f}x is below the {}x floor "
+            "(reference {:.2f}s, sweep {:.2f}s)".format(
                 policy, timing["speedup"], floor,
-                timing["fallback_seconds"], timing["sweep_seconds"],
+                timing["reference_seconds"], timing["sweep_seconds"],
             )
         )

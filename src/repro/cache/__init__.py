@@ -22,7 +22,7 @@ from repro.cache.semantics import (
 )
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.belady import simulate_min
-from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
+from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import (
     StackDistanceProfile,
     profile_pass,
@@ -56,7 +56,6 @@ __all__ = [
     "parse_hierarchy",
     "profile_pass",
     "replay_trace",
-    "replay_trace_multi",
     "replay_trace_sweep",
     "supports_stackdist",
     "DataCachedMemory",

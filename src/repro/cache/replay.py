@@ -1,44 +1,28 @@
 """Replay recorded traces through cache models.
 
-Two entry points:
-
-* :func:`replay_trace` — the reference serial path: one trace, one
-  configuration, driven event-by-event through the online
-  :class:`Cache` (or the offline MIN simulator).  Every other replay
-  implementation in the repository is defined as "bit-identical to
-  this".
-* :func:`replay_trace_multi` — the sweep core: one trace, N
-  configurations, one decode.  The flag bytes are unpacked once and
-  every configuration consumes the shared decoded stream through the
-  canonical transfer function
-  (:func:`repro.cache.semantics.replay_decoded`), fronted by the
-  same-block run collapse wherever the configuration's allocation
-  policy makes followers guaranteed hits; MIN slots (requested with
-  :class:`MinConfig`) share one precomputed next-use index per
-  ``(line_words, honor_bypass)`` combination.  The engine-table
-  conformance test (``tests/test_engine_table.py``) and the fuzzer's
-  differential loop both assert the two paths agree on every counter.
+:func:`replay_trace` is the reference serial path: one trace, one
+configuration, driven event-by-event through the online :class:`Cache`
+(or the offline MIN simulator).  Every other replay implementation in
+the repository is defined as "bit-identical to this".  The sweep
+dispatcher (:func:`repro.cache.stackdist.replay_trace_sweep`) scores
+many configurations in one call, MIN slots requested through
+:class:`MinConfig`; the engine-table conformance test
+(``tests/test_engine_table.py``) and the fuzzer's differential loop
+hold every engine it may call to this path.
 """
 
 from repro.cache.belady import next_use_index, simulate_min
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.semantics import (
     PREDICTOR_POLICIES,
-    MinPolicy,
-    collapse_runs,
-    decode_trace,  # noqa: F401  (re-exported sweep helper)
-    flag_presence,
-    flavor_decode,
     make_policy,
-    policy_collapse_safe,
-    replay_decoded,
     signature_column,
 )
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
 
 class MinConfig:
-    """Request Belady MIN replacement for one slot of a multi-replay.
+    """Request Belady MIN replacement for one slot of a sweep.
 
     Wraps the :class:`CacheConfig` whose geometry and bypass/kill
     handling the MIN simulation shares (the wrapped ``policy`` field is
@@ -124,97 +108,3 @@ def policy_for_trace(trace, config):
             trace, config.line_words, config.honor_bypass
         )
     return make_policy(config, next_use=next_use, signatures=signatures)
-
-
-def replay_trace_multi(trace, configs):
-    """Replay ``trace`` through every configuration of a sweep at once.
-
-    ``configs`` is a sequence of :class:`CacheConfig` (any online
-    policy, the predictive zoo included) and/or :class:`MinConfig`
-    (offline Belady) entries; the result is the list of
-    :class:`CacheStats` in the same order, each bit-identical to what
-    :func:`replay_trace` produces for that entry alone.  The trace is
-    decoded once, the MIN next-use index is computed once per
-    ``(line_words, honor_bypass)`` combination, and the same-block run
-    collapse is computed once per effective flavor and set count,
-    shared across every configuration that can use it.
-    """
-    decoded = decode_trace(trace)
-    next_use_cache = {}
-    stream_cache = {}
-    runs_cache = {}
-    state = {"columns": None, "presence": None, "signatures": None}
-
-    def next_use_for(config):
-        key = (config.line_words, config.honor_bypass)
-        next_use = next_use_cache.get(key)
-        if next_use is None:
-            next_use = next_use_index(trace, *key)
-            next_use_cache[key] = next_use
-        return next_use
-
-    def signatures_for():
-        if state["signatures"] is None:
-            state["signatures"] = signature_column(trace)
-        return state["signatures"]
-
-    def runs_for(config):
-        """The run collapse for this config, or ``None`` if ineligible."""
-        if not policy_collapse_safe(config.policy):
-            # The RRIP family's hit promotion is not idempotent within
-            # a same-block run; replay it uncollapsed.
-            return None
-        if not config.allocate_on_write:
-            # A write-around head miss leaves its followers missing
-            # too, so followers are not guaranteed hits.
-            return None
-        if state["columns"] is None:
-            if not hasattr(trace, "to_columns"):
-                return None
-            state["columns"] = trace.to_columns()
-            state["presence"] = flag_presence(state["columns"])
-        has_bypass, has_kill = state["presence"]
-        effective = (
-            config.line_words,
-            config.honor_bypass and has_bypass,
-            config.honor_kill and has_kill,
-        )
-        runs_key = effective + (config.num_sets,)
-        if runs_key in runs_cache:
-            return runs_cache[runs_key]
-        stream = stream_cache.get(effective)
-        if stream is None:
-            stream = flavor_decode(
-                state["columns"], effective + (config.write_policy,)
-            )
-            stream_cache[effective] = stream
-        runs = collapse_runs(stream.blocks_np, stream.types_np,
-                             config.num_sets)
-        runs_cache[runs_key] = runs
-        return runs
-
-    results = []
-    for spec in configs:
-        if isinstance(spec, MinConfig):
-            config = spec.config
-            results.append(
-                replay_decoded(
-                    decoded, config,
-                    policy=MinPolicy(next_use_for(config)),
-                    runs=runs_for(config),
-                )
-            )
-        elif spec.policy in PREDICTOR_POLICIES:
-            policy = make_policy(
-                spec,
-                next_use=(
-                    next_use_for(spec) if spec.policy == "hawkeye" else None
-                ),
-                signatures=signatures_for(),
-            )
-            results.append(replay_decoded(decoded, spec, policy=policy))
-        else:
-            results.append(
-                replay_decoded(decoded, spec, runs=runs_for(spec))
-            )
-    return results

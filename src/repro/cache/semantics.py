@@ -5,17 +5,18 @@ The paper's bypass/kill transfer function lives in
 state-owning :class:`ReplacementPolicy` (LRU, FIFO, Random, MIN, and
 the predictive zoo: SRRIP, BRRIP, DRRIP, SHiP-lite, Hawkeye-lite — see
 ``docs/POLICIES.md``).  The online :class:`~repro.cache.cache.Cache`,
-the data-carrying functional twin, the multi-configuration replay and
-the offline MIN simulator all drive that one method, so a policy or a
+the data-carrying functional twin, the reference replay and the
+offline MIN simulator all drive that one method, so a policy or a
 semantic rule changes once for all of them.
 
-Five one-pass engines re-derive the same transfer function for speed
+Four one-pass engines re-derive the same transfer function for speed
 instead of calling it: the hole-stack automaton
 (:func:`repro.cache.stackdist._run_general`), the set-major kernel
 (:func:`repro.cache.vectorized.vector_profile_pass`), and this
-module's lane walks: :func:`_lane_sweep` (behind :func:`fifo_sweep`
-and :func:`random_sweep`), :func:`min_sweep` and :func:`rrip_sweep`.
-Each is held bit-identical to :class:`UnifiedCache` (through
+module's two lane walks: :func:`_lane_sweep` (behind
+:func:`fifo_sweep`, :func:`random_sweep`, :func:`min_sweep` and
+:func:`lru_sweep`) and :func:`rrip_sweep`.  Each is held bit-identical
+to :class:`UnifiedCache` (through
 :func:`repro.cache.replay.replay_trace`) by the engine-table
 conformance test, ``tests/test_engine_table.py``, on every spec the
 engine table (:data:`repro.cache.stackdist.ENGINE_TABLE`) lists it
@@ -23,24 +24,23 @@ for, and by the differential fuzzer on every fuzzed trace.
 
 Three layers:
 
-* **Flag/flavor decode** — ``decode_trace`` (per-event flag lists),
-  ``flavor_decode`` (the EV_* typed stream shared by the sweep
-  engines), ``flag_presence`` and ``next_use_index``.
+* **Flavor decode** — ``flavor_decode`` (the EV_* typed stream shared
+  by the sweep engines), ``flag_presence``, ``next_use_index`` and the
+  same-block run collapse.
 * **The transfer function** — :class:`UnifiedCache` plus the policy
   protocol: the reference handling of bypass probes, kill bits
   (invalidate vs demote), write policies, write-allocation, and
   dirty-writeback accounting.
-* **Batch drivers** — :func:`replay_decoded` (one config, optionally
-  fronted by the same-block run collapse), and the single-pass
-  multi-associativity sweeps :func:`fifo_sweep` /
-  :func:`random_sweep` / :func:`min_sweep` / :func:`rrip_sweep` that
-  score a whole geometry column in one walk of the stream.
+* **Lane walks** — the single-pass multi-associativity sweeps
+  :func:`fifo_sweep` / :func:`random_sweep` / :func:`min_sweep` /
+  :func:`lru_sweep` / :func:`rrip_sweep` that score a whole geometry
+  column in one walk of the stream.
 
 The contract between every pair of engines is bit-identical
 :class:`~repro.cache.stats.CacheStats`, never approximately-equal.
 """
 
-from itertools import repeat as _repeat
+from itertools import count as _count, repeat as _repeat
 
 import numpy as _np
 
@@ -61,25 +61,8 @@ EV_BYPASS_WRITE = 6
 
 
 # ----------------------------------------------------------------------
-# Flag and flavor decode
+# Flavor decode
 # ----------------------------------------------------------------------
-
-
-def decode_trace(trace):
-    """Unpack the flag bytes once for the whole sweep.
-
-    Returns ``(addresses, writes, bypasses, kills)`` — the address
-    array plus three parallel lists of the masked flag bits.  Sharing
-    this across N configurations removes N-1 redundant per-event
-    decodes from a sweep.
-    """
-    flags = trace.flags
-    return (
-        list(trace.addresses),
-        [f & FLAG_WRITE for f in flags],
-        [f & FLAG_BYPASS for f in flags],
-        [f & FLAG_KILL for f in flags],
-    )
 
 
 def flag_presence(columns):
@@ -92,31 +75,12 @@ def flag_presence(columns):
 class FlavorStream:
     """One flavor's decoded event stream.
 
-    The blocks and EV_* type codes both as NumPy arrays and as Python
-    lists, plus the geometry-independent stat constants — all computed
-    exactly once per flavor no matter how many ``(num_sets, assoc)``
-    passes share them.  The list views materialize lazily: the
-    vectorized engine and the run-collapse pre-pass stay entirely in
-    array space, so decoding never pays two ``tolist()`` walks
-    consumers may never ask for.
+    The blocks and EV_* type codes as NumPy arrays, plus the
+    geometry-independent stat constants — all computed exactly once per
+    flavor no matter how many ``(num_sets, assoc)`` passes share them.
     """
 
-    __slots__ = (
-        "blocks_np", "types_np", "_blocks_list", "_types_list",
-        "constants",
-    )
-
-    @property
-    def blocks_list(self):
-        if self._blocks_list is None:
-            self._blocks_list = self.blocks_np.tolist()
-        return self._blocks_list
-
-    @property
-    def types_list(self):
-        if self._types_list is None:
-            self._types_list = self.types_np.tolist()
-        return self._types_list
+    __slots__ = ("blocks_np", "types_np", "constants")
 
 
 #: The flag bits the flavor decode reads.
@@ -155,8 +119,6 @@ def flavor_decode(columns, flavor):
     types = _event_types(honor_bypass, honor_kill)[low]
     stream.blocks_np = blocks
     stream.types_np = types
-    stream._blocks_list = None
-    stream._types_list = None
     counts = _np.bincount(types, minlength=7).tolist()
     stream.constants = flavor_constants(counts, flavor)
     return stream
@@ -251,17 +213,16 @@ class CollapsedRuns:
     """Per-set consecutive same-block plain runs, collapsed to heads.
 
     ``indices`` are the surviving event indices in time order (a NumPy
-    array, for fancy-indexing; ``indices_list`` is the same as a plain
-    list).  ``run_writes[p]`` says a collapsed follower of head ``p``
-    wrote; ``last_indices[p]`` is the original index of the run's
-    final event (the head itself for singleton runs) — the index whose
-    next-use value the MIN policies must see.
-    ``follower_reads`` / ``follower_writes`` partition the
+    array, for fancy-indexing).  ``run_writes[p]`` (a list) says a
+    collapsed follower of head ``p`` wrote; ``last_indices[p]`` (an
+    array) is the original index of the run's final event (the head
+    itself for singleton runs) — the index whose next-use value MIN
+    must see.  ``follower_reads`` / ``follower_writes`` partition the
     ``collapsed`` guaranteed-hit followers.
     """
 
     __slots__ = (
-        "indices", "indices_list", "run_writes", "last_indices",
+        "indices", "run_writes", "last_indices",
         "follower_reads", "follower_writes", "collapsed",
     )
 
@@ -333,9 +294,8 @@ def collapse_runs(blocks, types, num_sets, order=None):
     last_raw[head_indices] = last_orig
     runs = CollapsedRuns()
     runs.indices = _np.flatnonzero(keep_raw)
-    runs.indices_list = runs.indices.tolist()
     runs.run_writes = wrote_raw[runs.indices].tolist()
-    runs.last_indices = last_raw[runs.indices].tolist()
+    runs.last_indices = last_raw[runs.indices]
     runs.follower_writes = int(follower_write_mask.sum())
     runs.follower_reads = collapsed - runs.follower_writes
     runs.collapsed = collapsed
@@ -458,8 +418,8 @@ RRPV_LONG = RRPV_MAX - 1
 
 #: BRRIP inserts distant except every Nth install per set, which gets
 #: the long (SRRIP) position.  The throttle is a deterministic per-set
-#: install counter — never the clock — so collapsed and uncollapsed
-#: drivers agree and DRRIP leader sets replay standalone bit-exactly.
+#: install counter — never the clock — so every driver agrees and
+#: DRRIP leader sets replay standalone bit-exactly.
 BRRIP_THROTTLE = 32
 
 #: DRRIP set-dueling: leader sets every DUEL_PERIOD sets (clamped to
@@ -577,7 +537,7 @@ def _mix64(seed, set_index, draw):
     The counter-based RNG behind :class:`RandomPolicy`: every driver
     that replays the same trace makes the same draws in the same
     per-set order, so victims agree bit-exactly across the serial,
-    multi-config, functional, and one-pass lane engines.
+    functional, and one-pass lane engines.
     """
     x = (
         seed * 0x9E3779B97F4A7C15
@@ -617,15 +577,6 @@ class ReplacementPolicy:
     #: the signature-indexed predictors) set this so drivers know to
     #: thread event indices through.
     needs_index = False
-
-    #: Whether the same-block run collapse preserves this policy's
-    #: state bit-exactly.  Collapse absorbs guaranteed-hit followers
-    #: without calling ``touch``, so it is only sound for policies
-    #: whose hit update is idempotent within a run (LRU, FIFO, Random,
-    #: MIN).  The RRIP family promotes RRPV non-idempotently on every
-    #: hit, so its policies clear this and drivers replay them
-    #: uncollapsed.
-    collapse_safe = True
 
     def reset(self, config):
         """(Re)build empty per-set state for ``config``'s geometry."""
@@ -776,10 +727,9 @@ class RandomPolicy(_WayPolicy):
     (:func:`_mix64`) and picks that rank in install order, so the
     choice is a pure function of the per-set eviction history — no
     shared RNG stream.  A draw happens only when no dead line
-    short-circuits the choice, so every driver (serial, multi-config,
-    functional, and the one-pass lane sweep, where install order is
-    the residency dict's insertion order) reproduces the identical
-    victim sequence.
+    short-circuits the choice, so every driver (serial, functional,
+    and the one-pass lane sweep, where install order is the residency
+    dict's insertion order) reproduces the identical victim sequence.
     """
 
     __slots__ = ("_seed", "_draws")
@@ -861,13 +811,10 @@ class _RRIPPolicy(_WayPolicy):
     promote to RRPV 0; the victim scan ages the whole set to the
     eviction frontier in one step and breaks frontier ties toward the
     least-recently-touched line, so a just-promoted MRU block is never
-    the victim while an alternative exists.  Hit promotion is not
-    idempotent within a same-block run, so the family opts out of the
-    run collapse (``collapse_safe = False``).
+    the victim while an alternative exists.
     """
 
     __slots__ = ()
-    collapse_safe = False
     _extra_slots = 4  # rrpv, signature, outcome, set index
 
     def install(self, set_index, block, clock, index):
@@ -1117,12 +1064,6 @@ PREDICTOR_POLICIES = ("ship", "hawkeye")
 RRIP_POLICIES = ("srrip", "brrip", "drrip", "ship", "hawkeye")
 
 
-def policy_collapse_safe(name):
-    """May the same-block run collapse front a replay of ``name``?"""
-    policy_class = _POLICY_CLASSES.get(name)
-    return policy_class is None or policy_class.collapse_safe
-
-
 def make_policy(config, next_use=None, signatures=None):
     """Instantiate the :class:`ReplacementPolicy` for ``config``.
 
@@ -1168,10 +1109,9 @@ class UnifiedCache:
     """
 
     __slots__ = (
-        "config", "stats", "policy", "main", "value", "last_entry",
-        "_clock", "_line_words", "_num_sets", "_honor_bypass",
-        "_honor_kill", "_writethrough", "_allocate_on_write",
-        "_kill_invalidates",
+        "config", "stats", "policy", "main", "value", "_clock",
+        "_line_words", "_num_sets", "_honor_bypass", "_honor_kill",
+        "_writethrough", "_allocate_on_write", "_kill_invalidates",
     )
 
     def __init__(self, config, policy=None, data=False, next_use=None):
@@ -1198,7 +1138,6 @@ class UnifiedCache:
             )
         self.main = {} if data else None
         self.value = None
-        self.last_entry = None
 
     # -- the canonical per-event semantics ----------------------------
 
@@ -1229,7 +1168,6 @@ class UnifiedCache:
 
         if bypass:
             stats.refs_bypassed += 1
-            self.last_entry = None
             if is_write:
                 # A bypassed store goes straight to memory; a resident
                 # copy is stale and dies without writeback (the store
@@ -1288,7 +1226,6 @@ class UnifiedCache:
                 self.value = entry[ENTRY_VALUE]
             policy.touch(entry, self._clock, index)
             entry[ENTRY_DEAD] = False
-            self.last_entry = entry
             if kill:
                 self._kill(set_index, block, entry)
             return "hit"
@@ -1302,7 +1239,6 @@ class UnifiedCache:
             stats.words_from_memory += 1
             if main is not None:
                 self.value = main.get(address, 0)
-            self.last_entry = None
             return "miss"
         if is_write and not self._allocate_on_write:
             # Write-around: the store goes to memory without claiming
@@ -1312,7 +1248,6 @@ class UnifiedCache:
                 stats.words_to_memory += 1
                 if main is not None:
                     main[address] = value
-            self.last_entry = None
             return "miss"
 
         if not policy.room(set_index):
@@ -1336,7 +1271,6 @@ class UnifiedCache:
             # A one-word write-allocate needs no fill; everything else
             # fetches the line.
             stats.words_from_memory += line_words
-        self.last_entry = entry
         if kill:
             self._kill(set_index, block, entry)
         return "miss"
@@ -1350,31 +1284,12 @@ class UnifiedCache:
                 stats.dead_drops += 1
             self.policy.invalidate(set_index, block, entry)
             stats.dead_line_frees += 1
-            self.last_entry = None
         else:
             # Demote (or a partial-line kill): mark dead so the next
             # eviction in this set prefers it; predictive policies
             # additionally force their predicted-dead state.
             entry[ENTRY_DEAD] = True
             self.policy.demote(entry)
-
-    def absorb_followers(self, follower_reads, follower_writes):
-        """Account collapsed same-block run followers.
-
-        Followers are guaranteed hits in every geometry (their head
-        left the block resident and MRU); only reference counting and
-        writethrough store traffic remain.  Line-dirtying for
-        follower writes is handled at the head via ``last_entry``.
-        """
-        stats = self.stats
-        count = follower_reads + follower_writes
-        stats.refs_total += count
-        stats.reads += follower_reads
-        stats.writes += follower_writes
-        stats.refs_cached += count
-        stats.hits += count
-        if self._writethrough:
-            stats.words_to_memory += follower_writes
 
     # -- inspection and data-mode helpers -----------------------------
 
@@ -1415,49 +1330,8 @@ class UnifiedCache:
 
 
 # ----------------------------------------------------------------------
-# Batch drivers
+# Lane walks
 # ----------------------------------------------------------------------
-
-
-def replay_decoded(decoded, config, policy=None, next_use=None, runs=None):
-    """Replay one decoded stream through one configuration.
-
-    ``runs`` (a :class:`CollapsedRuns` for this config's effective
-    flavor and set count) fronts the loop with the same-block run
-    collapse; pass it only when ``config.allocate_on_write`` holds.
-    Collapse-unsafe policies (the RRIP family) ignore ``runs`` and
-    replay every event.
-    """
-    addresses, writes, bypasses, kills = decoded
-    core = UnifiedCache(config, policy=policy, next_use=next_use)
-    access = core.access
-    if (
-        runs is not None
-        and config.allocate_on_write
-        and core.policy.collapse_safe
-    ):
-        dirty_runs = not core._writethrough
-        run_writes = runs.run_writes
-        last_indices = runs.last_indices
-        for pos, i in enumerate(runs.indices_list):
-            access(addresses[i], writes[i], bypasses[i], kills[i],
-                   index=last_indices[pos])
-            if run_writes[pos] and dirty_runs:
-                core.last_entry[ENTRY_DIRTY] = True
-        core.absorb_followers(runs.follower_reads, runs.follower_writes)
-    elif core.policy.needs_index:
-        index = 0
-        for address, is_write, bypass, kill in zip(
-            addresses, writes, bypasses, kills
-        ):
-            access(address, is_write, bypass, kill, index=index)
-            index += 1
-    else:
-        for address, is_write, bypass, kill in zip(
-            addresses, writes, bypasses, kills
-        ):
-            access(address, is_write, bypass, kill)
-    return core.stats
 
 
 # Per-associativity counter slots used by the single-pass sweeps.
@@ -1517,7 +1391,32 @@ def fifo_sweep(stream, num_sets, assocs, line_words, kill_mode,
 
     def make_evict():
         def evict(lines, counters, set_index):
-            _fifo_evict(lines, counters, line_words)
+            _stamp_evict(lines, counters, line_words, _LANE_INSERTED)
+
+        return evict
+
+    return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
+                       write_policy, allocate_on_write, make_evict)
+
+
+def lru_sweep(stream, num_sets, assocs, line_words, kill_mode,
+              write_policy, allocate_on_write):
+    """Score every LRU associativity of one flavor group in one pass.
+
+    For the LRU specs outside the stack-distance model: write-around,
+    and demoted or multi-word-line kills on a trace that carries kills.
+    :class:`LRUPolicy` evicts the dead line with the smallest stamp,
+    else the line with the smallest stamp, and a stamp is the clock of
+    the line's last touch.  Stamps are unique, so per-set dicts
+    reproduce that order whatever order they keep.  The run collapse
+    keeps it too: no other line of the set is touched inside a run, so
+    stamping the head instead of the last follower moves no line past
+    another.  Returns ``{assoc: CacheStats}``.
+    """
+
+    def make_evict():
+        def evict(lines, counters, set_index):
+            _stamp_evict(lines, counters, line_words, _LANE_STAMP)
 
         return evict
 
@@ -1550,33 +1449,69 @@ def random_sweep(stream, num_sets, assocs, line_words, kill_mode,
                        write_policy, allocate_on_write, make_evict)
 
 
+def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
+              write_policy, allocate_on_write, next_use):
+    """Score every MIN associativity of one flavor group in one pass.
+
+    The lane walk with ``next_use`` (:func:`next_use_index` for the
+    flavor's line size and bypass honoring) as its stamp column, so a
+    line's stamp is the next-use position of its last touch; a
+    collapsed run takes its last event's.  The residency dicts keep
+    install order and the victim scan (:func:`_min_evict`) mirrors
+    :class:`MinPolicy`, ties included, so the statistics are
+    bit-identical to the per-config path.  Returns
+    ``{assoc: CacheStats}``.
+    """
+
+    def make_evict():
+        def evict(lines, counters, set_index):
+            _min_evict(lines, counters, line_words)
+
+        return evict
+
+    return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
+                       write_policy, allocate_on_write, make_evict,
+                       stamps=next_use)
+
+
+#: Slots of a :func:`_lane_sweep` entry ``[dirty, dead, stamp,
+#: inserted]``: the stamp of the last touch, and its value at install.
+_LANE_STAMP = 2
+_LANE_INSERTED = 3
+
+
 def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                write_policy, allocate_on_write, make_evict):
+                write_policy, allocate_on_write, make_evict, stamps=None):
     """One walk of the typed stream over per-associativity lanes.
 
-    The shared engine behind :func:`fifo_sweep` and
-    :func:`random_sweep`: ``make_evict()`` is called once per lane and
-    must return an ``evict(lines, counters, set_index)`` that pops a
-    victim from the residency dict and accounts the eviction.
+    The shared engine behind :func:`fifo_sweep`, :func:`lru_sweep`,
+    :func:`random_sweep` and :func:`min_sweep`: ``make_evict()`` is
+    called once per lane and must return an ``evict(lines, counters,
+    set_index)`` that pops a victim from the residency dict and
+    accounts the eviction.  ``stamps``, a per-event column, gives each
+    touch its stamp (a collapsed run takes its last event's); without
+    it the stamp is the walk's clock.
     """
     writethrough = write_policy == "writethrough"
     kill_invalidates = kill_mode == "invalidate" and line_words == 1
+    blocks = stream.blocks_np
+    types = stream.types_np
+    run_writes = _repeat(False)
+    collapsed = 0
     runs = None
     if allocate_on_write:
-        runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    # Plain lists built here and dropped with the walk: no tuple per
-    # event, and no whole-stream list cached on the stream.
+        runs = collapse_runs(blocks, types, num_sets)
     if runs is not None:
-        events = zip(
-            stream.blocks_np[runs.indices].tolist(),
-            stream.types_np[runs.indices].tolist(),
-            runs.run_writes,
-        )
+        blocks = blocks[runs.indices]
+        types = types[runs.indices]
+        run_writes = runs.run_writes
         collapsed = runs.collapsed
-    else:
-        events = zip(stream.blocks_np.tolist(), stream.types_np.tolist(),
-                     _repeat(False))
-        collapsed = 0
+        if stamps is not None:
+            stamps = [stamps[i] for i in runs.last_indices.tolist()]
+    # Plain lists built here and dropped with the walk: no tuple per
+    # event.
+    events = zip(blocks.tolist(), types.tolist(), run_writes,
+                 _count(1) if stamps is None else stamps)
 
     uniq = sorted(set(assocs))
     states = [[{} for _ in range(num_sets)] for _ in uniq]
@@ -1586,43 +1521,45 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
         for assoc, state, c in zip(uniq, states, counters)
     ]
 
-    clock = 0
-    for block, event_type, follower_wrote in events:
-        clock += 1
+    for block, event_type, follower_wrote, stamp in events:
         set_index = block % num_sets
-        for assoc, sets, c, evict in lanes:
-            lines = sets[set_index]
-            entry = lines.get(block)
-            if event_type <= EV_PLAIN_WRITE:
-                is_write = event_type == EV_PLAIN_WRITE
+        if event_type <= EV_PLAIN_WRITE:
+            is_write = event_type == EV_PLAIN_WRITE
+            dirties = (is_write or follower_wrote) and not writethrough
+            around = is_write and not allocate_on_write
+            fetches = not (is_write and line_words == 1)
+            for assoc, sets, c, evict in lanes:
+                lines = sets[set_index]
+                entry = lines.get(block)
                 if entry is not None:
                     c[_C_HITS] += 1
-                    if not writethrough and (is_write or follower_wrote):
+                    if dirties:
                         entry[0] = True
                     entry[1] = False
-                    entry[2] = clock
+                    entry[2] = stamp
                     continue
                 c[_C_MISSES] += 1
-                if is_write and not allocate_on_write:
+                if around:
                     if not writethrough:
                         c[_C_WORDS_TO] += 1
                     continue
                 if len(lines) >= assoc:
                     evict(lines, c, set_index)
-                dirty = (is_write or follower_wrote) and not writethrough
-                lines[block] = [dirty, False, clock, clock]
-                if not (is_write and line_words == 1):
+                lines[block] = [dirties, False, stamp, stamp]
+                if fetches:
                     c[_C_WORDS_FROM] += line_words
-                continue
-            if event_type == EV_KILL_READ:
+            continue
+        if event_type == EV_KILL_READ:
+            for assoc, sets, c, evict in lanes:
+                lines = sets[set_index]
+                entry = lines.get(block)
                 if entry is None:
                     c[_C_MISSES] += 1
                     c[_C_KILLS] += 1
                     c[_C_WORDS_FROM] += 1
                     continue
                 c[_C_HITS] += 1
-                entry[1] = False
-                entry[2] = clock
+                entry[2] = stamp
                 c[_C_KILLS] += 1
                 if kill_invalidates:
                     if entry[0]:
@@ -1631,14 +1568,16 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
                     c[_C_DEAD_FREES] += 1
                 else:
                     entry[1] = True
-                continue
-            if event_type == EV_KILL_WRITE:
+            continue
+        if event_type == EV_KILL_WRITE:
+            for assoc, sets, c, evict in lanes:
+                lines = sets[set_index]
+                entry = lines.get(block)
                 if entry is not None:
                     c[_C_HITS] += 1
                     if not writethrough:
                         entry[0] = True
-                    entry[1] = False
-                    entry[2] = clock
+                    entry[2] = stamp
                 else:
                     c[_C_MISSES] += 1
                     if not allocate_on_write:
@@ -1647,8 +1586,7 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
                         continue
                     if len(lines) >= assoc:
                         evict(lines, c, set_index)
-                    dirty = not writethrough
-                    entry = [dirty, False, clock, clock]
+                    entry = [not writethrough, False, stamp, stamp]
                     lines[block] = entry
                     if line_words != 1:
                         c[_C_WORDS_FROM] += line_words
@@ -1660,30 +1598,32 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
                     c[_C_DEAD_FREES] += 1
                 else:
                     entry[1] = True
-                continue
-            if event_type == EV_BYPASS_WRITE:
-                if entry is not None:
+            continue
+        if event_type == EV_BYPASS_WRITE:
+            for _assoc, sets, c, _evict in lanes:
+                lines = sets[set_index]
+                if block in lines:
                     c[_C_PROBE_HITS] += 1
                     del lines[block]
-                continue
-            # Bypass read, with or without a kill bit.
+            continue
+        # Bypass read, with or without a kill bit.
+        is_kill = event_type == EV_BYPASS_READ_KILL
+        for _assoc, sets, c, _evict in lanes:
+            entry = sets[set_index].pop(block, None)
             if entry is not None:
                 c[_C_PROBE_HITS] += 1
                 c[_C_BYPASS_READ_HITS] += 1
                 if entry[0]:
-                    if event_type == EV_BYPASS_READ_KILL:
+                    if is_kill:
                         c[_C_DEAD_DROPS] += 1
                     else:
                         c[_C_WRITEBACKS] += 1
                         c[_C_WORDS_TO] += line_words
-                if event_type == EV_BYPASS_READ_KILL:
-                    c[_C_KILLS] += 1
-                del lines[block]
             else:
                 c[_C_WORDS_FROM] += 1
                 c[_C_BYPASS_READ_MEM] += 1
-                if event_type == EV_BYPASS_READ_KILL:
-                    c[_C_KILLS] += 1
+            if is_kill:
+                c[_C_KILLS] += 1
 
     return {
         assoc: _sweep_stats(stream, c, collapsed)
@@ -1691,21 +1631,24 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     }
 
 
-def _fifo_evict(lines, counters, line_words):
-    """Pop the FIFO victim (dead-first) and account the eviction."""
+def _stamp_evict(lines, counters, line_words, slot):
+    """Pop the dead line with the smallest stamp, else the line with
+    the smallest ``entry[slot]`` (``_LANE_STAMP`` for LRU,
+    ``_LANE_INSERTED`` for FIFO), and account the eviction.  Stamps
+    are unique, so the dict's order never decides."""
     victim_block = None
     dead_stamp = None
-    fifo_block = None
-    fifo_inserted = None
+    oldest_block = None
+    oldest = None
     for block, entry in lines.items():
         if entry[1] and (dead_stamp is None or entry[2] < dead_stamp):
             dead_stamp = entry[2]
             victim_block = block
-        if fifo_inserted is None or entry[3] < fifo_inserted:
-            fifo_inserted = entry[3]
-            fifo_block = block
+        if oldest is None or entry[slot] < oldest:
+            oldest = entry[slot]
+            oldest_block = block
     if victim_block is None:
-        victim_block = fifo_block
+        victim_block = oldest_block
     victim = lines.pop(victim_block)
     counters[_C_EVICTIONS] += 1
     if victim[0]:
@@ -1741,161 +1684,6 @@ def _random_evict(lines, counters, line_words, seed, set_index, draws):
     if victim[0]:
         counters[_C_WRITEBACKS] += 1
         counters[_C_WORDS_TO] += line_words
-
-
-def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
-              write_policy, allocate_on_write, next_use):
-    """Score every MIN associativity of one flavor group in one pass.
-
-    Shares the typed stream, the run collapse, and one next-use index
-    across every associativity; per-set state and the
-    farthest-next-use victim scan mirror :class:`MinPolicy` exactly
-    (insertion-ordered dicts, first strict minimum wins), so the
-    statistics are bit-identical to the per-config path.  Returns
-    ``{assoc: CacheStats}``.
-    """
-    writethrough = write_policy == "writethrough"
-    kill_invalidates = kill_mode == "invalidate" and line_words == 1
-    runs = None
-    if allocate_on_write:
-        runs = collapse_runs(stream.blocks_np, stream.types_np, num_sets)
-    # Events carry everything the hot loop needs — block, set, type,
-    # follower-write flag, next-use position — precomputed once, and
-    # vectorized, so the per-lane walk does no arithmetic or index
-    # chasing of its own.
-    if runs is not None:
-        eb = stream.blocks_np[runs.indices]
-        events = list(zip(
-            eb.tolist(),
-            (eb % num_sets).tolist(),
-            stream.types_np[runs.indices].tolist(),
-            runs.run_writes,
-            [next_use[i] for i in runs.last_indices],
-        ))
-        collapsed = runs.collapsed
-    else:
-        events = list(zip(
-            stream.blocks_list, (stream.blocks_np % num_sets).tolist(),
-            stream.types_list, _repeat(False), next_use,
-        ))
-        collapsed = 0
-
-    uniq = sorted(set(assocs))
-    states = [[{} for _ in range(num_sets)] for _ in uniq]
-    counters = [[0] * _C_SLOTS for _ in uniq]
-    lanes = list(zip(uniq, states, counters))
-
-    for block, set_index, event_type, follower_wrote, position in events:
-        if event_type <= EV_PLAIN_WRITE:
-            is_write = event_type == EV_PLAIN_WRITE
-            dirties = (is_write or follower_wrote) and not writethrough
-            fetches = not (is_write and line_words == 1)
-            for assoc, sets, c in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is not None:
-                    c[_C_HITS] += 1
-                    if dirties:
-                        entry[0] = True
-                    entry[1] = False
-                    entry[2] = position
-                    continue
-                c[_C_MISSES] += 1
-                if is_write and not allocate_on_write:
-                    if not writethrough:
-                        c[_C_WORDS_TO] += 1
-                    continue
-                if len(lines) >= assoc:
-                    _min_evict(lines, c, line_words)
-                lines[block] = [dirties, False, position]
-                if fetches:
-                    c[_C_WORDS_FROM] += line_words
-            continue
-        if event_type == EV_KILL_READ:
-            for assoc, sets, c in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is None:
-                    c[_C_MISSES] += 1
-                    c[_C_KILLS] += 1
-                    c[_C_WORDS_FROM] += 1
-                    continue
-                c[_C_HITS] += 1
-                entry[1] = False
-                entry[2] = position
-                c[_C_KILLS] += 1
-                if kill_invalidates:
-                    if entry[0]:
-                        c[_C_DEAD_DROPS] += 1
-                    del lines[block]
-                    c[_C_DEAD_FREES] += 1
-                else:
-                    entry[1] = True
-            continue
-        if event_type == EV_KILL_WRITE:
-            for assoc, sets, c in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is not None:
-                    c[_C_HITS] += 1
-                    if not writethrough:
-                        entry[0] = True
-                    entry[1] = False
-                    entry[2] = position
-                else:
-                    c[_C_MISSES] += 1
-                    if not allocate_on_write:
-                        if not writethrough:
-                            c[_C_WORDS_TO] += 1
-                        continue
-                    if len(lines) >= assoc:
-                        _min_evict(lines, c, line_words)
-                    entry = [not writethrough, False, position]
-                    lines[block] = entry
-                    if line_words != 1:
-                        c[_C_WORDS_FROM] += line_words
-                c[_C_KILLS] += 1
-                if kill_invalidates:
-                    if entry[0]:
-                        c[_C_DEAD_DROPS] += 1
-                    del lines[block]
-                    c[_C_DEAD_FREES] += 1
-                else:
-                    entry[1] = True
-            continue
-        if event_type == EV_BYPASS_WRITE:
-            for assoc, sets, c in lanes:
-                lines = sets[set_index]
-                if block in lines:
-                    c[_C_PROBE_HITS] += 1
-                    del lines[block]
-            continue
-        is_kill = event_type == EV_BYPASS_READ_KILL
-        for assoc, sets, c in lanes:
-            lines = sets[set_index]
-            entry = lines.get(block)
-            if entry is not None:
-                c[_C_PROBE_HITS] += 1
-                c[_C_BYPASS_READ_HITS] += 1
-                if entry[0]:
-                    if is_kill:
-                        c[_C_DEAD_DROPS] += 1
-                    else:
-                        c[_C_WRITEBACKS] += 1
-                        c[_C_WORDS_TO] += line_words
-                if is_kill:
-                    c[_C_KILLS] += 1
-                del lines[block]
-            else:
-                c[_C_WORDS_FROM] += 1
-                c[_C_BYPASS_READ_MEM] += 1
-                if is_kill:
-                    c[_C_KILLS] += 1
-
-    return {
-        assoc: _sweep_stats(stream, c, collapsed)
-        for assoc, _sets, c in lanes
-    }
 
 
 def _min_evict(lines, counters, line_words):
@@ -1949,9 +1737,12 @@ def rrip_sweep(stream, num_sets, assocs, line_words, kill_mode,
     order.  A dead line goes first, smallest stamp among the dead; else
     the set ages to the RRPV frontier and the smallest stamp there
     goes.  Stamps are the event index of a line's last touch, so they
-    are unique.  The walk is uncollapsed, as :class:`UnifiedCache`
-    replays these policies: hit promotion and predictor training are
-    not idempotent within a same-block run.  Returns
+    are unique.
+
+    Unlike :func:`_lane_sweep`, the walk replays every event: the run
+    collapse is sound only when a follower's hit changes nothing, and
+    here it does.  It promotes a just-installed line from its insertion
+    RRPV to 0, and SHiP and Hawkeye train on every access.  Returns
     ``{assoc: CacheStats}``.
     """
     if policy not in RRIP_POLICIES:

@@ -45,15 +45,16 @@ The profiler is exact for LRU with write-allocate (any write policy,
 any line size), with kills honored only when they fully invalidate
 (``kill_mode == "invalidate"`` and one-word lines — the demote mode
 reorders evictions away from pure recency and has no stack property).
-FIFO, Random, Belady MIN and the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/
-Hawkeye) have no stack property, but their sweeps still share one walk
-of the typed stream per flavor through the lane walks in
-:mod:`repro.cache.semantics` (:func:`~repro.cache.semantics.fifo_sweep`
-/ :func:`~repro.cache.semantics.random_sweep` /
+FIFO, Random, Belady MIN, the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/
+Hawkeye) and the LRU specs outside the model (write-around, demoted or
+multi-word-line kills) have no stack property, but their sweeps still
+share one walk of the typed stream per flavor through the lane walks
+in :mod:`repro.cache.semantics`
+(:func:`~repro.cache.semantics.fifo_sweep` /
+:func:`~repro.cache.semantics.random_sweep` /
 :func:`~repro.cache.semantics.min_sweep` /
-:func:`~repro.cache.semantics.rrip_sweep`).  Everything else —
-write-around LRU, demoted-kill LRU — is the fallback path's job
-(:func:`repro.cache.replay.replay_trace_multi`).
+:func:`~repro.cache.semantics.lru_sweep` /
+:func:`~repro.cache.semantics.rrip_sweep`).
 
 Which engine scores which spec is decided in one place: the engine
 table (:data:`ENGINE_TABLE`) lists, per spec family, the engines exact
@@ -73,7 +74,7 @@ from operator import le
 
 import numpy as _np
 
-from repro.cache.replay import MinConfig, replay_trace_multi
+from repro.cache.replay import MinConfig
 from repro.cache.semantics import (
     EV_BYPASS_READ,
     EV_BYPASS_READ_KILL,
@@ -88,6 +89,7 @@ from repro.cache.semantics import (
     fifo_sweep,
     flag_presence as _flag_presence,
     flavor_decode as _flavor_decode,
+    lru_sweep,
     min_sweep,
     next_use_index,
     random_sweep,
@@ -100,14 +102,14 @@ from repro.cache.stats import CacheStats
 def sweep_engine(engine=None):
     """The engine override: ``engine``, else ``REPRO_SWEEP_ENGINE``.
 
-    ``"auto"`` (the default) follows the engine table,
-    ``"stackdist"`` and ``"multi"`` take the array kernel away from
-    every consumer; see :func:`engines_for`, the only reader.  Raises
-    :class:`ValueError` on any other value.
+    ``"auto"`` (the default) follows the engine table, ``"stackdist"``
+    takes the array kernel away from every consumer; see
+    :func:`engines_for`, the only reader.  Raises :class:`ValueError`
+    on any other value.
     """
     if engine is None:
         engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
-    if engine not in ("auto", "stackdist", "multi"):
+    if engine not in ("auto", "stackdist"):
         raise ValueError("unknown sweep engine {!r}".format(engine))
     return engine
 
@@ -160,30 +162,29 @@ VECTOR_ASSOC_CAP_LIMIT = 64
 #: LRU inside the stack-distance model (:func:`supports_stackdist`),
 #: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, ``"rrip"`` is
 #: the predictive zoo (:data:`~repro.cache.semantics.RRIP_POLICIES`),
-#: and ``"other"`` is everything no one-pass engine claims
-#: (write-around LRU, LRU with demote or multi-word-line kills on a
-#: trace that carries kills).  ``"reference"`` is the per-event
-#: ``Cache.access`` loop, exact for every family.  ``"consumers"`` lists
-#: the engines that give what each consumer needs: ``CacheStats`` for a
-#: sweep (every engine), a per-event hit mask for ``level_outcome``, a
-#: distance histogram for ``utility_curves``.  Entries are names, not
+#: and ``"other"`` is the LRU outside that model (write-around LRU,
+#: LRU with demote or multi-word-line kills on a trace that carries
+#: kills).  ``"reference"`` is the per-event ``Cache.access`` loop,
+#: exact for every family.  ``"consumers"`` lists the engines that give
+#: what each consumer needs: ``CacheStats`` for a sweep (every engine),
+#: a per-event hit mask for ``level_outcome``, a distance histogram for
+#: ``utility_curves``.  Entries are names, not
 #: functions: each dispatcher looks the function up through its module
 #: attribute when it calls it.  ``docs/PERFORMANCE.md`` renders the
 #: table, and ``tests/test_engine_table.py`` holds the two together.
 ENGINE_TABLE = {
     "families": {
-        "lru": ("vector_profile_pass", "profile_pass", "replay_trace_multi",
-                "reference"),
-        "fifo": ("fifo_sweep", "replay_trace_multi", "reference"),
-        "random": ("random_sweep", "replay_trace_multi", "reference"),
-        "min": ("min_sweep", "replay_trace_multi", "reference"),
-        "rrip": ("rrip_sweep", "replay_trace_multi", "reference"),
-        "other": ("replay_trace_multi", "reference"),
+        "lru": ("vector_profile_pass", "profile_pass", "reference"),
+        "fifo": ("fifo_sweep", "reference"),
+        "random": ("random_sweep", "reference"),
+        "min": ("min_sweep", "reference"),
+        "rrip": ("rrip_sweep", "reference"),
+        "other": ("lru_sweep", "reference"),
     },
     "consumers": {
         "stats": ("vector_profile_pass", "profile_pass", "fifo_sweep",
-                  "random_sweep", "min_sweep", "rrip_sweep",
-                  "replay_trace_multi", "reference"),
+                  "random_sweep", "min_sweep", "rrip_sweep", "lru_sweep",
+                  "reference"),
         "hits": ("vector_profile_pass", "reference"),
         "histogram": ("vector_profile_pass", "profile_pass"),
     },
@@ -198,12 +199,9 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
     ``has_kill`` describe the trace (see :func:`supports_stackdist`);
     ``consumer`` is ``"stats"``, ``"hits"`` or ``"histogram"``; the
     override (:func:`sweep_engine`) applies on top of the table:
-    ``"stackdist"`` and ``"multi"`` drop the array kernel,
-    ``"multi"`` sends every stats spec to
-    :func:`~repro.cache.replay.replay_trace_multi`, and
-    ``"stackdist"`` raises :class:`ValueError` for a stats spec outside
-    the ``"lru"`` family.  The kernel serves caps up to
-    ``VECTOR_ASSOC_CAP_LIMIT`` only.  Raises :class:`ValueError` when
+    ``"stackdist"`` drops the array kernel and raises
+    :class:`ValueError` for a stats spec outside the ``"lru"`` family.
+    The kernel serves caps up to ``VECTOR_ASSOC_CAP_LIMIT`` only.  Raises :class:`ValueError` when
     no engine gives what ``consumer`` needs.
     """
     override = sweep_engine(engine)
@@ -217,8 +215,6 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
         family = "lru"
     else:
         family = "other"
-    if consumer == "stats" and override == "multi":
-        return ("replay_trace_multi",)
     if consumer == "stats" and override == "stackdist" and family != "lru":
         raise ValueError(
             "stack-distance engine cannot profile {!r}".format(spec)
@@ -690,15 +686,13 @@ def replay_trace_sweep(trace, specs, engine=None):
     """Score every spec of a sweep, one-pass where the math allows.
 
     ``specs`` mixes :class:`~repro.cache.cache.CacheConfig` and
-    :class:`~repro.cache.replay.MinConfig` entries exactly like
-    :func:`~repro.cache.replay.replay_trace_multi`; the result list is
+    :class:`~repro.cache.replay.MinConfig` entries; the result list is
     aligned with the input and bit-identical to the serial
     :func:`~repro.cache.replay.replay_trace` path for every entry.
     Specs sharing a policy, flavor and set count (and, for Random, a
     seed) form one group, scored in one pass by the engine
-    :func:`engines_for` names for the group's widest member; the specs
-    it sends to :func:`~repro.cache.replay.replay_trace_multi` share
-    one call.  ``engine`` overrides ``REPRO_SWEEP_ENGINE`` (see
+    :func:`engines_for` names for the group's widest member.
+    ``engine`` overrides ``REPRO_SWEEP_ENGINE`` (see
     :func:`sweep_engine`); every engine is bit-identical, so the
     override exists for tests and benchmarks.
     """
@@ -709,12 +703,7 @@ def replay_trace_sweep(trace, specs, engine=None):
     has_bypass, has_kill = _flag_presence(columns)
 
     groups = {}
-    fallback = []
     for index, spec in enumerate(specs):
-        name = engines_for(spec, has_bypass, has_kill, engine=engine)[0]
-        if name == "replay_trace_multi":
-            fallback.append((index, spec))
-            continue
         config = spec.config if isinstance(spec, MinConfig) else spec
         kind = "min" if config is not spec else config.policy
         flavor = flavor_key(config, has_bypass, has_kill)
@@ -767,6 +756,8 @@ def replay_trace_sweep(trace, specs, engine=None):
                 next_use_cache[nu_key] = next_use_index(trace, *nu_key)
             if name == "fifo_sweep":
                 lanes = fifo_sweep(*lane_args)
+            elif name == "lru_sweep":
+                lanes = lru_sweep(*lane_args)
             elif name == "random_sweep":
                 lanes = random_sweep(*lane_args, seed)
             elif name == "min_sweep":
@@ -781,11 +772,4 @@ def replay_trace_sweep(trace, specs, engine=None):
             scored = lanes.__getitem__
         for index, _spec, config in members:
             results[index] = scored(config.associativity)
-
-    if fallback:
-        fallback_stats = replay_trace_multi(
-            trace, [spec for _i, spec in fallback]
-        )
-        for (index, _spec), stats in zip(fallback, fallback_stats):
-            results[index] = stats
     return results

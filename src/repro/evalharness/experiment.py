@@ -17,7 +17,7 @@ against it without touching the compiler or the VM again.
 from dataclasses import dataclass, field
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace, replay_trace_multi
+from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import replay_trace_sweep
 from repro.lang.errors import VMError
 from repro.programs import get_benchmark

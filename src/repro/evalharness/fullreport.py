@@ -418,11 +418,11 @@ def build_report(paper_scale=False, fast=False, failures=None,
     policy zoo, access time) is scored by the sweep dispatcher;
     :func:`~repro.cache.replay.replay_trace` is the tests' oracle.
     Every section honors ``REPRO_SWEEP_ENGINE`` (worker processes
-    inherit it): ``auto``, ``multi`` and ``stackdist`` give
-    byte-identical text (only the trailing wall-clock line differs),
-    except that ``stackdist`` refuses the policy-zoo cells, which are
-    outside the stack-distance model, so every benchmark of that
-    section is recorded as failed.
+    inherit it): ``auto`` and ``stackdist`` give byte-identical text
+    (only the trailing wall-clock line differs), except that
+    ``stackdist`` refuses the policy-zoo cells, which are outside the
+    stack-distance model, so every benchmark of that section is
+    recorded as failed.
     """
     started = time.time()
     section_builders = [

@@ -4,7 +4,7 @@ The unit of work is one (benchmark × annotation-config): compiling it
 and tracing it on the VM happens exactly once (amortized to zero by
 the on-disk :class:`~repro.evalharness.artifacts.ArtifactCache`),
 after which any number of cache geometries are scored against the
-stored trace through the single-pass multi-configuration replay core.
+stored trace through the single-pass sweep dispatcher.
 Units fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 and merge deterministically: results come back in unit order, failures
 are recorded in unit order, and every replay is bit-identical to the

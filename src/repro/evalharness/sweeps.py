@@ -7,10 +7,9 @@ Each sweep obtains its reference trace once (compile + VM run, or an
 :class:`~repro.evalharness.artifacts.ArtifactCache` hit) and scores
 every configuration of the battery through the single-pass
 sweep dispatcher (:func:`~repro.cache.stackdist.replay_trace_sweep`):
-LRU geometries share one stack-distance profiling pass per flavor,
-FIFO, Random, MIN and the RRIP family one lane walk per flavor, and
-everything else runs the single-pass multi-replay core
-(:func:`~repro.cache.replay.replay_trace_multi`) — either way the
+LRU geometries inside the stack-distance model share one profiling
+pass per flavor, and every other policy (LRU outside the model
+included) one lane walk per flavor — either way the
 per-configuration cost is far below a full compile-run-replay
 pipeline.
 """

@@ -24,10 +24,9 @@ asserts:
   annotation-blind, MIN, FIFO, Random and predictive-zoo
   configurations of the same trace reproduces the serial replays
   bit-identically: the set-major array kernels and the scalar
-  hole-stack profiler for LRU, the lane sweeps for FIFO, Random, MIN
-  and the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye), and the
-  multi-replay core
-  (:func:`repro.cache.replay.replay_trace_multi`) for all of them.
+  hole-stack profiler for LRU, and the lane sweeps for FIFO, Random,
+  MIN, the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye) and the LRU
+  outside the stack-distance model (demoted kills, write-around).
   Each runs through the sweep dispatcher under the override that
   routes the spec to it, and a mismatch names the engine.
 * **Superinstruction agreement** — the fused closure VM
@@ -56,6 +55,8 @@ fuzz driver can bucket failures; static-analysis failures raise
 so reduced reproducers distinguish analysis unsoundness from pipeline
 bugs.
 """
+
+from dataclasses import replace
 
 from repro.cache.belady import simulate_min
 from repro.cache.cache import CacheConfig
@@ -410,14 +411,20 @@ def _check_cache_models(run, baseline, cache_words, associativity):
         associativity=associativity,
         policy="fifo",
     )
+    # LRU outside the stack-distance model: the LRU lane sweep's specs.
+    demote = replace(config, kill_mode="demote")
+    write_around = replace(config, allocate_on_write=False)
     serial = {
         "unified": lru,
         "conventional": replay_trace(run.trace, blind).as_dict(),
         "min": minimum,
         "fifo": replay_trace(run.trace, fifo).as_dict(),
+        "demote": replay_trace(run.trace, demote).as_dict(),
+        "write-around": replay_trace(run.trace, write_around).as_dict(),
     }
-    labels = ("unified", "conventional", "min", "fifo")
-    battery = [config, blind, MinConfig(config), fifo]
+    labels = ("unified", "conventional", "min", "fifo", "demote",
+              "write-around")
+    battery = [config, blind, MinConfig(config), fifo, demote, write_around]
     # The predictive-policy axis: random plus the whole zoo, each
     # replayed serially and held to the batch engines below.
     for zoo_policy in ("random", "srrip", "brrip", "drrip", "ship",
@@ -448,7 +455,7 @@ def _check_cache_models(run, baseline, cache_words, associativity):
             if name == "reference":
                 continue  # the serial replays above
             override = next(
-                override for override in ("auto", "stackdist", "multi")
+                override for override in ("auto", "stackdist")
                 if reached(spec, override) == name
             )
             legs.setdefault(override, []).append((label, spec, name))

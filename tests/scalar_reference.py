@@ -88,7 +88,6 @@ def collapse_runs_py(blocks, types, num_sets):
         return None
     runs = CollapsedRuns()
     runs.indices = indices
-    runs.indices_list = indices
     runs.run_writes = run_writes
     runs.last_indices = last_indices
     runs.follower_reads = follower_reads

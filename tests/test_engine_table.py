@@ -39,12 +39,7 @@ from repro.cache import stackdist, vectorized
 from repro.cache.cache import POLICIES, Cache, CacheConfig
 from repro.cache.hierarchy import level_outcome
 from repro.cache.multicore import utility_curves
-from repro.cache.replay import (
-    MinConfig,
-    policy_for_trace,
-    replay_trace,
-    replay_trace_multi,
-)
+from repro.cache.replay import MinConfig, policy_for_trace, replay_trace
 from repro.cache.semantics import (
     EV_KILL_WRITE,
     EV_PLAIN_READ,
@@ -53,6 +48,7 @@ from repro.cache.semantics import (
     fifo_sweep,
     flag_presence,
     flavor_decode,
+    lru_sweep,
     min_sweep,
     next_use_index,
     random_sweep,
@@ -284,9 +280,10 @@ def figure5_traces():
 
 
 #: The Figure 5 traces hold 25 k to 219 k events, so they take one
-#: spec per family the report's ablations score, plus two E17 zoo
-#: cells (bypass and kill honored): DRRIP's set dueling and Hawkeye's
-#: shadow OPT.
+#: spec per family the report's ablations score, two E17 zoo cells
+#: (bypass and kill honored): DRRIP's set dueling and Hawkeye's shadow
+#: OPT, and the LRU lanes' two kinds of spec: demoted kills and
+#: write-around.
 FIGURE5_SPECS = [
     CacheConfig(size_words=256, line_words=1, associativity=4,
                 policy="lru"),
@@ -299,6 +296,10 @@ FIGURE5_SPECS = [
     MinConfig(size_words=256, associativity=4),
     replace(ZOO_GEOMETRY, policy="drrip"),
     replace(ZOO_GEOMETRY, policy="hawkeye"),
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="lru", kill_mode="demote"),
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="lru", allocate_on_write=False),
 ]
 
 # ----------------------------------------------------------------------
@@ -343,6 +344,8 @@ def lane_stats(name, trace, spec, presence):
     )
     if name == "fifo_sweep":
         lanes = fifo_sweep(*args)
+    elif name == "lru_sweep":
+        lanes = lru_sweep(*args)
     elif name == "random_sweep":
         lanes = random_sweep(*args, config.seed)
     elif name == "rrip_sweep":
@@ -382,13 +385,10 @@ def assert_table_exact(trace, specs, masks=True):
     columns = trace.to_columns()
     presence = flag_presence(columns)
     groups = {}
-    multi = replay_trace_multi(trace, specs)
-    for spec, multi_stats in zip(specs, multi):
+    for spec in specs:
         want = serial(trace, spec)
         for name in stackdist.engines_for(spec, *presence, engine="auto"):
-            if name == "replay_trace_multi":
-                assert_same(name, spec, multi_stats, want)
-            elif name in PROFILERS:
+            if name in PROFILERS:
                 key = (name, flavor_key(spec, *presence), spec.num_sets)
                 groups.setdefault(key, []).append((spec, want))
             elif name != "reference":  # the oracle itself
@@ -592,7 +592,7 @@ ENGINES = {
     "random_sweep": "repro.cache.semantics",
     "min_sweep": "repro.cache.semantics",
     "rrip_sweep": "repro.cache.semantics",
-    "replay_trace_multi": "repro.cache.replay",
+    "lru_sweep": "repro.cache.semantics",
 }
 
 #: The override table's consumer labels.
@@ -742,12 +742,12 @@ class TestRouting:
         cells = override_cells()
         assert {cell[:3] for cell in cells} == {
             (override, consumer, column)
-            for override in ("auto", "stackdist", "multi")
+            for override in ("auto", "stackdist")
             for consumer in CONSUMERS.values()
             for column in OVERRIDE_COLUMNS
         }
 
-    @pytest.mark.parametrize("override", ["auto", "stackdist", "multi"])
+    @pytest.mark.parametrize("override", ["auto", "stackdist"])
     def test_consumers_reach_the_named_engine(self, override, reached,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_ENGINE", override)
@@ -772,7 +772,7 @@ class TestRouting:
                 checked += 1
         assert checked
 
-    @pytest.mark.parametrize("override", ["auto", "multi"])
+    @pytest.mark.parametrize("override", ["auto"])
     def test_one_sweep_over_every_family(self, override, monkeypatch):
         """One dispatcher call spanning every family merges each
         group's results back in request order."""
@@ -782,11 +782,13 @@ class TestRouting:
         for spec, stats in zip(specs, replay_trace_sweep(trace, specs)):
             assert stats == serial(trace, spec), spec
 
-    def test_unclaimed_specs_land_on_multi_or_the_reference(
+    def test_unclaimed_specs_land_on_the_lru_lanes_or_the_reference(
             self, reached, monkeypatch):
+        """LRU outside the stack-distance model: the LRU lane walk
+        scores its sweeps, the reference loop its hit masks."""
         monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
         for spec in FAMILY_SPECS["other"]:
-            assert drive("stats", spec, reached) == ["replay_trace_multi"]
+            assert drive("stats", spec, reached) == ["lru_sweep"]
             assert drive("hits", spec, reached) == []
 
 

@@ -41,25 +41,17 @@ class TestReport:
 class TestKillSection:
     def test_scores_only_the_printed_cells(self, monkeypatch):
         """E5 asks the sweep dispatcher for the six (size, mode) cells
-        it prints, all inside the stack-distance model, so nothing
-        falls back to the multi-replay."""
+        it prints, all inside the stack-distance model."""
         monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
         swept = []
-        multi_calls = []
         real_sweep = sweeps.replay_trace_sweep
-        real_multi = stackdist.replay_trace_multi
 
         def sweep(trace, specs, *args, **kwargs):
             specs = list(specs)
             swept.extend(specs)
             return real_sweep(trace, specs, *args, **kwargs)
 
-        def multi(trace, specs, *args, **kwargs):
-            multi_calls.append(specs)
-            return real_multi(trace, specs, *args, **kwargs)
-
         monkeypatch.setattr(sweeps, "replay_trace_sweep", sweep)
-        monkeypatch.setattr(stackdist, "replay_trace_multi", multi)
         kill_section()
         cells = [
             (spec.size_words, spec.kill_mode if spec.honor_kill else "off")
@@ -70,7 +62,9 @@ class TestKillSection:
             for size in (32, 64, 256)
             for mode in ("invalidate", "off")
         ]
-        assert multi_calls == []
+        assert all(
+            stackdist.supports_stackdist(spec, True, True) for spec in swept
+        )
 
 
 @pytest.fixture

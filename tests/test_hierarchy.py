@@ -500,11 +500,12 @@ def assert_outcomes_exact(trace, configs):
 
 
 #: ``(REPRO_SWEEP_ENGINE, set-block budget)``: the kernel over one set
-#: block, the kernel over blocks of a few events, the reference loop.
+#: block, the kernel over blocks of a few events, the reference loop
+#: (``stackdist`` takes the kernel away from the hit-mask consumer).
 OUTCOME_PATHS = [
     ("auto", vectorized.SET_BLOCK_EVENTS),
     ("auto", 3),
-    ("multi", vectorized.SET_BLOCK_EVENTS),
+    ("stackdist", vectorized.SET_BLOCK_EVENTS),
 ]
 OUTCOME_PATH_IDS = ["kernel", "kernel-small-blocks", "reference"]
 

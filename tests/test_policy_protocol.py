@@ -11,15 +11,14 @@ suite checks the contract from four angles:
   operations every policy must expose, capacity invariants,
   fixed-seed determinism);
 * cross-engine bit-identity per policy on hand-built and fuzzer
-  traces (serial replay vs multi-replay vs the sweep dispatcher —
-  Random included, via the counter-based per-(set, draw) RNG);
+  traces (serial replay vs the sweep dispatcher — Random included,
+  via the counter-based per-(set, draw) RNG);
 * the kill/bypass interaction semantics each policy must honor
   (demote forces predicted-dead, invalidation never trains a
   predictor);
 * the golden Figure 5 pin: the numbers in ``tests/golden/figure5.json``
-  reproduced through all four engines — online :class:`Cache`, the
-  data-carrying functional twin, the multi-replay core, and the
-  stack-distance sweep.
+  reproduced through three engines — online :class:`Cache`, the
+  data-carrying functional twin, and the stack-distance sweep.
 
 Every engine the engine table lists, called one by one on the same
 policy families, is held to the serial replay by
@@ -33,12 +32,7 @@ import pytest
 
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.functional import DataCachedMemory
-from repro.cache.replay import (
-    MinConfig,
-    policy_for_trace,
-    replay_trace,
-    replay_trace_multi,
-)
+from repro.cache.replay import MinConfig, policy_for_trace, replay_trace
 from repro.cache.semantics import (
     ENTRY_DEAD,
     RRPV_MAX,
@@ -198,8 +192,6 @@ class TestProtocolSurface:
             assert callable(getattr(instance, op)), (policy, op)
         assert isinstance(instance.needs_index, bool)
         assert instance.needs_index == (policy in INDEXED_POLICIES)
-        assert isinstance(instance.collapse_safe, bool)
-        assert instance.collapse_safe == (policy not in ZOO_POLICIES)
 
     @pytest.mark.parametrize("policy", ALL_ONLINE_POLICIES)
     def test_capacity_never_exceeded(self, policy):
@@ -248,17 +240,13 @@ class TestProtocolSurface:
 
 
 class TestCrossEngineBitIdentity:
-    """serial replay == multi replay == sweep dispatcher, per policy."""
+    """serial replay == sweep dispatcher, per policy."""
 
     def engines(self, trace, specs):
         wants = [serial(trace, spec) for spec in specs]
-        multi = replay_trace_multi(trace, specs)
         auto = replay_trace_sweep(trace, specs, engine="auto")
-        fallback = replay_trace_sweep(trace, specs, engine="multi")
-        for spec, want, a, b, c in zip(specs, wants, multi, auto, fallback):
-            assert a.as_dict() == want.as_dict(), ("multi", spec)
-            assert b.as_dict() == want.as_dict(), ("auto", spec)
-            assert c.as_dict() == want.as_dict(), ("fallback", spec)
+        for spec, want, got in zip(specs, wants, auto):
+            assert got.as_dict() == want.as_dict(), ("auto", spec)
 
     @pytest.mark.parametrize("policy", ALL_ONLINE_POLICIES)
     def test_hand_trace(self, policy):
@@ -442,7 +430,7 @@ class TestFunctionalTwinZoo:
 
 
 class TestGoldenFigure5Pin:
-    """The golden Figure 5 numbers through four engines.
+    """The golden Figure 5 numbers through three engines.
 
     Two benchmarks keep the runtime proportionate;
     ``tests/test_figure5_golden.py`` pins the full table on its
@@ -482,7 +470,7 @@ class TestGoldenFigure5Pin:
             "dynamic_refs": summary["total"],
         }
 
-    @pytest.mark.parametrize("engine", ["stackdist", "multi"])
+    @pytest.mark.parametrize("engine", ["stackdist"])
     def test_sweep_engines_match_golden(self, engine, runs, golden):
         specs = [DEFAULT_CACHE, conventional_config(DEFAULT_CACHE)]
         for name, (program, trace) in runs.items():
@@ -535,7 +523,7 @@ class TestSharedNextUse:
             MinConfig(size_words=4, line_words=1, associativity=1),
             MinConfig(size_words=8, line_words=1, associativity=2),
         ]
-        direct = replay_trace_multi(trace, specs)
+        direct = [serial(trace, spec) for spec in specs]
         via_policy = [
             UnifiedCache(spec.config, policy=MinPolicy(shared))
             for spec in specs

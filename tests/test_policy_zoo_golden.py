@@ -5,7 +5,10 @@ unified} hit/miss/bus numbers for all six benchmarks at one geometry
 (64 words, 4-way — small enough that replacement decisions matter).
 Any change to the RRIP mechanics, the signature scheme, the OPTgen
 oracle, or the kill/bypass interaction that moves a single count
-fails here.
+fails here.  The table is held twice: as the report scores it (the
+sweep dispatcher, under the ambient ``REPRO_SWEEP_ENGINE``) and
+through the reference :func:`~repro.cache.replay.replay_trace` loop,
+one cell at a time.
 
 To regenerate after an *intentional* semantics change::
 
@@ -19,12 +22,15 @@ must not perturb the LRU baseline.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.cache.replay import replay_trace
 from repro.evalharness.sweeps import (
     ZOO_GEOMETRY,
     ZOO_POLICIES,
+    _trace_for,
     policy_zoo_sweep,
 )
 from repro.programs import BENCHMARK_NAMES
@@ -37,20 +43,37 @@ FIGURE5_GOLDEN_PATH = os.path.join(
 )
 
 
+#: The golden's fields per cell.
+FIELDS = ("hits", "misses", "refs_cached", "dead_drops", "bus_words",
+          "hit_rate")
+
+
 def measured_table():
     table = {}
     for name in BENCHMARK_NAMES:
         rows = policy_zoo_sweep(name, base=ZOO_GEOMETRY)
         for row in rows:
             key = "{}/{}/{}".format(name, row["policy"], row["scheme"])
-            table[key] = {
-                "hits": row["hits"],
-                "misses": row["misses"],
-                "refs_cached": row["refs_cached"],
-                "dead_drops": row["dead_drops"],
-                "bus_words": row["bus_words"],
-                "hit_rate": row["hit_rate"],
-            }
+            table[key] = {field: row[field] for field in FIELDS}
+    return table
+
+
+def reference_table():
+    """The same cells, each replayed alone through ``replay_trace``."""
+    table = {}
+    for name in BENCHMARK_NAMES:
+        trace, _program = _trace_for(name)
+        for policy in ZOO_POLICIES:
+            for scheme in ("conventional", "unified"):
+                honor = scheme == "unified"
+                stats = replay_trace(trace, replace(
+                    ZOO_GEOMETRY, policy=policy,
+                    honor_bypass=honor, honor_kill=honor,
+                ))
+                key = "{}/{}/{}".format(name, policy, scheme)
+                table[key] = {
+                    field: getattr(stats, field) for field in FIELDS
+                }
     return table
 
 
@@ -69,6 +92,12 @@ def test_policy_zoo_matches_golden(measured):
     # Compare exactly — replacement is deterministic integer
     # arithmetic; float equality is intentional, not a tolerance bug.
     assert measured == golden
+
+
+def test_reference_replay_matches_golden():
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)
+    assert reference_table() == golden
 
 
 def test_golden_covers_the_full_grid():

@@ -1,33 +1,33 @@
-"""The single-pass multi-configuration replay core vs the serial path.
+"""One multi-configuration sweep call vs the serial path.
 
 Every configuration the sweeps can request — policies, bypass/kill
 honoring, write policies, allocation policy, kill modes, multi-word
 lines, MIN — must produce bit-identical statistics whether it runs
-through :func:`replay_trace` (the reference serial path) or through
-:func:`replay_trace_multi` (the engine's shared-decode fast path).
-``tests/test_engine_table.py`` takes ``SWEEP_CONFIGS`` and the hand
-trace from here and holds every engine the engine table lists to the
-same oracle.
+through :func:`replay_trace` (the reference serial path) or, mixed
+with the others in one call, through the sweep dispatcher
+:func:`replay_trace_sweep`, which groups the specs and scores each
+group on its engine.  The run collapse that fronts the lane walks is
+held to the same oracle.  ``tests/test_engine_table.py`` takes
+``SWEEP_CONFIGS`` and the hand trace from here and holds every engine
+the engine table lists to the same oracle, one spec at a time.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import (
-    MinConfig,
-    decode_trace,
-    replay_trace,
-    replay_trace_multi,
-)
+from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.semantics import (
-    MinPolicy,
     collapse_runs,
+    fifo_sweep,
     flag_presence,
     flavor_decode,
+    lru_sweep,
+    min_sweep,
     next_use_index,
-    replay_decoded,
+    random_sweep,
 )
+from repro.cache.stackdist import flavor_key, replay_trace_sweep
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 from scalar_reference import collapse_runs_py
 
@@ -71,7 +71,7 @@ SWEEP_CONFIGS = [
 
 
 def serial_replay(trace, spec):
-    """The reference result for one multi-replay slot."""
+    """The reference result for one sweep slot."""
     if isinstance(spec, MinConfig):
         return replay_trace(
             trace,
@@ -87,9 +87,10 @@ def serial_replay(trace, spec):
 
 
 def assert_multi_matches_serial(trace, configs):
+    """One dispatcher call over every spec equals the serial path."""
     serial = [serial_replay(trace, spec) for spec in configs]
-    multi = replay_trace_multi(trace, configs)
-    for spec, expect, got in zip(configs, serial, multi):
+    swept = replay_trace_sweep(trace, configs, engine="auto")
+    for spec, expect, got in zip(configs, serial, swept):
         assert got.as_dict() == expect.as_dict(), spec
 
 
@@ -116,6 +117,9 @@ HAND_REFS = [
 
 
 class TestMultiEqualsSerial:
+    """Mixed families in one sweep call: LRU on the kernel and on the
+    LRU lanes, FIFO, Random and MIN lanes, merged in request order."""
+
     def test_hand_trace_all_configs(self):
         trace = make_trace(HAND_REFS)
         assert_multi_matches_serial(trace, list(SWEEP_CONFIGS))
@@ -146,9 +150,10 @@ class TestMultiEqualsSerial:
 
     def test_empty_trace(self):
         trace = make_trace([])
-        stats = replay_trace_multi(
+        stats = replay_trace_sweep(
             trace, [SWEEP_CONFIGS[0], MinConfig(size_words=8,
-                                                associativity=2)]
+                                                associativity=2)],
+            engine="auto",
         )
         assert all(s.refs_total == 0 for s in stats)
 
@@ -198,7 +203,7 @@ class TestReplayTraceKwargsGuard:
 
 
 def collapse_for(trace, config):
-    """The CollapsedRuns the replay layer would compute for ``config``."""
+    """The stream and CollapsedRuns a lane walk computes for ``config``."""
     columns = trace.to_columns()
     has_bypass, has_kill = flag_presence(columns)
     effective = (
@@ -221,29 +226,44 @@ COLLAPSE_CONFIGS = [
 ]
 
 
+def walked(trace, spec):
+    """``spec`` scored by its lane walk, which fronts itself with the
+    run collapse whenever the spec allocates on write."""
+    config = spec.config if isinstance(spec, MinConfig) else spec
+    columns = trace.to_columns()
+    stream = flavor_decode(columns,
+                           flavor_key(config, *flag_presence(columns)))
+    args = (
+        stream, config.num_sets, [config.associativity],
+        config.line_words, config.kill_mode, config.write_policy,
+        config.allocate_on_write,
+    )
+    if isinstance(spec, MinConfig):
+        lanes = min_sweep(*args, next_use_index(
+            trace, config.line_words, config.honor_bypass
+        ))
+    elif config.policy == "random":
+        lanes = random_sweep(*args, config.seed)
+    elif config.policy == "fifo":
+        lanes = fifo_sweep(*args)
+    else:
+        lanes = lru_sweep(*args)
+    return lanes[config.associativity]
+
+
 class TestRunCollapseBitIdentity:
-    """The same-block run collapse fronting ``replay_decoded`` never
+    """The same-block run collapse fronting the lane walks never
     changes a single counter — collapsed followers are guaranteed MRU
     hits and their write-dirtying is absorbed exactly."""
 
     def assert_collapse_invisible(self, trace):
-        decoded = decode_trace(trace)
-        for config in COLLAPSE_CONFIGS:
-            _stream, runs = collapse_for(trace, config)
-            plain = replay_decoded(decoded, config)
-            fronted = replay_decoded(decoded, config, runs=runs)
-            assert fronted.as_dict() == plain.as_dict(), config
-        # MIN rides the same collapse with its next-use index intact.
-        config = CacheConfig(size_words=8, line_words=1, associativity=2)
-        next_use = next_use_index(trace, 1, True)
-        _stream, runs = collapse_for(trace, config)
-        plain = replay_decoded(
-            decoded, config, policy=MinPolicy(next_use)
-        )
-        fronted = replay_decoded(
-            decoded, config, policy=MinPolicy(next_use), runs=runs
-        )
-        assert fronted.as_dict() == plain.as_dict()
+        # MIN rides the same collapse, stamped with the next use of
+        # each run's last event.
+        for spec in COLLAPSE_CONFIGS + [
+            MinConfig(size_words=8, line_words=1, associativity=2),
+        ]:
+            want = serial_replay(trace, spec)
+            assert walked(trace, spec).as_dict() == want.as_dict(), spec
 
     def test_hand_trace(self):
         self.assert_collapse_invisible(make_trace(HAND_REFS))
@@ -290,22 +310,22 @@ class TestRunCollapseBitIdentity:
         trace = make_trace(refs)
         for config in COLLAPSE_CONFIGS[:3]:
             stream, runs = collapse_for(trace, config)
-            blocks = stream.blocks_list
-            types = stream.types_list
+            blocks = stream.blocks_np.tolist()
+            types = stream.types_np.tolist()
             pure = collapse_runs_py(blocks, types, config.num_sets)
             if runs is None or pure is None:
                 assert runs is None and pure is None
                 continue
-            assert runs.indices_list == pure.indices_list
+            assert runs.indices.tolist() == pure.indices
             assert runs.run_writes == pure.run_writes
-            assert runs.last_indices == pure.last_indices
+            assert runs.last_indices.tolist() == pure.last_indices
             assert runs.follower_reads == pure.follower_reads
             assert runs.follower_writes == pure.follower_writes
             assert runs.collapsed == pure.collapsed
 
 
 class TestFuzzedProgramTraces:
-    """The multi-replay core against traces of real compiled programs."""
+    """One sweep call against traces of real compiled programs."""
 
     @pytest.fixture(scope="class")
     def fuzz_traces(self):

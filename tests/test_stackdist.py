@@ -11,7 +11,7 @@ set, one way, fully associative, lines wider than the address range)
 where stacking bugs hide.
 
 The cases here drive the dispatcher under each ``REPRO_SWEEP_ENGINE``
-value and pin the override's own contract: three values, and
+value and pin the override's own contract: two values, and
 ``stackdist`` refusing what the stack-distance profiler cannot score.
 Every engine the engine table lists, called one by one, is held to the
 same oracle by ``tests/test_engine_table.py``.
@@ -28,7 +28,7 @@ from repro.cache.stackdist import (
     replay_trace_sweep,
     supports_stackdist,
 )
-from repro.vm.trace import FLAG_KILL, FLAG_WRITE, TraceBuffer
+from repro.vm.trace import TraceBuffer
 from test_engine_table import (
     BATTERY,
     assert_same,
@@ -115,8 +115,9 @@ class TestEngineContract:
         assert_sweep_matches_serial(TraceBuffer(), BATTERY)
 
     def test_unknown_engine_rejected(self):
-        # "vectorized" names the kernels auto runs, not an engine.
-        for engine in ("belady", "vectorized"):
+        # "vectorized" names the kernels auto runs, not an engine;
+        # "multi" named the retired multi-configuration replay.
+        for engine in ("belady", "vectorized", "multi"):
             with pytest.raises(ValueError, match="unknown sweep engine"):
                 replay_trace_sweep(TraceBuffer(), BATTERY, engine=engine)
 
@@ -126,15 +127,14 @@ class TestEngineContract:
         with pytest.raises(ValueError, match="cannot profile"):
             replay_trace_sweep(TraceBuffer(), [config], engine="stackdist")
 
-    def test_forced_multi_matches_serial(self):
-        trace = make_trace([(3, 0), (5, FLAG_WRITE), (3, FLAG_KILL)])
-        assert_sweep_matches_serial(trace, BATTERY, engine="multi")
-
     def test_env_var_selects_engine(self, monkeypatch):
         config = CacheConfig(size_words=16, line_words=1, associativity=2,
                              policy="fifo")
         monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
         with pytest.raises(ValueError, match="cannot profile"):
+            replay_trace_sweep(TraceBuffer(), [config])
+        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "multi")
+        with pytest.raises(ValueError, match="unknown sweep engine"):
             replay_trace_sweep(TraceBuffer(), [config])
         monkeypatch.setenv("REPRO_SWEEP_ENGINE", "auto")
         replay_trace_sweep(TraceBuffer(), [config])
