@@ -201,8 +201,9 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
     override (:func:`sweep_engine`) applies on top of the table:
     ``"stackdist"`` drops the array kernel and raises
     :class:`ValueError` for a stats spec outside the ``"lru"`` family.
-    The kernel serves caps up to ``VECTOR_ASSOC_CAP_LIMIT`` only.  Raises :class:`ValueError` when
-    no engine gives what ``consumer`` needs.
+    The kernel serves caps up to ``VECTOR_ASSOC_CAP_LIMIT`` only.
+    Raises :class:`ValueError` when no engine gives what ``consumer``
+    needs.
     """
     override = sweep_engine(engine)
     if isinstance(spec, MinConfig):
