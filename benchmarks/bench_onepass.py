@@ -1,21 +1,18 @@
 """The one-pass sweep acceptance benchmark, recorded in
 ``BENCH_onepass.json``.
 
-Six claims, all asserted live:
+Five claims, all asserted live:
 
 * **LRU replay**: on the 6-benchmark × 4-geometry associativity
   ladder (64 sets fixed, ways 1/2/4/8 — the canonical Mattson shape,
   every geometry answered by the same per-set distance histograms),
-  the stack-distance engine
-  (:func:`repro.cache.stackdist.replay_trace_sweep`) beats the
-  reference per-event loop (:func:`repro.cache.replay.replay_trace`,
-  one spec at a time) by at least **5.8x** single-core, with
+  the sweep dispatcher
+  (:func:`repro.cache.stackdist.replay_trace_sweep`, which scores the
+  ladder on the set-major kernel of :mod:`repro.cache.vectorized`)
+  beats the reference per-event loop
+  (:func:`repro.cache.replay.replay_trace`, one spec at a time) by at
+  least **11.6x** single-core (min-of-5 per side, interleaved), with
   bit-identical statistics.
-* **Vectorized sweep**: the same ladder through the set-major array
-  kernels (:mod:`repro.cache.vectorized`, the default
-  ``engine="auto"``) beats the scalar stack-distance engine
-  (``engine="stackdist"``) by at least **2x** (min-of-5 per side,
-  interleaved), bit-identical again.
 * **FIFO / MIN sweeps**: the same ladder under FIFO and Belady MIN
   routes through the single-pass lane walks
   (:func:`repro.cache.semantics.fifo_sweep` /
@@ -30,8 +27,8 @@ Six claims, all asserted live:
 * **Superinstruction VM**: under aggressive promotion (locals in
   registers — the codegen the fusion targets) the fused-run handler
   table beats the same Machine with fusion disabled by at least
-  **1.3x** (min-of-3 per side), with identical output and step
-  counts.
+  **1.3x** (min-of-5 per side, interleaved), with identical output
+  and step counts.
 
 The record also carries the RPTRACE2 delta-codec compression ratio
 over the same traces.  When the scheduler grants fewer than two CPUs
@@ -85,12 +82,13 @@ RECORD_PATH = os.path.join(
 )
 
 #: The LRU, FIFO and MIN floors are held against the reference loop.
-#: Each is its earlier floor against the retired multi-configuration
-#: replay (3.0, 2.0, 2.0) times the reference/multi-replay time ratio
-#: on the same ladder (1.91, 1.11, 1.51, timed as these floors are),
-#: rounded up.
-REPLAY_SPEEDUP_FLOOR = 5.8
-VECTORIZED_SPEEDUP_FLOOR = 2.0
+#: The FIFO and MIN floors are their earlier floors against the retired
+#: multi-configuration replay (2.0, 2.0) times the reference/multi-replay
+#: time ratio on the same ladder (1.11, 1.51), rounded up.  The LRU
+#: floor is the product of the two it replaces: the scalar profiler
+#: over the reference loop (5.8) and the kernel over the scalar
+#: profiler (2.0).
+REPLAY_SPEEDUP_FLOOR = 11.6
 FIFO_SPEEDUP_FLOOR = 2.3
 MIN_SPEEDUP_FLOOR = 3.1
 VM_SPEEDUP_FLOOR = 1.5
@@ -235,44 +233,30 @@ def test_onepass_speedup_and_equivalence():
         assert ref_result.steps == result.steps
         assert list(ref_trace) == list(trace)
 
-    # -- warm path: geometry sweep, stackdist vs the reference loop ----
+    # -- warm path: LRU ladder, the dispatcher vs the reference loop --
     specs = _specs()
-    reference_started = time.perf_counter()
-    reference = {
-        name: [_reference(trace, spec) for spec in specs]
-        for name, trace in traces.items()
-    }
-    reference_seconds_lru = time.perf_counter() - reference_started
 
-    sweep_started = time.perf_counter()
-    swept = {
-        name: replay_trace_sweep(trace, specs, engine="stackdist")
-        for name, trace in traces.items()
-    }
-    sweep_seconds = time.perf_counter() - sweep_started
+    def _reference_all():
+        return {
+            name: [_reference(trace, spec) for spec in specs]
+            for name, trace in traces.items()
+        }
 
+    def _sweep_all():
+        return {
+            name: replay_trace_sweep(trace, specs)
+            for name, trace in traces.items()
+        }
+
+    reference = _reference_all()
+    swept = _sweep_all()
     for name in BENCHMARK_NAMES:
         for spec, want, got in zip(specs, reference[name], swept[name]):
             assert got.as_dict() == want.as_dict(), (name, spec)
 
-    # -- vectorized sweep: set-major array kernels vs scalar profiler -
-    def _sweep_all(engine):
-        return {
-            name: replay_trace_sweep(trace, specs, engine=engine)
-            for name, trace in traces.items()
-        }
-
-    vectored = _sweep_all("auto")
-    for name in BENCHMARK_NAMES:
-        for spec, want, got in zip(specs, reference[name], vectored[name]):
-            assert got.as_dict() == want.as_dict(), ("vectorized", name, spec)
-
-    scalar_best, vector_best = _min_of(
-        TIMING_REPS,
-        lambda: _sweep_all("stackdist"),
-        lambda: _sweep_all("auto"),
+    reference_seconds_lru, sweep_seconds = _min_of(
+        TIMING_REPS, _reference_all, _sweep_all,
     )
-    vectorized_speedup = scalar_best / vector_best
 
     # -- superinstruction VM: fused run handlers vs per-op closures ---
     aggressive = CompilationOptions(scheme="unified",
@@ -281,22 +265,18 @@ def test_onepass_speedup_and_equivalence():
     unfused_seconds = 0.0
     for name in BENCHMARK_NAMES:
         program = compile_source(get_benchmark(name).source, aggressive)
-
-        def _vm_run_seconds(vm_class, program=program):
-            _trace, _result, seconds = _trace_with(vm_class, program)
-            return seconds
-
         fused_trace, fused_result, _ = _trace_with(Machine, program)
         plain_trace, plain_result, _ = _trace_with(_UnfusedMachine, program)
         assert plain_result.output == fused_result.output, name
         assert plain_result.steps == fused_result.steps, name
         assert list(plain_trace) == list(fused_trace), name
-        fused_seconds += min(
-            _vm_run_seconds(Machine) for _ in range(TIMING_REPS)
+        unfused_best, fused_best = _min_of(
+            TIMING_REPS,
+            lambda program=program: _trace_with(_UnfusedMachine, program),
+            lambda program=program: _trace_with(Machine, program),
         )
-        unfused_seconds += min(
-            _vm_run_seconds(_UnfusedMachine) for _ in range(TIMING_REPS)
-        )
+        unfused_seconds += unfused_best
+        fused_seconds += fused_best
     superinstruction_speedup = unfused_seconds / fused_seconds
 
     # -- FIFO / MIN ladders: lane walks vs the reference loop ----------
@@ -306,7 +286,7 @@ def test_onepass_speedup_and_equivalence():
     for policy in ("fifo", "min"):
         policy_specs = _policy_specs(policy)
         for name, trace in traces.items():
-            stacked = replay_trace_sweep(trace, policy_specs, engine="auto")
+            stacked = replay_trace_sweep(trace, policy_specs)
             for spec, got in zip(policy_specs, stacked):
                 want = _reference(trace, spec)
                 assert got.as_dict() == want.as_dict(), (policy, name, spec)
@@ -317,7 +297,7 @@ def test_onepass_speedup_and_equivalence():
                 for trace in traces.values()
             ],
             lambda: [
-                replay_trace_sweep(trace, policy_specs, engine="auto")
+                replay_trace_sweep(trace, policy_specs)
                 for trace in traces.values()
             ],
         )
@@ -343,17 +323,12 @@ def test_onepass_speedup_and_equivalence():
         "geometry_sizes": [g.size_words for g in GEOMETRIES],
         "specs_per_trace": len(specs),
         "reference_replay_seconds": round(reference_seconds_lru, 3),
-        "stackdist_seconds": round(sweep_seconds, 3),
+        "sweep_seconds": round(sweep_seconds, 3),
         "replay_speedup": round(replay_speedup, 2),
+        "replay_timing_reps": TIMING_REPS,
         "reference_vm_seconds": round(reference_vm_seconds, 3),
         "closure_vm_seconds": round(vm_seconds, 3),
         "vm_speedup": round(vm_speedup, 2),
-        "vectorized_sweep": {
-            "stackdist_seconds": round(scalar_best, 3),
-            "vectorized_seconds": round(vector_best, 3),
-            "speedup": round(vectorized_speedup, 2),
-            "timing_reps": TIMING_REPS,
-        },
         "superinstruction_vm": {
             "promotion": "aggressive",
             "unfused_seconds": round(unfused_seconds, 3),
@@ -367,7 +342,6 @@ def test_onepass_speedup_and_equivalence():
         "trace_bytes_v2": v2_bytes,
         "trace_v2_compression": round(v1_bytes / v2_bytes, 2),
         "replay_speedup_floor": REPLAY_SPEEDUP_FLOOR,
-        "vectorized_speedup_floor": VECTORIZED_SPEEDUP_FLOOR,
         "fifo_speedup_floor": FIFO_SPEEDUP_FLOOR,
         "min_speedup_floor": MIN_SPEEDUP_FLOOR,
         "vm_speedup_floor": VM_SPEEDUP_FLOOR,
@@ -386,17 +360,10 @@ def test_onepass_speedup_and_equivalence():
         handle.write("\n")
 
     assert replay_speedup >= REPLAY_SPEEDUP_FLOOR, (
-        "stack-distance sweep speedup {:.2f}x is below the {}x floor "
-        "(reference {:.2f}s, stackdist {:.2f}s)".format(
+        "LRU sweep speedup {:.2f}x is below the {}x floor "
+        "(reference {:.2f}s, sweep {:.2f}s)".format(
             replay_speedup, REPLAY_SPEEDUP_FLOOR,
             reference_seconds_lru, sweep_seconds,
-        )
-    )
-    assert vectorized_speedup >= VECTORIZED_SPEEDUP_FLOOR, (
-        "vectorized sweep speedup {:.2f}x is below the {}x floor "
-        "(stackdist {:.2f}s, vectorized {:.2f}s)".format(
-            vectorized_speedup, VECTORIZED_SPEEDUP_FLOOR,
-            scalar_best, vector_best,
         )
     )
     assert vm_speedup >= VM_SPEEDUP_FLOOR, (

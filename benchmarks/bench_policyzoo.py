@@ -136,7 +136,7 @@ def test_zoo_grid_sweep_vs_reference(record_property):
 
     (sweep_seconds, reference_seconds), (swept, want) = best_of(
         ROUNDS,
-        lambda: replay_trace_sweep(trace, specs, engine="auto"),
+        lambda: replay_trace_sweep(trace, specs),
         reference,
     )
     assert swept == want

@@ -25,7 +25,6 @@ from repro.cache.belady import simulate_min
 from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.stackdist import (
     StackDistanceProfile,
-    profile_pass,
     replay_trace_sweep,
     supports_stackdist,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "simulate_min",
     "hierarchy_stats",
     "parse_hierarchy",
-    "profile_pass",
     "replay_trace",
     "replay_trace_sweep",
     "supports_stackdist",

@@ -30,8 +30,8 @@ Two capacity-management levers are modeled at the shared level:
   set, so partition isolation survives the kill bits.
 * **UMON utility monitoring**: per-core shadow-tag stack-distance
   counters (:func:`utility_curves`: one profiling pass over each
-  core's private-level demand stream, on the set-major kernel under
-  the default engine) yield hits-versus-ways curves;
+  core's private-level demand stream, on the set-major kernel) yield
+  hits-versus-ways curves;
   :func:`utility_partition` converts them into quotas by greedy
   marginal utility (UCP-lite).
 
@@ -62,7 +62,7 @@ from repro.cache.semantics import (
     _by_stamp,
     _mix64,
 )
-from repro.cache.stackdist import engines_for, flavor_key, profile_pass
+from repro.cache.stackdist import flavor_key
 from repro.cache.vectorized import vector_profile_pass
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
@@ -241,11 +241,8 @@ def utility_curves(traces, l1_config, shared_config):
     serve, read off the memoized
     :func:`~repro.cache.hierarchy.level_outcome` — feeds a shadow-tag
     stack-distance pass at the shared geometry (kills and bypasses
-    ignored: UMON monitors raw reuse).  The engine table
-    (:func:`~repro.cache.stackdist.engines_for`, consumer
-    ``"histogram"``) picks the pass: the set-major kernel
-    (:func:`~repro.cache.vectorized.vector_profile_pass`) or
-    :func:`~repro.cache.stackdist.profile_pass`.  The aggregate
+    ignored: UMON monitors raw reuse) on the set-major kernel
+    (:func:`~repro.cache.vectorized.vector_profile_pass`).  The aggregate
     distance histogram's prefix sums are exactly "hits this core would
     score with w ways".  Returns
     ``curves[core][w]`` for ``w in 0..associativity``.
@@ -258,16 +255,12 @@ def utility_curves(traces, l1_config, shared_config):
     )
     assoc = monitor_config.associativity
     flavor = flavor_key(monitor_config, False, False)
-    name = engines_for(monitor_config, False, False, "histogram")[0]
-    score = (
-        vector_profile_pass if name == "vector_profile_pass" else profile_pass
-    )
     curves = []
     for trace in traces:
         _l1_stats, hits = level_outcome(trace, l1_config)
         addresses, flags = trace.to_columns()
         demand = ~hits
-        profile = score(
+        profile = vector_profile_pass(
             (addresses[demand], flags[demand]), flavor,
             monitor_config.num_sets, assoc,
         )

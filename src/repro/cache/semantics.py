@@ -25,8 +25,9 @@ for, and by the differential fuzzer on every fuzzed trace.
 Three layers:
 
 * **Flavor decode** — ``flavor_decode`` (the EV_* typed stream shared
-  by the sweep engines), ``flag_presence``, ``next_use_index`` and the
-  same-block run collapse.
+  by the sweep engines), ``flag_presence``, ``next_use_index``, the
+  same-block run collapse (:func:`collapse_runs_sorted`) and the set
+  blocks (:func:`set_blocks`) that the kernel and the lane walks share.
 * **The transfer function** — :class:`UnifiedCache` plus the policy
   protocol: the reference handling of bypass probes, kill bits
   (invalidate vs demote), write policies, write-allocation, and
@@ -34,7 +35,8 @@ Three layers:
 * **Lane walks** — the single-pass multi-associativity sweeps
   :func:`fifo_sweep` / :func:`random_sweep` / :func:`min_sweep` /
   :func:`lru_sweep` / :func:`rrip_sweep` that score a whole geometry
-  column in one walk of the stream.
+  column in one walk of the stream: set-major, one set block at a
+  time, except :func:`rrip_sweep`, whose predictors span sets.
 
 The contract between every pair of engines is bit-identical
 :class:`~repro.cache.stats.CacheStats`, never approximately-equal.
@@ -209,128 +211,71 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
 # ----------------------------------------------------------------------
 
 
-class CollapsedRuns:
-    """Per-set consecutive same-block plain runs, collapsed to heads.
+#: Most events one set block may hold.  The set-major walks (the
+#: array kernel and the lane walks) go through the set partition in
+#: blocks of whole sets (a set with more events than this is a block of
+#: its own), so their per-event temporaries are sized by the block, not
+#: by the trace.
+SET_BLOCK_EVENTS = 1 << 15
 
-    ``indices`` are the surviving event indices in time order (a NumPy
-    array, for fancy-indexing).  ``run_writes[p]`` (a list) says a
-    collapsed follower of head ``p`` wrote; ``last_indices[p]`` (an
-    array) is the original index of the run's final event (the head
-    itself for singleton runs) — the index whose next-use value MIN
-    must see.  ``follower_reads`` / ``follower_writes`` partition the
-    ``collapsed`` guaranteed-hit followers.
+
+def set_blocks(blocks, num_sets):
+    """``(lo, hi)`` bounds of the set blocks in set-major order.
+
+    Each block is a run of whole sets holding at most
+    ``SET_BLOCK_EVENTS`` events, or a single larger set.  ``lo:hi``
+    slices the set partition (``TraceBuffer.set_partition``).
     """
-
-    __slots__ = (
-        "indices", "run_writes", "last_indices",
-        "follower_reads", "follower_writes", "collapsed",
-    )
-
-
-def collapse_runs(blocks, types, num_sets, order=None):
-    """Collapse per-set consecutive same-block plain-cached runs.
-
-    A through-cache reference whose set's previous reference touched
-    the same block is a guaranteed MRU hit in every geometry and moves
-    nothing, so only the run head needs simulating; followers
-    contribute guaranteed hits and at most a write-dirtying.  Returns
-    a :class:`CollapsedRuns` or ``None`` when nothing collapses.
-
-    Only valid when every plain head leaves its block resident — i.e.
-    ``allocate_on_write=True`` (a write-around head miss would make
-    its followers miss too); callers gate on that.
-
-    ``order``, when given, must be a stable set-major argsort of the
-    events (``TraceBuffer.set_partition``); passing it skips the sort
-    here so one partition serves every flavor of a geometry.
-    """
-    if len(blocks) == 0:
-        return None
-    b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
-    t = _np.asarray(types, dtype=_np.int64)
-    n = len(b)
-    sets = b % num_sets
-    if order is None:
-        order = _np.argsort(sets, kind="stable")
-    sb = b[order]
-    st = t[order]
-    ss = sets[order]
-    same_set = _np.empty(n, dtype=bool)
-    same_set[0] = False
-    same_set[1:] = ss[1:] == ss[:-1]
-    plain = st <= EV_PLAIN_WRITE
-    follower = _np.empty(n, dtype=bool)
-    follower[0] = False
-    follower[1:] = (
-        same_set[1:]
-        & plain[1:]
-        & plain[:-1]
-        & (sb[1:] == sb[:-1])
-    )
-    collapsed = int(follower.sum())
-    if collapsed == 0:
-        return None
-    keep_sorted = ~follower
-    # Runs are contiguous in set-sorted order and time-ordered inside
-    # (the stable sort never reorders one set's events), so each run
-    # spans from its head up to the position before the next head.
-    head_ids = _np.cumsum(keep_sorted) - 1
-    heads = int(keep_sorted.sum())
-    follower_write_mask = follower & (st == EV_PLAIN_WRITE)
-    wrote = _np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
-    head_indices = order[keep_sorted]
-    head_pos = _np.flatnonzero(keep_sorted)
-    last_pos = _np.empty(heads, dtype=head_pos.dtype)
-    last_pos[:-1] = head_pos[1:] - 1
-    last_pos[-1] = n - 1
-    last_orig = order[last_pos]
-    # Back to time order by scattering through raw-index space (O(n),
-    # cheaper than re-sorting the head indices).
-    keep_raw = _np.zeros(n, dtype=bool)
-    keep_raw[head_indices] = True
-    wrote_raw = _np.zeros(n, dtype=bool)
-    wrote_raw[head_indices] = wrote
-    last_raw = _np.empty(n, dtype=last_orig.dtype)
-    last_raw[head_indices] = last_orig
-    runs = CollapsedRuns()
-    runs.indices = _np.flatnonzero(keep_raw)
-    runs.run_writes = wrote_raw[runs.indices].tolist()
-    runs.last_indices = last_raw[runs.indices]
-    runs.follower_writes = int(follower_write_mask.sum())
-    runs.follower_reads = collapsed - runs.follower_writes
-    runs.collapsed = collapsed
-    return runs
+    ends = _np.cumsum(_np.bincount(blocks % num_sets, minlength=num_sets))
+    total = int(ends[-1])
+    lo = 0
+    while lo < total:
+        fit = int(_np.searchsorted(ends, lo + SET_BLOCK_EVENTS, side="right"))
+        hi = int(ends[fit - 1]) if fit else lo
+        if hi <= lo:
+            hi = int(ends[_np.searchsorted(ends, lo, side="right")])
+        yield lo, hi
+        lo = hi
 
 
 class SortedRuns:
-    """Set-major run collapse for the vectorized engine.
+    """Per-set consecutive same-block plain runs, collapsed to heads.
 
-    Unlike :class:`CollapsedRuns` the surviving head events stay in
-    set-major (partition) order — exactly the layout the age-matrix
-    kernels consume — so no back-to-time argsort, raw-index bookkeeping
-    or list materialization is ever paid.  ``blocks`` / ``types`` /
+    The surviving head events stay in set-major (partition) order —
+    the layout the set-major walks consume — so no back-to-time remap
+    or list materialization is paid.  ``blocks`` / ``types`` /
     ``sets`` are the gathered head columns; ``heads`` holds each head's
     raw event index (for scattering per-head results back to time
-    order); ``run_writes[p]`` says a collapsed follower of head ``p``
-    wrote.
+    order); ``lasts`` holds the raw index of each run's final event
+    (the head itself for a singleton run), the index whose next-use
+    value MIN must see; ``run_writes[p]`` says a collapsed follower of
+    head ``p`` wrote.  ``follower_reads`` / ``follower_writes``
+    partition the ``collapsed`` guaranteed-hit followers.
     """
 
     __slots__ = (
-        "blocks", "types", "sets", "heads", "run_writes",
+        "blocks", "types", "sets", "heads", "lasts", "run_writes",
         "follower_reads", "follower_writes", "collapsed",
     )
 
 
 def collapse_runs_sorted(blocks, types, num_sets, order):
-    """Collapse runs directly in set-major order.
+    """Collapse per-set consecutive same-block plain-cached runs.
 
-    Same follower rule as :func:`collapse_runs` — and the same
-    ``allocate_on_write`` validity caveat — but the result keeps the
-    partition's set-major layout and always includes the gathered
-    block/type/set columns, even when nothing collapses.  ``order``
-    may cover only some whole sets of the stream (one set block of
-    the vectorized kernel); the result then covers exactly those
-    events.
+    A through-cache reference whose set's previous reference touched
+    the same block is a guaranteed MRU hit in every geometry and moves
+    nothing, so only the run head needs simulating; followers
+    contribute guaranteed hits and at most a write-dirtying.
+
+    Only valid when every plain head leaves its block resident — i.e.
+    ``allocate_on_write=True`` (a write-around head miss would make
+    its followers miss too); callers gate on that.
+
+    ``order`` is a stable set-major argsort of the events
+    (``TraceBuffer.set_partition``), or a slice of one covering whole
+    sets (one set block); the result covers exactly those events, in
+    that order, and always includes the gathered block/type/set
+    columns, even when nothing collapses.
     """
     b = blocks if isinstance(blocks, _np.ndarray) else _np.asarray(blocks)
     t = _np.asarray(types, dtype=_np.int64)
@@ -339,7 +284,8 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
     runs.follower_reads = runs.follower_writes = runs.collapsed = 0
     if n == 0:
         empty = _np.zeros(0, dtype=_np.int64)
-        runs.blocks = runs.types = runs.sets = runs.heads = empty
+        runs.blocks = runs.types = runs.sets = empty
+        runs.heads = runs.lasts = empty
         runs.run_writes = _np.zeros(0, dtype=bool)
         return runs
     sb = b[order]
@@ -362,17 +308,25 @@ def collapse_runs_sorted(blocks, types, num_sets, order):
         runs.blocks = sb
         runs.types = st
         runs.sets = ss
-        runs.heads = order
+        runs.heads = runs.lasts = order
         runs.run_writes = _np.zeros(n, dtype=bool)
         return runs
     keep = ~follower
     head_ids = _np.cumsum(keep) - 1
-    heads = int(keep.sum())
+    head_pos = _np.flatnonzero(keep)
+    heads = len(head_pos)
     follower_write_mask = follower & (st == EV_PLAIN_WRITE)
     runs.blocks = sb[keep]
     runs.types = st[keep]
     runs.sets = ss[keep]
     runs.heads = order[keep]
+    # Runs are contiguous in set-major order and time-ordered inside
+    # (the stable sort never reorders one set's events), so each run
+    # ends just before the next head.
+    last_pos = _np.empty(heads, dtype=head_pos.dtype)
+    last_pos[:-1] = head_pos[1:] - 1
+    last_pos[-1] = n - 1
+    runs.lasts = order[last_pos]
     runs.run_writes = (
         _np.bincount(head_ids[follower_write_mask], minlength=heads) > 0
     )
@@ -1378,7 +1332,7 @@ def _sweep_stats(stream, counters, collapsed):
 
 
 def fifo_sweep(stream, num_sets, assocs, line_words, kill_mode,
-               write_policy, allocate_on_write):
+               write_policy, allocate_on_write, order=None):
     """Score every FIFO associativity of one flavor group in one pass.
 
     FIFO has no stacking property, so each associativity keeps its own
@@ -1386,7 +1340,8 @@ def fifo_sweep(stream, num_sets, assocs, line_words, kill_mode,
     (fronted by the run collapse) serves them all, and the victim
     choice (free slot, else smallest-stamp dead line, else oldest
     install) is representation-independent because clock stamps are
-    globally unique.  Returns ``{assoc: CacheStats}``.
+    unique.  ``order`` is the set partition (see :func:`_lane_sweep`).
+    Returns ``{assoc: CacheStats}``.
     """
 
     def make_evict():
@@ -1396,11 +1351,12 @@ def fifo_sweep(stream, num_sets, assocs, line_words, kill_mode,
         return evict
 
     return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                       write_policy, allocate_on_write, make_evict)
+                       write_policy, allocate_on_write, make_evict,
+                       order=order)
 
 
 def lru_sweep(stream, num_sets, assocs, line_words, kill_mode,
-              write_policy, allocate_on_write):
+              write_policy, allocate_on_write, order=None):
     """Score every LRU associativity of one flavor group in one pass.
 
     For the LRU specs outside the stack-distance model: write-around,
@@ -1411,7 +1367,8 @@ def lru_sweep(stream, num_sets, assocs, line_words, kill_mode,
     reproduce that order whatever order they keep.  The run collapse
     keeps it too: no other line of the set is touched inside a run, so
     stamping the head instead of the last follower moves no line past
-    another.  Returns ``{assoc: CacheStats}``.
+    another.  ``order`` is the set partition (see :func:`_lane_sweep`).
+    Returns ``{assoc: CacheStats}``.
     """
 
     def make_evict():
@@ -1421,18 +1378,20 @@ def lru_sweep(stream, num_sets, assocs, line_words, kill_mode,
         return evict
 
     return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                       write_policy, allocate_on_write, make_evict)
+                       write_policy, allocate_on_write, make_evict,
+                       order=order)
 
 
 def random_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                 write_policy, allocate_on_write, seed):
+                 write_policy, allocate_on_write, seed, order=None):
     """Score every Random associativity of one flavor group in one pass.
 
     Shares the lane walk with :func:`fifo_sweep`; the victim is the
     counter-based :func:`_mix64` draw over install order, which in a
     lane's residency dict *is* its insertion order — so each lane's
     per-set draw counters replay exactly the serial
-    :class:`RandomPolicy` sequence for that associativity.  Returns
+    :class:`RandomPolicy` sequence for that associativity.  ``order``
+    is the set partition (see :func:`_lane_sweep`).  Returns
     ``{assoc: CacheStats}``.
     """
 
@@ -1446,11 +1405,12 @@ def random_sweep(stream, num_sets, assocs, line_words, kill_mode,
         return evict
 
     return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                       write_policy, allocate_on_write, make_evict)
+                       write_policy, allocate_on_write, make_evict,
+                       order=order)
 
 
 def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
-              write_policy, allocate_on_write, next_use):
+              write_policy, allocate_on_write, next_use, order=None):
     """Score every MIN associativity of one flavor group in one pass.
 
     The lane walk with ``next_use`` (:func:`next_use_index` for the
@@ -1459,7 +1419,8 @@ def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
     collapsed run takes its last event's.  The residency dicts keep
     install order and the victim scan (:func:`_min_evict`) mirrors
     :class:`MinPolicy`, ties included, so the statistics are
-    bit-identical to the per-config path.  Returns
+    bit-identical to the per-config path.  ``order`` is the set
+    partition (see :func:`_lane_sweep`).  Returns
     ``{assoc: CacheStats}``.
     """
 
@@ -1471,7 +1432,7 @@ def min_sweep(stream, num_sets, assocs, line_words, kill_mode,
 
     return _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
                        write_policy, allocate_on_write, make_evict,
-                       stamps=next_use)
+                       stamps=next_use, order=order)
 
 
 #: Slots of a :func:`_lane_sweep` entry ``[dirty, dead, stamp,
@@ -1481,7 +1442,8 @@ _LANE_INSERTED = 3
 
 
 def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
-                write_policy, allocate_on_write, make_evict, stamps=None):
+                write_policy, allocate_on_write, make_evict, stamps=None,
+                order=None):
     """One walk of the typed stream over per-associativity lanes.
 
     The shared engine behind :func:`fifo_sweep`, :func:`lru_sweep`,
@@ -1491,27 +1453,25 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     accounts the eviction.  ``stamps``, a per-event column, gives each
     touch its stamp (a collapsed run takes its last event's); without
     it the stamp is the walk's clock.
+
+    The walk is set-major: it goes through ``order``, the stable
+    set-major argsort of the stream (``TraceBuffer.set_partition``;
+    computed here when not given), one set block
+    (:func:`set_blocks`) at a time, and builds each block's event
+    lists only when it reaches that block.  That is exact because sets
+    are independent and every counter adds; the LRU and FIFO clock
+    stamps are compared only within a set, where the walk keeps time
+    order; Random draws per ``(seed, set, draw)``; and MIN's stamps are
+    absolute next-use positions.
     """
     writethrough = write_policy == "writethrough"
     kill_invalidates = kill_mode == "invalidate" and line_words == 1
     blocks = stream.blocks_np
     types = stream.types_np
-    run_writes = _repeat(False)
+    if order is None:
+        order = _np.argsort(blocks % num_sets, kind="stable")
+    clock = _count(1)
     collapsed = 0
-    runs = None
-    if allocate_on_write:
-        runs = collapse_runs(blocks, types, num_sets)
-    if runs is not None:
-        blocks = blocks[runs.indices]
-        types = types[runs.indices]
-        run_writes = runs.run_writes
-        collapsed = runs.collapsed
-        if stamps is not None:
-            stamps = [stamps[i] for i in runs.last_indices.tolist()]
-    # Plain lists built here and dropped with the walk: no tuple per
-    # event.
-    events = zip(blocks.tolist(), types.tolist(), run_writes,
-                 _count(1) if stamps is None else stamps)
 
     uniq = sorted(set(assocs))
     states = [[{} for _ in range(num_sets)] for _ in uniq]
@@ -1521,109 +1481,128 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
         for assoc, state, c in zip(uniq, states, counters)
     ]
 
-    for block, event_type, follower_wrote, stamp in events:
-        set_index = block % num_sets
-        if event_type <= EV_PLAIN_WRITE:
-            is_write = event_type == EV_PLAIN_WRITE
-            dirties = (is_write or follower_wrote) and not writethrough
-            around = is_write and not allocate_on_write
-            fetches = not (is_write and line_words == 1)
-            for assoc, sets, c, evict in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is not None:
-                    c[_C_HITS] += 1
-                    if dirties:
-                        entry[0] = True
-                    entry[1] = False
-                    entry[2] = stamp
-                    continue
-                c[_C_MISSES] += 1
-                if around:
-                    if not writethrough:
-                        c[_C_WORDS_TO] += 1
-                    continue
-                if len(lines) >= assoc:
-                    evict(lines, c, set_index)
-                lines[block] = [dirties, False, stamp, stamp]
-                if fetches:
-                    c[_C_WORDS_FROM] += line_words
-            continue
-        if event_type == EV_KILL_READ:
-            for assoc, sets, c, evict in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is None:
+    for lo, hi in set_blocks(blocks, num_sets):
+        part = order[lo:hi]
+        if allocate_on_write:
+            runs = collapse_runs_sorted(blocks, types, num_sets, part)
+            collapsed += runs.collapsed
+            walk_blocks, walk_types = runs.blocks, runs.types
+            lasts = runs.lasts
+            run_writes = runs.run_writes.tolist()
+        else:
+            walk_blocks, walk_types = blocks[part], types[part]
+            lasts = part
+            run_writes = _repeat(False)
+        # Plain lists for this block only, dropped when the walk moves
+        # on: no tuple per event.
+        events = zip(
+            walk_blocks.tolist(), walk_types.tolist(), run_writes,
+            clock if stamps is None
+            else list(map(stamps.__getitem__, lasts.tolist())),
+        )
+        for block, event_type, follower_wrote, stamp in events:
+            set_index = block % num_sets
+            if event_type <= EV_PLAIN_WRITE:
+                is_write = event_type == EV_PLAIN_WRITE
+                dirties = (is_write or follower_wrote) and not writethrough
+                around = is_write and not allocate_on_write
+                fetches = not (is_write and line_words == 1)
+                for assoc, sets, c, evict in lanes:
+                    lines = sets[set_index]
+                    entry = lines.get(block)
+                    if entry is not None:
+                        c[_C_HITS] += 1
+                        if dirties:
+                            entry[0] = True
+                        entry[1] = False
+                        entry[2] = stamp
+                        continue
                     c[_C_MISSES] += 1
-                    c[_C_KILLS] += 1
-                    c[_C_WORDS_FROM] += 1
-                    continue
-                c[_C_HITS] += 1
-                entry[2] = stamp
-                c[_C_KILLS] += 1
-                if kill_invalidates:
-                    if entry[0]:
-                        c[_C_DEAD_DROPS] += 1
-                    del lines[block]
-                    c[_C_DEAD_FREES] += 1
-                else:
-                    entry[1] = True
-            continue
-        if event_type == EV_KILL_WRITE:
-            for assoc, sets, c, evict in lanes:
-                lines = sets[set_index]
-                entry = lines.get(block)
-                if entry is not None:
-                    c[_C_HITS] += 1
-                    if not writethrough:
-                        entry[0] = True
-                    entry[2] = stamp
-                else:
-                    c[_C_MISSES] += 1
-                    if not allocate_on_write:
+                    if around:
                         if not writethrough:
                             c[_C_WORDS_TO] += 1
                         continue
                     if len(lines) >= assoc:
                         evict(lines, c, set_index)
-                    entry = [not writethrough, False, stamp, stamp]
-                    lines[block] = entry
-                    if line_words != 1:
+                    lines[block] = [dirties, False, stamp, stamp]
+                    if fetches:
                         c[_C_WORDS_FROM] += line_words
-                c[_C_KILLS] += 1
-                if kill_invalidates:
-                    if entry[0]:
-                        c[_C_DEAD_DROPS] += 1
-                    del lines[block]
-                    c[_C_DEAD_FREES] += 1
-                else:
-                    entry[1] = True
-            continue
-        if event_type == EV_BYPASS_WRITE:
-            for _assoc, sets, c, _evict in lanes:
-                lines = sets[set_index]
-                if block in lines:
-                    c[_C_PROBE_HITS] += 1
-                    del lines[block]
-            continue
-        # Bypass read, with or without a kill bit.
-        is_kill = event_type == EV_BYPASS_READ_KILL
-        for _assoc, sets, c, _evict in lanes:
-            entry = sets[set_index].pop(block, None)
-            if entry is not None:
-                c[_C_PROBE_HITS] += 1
-                c[_C_BYPASS_READ_HITS] += 1
-                if entry[0]:
-                    if is_kill:
-                        c[_C_DEAD_DROPS] += 1
+                continue
+            if event_type == EV_KILL_READ:
+                for assoc, sets, c, evict in lanes:
+                    lines = sets[set_index]
+                    entry = lines.get(block)
+                    if entry is None:
+                        c[_C_MISSES] += 1
+                        c[_C_KILLS] += 1
+                        c[_C_WORDS_FROM] += 1
+                        continue
+                    c[_C_HITS] += 1
+                    entry[2] = stamp
+                    c[_C_KILLS] += 1
+                    if kill_invalidates:
+                        if entry[0]:
+                            c[_C_DEAD_DROPS] += 1
+                        del lines[block]
+                        c[_C_DEAD_FREES] += 1
                     else:
-                        c[_C_WRITEBACKS] += 1
-                        c[_C_WORDS_TO] += line_words
-            else:
-                c[_C_WORDS_FROM] += 1
-                c[_C_BYPASS_READ_MEM] += 1
-            if is_kill:
-                c[_C_KILLS] += 1
+                        entry[1] = True
+                continue
+            if event_type == EV_KILL_WRITE:
+                for assoc, sets, c, evict in lanes:
+                    lines = sets[set_index]
+                    entry = lines.get(block)
+                    if entry is not None:
+                        c[_C_HITS] += 1
+                        if not writethrough:
+                            entry[0] = True
+                        entry[2] = stamp
+                    else:
+                        c[_C_MISSES] += 1
+                        if not allocate_on_write:
+                            if not writethrough:
+                                c[_C_WORDS_TO] += 1
+                            continue
+                        if len(lines) >= assoc:
+                            evict(lines, c, set_index)
+                        entry = [not writethrough, False, stamp, stamp]
+                        lines[block] = entry
+                        if line_words != 1:
+                            c[_C_WORDS_FROM] += line_words
+                    c[_C_KILLS] += 1
+                    if kill_invalidates:
+                        if entry[0]:
+                            c[_C_DEAD_DROPS] += 1
+                        del lines[block]
+                        c[_C_DEAD_FREES] += 1
+                    else:
+                        entry[1] = True
+                continue
+            if event_type == EV_BYPASS_WRITE:
+                for _assoc, sets, c, _evict in lanes:
+                    lines = sets[set_index]
+                    if block in lines:
+                        c[_C_PROBE_HITS] += 1
+                        del lines[block]
+                continue
+            # Bypass read, with or without a kill bit.
+            is_kill = event_type == EV_BYPASS_READ_KILL
+            for _assoc, sets, c, _evict in lanes:
+                entry = sets[set_index].pop(block, None)
+                if entry is not None:
+                    c[_C_PROBE_HITS] += 1
+                    c[_C_BYPASS_READ_HITS] += 1
+                    if entry[0]:
+                        if is_kill:
+                            c[_C_DEAD_DROPS] += 1
+                        else:
+                            c[_C_WRITEBACKS] += 1
+                            c[_C_WORDS_TO] += line_words
+                else:
+                    c[_C_WORDS_FROM] += 1
+                    c[_C_BYPASS_READ_MEM] += 1
+                if is_kill:
+                    c[_C_KILLS] += 1
 
     return {
         assoc: _sweep_stats(stream, c, collapsed)
@@ -1742,7 +1721,10 @@ def rrip_sweep(stream, num_sets, assocs, line_words, kill_mode,
     Unlike :func:`_lane_sweep`, the walk replays every event: the run
     collapse is sound only when a follower's hit changes nothing, and
     here it does.  It promotes a just-installed line from its insertion
-    RRPV to 0, and SHiP and Hawkeye train on every access.  Returns
+    RRPV to 0, and SHiP and Hawkeye train on every access.  It also
+    walks in time order, not set-major: DRRIP's PSEL and the SHiP and
+    Hawkeye counters are shared by every set, so the interleaving of
+    the sets' events decides their values.  Returns
     ``{assoc: CacheStats}``.
     """
     if policy not in RRIP_POLICIES:

@@ -57,19 +57,17 @@ in :mod:`repro.cache.semantics`
 :func:`~repro.cache.semantics.rrip_sweep`).
 
 Which engine scores which spec is decided in one place: the engine
-table (:data:`ENGINE_TABLE`) lists, per spec family, the engines exact
-for it, and :func:`engines_for` answers every dispatcher —
-:func:`replay_trace_sweep`, the hierarchy's
-:func:`~repro.cache.hierarchy.level_outcome` and the multi-core
-:func:`~repro.cache.multicore.utility_curves`.  The set-major array
-kernels in :mod:`repro.cache.vectorized` rebuild this module's profile
-for associativity caps up to ``VECTOR_ASSOC_CAP_LIMIT``, and
-:func:`profile_pass` scores the rest (and every LRU group under
-``REPRO_SWEEP_ENGINE=stackdist``).
+table (:data:`ENGINE_TABLE`) lists, per spec family, the one fast
+engine exact for it and the reference loop, and :func:`engines_for`
+answers the dispatchers — :func:`replay_trace_sweep` and the
+hierarchy's :func:`~repro.cache.hierarchy.level_outcome`.  The
+set-major kernel in :mod:`repro.cache.vectorized` builds this module's
+profile at every associativity cap; it runs the automaton below on the
+sets its array pass cannot settle (every set, above
+``VECTOR_ASSOC_CAP_LIMIT`` ways).
 """
 
-import os
-from itertools import compress, repeat
+from itertools import compress
 from operator import le
 
 import numpy as _np
@@ -85,7 +83,6 @@ from repro.cache.semantics import (
     EV_PLAIN_WRITE,
     PREDICTOR_POLICIES,
     RRIP_POLICIES,
-    collapse_runs,
     fifo_sweep,
     flag_presence as _flag_presence,
     flavor_decode as _flavor_decode,
@@ -97,21 +94,6 @@ from repro.cache.semantics import (
     signature_column,
 )
 from repro.cache.stats import CacheStats
-
-
-def sweep_engine(engine=None):
-    """The engine override: ``engine``, else ``REPRO_SWEEP_ENGINE``.
-
-    ``"auto"`` (the default) follows the engine table, ``"stackdist"``
-    takes the array kernel away from every consumer; see
-    :func:`engines_for`, the only reader.  Raises :class:`ValueError`
-    on any other value.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SWEEP_ENGINE", "auto")
-    if engine not in ("auto", "stackdist"):
-        raise ValueError("unknown sweep engine {!r}".format(engine))
-    return engine
 
 
 def supports_stackdist(config, has_bypass, has_kill):
@@ -152,29 +134,23 @@ def flavor_key(config, has_bypass, has_kill):
     )
 
 
-#: Above this associativity cap the array kernel's level loop stops
-#: paying for itself; the engine table sends wider caps to
-#: :func:`profile_pass`, and the kernel refuses them.
-VECTOR_ASSOC_CAP_LIMIT = 64
-
 #: The engine table.  ``"families"`` lists, for each spec family, the
-#: engines exact for it in the order ``auto`` tries them: ``"lru"`` is
-#: LRU inside the stack-distance model (:func:`supports_stackdist`),
+#: engine every dispatcher calls, then ``"reference"``, the per-event
+#: ``Cache.access`` loop exact for every family: ``"lru"`` is LRU
+#: inside the stack-distance model (:func:`supports_stackdist`),
 #: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, ``"rrip"`` is
 #: the predictive zoo (:data:`~repro.cache.semantics.RRIP_POLICIES`),
 #: and ``"other"`` is the LRU outside that model (write-around LRU,
 #: LRU with demote or multi-word-line kills on a trace that carries
-#: kills).  ``"reference"`` is the per-event ``Cache.access`` loop,
-#: exact for every family.  ``"consumers"`` lists the engines that give
-#: what each consumer needs: ``CacheStats`` for a sweep (every engine),
-#: a per-event hit mask for ``level_outcome``, a distance histogram for
-#: ``utility_curves``.  Entries are names, not
+#: kills).  ``"consumers"`` lists the engines that give what each
+#: consumer needs: ``CacheStats`` for a sweep (every engine), a
+#: per-event hit mask for ``level_outcome``.  Entries are names, not
 #: functions: each dispatcher looks the function up through its module
 #: attribute when it calls it.  ``docs/PERFORMANCE.md`` renders the
 #: table, and ``tests/test_engine_table.py`` holds the two together.
 ENGINE_TABLE = {
     "families": {
-        "lru": ("vector_profile_pass", "profile_pass", "reference"),
+        "lru": ("vector_profile_pass", "reference"),
         "fifo": ("fifo_sweep", "reference"),
         "random": ("random_sweep", "reference"),
         "min": ("min_sweep", "reference"),
@@ -182,30 +158,22 @@ ENGINE_TABLE = {
         "other": ("lru_sweep", "reference"),
     },
     "consumers": {
-        "stats": ("vector_profile_pass", "profile_pass", "fifo_sweep",
-                  "random_sweep", "min_sweep", "rrip_sweep", "lru_sweep",
-                  "reference"),
+        "stats": ("vector_profile_pass", "fifo_sweep", "random_sweep",
+                  "min_sweep", "rrip_sweep", "lru_sweep", "reference"),
         "hits": ("vector_profile_pass", "reference"),
-        "histogram": ("vector_profile_pass", "profile_pass"),
     },
 }
 
 
-def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
+def engines_for(spec, has_bypass, has_kill, consumer="stats"):
     """The engines that may score ``spec`` for ``consumer``, best first.
 
-    The first entry is the one every dispatcher calls; the differential
-    fuzzer and the conformance test run them all.  ``has_bypass`` and
-    ``has_kill`` describe the trace (see :func:`supports_stackdist`);
-    ``consumer`` is ``"stats"``, ``"hits"`` or ``"histogram"``; the
-    override (:func:`sweep_engine`) applies on top of the table:
-    ``"stackdist"`` drops the array kernel and raises
-    :class:`ValueError` for a stats spec outside the ``"lru"`` family.
-    The kernel serves caps up to ``VECTOR_ASSOC_CAP_LIMIT`` only.
-    Raises :class:`ValueError` when no engine gives what ``consumer``
-    needs.
+    The first entry is the one every dispatcher calls; the conformance
+    test runs them all.  ``has_bypass`` and ``has_kill`` describe the
+    trace (see :func:`supports_stackdist`); ``consumer`` is
+    ``"stats"`` or ``"hits"``.  Raises :class:`ValueError` when no
+    engine gives what ``consumer`` needs.
     """
-    override = sweep_engine(engine)
     if isinstance(spec, MinConfig):
         family = "min"
     elif spec.policy in ("fifo", "random"):
@@ -216,18 +184,9 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats", engine=None):
         family = "lru"
     else:
         family = "other"
-    if consumer == "stats" and override == "stackdist" and family != "lru":
-        raise ValueError(
-            "stack-distance engine cannot profile {!r}".format(spec)
-        )
     gives = ENGINE_TABLE["consumers"][consumer]
     names = tuple(
-        name for name in ENGINE_TABLE["families"][family]
-        if name in gives and not (
-            name == "vector_profile_pass"
-            and (override != "auto"
-                 or spec.associativity > VECTOR_ASSOC_CAP_LIMIT)
-        )
+        name for name in ENGINE_TABLE["families"][family] if name in gives
     )
     if not names:
         raise ValueError(
@@ -456,7 +415,7 @@ def cold_probes(blocks, types, order=None):
     when that event is not an install (``EV_PLAIN_READ`` /
     ``EV_PLAIN_WRITE``).  Only an install makes a block resident and
     every other event leaves it absent, so a cold probe misses at every
-    associativity; the profilers count it with
+    associativity; the kernel counts it with
     :meth:`StackDistanceProfile.add_missed_probes` instead of replaying
     it.  Run collapse drops only installs that follow an install of
     the same block, so the mask means the same on a collapsed stream.
@@ -482,40 +441,6 @@ def cold_probes(blocks, types, order=None):
         & ~after_install
     )
     return cold
-
-
-def profile_pass(columns, flavor, num_sets, assoc_cap, decoded=None):
-    """One pass: profile ``(flavor, num_sets)`` up to ``assoc_cap``.
-
-    Returns a :class:`StackDistanceProfile` from which
-    :meth:`~StackDistanceProfile.stats_for` reconstructs exact stats
-    for every ``assoc <= assoc_cap``.  The collapsed stream's cold
-    probes (:func:`cold_probes`) are counted as misses; everything
-    else replays through the automaton.
-    """
-    line_words, _hb, _hk, write_policy = flavor
-    stream = decoded
-    if stream is None:
-        stream = _flavor_decode(columns, flavor)
-    profile = StackDistanceProfile(
-        num_sets, assoc_cap, line_words, write_policy, stream.constants
-    )
-    blocks = stream.blocks_np
-    types = stream.types_np
-    run_writes = repeat(False)
-    runs = collapse_runs(blocks, types, num_sets)
-    if runs is not None:
-        profile.collapsed_hits = runs.collapsed
-        blocks = blocks[runs.indices]
-        types = types[runs.indices]
-        run_writes = runs.run_writes
-    cold = cold_probes(blocks, types)
-    profile.add_missed_probes(types[cold])
-    replay = ~cold
-    events = zip(blocks[replay].tolist(), types[replay].tolist(),
-                 compress(run_writes, replay.tolist()))
-    _run_general(profile, events, num_sets, assoc_cap, write_policy)
-    return profile
 
 
 def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
@@ -683,7 +608,7 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
 # ----------------------------------------------------------------------
 
 
-def replay_trace_sweep(trace, specs, engine=None):
+def replay_trace_sweep(trace, specs):
     """Score every spec of a sweep, one-pass where the math allows.
 
     ``specs`` mixes :class:`~repro.cache.cache.CacheConfig` and
@@ -691,11 +616,10 @@ def replay_trace_sweep(trace, specs, engine=None):
     aligned with the input and bit-identical to the serial
     :func:`~repro.cache.replay.replay_trace` path for every entry.
     Specs sharing a policy, flavor and set count (and, for Random, a
-    seed) form one group, scored in one pass by the engine
-    :func:`engines_for` names for the group's widest member.
-    ``engine`` overrides ``REPRO_SWEEP_ENGINE`` (see
-    :func:`sweep_engine`); every engine is bit-identical, so the
-    override exists for tests and benchmarks.
+    seed) form one group, scored in one pass, up to its widest member,
+    by the engine :func:`engines_for` names for the group.  The kernel
+    and the lane walks (all but :func:`rrip_sweep`) share the trace's
+    memoized set partition.
     """
     from repro.cache import vectorized
 
@@ -728,24 +652,16 @@ def replay_trace_sweep(trace, specs, engine=None):
     for key, members in groups.items():
         kind, flavor, kill_mode, allocate_on_write, num_sets, seed = key
         line_words, eff_hb, _eff_hk, write_policy = flavor
-        # One pass scores the group up to its widest member, so that
-        # member's associativity decides the side of the kernel's cap.
-        widest = max(members, key=lambda member: member[2].associativity)
-        name = engines_for(widest[1], has_bypass, has_kill,
-                           engine=engine)[0]
+        name = engines_for(members[0][1], has_bypass, has_kill)[0]
         stream = decoded_cache.get(flavor)
         if stream is None:
             stream = decoded_cache[flavor] = _flavor_decode(columns, flavor)
-        cap = widest[2].associativity
-
         if name == "vector_profile_pass":
+            cap = max(member[2].associativity for member in members)
             scored = vectorized.vector_profile_pass(
                 columns, flavor, num_sets, cap, decoded=stream,
                 order=trace.set_partition(num_sets, line_words),
             ).stats_for
-        elif name == "profile_pass":
-            scored = profile_pass(columns, flavor, num_sets, cap,
-                                  decoded=stream).stats_for
         else:
             lane_args = (
                 stream, num_sets,
@@ -755,21 +671,24 @@ def replay_trace_sweep(trace, specs, engine=None):
             nu_key = (line_words, eff_hb)
             if kind in ("min", "hawkeye") and nu_key not in next_use_cache:
                 next_use_cache[nu_key] = next_use_index(trace, *nu_key)
-            if name == "fifo_sweep":
-                lanes = fifo_sweep(*lane_args)
-            elif name == "lru_sweep":
-                lanes = lru_sweep(*lane_args)
-            elif name == "random_sweep":
-                lanes = random_sweep(*lane_args, seed)
-            elif name == "min_sweep":
-                lanes = min_sweep(*lane_args, next_use_cache[nu_key])
-            else:
+            if name == "rrip_sweep":
                 if signatures is None and kind in PREDICTOR_POLICIES:
                     signatures = signature_column(trace)
                 lanes = rrip_sweep(
                     *lane_args, kind, signatures,
                     next_use_cache[nu_key] if kind == "hawkeye" else None,
                 )
+            else:
+                order = trace.set_partition(num_sets, line_words)
+                if name == "fifo_sweep":
+                    lanes = fifo_sweep(*lane_args, order=order)
+                elif name == "lru_sweep":
+                    lanes = lru_sweep(*lane_args, order=order)
+                elif name == "random_sweep":
+                    lanes = random_sweep(*lane_args, seed, order=order)
+                else:
+                    lanes = min_sweep(*lane_args, next_use_cache[nu_key],
+                                      order=order)
             scored = lanes.__getitem__
         for index, _spec, config in members:
             results[index] = scored(config.associativity)

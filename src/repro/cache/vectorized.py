@@ -8,9 +8,11 @@ exact profile with NumPy array kernels over the columnar trace that
 * **Set-major partition.**  One stable argsort of the set-index column
   groups every set's events contiguously while preserving time order
   inside each set (:meth:`TraceBuffer.set_partition` caches it per
-  geometry, and :func:`repro.cache.semantics.collapse_runs` shares the
-  same permutation).  All kernels below run on the partitioned stream,
-  so per-set state machines become segmented scans.
+  geometry, and the lane walks of :mod:`repro.cache.semantics` share
+  the same permutation).  The run collapse
+  (:func:`repro.cache.semantics.collapse_runs_sorted`) and all kernels
+  below run on the partitioned stream, so per-set state machines
+  become segmented scans.
 
 * **Age-matrix LRU sweep.**  Classic Mattson stack maintenance is
   replaced by the bounded recency matrix ``t[d, q]`` — the slot of the
@@ -51,9 +53,15 @@ exact profile with NumPy array kernels over the columnar trace that
 
 * **Set blocks.**  Sets are independent and every profile field is
   additive, so the kernel walks the set-major order in blocks of whole
-  sets holding at most ``SET_BLOCK_EVENTS`` events and sums the
-  results; its per-event temporaries are sized by the block, not the
-  trace.
+  sets holding at most ``SET_BLOCK_EVENTS`` events
+  (:func:`repro.cache.semantics.set_blocks`, the block loop the lane
+  walks use too) and sums the results; its per-event temporaries are
+  sized by the block, not the trace.
+
+* **Wide caps.**  Above ``VECTOR_ASSOC_CAP_LIMIT`` ways the level loop
+  costs more than the automaton it saves, so the kernel skips it and
+  treats every set as flagged: cold probes are still counted without
+  a replay, and every other head goes through the automaton.
 
 * **Per-event hits.**  For the cache at the cap associativity an
   event's outcome falls out of the same pass: a collapsed run
@@ -64,14 +72,13 @@ exact profile with NumPy array kernels over the columnar trace that
   (:func:`repro.cache.hierarchy.level_outcome`).
 
 The result is a :class:`repro.cache.stackdist.StackDistanceProfile`
-whose every field is bit-identical to :func:`profile_pass` — the
-reconstruction arithmetic in ``stats_for`` is shared, so equal
-profiles mean equal :class:`~repro.cache.stats.CacheStats`.  The
-kernel serves associativity caps up to ``VECTOR_ASSOC_CAP_LIMIT`` and
-refuses wider ones; the engine table
-(:data:`repro.cache.stackdist.ENGINE_TABLE`) sends those to
-:func:`profile_pass`.  ``docs/PERFORMANCE.md`` ("The set-major
-vectorized kernel") has the derivation and measured speedups.
+whose every field is bit-identical to replaying every set through the
+automaton — the all-flagged mode — and whose reconstructed
+:class:`~repro.cache.stats.CacheStats` equal the serial replay.  It is
+the one LRU engine of the engine table
+(:data:`repro.cache.stackdist.ENGINE_TABLE`), at every associativity.
+``docs/PERFORMANCE.md`` ("The set-major vectorized kernel") has the
+derivation and measured speedups.
 """
 
 import numpy as _np
@@ -81,32 +88,31 @@ from repro.cache.semantics import (
     EV_PLAIN_WRITE,
     collapse_runs_sorted,
     flavor_decode as _flavor_decode,
+    set_blocks,
 )
 from repro.cache.stackdist import (
-    VECTOR_ASSOC_CAP_LIMIT,
     StackDistanceProfile,
     _run_general,
     cold_probes,
 )
 
-#: Most events one set block may hold.  The kernel walks the set-major
-#: order in blocks of whole sets (a set with more events than this is a
-#: block of its own), so its per-event temporaries — about 25 int64
-#: columns — are sized by the block, not by the trace.
-SET_BLOCK_EVENTS = 1 << 15
+#: Above this associativity cap the level loop stops paying for
+#: itself: the kernel then flags every set and replays it through the
+#: automaton (cold probes excepted).
+VECTOR_ASSOC_CAP_LIMIT = 64
 
 
 def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
                         decoded=None, order=None, info=None, hits=None):
-    """Drop-in twin of :func:`profile_pass` built on array kernels.
+    """Profile ``(flavor, num_sets)`` up to ``assoc_cap`` in one pass.
 
-    Same contract: returns a :class:`StackDistanceProfile` for
-    ``(flavor, num_sets)`` scoring every ``assoc <= assoc_cap``,
-    bit-identical field by field to the scalar profiler.  ``assoc_cap``
-    must not exceed ``VECTOR_ASSOC_CAP_LIMIT`` (:class:`ValueError`
-    otherwise).  ``order`` is an optional pre-computed set-major
-    partition (:meth:`TraceBuffer.set_partition`); ``info``, when a
-    dict, is populated with ``offline_sets``, ``fallback_sets`` and
+    Returns a :class:`StackDistanceProfile` from which
+    :meth:`~StackDistanceProfile.stats_for` reconstructs exact stats
+    for every ``assoc <= assoc_cap``, at any cap (above
+    ``VECTOR_ASSOC_CAP_LIMIT`` every set is flagged).  ``order`` is an
+    optional pre-computed set-major partition
+    (:meth:`TraceBuffer.set_partition`); ``info``, when a dict, is
+    populated with ``offline_sets``, ``fallback_sets`` and
     ``fallback_events`` for benchmarks and tests.
 
     ``hits``, when given, is a writable boolean array with one slot
@@ -115,16 +121,11 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     :meth:`~repro.cache.semantics.UnifiedCache.access` would return
     ``"hit"``.
 
-    The kernel runs over set blocks of at most ``SET_BLOCK_EVENTS``
-    events (``docs/PERFORMANCE.md``, "Set blocks"); the profile and
-    the ``info`` counts are sums over the blocks.
+    The kernel runs over set blocks of at most
+    :data:`~repro.cache.semantics.SET_BLOCK_EVENTS` events
+    (``docs/PERFORMANCE.md``, "Set blocks"); the profile and the
+    ``info`` counts are sums over the blocks.
     """
-    if assoc_cap > VECTOR_ASSOC_CAP_LIMIT:
-        raise ValueError(
-            "the array kernel and its per-event hits need assoc_cap <= {} "
-            "(got {})".format(VECTOR_ASSOC_CAP_LIMIT, assoc_cap)
-        )
-
     line_words, _hb, _hk, write_policy = flavor
     stream = decoded
     if stream is None:
@@ -137,7 +138,7 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     if len(blocks):
         if order is None:
             order = _np.argsort(blocks % num_sets, kind="stable")
-        for lo, hi in _set_blocks(blocks, num_sets):
+        for lo, hi in set_blocks(blocks, num_sets):
             _profile_block(profile, stream, num_sets, assoc_cap,
                            write_policy, order[lo:hi], tally, hits)
     if info is not None:
@@ -150,38 +151,69 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
 # ----------------------------------------------------------------------
 
 
-def _set_blocks(blocks, num_sets):
-    """``(lo, hi)`` bounds of the set blocks in set-major order.
-
-    Each block is a run of whole sets holding at most
-    ``SET_BLOCK_EVENTS`` events, or a single larger set.
-    """
-    ends = _np.cumsum(_np.bincount(blocks % num_sets, minlength=num_sets))
-    total = int(ends[-1])
-    lo = 0
-    while lo < total:
-        fit = int(_np.searchsorted(ends, lo + SET_BLOCK_EVENTS, side="right"))
-        hi = int(ends[fit - 1]) if fit else lo
-        if hi <= lo:
-            hi = int(ends[_np.searchsorted(ends, lo, side="right")])
-        yield lo, hi
-        lo = hi
-
-
 def _profile_block(profile, stream, num_sets, assoc_cap, write_policy,
                    order, tally, hits):
     """Add one set block's events (``order``) into ``profile``."""
-    writeback = write_policy == "writeback"
-    cap = assoc_cap
-    clean = cap + 1
-    miss_bucket = cap + 1
-
     # Collapse directly in set-major order: the head columns come out
     # already partitioned, so no back-to-time remap, keep-mask
     # regather or list materialization is paid on this path.
     runs = collapse_runs_sorted(stream.blocks_np, stream.types_np,
                                 num_sets, order)
     profile.collapsed_hits += runs.collapsed
+    if assoc_cap > VECTOR_ASSOC_CAP_LIMIT:
+        # Wide caps: every set is flagged, and only its cold probes
+        # (known misses) settle without the automaton.
+        sets = runs.sets
+        tally["fallback_sets"] += 1 + int((sets[1:] != sets[:-1]).sum())
+        tally["fallback_events"] += len(sets)
+        settled = cold_probes(runs.blocks, runs.types)
+        profile.add_missed_probes(runs.types[settled])
+        head_hit = None
+        if hits is not None:
+            head_hit = _np.zeros(len(sets), dtype=bool)
+    else:
+        settled, head_hit = _offline_sets(profile, runs, assoc_cap,
+                                          write_policy, tally,
+                                          hits is not None)
+
+    # Flagged sets: replay their unsettled events — still set-major, so
+    # each set's slice is in time order — through the exact automaton
+    # into the same additive profile.  Settled probes keep the miss
+    # ``head_hit`` already holds for them.
+    replay = _np.flatnonzero(~settled)
+    if len(replay):
+        sink = None if head_hit is None else []
+        _run_general(
+            profile,
+            zip(runs.blocks[replay].tolist(), runs.types[replay].tolist(),
+                runs.run_writes[replay].tolist()),
+            num_sets, assoc_cap, write_policy, sink,
+        )
+        if sink is not None:
+            head_hit[replay] = sink
+
+    if hits is not None:
+        # Collapsed followers are MRU hits; heads scatter back to their
+        # time-order slots.
+        hits[order] = True
+        hits[runs.heads] = head_hit
+
+
+def _offline_sets(profile, runs, assoc_cap, write_policy, tally,
+                  want_hits):
+    """Score the sets of one block that the age matrix settles.
+
+    Adds every offline set's events, and every cold probe of a flagged
+    set, into ``profile``.  Returns ``(settled, head_hit)``: the mask
+    of the heads scored here (the rest replay through the automaton)
+    and, when ``want_hits``, each head's outcome at ``assoc_cap`` ways
+    so far.
+    """
+    writeback = write_policy == "writeback"
+    cap = assoc_cap
+    clean = cap + 1
+    miss_bucket = cap + 1
+
     sb = runs.blocks
     st = runs.types
     ss = runs.sets
@@ -374,29 +406,9 @@ def _profile_block(profile, stream, num_sets, assoc_cap, write_policy,
     # Per-event hits: a head in an offline set hits when it goes
     # through the cache within the cap (offline probes all miss).
     head_hit = None
-    if hits is not None:
+    if want_hits:
         head_hit = plain & (pos <= cap)
-
-    # Flagged sets: replay their unsettled events — still set-major, so
-    # each set's slice is in time order — through the exact automaton
-    # into the same additive profile.  Settled probes keep the miss
-    # ``head_hit`` already holds for them.
-    if fallback_sets:
-        bi = _np.flatnonzero(~settled)
-        sink = None if head_hit is None else []
-        _run_general(
-            profile,
-            zip(sb[bi].tolist(), st[bi].tolist(), sw[bi].tolist()),
-            num_sets, assoc_cap, write_policy, sink,
-        )
-        if sink is not None:
-            head_hit[bi] = sink
-
-    if hits is not None:
-        # Collapsed followers are MRU hits; heads scatter back to their
-        # time-order slots.
-        hits[order] = True
-        hits[runs.heads] = head_hit
+    return settled, head_hit
 
 
 def _add_list(target, counts):

@@ -92,8 +92,7 @@ def figure5_table(
     the reference replay behind
     :func:`~repro.evalharness.experiment.run_benchmark`.  ``journal``
     (a path) checkpoints completed benchmarks so a killed run resumes
-    where it left off.  The rows are bit-identical under every
-    ``REPRO_SWEEP_ENGINE`` value.
+    where it left off.
     """
     from repro.evalharness.parallel import EvalUnit, run_units
 

@@ -72,9 +72,8 @@ class EvalUnit:
     ``cache_configs`` lists every geometry to score against the unit's
     single reference trace; however many there are, they are scored
     together by the sweep dispatcher
-    (:func:`~repro.cache.stackdist.replay_trace_sweep`), whose engine
-    only ``REPRO_SWEEP_ENGINE`` overrides (worker processes inherit
-    it).
+    (:func:`~repro.cache.stackdist.replay_trace_sweep`), which picks
+    each spec's engine from the engine table alone.
 
     ``hierarchy`` switches the unit from flat geometries to hierarchy
     scoring: each entry is a :func:`~repro.cache.hierarchy.parse_hierarchy`
@@ -97,9 +96,9 @@ def unit_fingerprint(unit):
     Journals key completed outcomes by this, and the fault-injection
     sites key worker-level decisions by it, so a unit keeps its
     identity no matter which process (or which resumed run) evaluates
-    it.  The sweep engine is not part of the payload: engines are
-    bit-identical, so a journal written under one ``REPRO_SWEEP_ENGINE``
-    resumes correctly under another.
+    it.  The sweep engine is not part of the payload: every engine is
+    bit-identical to the reference replay, so a journal written before
+    an engine change resumes correctly after it.
     """
     options = (unit.options or CompilationOptions()).normalized()
     fields = {

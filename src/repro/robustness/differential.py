@@ -19,16 +19,15 @@ asserts:
   data-carrying functional cache produces the same program output,
   the same final memory as flat memory, and *exactly* the same
   statistics as the tag-only simulator replaying the recorded trace.
-* **Engine agreement** — every engine the engine table
-  (:func:`repro.cache.stackdist.engines_for`) lists for the unified,
-  annotation-blind, MIN, FIFO, Random and predictive-zoo
-  configurations of the same trace reproduces the serial replays
-  bit-identically: the set-major array kernels and the scalar
-  hole-stack profiler for LRU, and the lane sweeps for FIFO, Random,
-  MIN, the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye) and the LRU
-  outside the stack-distance model (demoted kills, write-around).
-  Each runs through the sweep dispatcher under the override that
-  routes the spec to it, and a mismatch names the engine.
+* **Engine agreement** — one sweep-dispatcher call scores the unified,
+  annotation-blind, MIN, FIFO, Random, predictive-zoo and
+  outside-the-model LRU configurations of the same trace, and each
+  result reproduces its serial replay bit-identically.  Every fast
+  engine of the engine table (:func:`repro.cache.stackdist.engines_for`)
+  runs: the set-major kernel for LRU, and the lane sweeps for FIFO,
+  Random, MIN, the RRIP family (SRRIP/BRRIP/DRRIP/SHiP/Hawkeye) and
+  the LRU outside the stack-distance model (demoted kills,
+  write-around).  A mismatch names the engine that scored the spec.
 * **Superinstruction agreement** — the fused closure VM
   (:meth:`repro.vm.machine.Machine._fuse_block`) re-runs the heaviest
   configuration through the per-step
@@ -438,43 +437,22 @@ def _check_cache_models(run, baseline, cache_words, associativity):
         serial[zoo_policy] = replay_trace(run.trace, zoo_config).as_dict()
         labels = labels + (zoo_policy,)
         battery.append(zoo_config)
-    # Every engine the engine table lists for each spec, held to the
-    # serial path.  The sweep dispatcher reaches each one under the
-    # first override that routes the spec to it.
+    # The whole battery in one sweep call, held to the serial path.
     presence = flag_presence(run.trace.to_columns())
-
-    def reached(spec, override):
-        try:
-            return engines_for(spec, *presence, engine=override)[0]
-        except ValueError:  # stackdist refuses specs outside LRU
-            return None
-
-    legs = {}
-    for label, spec in zip(labels, battery):
-        for name in engines_for(spec, *presence, engine="auto"):
-            if name == "reference":
-                continue  # the serial replays above
-            override = next(
-                override for override in ("auto", "stackdist")
-                if reached(spec, override) == name
+    swept = replay_trace_sweep(run.trace, battery)
+    for label, spec, stats in zip(labels, battery, swept):
+        if stats.as_dict() != serial[label]:
+            name = engines_for(spec, *presence)[0]
+            diff = {
+                key: (stats.as_dict()[key], serial[label][key])
+                for key in serial[label]
+                if stats.as_dict().get(key) != serial[label][key]
+            }
+            raise DifferentialError(
+                name,
+                "{} and serial replay disagree on the {} "
+                "configuration: {!r}".format(name, label, diff),
             )
-            legs.setdefault(override, []).append((label, spec, name))
-    for override, leg in legs.items():
-        swept = replay_trace_sweep(
-            run.trace, [spec for _label, spec, _name in leg], engine=override
-        )
-        for (label, _spec, name), stats in zip(leg, swept):
-            if stats.as_dict() != serial[label]:
-                diff = {
-                    key: (stats.as_dict()[key], serial[label][key])
-                    for key in serial[label]
-                    if stats.as_dict().get(key) != serial[label][key]
-                }
-                raise DifferentialError(
-                    name,
-                    "{} and serial replay disagree on the {} "
-                    "configuration: {!r}".format(name, label, diff),
-                )
 
     _check_hierarchy(run, cache_words, associativity)
 

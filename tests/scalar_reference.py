@@ -1,6 +1,7 @@
 """Pure-Python references for the NumPy kernels, used only by tests.
 
-The production run collapse (:func:`repro.cache.semantics.collapse_runs`),
+The production run collapse
+(:func:`repro.cache.semantics.collapse_runs_sorted`),
 the RPTRACE2 delta codec (:mod:`repro.vm.trace`) and the multi-core
 private levels (:func:`repro.cache.multicore.simulate_multicore`) run
 on NumPy arrays.  These are the plain loops they replaced: tests
@@ -12,6 +13,7 @@ reads but no longer writes.
 import struct
 from array import array
 from dataclasses import replace
+from types import SimpleNamespace
 
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import HierarchyError
@@ -20,7 +22,7 @@ from repro.cache.multicore import (
     PartitionedLRUPolicy,
     interleave_traces,
 )
-from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE, CollapsedRuns
+from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE
 from repro.vm.trace import (
     FLAG_BYPASS,
     FLAG_KILL,
@@ -46,10 +48,13 @@ def rptrace1_bytes(addresses, flags):
 
 
 def collapse_runs_py(blocks, types, num_sets):
-    """Loop reference for :func:`repro.cache.semantics.collapse_runs`.
+    """Loop reference for :func:`repro.cache.semantics.collapse_runs_sorted`.
 
-    Tracks each set's current run head by position so follower writes
-    dirty the right head even when other sets' events interleave.
+    Walks in time order and tracks each set's current run head by
+    position, so follower writes dirty the right head even when other
+    sets' events interleave.  Returns the heads' event indices in time
+    order (``indices``), ``run_writes``, each run's ``last_indices``
+    and the follower counts.
     """
     last_block = {}
     last_plain = {}
@@ -83,17 +88,14 @@ def collapse_runs_py(blocks, types, num_sets):
             last_indices.append(i)
         last_block[s] = block
         last_plain[s] = plain
-    collapsed = follower_reads + follower_writes
-    if collapsed == 0:
-        return None
-    runs = CollapsedRuns()
-    runs.indices = indices
-    runs.run_writes = run_writes
-    runs.last_indices = last_indices
-    runs.follower_reads = follower_reads
-    runs.follower_writes = follower_writes
-    runs.collapsed = collapsed
-    return runs
+    return SimpleNamespace(
+        indices=indices,
+        run_writes=run_writes,
+        last_indices=last_indices,
+        follower_reads=follower_reads,
+        follower_writes=follower_writes,
+        collapsed=follower_reads + follower_writes,
+    )
 
 
 def encode_deltas_py(addresses):

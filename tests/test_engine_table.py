@@ -7,38 +7,39 @@ from it.  This file holds the table to both of its promises:
 
 * **Exactness.**  Every engine the table lists for a spec is
   bit-identical to the serial reference :func:`replay_trace` (for MIN,
-  ``replay_trace(policy="min")``) over one trace corpus: Hypothesis
-  traces over dense and sparse addresses using every flag byte, the
-  empty trace, hand-built traces, fuzzer programs and the six Figure 5
-  benchmarks.  The outputs only some engines give are held too: the
-  kernel's per-event hit mask equals ``Cache.access(...) == "hit"``
-  event by event, and each profiler's distance histogram reproduces
-  the hit count.  Every engine is called explicitly, so the result
-  does not depend on the ambient ``REPRO_SWEEP_ENGINE``.  Both
-  profilers are also held to what they hand the hole-stack automaton:
-  never a cold probe, whose miss is known in advance.
-* **Routing.**  Each consumer — the sweep dispatcher, the hierarchy's
-  level outcome, the UMON curves — reaches the engine that the
-  override table in ``docs/PERFORMANCE.md`` names, for every family,
-  override value and side of the associativity cap.  These checks wrap
-  each engine wherever a ``repro`` module binds it and take their
-  expectations from the document, so they use none of the table's own
-  API; a last check holds the document's tables to the engine table.
+  :func:`simulate_min`) over one trace corpus: Hypothesis traces over
+  dense and sparse addresses using every flag byte (the dense ones
+  also with set blocks of three events, so every set-major walk
+  crosses block boundaries), the empty trace, hand-built traces,
+  fuzzer programs and the six Figure 5 benchmarks.  The outputs only
+  the kernel gives are held too, on both sides of its associativity
+  cap: its per-event hit mask equals ``Cache.access(...) == "hit"``
+  event by event, and its distance histogram reproduces the hit
+  count.  The kernel is also held to what it hands the hole-stack
+  automaton, in its usual mode and with every set flagged: never a
+  cold probe, whose miss is known in advance.
+* **Routing.**  Each consumer — the sweep dispatcher and the
+  hierarchy's level outcome — reaches the engine that the routing
+  table in ``docs/PERFORMANCE.md`` names, for every family and side of
+  the associativity cap.  These checks wrap each engine wherever a
+  ``repro`` module binds it and take their expectations from the
+  document, so they use none of the table's own API; a last check
+  holds the document's tables to the engine table.
 """
 
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import stackdist, vectorized
+from repro.cache import semantics, stackdist, vectorized
+from repro.cache.belady import simulate_min
 from repro.cache.cache import POLICIES, Cache, CacheConfig
 from repro.cache.hierarchy import level_outcome
-from repro.cache.multicore import utility_curves
 from repro.cache.replay import MinConfig, policy_for_trace, replay_trace
 from repro.cache.semantics import (
     EV_KILL_WRITE,
@@ -55,7 +56,7 @@ from repro.cache.semantics import (
     rrip_sweep,
     signature_column,
 )
-from repro.cache.stackdist import flavor_key, profile_pass, replay_trace_sweep
+from repro.cache.stackdist import flavor_key, replay_trace_sweep
 from repro.cache.vectorized import VECTOR_ASSOC_CAP_LIMIT, vector_profile_pass
 from repro.evalharness.sweeps import ZOO_GEOMETRY
 from repro.vm.trace import (
@@ -145,7 +146,7 @@ MIN_CONFIGS = [
 ]
 
 #: One fully associative Random set, and one LRU set wider than the
-#: kernel's cap (the table sends it to the scalar profiler).
+#: kernel's cap (the kernel flags every set).
 WIDE_CONFIGS = [
     CacheConfig(size_words=8, line_words=1, associativity=8,
                 policy="random", seed=7),
@@ -308,11 +309,9 @@ FIGURE5_SPECS = [
 
 
 def serial(trace, spec):
-    """The reference stats: ``replay_trace``, MIN included."""
+    """The reference stats: ``replay_trace``, or ``simulate_min``."""
     if isinstance(spec, MinConfig):
-        fields = asdict(spec.config)
-        del fields["policy"]
-        return replay_trace(trace, policy="min", **fields)
+        return simulate_min(trace, spec.config)
     return replay_trace(trace, spec)
 
 
@@ -361,11 +360,6 @@ def lane_stats(name, trace, spec, presence):
     return lanes[config.associativity]
 
 
-#: The stack-distance profilers, called as the sweep dispatcher calls
-#: them: once per ``(flavor, num_sets)`` group at its widest cap.
-PROFILERS = ("vector_profile_pass", "profile_pass")
-
-
 def assert_same(engine, spec, got, want):
     got, want = got.as_dict(), want.as_dict()
     assert got == want, (engine, spec, {
@@ -376,66 +370,71 @@ def assert_same(engine, spec, got, want):
 def assert_table_exact(trace, specs, masks=True):
     """Every engine the table lists for each spec equals the oracle.
 
-    The profilers also hand the UMON consumer a distance histogram,
-    whose prefix through the associativity is the hit count, and the
-    kernel hands the level-outcome consumer a per-event hit mask for
-    its cap, held to ``Cache.access`` unless ``masks`` is false (that
-    oracle costs a second reference replay per LRU spec).
+    The kernel, called as the sweep dispatcher calls it (once per
+    ``(flavor, num_sets)`` group at its widest cap), also hands the
+    UMON consumer a distance histogram, whose prefix through the
+    associativity is the hit count, and the level-outcome consumer a
+    per-event hit mask for its cap, held to ``Cache.access`` unless
+    ``masks`` is false (that oracle costs a second reference replay per
+    LRU spec).
     """
     columns = trace.to_columns()
     presence = flag_presence(columns)
     groups = {}
     for spec in specs:
         want = serial(trace, spec)
-        for name in stackdist.engines_for(spec, *presence, engine="auto"):
-            if name in PROFILERS:
-                key = (name, flavor_key(spec, *presence), spec.num_sets)
+        for name in stackdist.engines_for(spec, *presence):
+            if name == "vector_profile_pass":
+                key = (flavor_key(spec, *presence), spec.num_sets)
                 groups.setdefault(key, []).append((spec, want))
             elif name != "reference":  # the oracle itself
                 assert_same(name, spec,
                             lane_stats(name, trace, spec, presence), want)
-    for (name, flavor, num_sets), members in groups.items():
+    for (flavor, num_sets), members in groups.items():
         cap = max(spec.associativity for spec, _want in members)
-        profile, hits = profiled(name, columns, flavor, num_sets, cap)
+        profile, hits = profiled(columns, flavor, num_sets, cap)
         histogram = profile.distance_histogram()
         for spec, want in members:
             assoc = spec.associativity
-            assert_same(name, spec, profile.stats_for(assoc), want)
-            assert sum(histogram[:assoc + 1]) == want.hits, (name, spec)
-            if masks and hits is not None:
+            assert_same("vector_profile_pass", spec,
+                        profile.stats_for(assoc), want)
+            assert sum(histogram[:assoc + 1]) == want.hits, spec
+            if masks:
                 mask = hits if assoc == cap else profiled(
-                    name, columns, flavor, num_sets, assoc
+                    columns, flavor, num_sets, assoc
                 )[1]
                 assert mask.tolist() == reference_hits(trace, spec), spec
 
 
-def profiled(name, columns, flavor, num_sets, cap):
-    """``(profile, hits)`` from profiler ``name``; ``hits`` is the
-    kernel's per-event mask for the ``cap``-way cache (else ``None``)."""
-    if name == "profile_pass":
-        return profile_pass(columns, flavor, num_sets, cap), None
+def profiled(columns, flavor, num_sets, cap):
+    """``(profile, hits)`` from the kernel; ``hits`` is its per-event
+    mask for the ``cap``-way cache."""
     hits = numpy.empty(len(columns[0]), dtype=bool)
     profile = vector_profile_pass(columns, flavor, num_sets, cap, hits=hits)
     return profile, hits
 
 
 def test_corpus_covers_every_family():
-    """Each family row of the table is some battery spec's engine list
-    (with the kernel), and the wide LRU spec drops the kernel."""
-    lists = {
-        stackdist.engines_for(spec, True, True, engine="auto")
-        for spec in SPECS
-    }
+    """Each family row of the table is some battery spec's engine list,
+    and the wide LRU spec's is the kernel's row."""
+    lists = {stackdist.engines_for(spec, True, True) for spec in SPECS}
     rows = stackdist.ENGINE_TABLE["families"]
     assert set(rows.values()) <= lists
-    assert rows["lru"][1:] in lists
+    wide_lru = WIDE_CONFIGS[1]
+    assert wide_lru.associativity > VECTOR_ASSOC_CAP_LIMIT
+    assert stackdist.engines_for(wide_lru, True, True) == rows["lru"]
+    assert stackdist.engines_for(wide_lru, True, True, "hits") == rows["lru"]
 
 
 class TestExactness:
     @settings(max_examples=60, deadline=None)
-    @given(events=traces)
-    def test_dense_addresses(self, events):
-        assert_table_exact(make_trace(events), SPECS)
+    @given(events=traces,
+           budget=st.sampled_from([semantics.SET_BLOCK_EVENTS, 3]))
+    def test_dense_addresses(self, events, budget):
+        # Set blocks of three events make the lane walks and the
+        # kernel, on both sides of its cap, cross block boundaries.
+        with mock.patch.object(semantics, "SET_BLOCK_EVENTS", budget):
+            assert_table_exact(make_trace(events), SPECS)
 
     @settings(max_examples=30, deadline=None)
     @given(events=sparse_traces)
@@ -481,7 +480,7 @@ class TestExactness:
                 with mock.patch.object(
                     stackdist, "rrip_sweep", wraps=rrip_sweep
                 ) as walk:
-                    swept = replay_trace_sweep(trace, specs, engine="auto")
+                    swept = replay_trace_sweep(trace, specs)
                 assert walk.call_count == 1
                 for spec, stats in zip(specs, swept):
                     assert_same("rrip_sweep", spec, stats, serial(trace, spec))
@@ -495,12 +494,13 @@ INSTALLS = (EV_PLAIN_READ, EV_PLAIN_WRITE)
 
 
 def automaton_inputs(trace, specs):
-    """The events each automaton call receives from both profilers.
+    """The events each automaton call receives from the kernel.
 
-    Runs ``profile_pass`` and ``vector_profile_pass`` (with a hit mask,
-    so the sink path runs too) once per group of the LRU ``specs`` in
-    the stack-distance model, with ``_run_general`` wrapped wherever a
-    profiler binds it.
+    Runs ``vector_profile_pass`` (with a hit mask, so the sink path
+    runs too) once per group of the LRU ``specs`` in the stack-distance
+    model, in its usual mode and with every set flagged (the wide-cap
+    mode, forced by a cap limit of 0), with ``_run_general`` wrapped
+    wherever the kernel binds it.
     """
     columns = trace.to_columns()
     presence = flag_presence(columns)
@@ -518,11 +518,12 @@ def automaton_inputs(trace, specs):
         calls.append(events)
         return real(profile, iter(events), *args, **kwargs)
 
-    with mock.patch.object(stackdist, "_run_general", automaton), \
-            mock.patch.object(vectorized, "_run_general", automaton):
+    with mock.patch.object(vectorized, "_run_general", automaton):
         for (flavor, num_sets), cap in caps.items():
-            for name in PROFILERS:
-                profiled(name, columns, flavor, num_sets, cap)
+            for limit in (VECTOR_ASSOC_CAP_LIMIT, 0):
+                with mock.patch.object(vectorized, "VECTOR_ASSOC_CAP_LIMIT",
+                                       limit):
+                    profiled(columns, flavor, num_sets, cap)
     return calls
 
 
@@ -569,7 +570,7 @@ class TestColdProbes:
 
     def test_figure5_traces(self, figure5_traces):
         # The report's unified streams do hand the automaton warm
-        # probes, so the wrapped automaton is the one the profilers call.
+        # probes, so the wrapped automaton is the one the kernel calls.
         assert sum(
             assert_no_cold_probes(trace, FIGURE5_SPECS)
             for trace in figure5_traces.values()
@@ -587,7 +588,6 @@ DOC_PATH = os.path.join(
 #: The engines the routing checks watch, by name and home module.
 ENGINES = {
     "vector_profile_pass": "repro.cache.vectorized",
-    "profile_pass": "repro.cache.stackdist",
     "fifo_sweep": "repro.cache.semantics",
     "random_sweep": "repro.cache.semantics",
     "min_sweep": "repro.cache.semantics",
@@ -595,20 +595,21 @@ ENGINES = {
     "lru_sweep": "repro.cache.semantics",
 }
 
-#: The override table's consumer labels.
+#: The routing table's consumer labels.
 CONSUMERS = {
     "sweep": "stats",
     "hit mask": "hits",
-    "distance histogram": "histogram",
 }
 
 WIDE = VECTOR_ASSOC_CAP_LIMIT * 2
 
-#: Representative specs per override-table column; the families whose
-#: row does not split at the cap take a spec on each side of it.
+#: Representative specs per routing-table column, on each side of the
+#: kernel's associativity cap.
 FAMILY_SPECS = {
-    "lru": [CacheConfig(size_words=16, associativity=2)],
-    "lru-wide": [CacheConfig(size_words=WIDE, associativity=WIDE)],
+    "lru": [
+        CacheConfig(size_words=16, associativity=2),
+        CacheConfig(size_words=WIDE, associativity=WIDE),
+    ],
     "fifo": [
         CacheConfig(size_words=16, associativity=2, policy="fifo"),
         CacheConfig(size_words=WIDE, associativity=WIDE, policy="fifo"),
@@ -655,30 +656,25 @@ def doc_table(header):
     return rows
 
 
-OVERRIDE_HEADER = (
-    "| `REPRO_SWEEP_ENGINE` | consumer | `lru` ≤ {0} ways "
-    "| `lru` > {0} ways | `fifo` | `random` | `min` | `rrip` | `other` |"
-).format(VECTOR_ASSOC_CAP_LIMIT)
-FAMILY_HEADER = (
-    "| family | specs | exact engines, in the order `auto` tries them |"
+ROUTING_COLUMNS = ("lru", "fifo", "random", "min", "rrip", "other")
+ROUTING_HEADER = "| consumer | {} |".format(
+    " | ".join("`{}`".format(column) for column in ROUTING_COLUMNS)
 )
+FAMILY_HEADER = "| family | specs | exact engines, fast one first |"
 CONSUMER_HEADER = "| consumer | needs | engines that give it |"
-OVERRIDE_COLUMNS = (
-    "lru", "lru-wide", "fifo", "random", "min", "rrip", "other",
-)
 
 
 def engine_names(cell):
     return [name.strip().strip("`") for name in cell.split(",")]
 
 
-def override_cells():
-    """``(override, consumer, column, expected)`` per table cell."""
+def routing_cells():
+    """``(consumer, column, expected)`` per table cell."""
     cells = []
-    for row in doc_table(OVERRIDE_HEADER):
-        override, consumer = row[0].strip("`"), CONSUMERS[row[1]]
-        for column, cell in zip(OVERRIDE_COLUMNS, row[2:]):
-            cells.append((override, consumer, column, cell.strip("`")))
+    for row in doc_table(ROUTING_HEADER):
+        consumer = CONSUMERS[row[0]]
+        for column, cell in zip(ROUTING_COLUMNS, row[1:]):
+            cells.append((consumer, column, cell.strip("`")))
     return cells
 
 
@@ -710,60 +706,42 @@ def drive(consumer, spec, reached):
     and checks the consumer's answer against the reference.
     """
     trace = make_trace(ROUTING_EVENTS)
-    l1_config = CacheConfig(size_words=2, associativity=1)
     if consumer == "stats":
         want = serial(trace, spec)
-    elif consumer == "hits":
-        want = reference_hits(trace, spec)
     else:
-        # UMON reads the private level's outcome first: score it now.
-        level_outcome(trace, l1_config)
+        want = reference_hits(trace, spec)
     del reached[:]
     if consumer == "stats":
         (stats,) = replay_trace_sweep(trace, [spec])
         assert stats == want, spec
-    elif consumer == "hits":
+    else:
         _stats, hits = level_outcome(trace, spec)
         assert hits.tolist() == want, spec
-    else:
-        utility_curves([trace], l1_config, spec)
     return list(reached)
 
 
 class TestRouting:
-    """Every consumer reaches the engine the override table names.
+    """Every consumer reaches the engine the routing table names.
 
     An engine may delegate to another, so the engine that scored is
     the innermost one entered — the last recorded.  ``reference`` means
     no engine was entered: the consumer ran the ``Cache.access`` loop.
     """
 
-    def test_override_table_is_complete(self):
-        cells = override_cells()
-        assert {cell[:3] for cell in cells} == {
-            (override, consumer, column)
-            for override in ("auto", "stackdist")
+    def test_routing_table_is_complete(self):
+        cells = routing_cells()
+        assert {cell[:2] for cell in cells} == {
+            (consumer, column)
             for consumer in CONSUMERS.values()
-            for column in OVERRIDE_COLUMNS
+            for column in ROUTING_COLUMNS
         }
 
-    @pytest.mark.parametrize("override", ["auto", "stackdist"])
-    def test_consumers_reach_the_named_engine(self, override, reached,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", override)
+    def test_consumers_reach_the_named_engine(self, reached):
         checked = 0
-        for row_override, consumer, column, expected in override_cells():
-            if row_override != override:
-                continue
+        for consumer, column, expected in routing_cells():
             if consumer == "hits" and column == "min":
                 continue  # a MinConfig is never a hierarchy level
-            if consumer == "histogram" and not column.startswith("lru"):
-                continue  # UMON always asks for a write-allocate LRU
             for spec in FAMILY_SPECS[column]:
-                if expected == "ValueError":
-                    with pytest.raises(ValueError, match="cannot profile"):
-                        drive(consumer, spec, reached)
-                    continue
                 entered = drive(consumer, spec, reached)
                 if expected == "reference":
                     assert entered == [], (consumer, spec)
@@ -772,21 +750,18 @@ class TestRouting:
                 checked += 1
         assert checked
 
-    @pytest.mark.parametrize("override", ["auto"])
-    def test_one_sweep_over_every_family(self, override, monkeypatch):
+    def test_one_sweep_over_every_family(self):
         """One dispatcher call spanning every family merges each
         group's results back in request order."""
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", override)
         trace = make_trace(ROUTING_EVENTS)
         specs = [spec for specs in FAMILY_SPECS.values() for spec in specs]
         for spec, stats in zip(specs, replay_trace_sweep(trace, specs)):
             assert stats == serial(trace, spec), spec
 
     def test_unclaimed_specs_land_on_the_lru_lanes_or_the_reference(
-            self, reached, monkeypatch):
+            self, reached):
         """LRU outside the stack-distance model: the LRU lane walk
         scores its sweeps, the reference loop its hit masks."""
-        monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
         for spec in FAMILY_SPECS["other"]:
             assert drive("stats", spec, reached) == ["lru_sweep"]
             assert drive("hits", spec, reached) == []
@@ -817,14 +792,11 @@ class TestDocumentedTables:
             for names in stackdist.ENGINE_TABLE["consumers"].values()
         ]
 
-    def test_override_table(self):
-        for override, consumer, column, expected in override_cells():
+    def test_routing_table(self):
+        for consumer, column, expected in routing_cells():
             for spec in FAMILY_SPECS[column]:
-                try:
-                    (got, *_rest) = stackdist.engines_for(
-                        spec, True, True, consumer, engine=override
-                    )
-                except ValueError:
-                    got = "ValueError"
-                assert got == expected, (override, consumer, column, spec)
+                (got, *_rest) = stackdist.engines_for(
+                    spec, True, True, consumer
+                )
+                assert got == expected, (consumer, column, spec)
 

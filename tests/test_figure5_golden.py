@@ -21,11 +21,9 @@ The pin runs three legs, each producing the whole table its own way:
 ``evaluate_trace`` → ``replay_trace`` through the online simulator),
 ``functional`` (the data-carrying twin, re-executing every benchmark
 against it) and ``sweep`` (``figure5_table``, the path
-``repro-experiments`` ships, under whatever ``REPRO_SWEEP_ENGINE``
-the environment sets).  All three must match the same golden file
-exactly.  Tier-1 runs the ``sweep`` leg on the default engine; CI
-reruns this file under ``REPRO_SWEEP_ENGINE=stackdist`` and
-``multi``.
+``repro-experiments`` ships, through the sweep dispatcher and the
+engines the engine table names).  All three must match the same
+golden file exactly.
 """
 
 import json

@@ -42,7 +42,6 @@ class TestKillSection:
     def test_scores_only_the_printed_cells(self, monkeypatch):
         """E5 asks the sweep dispatcher for the six (size, mode) cells
         it prints, all inside the stack-distance model."""
-        monkeypatch.delenv("REPRO_SWEEP_ENGINE", raising=False)
         swept = []
         real_sweep = sweeps.replay_trace_sweep
 

@@ -4,7 +4,9 @@ the online chained model, and the bypass-level ablation.
 The load-bearing contract is the one the differential harness also
 enforces: for non-inclusive hierarchies the offline
 :func:`hierarchy_stats` scorer is bit-identical, level by level, to
-the online :class:`HierarchyCache` chain; for inclusive hierarchies
+the online :class:`HierarchyCache` chain (on synthetic traces, and on
+the E16 report's three-level geometry over its intmm and towers
+traces); for inclusive hierarchies
 the L1 column is identical to the standalone L1 and the derived
 local-L2 metrics stay within their definitions.  The Hypothesis
 property at the bottom additionally holds the N=2 instantiation
@@ -12,14 +14,14 @@ bit-identical to an inline two-level reference chain (the pre-refactor
 L1/L2 model) on fuzzer-generated traces.
 """
 
-import os
+import contextlib
 import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
-from repro.cache import vectorized
+from repro.cache import semantics, stackdist
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.hierarchy import (
     HierarchyCache,
@@ -32,6 +34,8 @@ from repro.cache.hierarchy import (
 )
 from repro.cache.replay import replay_trace
 from repro.errors import ReproError
+from repro.evalharness.experiment import DEFAULT_CACHE
+from repro.evalharness.sweeps import DEFAULT_HIERARCHY3, _trace_for
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 from test_engine_table import (
     OUTCOME_CONFIGS,
@@ -54,6 +58,12 @@ def make_trace(refs):
             flags |= FLAG_KILL
         trace.append(address, flags)
     return trace
+
+
+@pytest.fixture(scope="module")
+def report_traces():
+    """The E16 report's traces of intmm and towers."""
+    return {name: _trace_for(name)[0] for name in ("intmm", "towers")}
 
 
 def mixed_trace(events=4000, addresses=160, seed=42):
@@ -423,6 +433,28 @@ class TestThreeLevels:
         for name, stats in offline.levels:
             assert stats.as_dict() == online.stats()[name].as_dict(), name
 
+    @pytest.mark.parametrize("bypass", ["l1", "both"])
+    def test_report_geometry_matches_online_chain(self, bypass,
+                                                  report_traces):
+        """The E16 three-level report geometry, scored offline on the
+        report's own traces, equals the per-event online chain."""
+        spec = parse_hierarchy(DEFAULT_HIERARCHY3, base=DEFAULT_CACHE,
+                               bypass_level=bypass)
+        for name, trace in report_traces.items():
+            offline = hierarchy_stats(trace, spec)
+            online = HierarchyCache(spec)
+            for address, flags in trace:
+                online.access(
+                    address,
+                    bool(flags & FLAG_WRITE),
+                    bool(flags & FLAG_BYPASS),
+                    bool(flags & FLAG_KILL),
+                )
+            for level, stats in offline.levels:
+                assert stats.as_dict() == online.stats()[level].as_dict(), (
+                    name, bypass, level,
+                )
+
     def test_inclusive_three_levels(self):
         trace = mixed_trace()
         spec = parse_hierarchy(
@@ -499,15 +531,26 @@ def assert_outcomes_exact(trace, configs):
         assert list(downstream) == passed, config
 
 
-#: ``(REPRO_SWEEP_ENGINE, set-block budget)``: the kernel over one set
-#: block, the kernel over blocks of a few events, the reference loop
-#: (``stackdist`` takes the kernel away from the hit-mask consumer).
+#: ``(hit-mask engines, set-block budget)``: the kernel over one set
+#: block, the kernel over blocks of a few events, and the reference
+#: loop, which the table's hit-mask row reaches for every level once it
+#: lists the reference alone (it always does for the levels outside
+#: the kernel's family).
 OUTCOME_PATHS = [
-    ("auto", vectorized.SET_BLOCK_EVENTS),
-    ("auto", 3),
-    ("stackdist", vectorized.SET_BLOCK_EVENTS),
+    (stackdist.ENGINE_TABLE["consumers"]["hits"], semantics.SET_BLOCK_EVENTS),
+    (stackdist.ENGINE_TABLE["consumers"]["hits"], 3),
+    (("reference",), semantics.SET_BLOCK_EVENTS),
 ]
 OUTCOME_PATH_IDS = ["kernel", "kernel-small-blocks", "reference"]
+
+
+@contextlib.contextmanager
+def outcome_path(engines, budget):
+    """Patch the hit-mask row and the set-block budget."""
+    consumers = stackdist.ENGINE_TABLE["consumers"]
+    with mock.patch.dict(consumers, {"hits": engines}), \
+            mock.patch.object(semantics, "SET_BLOCK_EVENTS", budget):
+        yield
 
 
 class TestLevelOutcome:
@@ -516,25 +559,23 @@ class TestLevelOutcome:
     kernel, over one set block or many, and the reference loop; and
     the outcome is memoized per trace."""
 
-    @pytest.mark.parametrize("engine,budget", OUTCOME_PATHS,
+    @pytest.mark.parametrize("engines,budget", OUTCOME_PATHS,
                              ids=OUTCOME_PATH_IDS)
-    def test_synthetic_traces(self, engine, budget):
+    def test_synthetic_traces(self, engines, budget):
         @settings(max_examples=25, deadline=None)
         @given(events=traces)
         def property_(events):
             assert_outcomes_exact(make_event_trace(events), OUTCOME_CONFIGS)
 
-        with mock.patch.dict(os.environ, {"REPRO_SWEEP_ENGINE": engine}), \
-                mock.patch.object(vectorized, "SET_BLOCK_EVENTS", budget):
+        with outcome_path(engines, budget):
             property_()
 
     @pytest.mark.parametrize("seed", [45, 79, 117])
-    @pytest.mark.parametrize("engine,budget", OUTCOME_PATHS,
+    @pytest.mark.parametrize("engines,budget", OUTCOME_PATHS,
                              ids=OUTCOME_PATH_IDS)
-    def test_fuzzer_traces(self, engine, budget, seed):
+    def test_fuzzer_traces(self, engines, budget, seed):
         trace = fuzzer_trace(seed)
-        with mock.patch.dict(os.environ, {"REPRO_SWEEP_ENGINE": engine}), \
-                mock.patch.object(vectorized, "SET_BLOCK_EVENTS", budget):
+        with outcome_path(engines, budget):
             assert_outcomes_exact(trace, OUTCOME_CONFIGS)
 
     def test_memoized_per_config(self):

@@ -15,9 +15,8 @@ To regenerate after an *intentional* semantics change::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_hierarchy_golden.py -q
 
-The ambient ``REPRO_SWEEP_ENGINE`` selects the sweep engine for the
-offline hierarchy scoring; all engines must reproduce the same golden
-file exactly (CI runs the matrix).
+The offline hierarchy scoring runs on the engines the engine table
+names; ``tests/test_hierarchy.py`` holds them to the online chain.
 """
 
 import json

@@ -6,8 +6,11 @@ The load-bearing properties: the interleaver is a pure function of
 each core's private L1 behaves exactly as it would standalone (the
 interleave must not perturb per-core state); the partitioned policy
 converges to its quotas and never lets an at-quota core victimize a
-neighbour; and the four E18 cells replay the identical contention
-schedule.
+neighbour; the four E18 cells replay the identical contention
+schedule and equal the per-event reference loop, the report's
+queen+towers grid included; and the UMON curves come from the
+set-major kernel and equal per-event LRU replays of each core's demand
+stream.
 """
 
 import random
@@ -28,6 +31,7 @@ from repro.cache.multicore import (
     utility_partition,
 )
 from repro.cache.replay import replay_trace
+from repro.cache.vectorized import vector_profile_pass
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 from scalar_reference import simulate_multicore_py
 
@@ -200,26 +204,37 @@ class TestUtilityMonitor:
             assert curve[0] == 0
             assert all(b >= a for a, b in zip(curve, curve[1:]))
 
-    def test_auto_engine_skips_the_scalar_profiler(self, monkeypatch):
-        """UMON's shadow-tag pass follows the engine override: the
-        array kernel under ``auto``, ``profile_pass`` under
-        ``stackdist``."""
+    def test_curves_come_from_the_kernel(self, monkeypatch):
+        """UMON's shadow-tag pass runs on the set-major kernel, and a
+        curve's ``w``-way entry is the hit count a ``w``-way LRU scores
+        on the core's demand stream, replayed event by event."""
         traces = [synth_trace(seed=1), synth_trace(seed=2)]
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
-        want = utility_curves(traces, L1, SHARED)
+        calls = []
 
-        class Reached(Exception):
-            pass
+        def kernel(*args, **kwargs):
+            calls.append(args[3])  # the associativity cap
+            return vector_profile_pass(*args, **kwargs)
 
-        def refuse(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr("repro.cache.multicore.profile_pass", refuse)
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "auto")
-        assert utility_curves(traces, L1, SHARED) == want
-        monkeypatch.setenv("REPRO_SWEEP_ENGINE", "stackdist")
-        with pytest.raises(Reached):
-            utility_curves(traces, L1, SHARED)
+        monkeypatch.setattr("repro.cache.multicore.vector_profile_pass",
+                            kernel)
+        curves = utility_curves(traces, L1, SHARED)
+        assert calls == [SHARED.associativity] * len(traces)
+        for trace, curve in zip(traces, curves):
+            l1 = Cache(L1)
+            demand = TraceBuffer()
+            for address, flags in trace:
+                if l1.access(address, bool(flags & FLAG_WRITE),
+                             bool(flags & FLAG_BYPASS),
+                             bool(flags & FLAG_KILL)) != "hit":
+                    demand.append(address, flags)
+            monitor = replace(SHARED, honor_bypass=False, honor_kill=False)
+            assert curve[1:] == [
+                replay_trace(demand, replace(
+                    monitor, size_words=SHARED.num_sets * ways,
+                    associativity=ways,
+                )).hits
+                for ways in range(1, SHARED.associativity + 1)
+            ]
 
     def test_partition_sums_and_favours_utility(self):
         # Core 0 gains 10 hits per way, core 1 is flat: greedy must
@@ -329,19 +344,21 @@ class TestAgainstPerEventReference:
     the per-event loop that drove each private L1 alongside the shared
     level (``tests/scalar_reference.py``)."""
 
-    def assert_grid_matches(self, traces, quotas, seed):
-        grid = multicore_grid(traces, L1, SHARED, quotas=quotas, seed=seed)
+    def assert_grid_matches(self, traces, quotas, seed, l1_config=L1,
+                            shared=SHARED):
+        grid = multicore_grid(traces, l1_config, shared, quotas=quotas,
+                              seed=seed)
         merged = interleave_traces(traces, seed=seed)
-        no_kill = replace(L1, honor_kill=False)
+        no_kill = replace(l1_config, honor_kill=False)
         cells = {
             "shared": (no_kill, None, False),
             "partitioned": (no_kill, quotas, False),
-            "kill": (L1, None, True),
-            "kill+partitioned": (L1, quotas, True),
+            "kill": (l1_config, None, True),
+            "kill+partitioned": (l1_config, quotas, True),
         }
         for config, (l1, cell_quotas, shared_kill) in cells.items():
             want = simulate_multicore_py(
-                traces, l1, SHARED, quotas=cell_quotas,
+                traces, l1, shared, quotas=cell_quotas,
                 shared_kill=shared_kill, merged=merged,
             )
             got = grid[config]
@@ -359,3 +376,20 @@ class TestAgainstPerEventReference:
         traces = [synth_trace(seed=3, kill=0.3), TraceBuffer(),
                   synth_trace(seed=4, kill=0.3, addresses=20)]
         self.assert_grid_matches(traces, (4, 2, 2), 5)
+
+    def test_report_pairing(self):
+        """The E18 report's queen+towers grid, at its geometries and
+        UMON quotas, on the report's own traces."""
+        from repro.evalharness.sweeps import (
+            MULTICORE_L1,
+            MULTICORE_SHARED,
+            _trace_for,
+        )
+
+        traces = [_trace_for(name)[0] for name in ("queen", "towers")]
+        quotas = utility_partition(
+            utility_curves(traces, MULTICORE_L1, MULTICORE_SHARED),
+            MULTICORE_SHARED.associativity,
+        )
+        self.assert_grid_matches(traces, quotas, 0,
+                                 MULTICORE_L1, MULTICORE_SHARED)

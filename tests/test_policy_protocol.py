@@ -18,7 +18,7 @@ suite checks the contract from four angles:
   predictor);
 * the golden Figure 5 pin: the numbers in ``tests/golden/figure5.json``
   reproduced through three engines — online :class:`Cache`, the
-  data-carrying functional twin, and the stack-distance sweep.
+  data-carrying functional twin, and the sweep dispatcher.
 
 Every engine the engine table lists, called one by one on the same
 policy families, is held to the serial replay by
@@ -244,9 +244,9 @@ class TestCrossEngineBitIdentity:
 
     def engines(self, trace, specs):
         wants = [serial(trace, spec) for spec in specs]
-        auto = replay_trace_sweep(trace, specs, engine="auto")
-        for spec, want, got in zip(specs, wants, auto):
-            assert got.as_dict() == want.as_dict(), ("auto", spec)
+        swept = replay_trace_sweep(trace, specs)
+        for spec, want, got in zip(specs, wants, swept):
+            assert got.as_dict() == want.as_dict(), spec
 
     @pytest.mark.parametrize("policy", ALL_ONLINE_POLICIES)
     def test_hand_trace(self, policy):
@@ -470,16 +470,13 @@ class TestGoldenFigure5Pin:
             "dynamic_refs": summary["total"],
         }
 
-    @pytest.mark.parametrize("engine", ["stackdist"])
-    def test_sweep_engines_match_golden(self, engine, runs, golden):
+    def test_sweep_dispatcher_matches_golden(self, runs, golden):
         specs = [DEFAULT_CACHE, conventional_config(DEFAULT_CACHE)]
         for name, (program, trace) in runs.items():
-            unified, conventional = replay_trace_sweep(
-                trace, specs, engine=engine
-            )
+            unified, conventional = replay_trace_sweep(trace, specs)
             assert self.payload(
                 program, trace.summary(), unified, conventional
-            ) == golden[name], (engine, name)
+            ) == golden[name], name
 
     def test_online_cache_matches_golden(self, runs, golden):
         for name, (program, trace) in runs.items():

@@ -6,9 +6,8 @@ unified} hit/miss/bus numbers for all six benchmarks at one geometry
 Any change to the RRIP mechanics, the signature scheme, the OPTgen
 oracle, or the kill/bypass interaction that moves a single count
 fails here.  The table is held twice: as the report scores it (the
-sweep dispatcher, under the ambient ``REPRO_SWEEP_ENGINE``) and
-through the reference :func:`~repro.cache.replay.replay_trace` loop,
-one cell at a time.
+sweep dispatcher, on the RRIP lane walk) and through the reference
+:func:`~repro.cache.replay.replay_trace` loop, one cell at a time.
 
 To regenerate after an *intentional* semantics change::
 

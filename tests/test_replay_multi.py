@@ -6,19 +6,21 @@ lines, MIN — must produce bit-identical statistics whether it runs
 through :func:`replay_trace` (the reference serial path) or, mixed
 with the others in one call, through the sweep dispatcher
 :func:`replay_trace_sweep`, which groups the specs and scores each
-group on its engine.  The run collapse that fronts the lane walks is
-held to the same oracle.  ``tests/test_engine_table.py`` takes
-``SWEEP_CONFIGS`` and the hand trace from here and holds every engine
-the engine table lists to the same oracle, one spec at a time.
+group on its engine.  The run collapse that fronts the kernel and the
+lane walks is held to the same oracle, and to a plain loop reference.
+``tests/test_engine_table.py`` takes ``SWEEP_CONFIGS`` and the hand
+trace from here and holds every engine the engine table lists to the
+same oracle, one spec at a time.
 """
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
 from repro.cache.replay import MinConfig, replay_trace
 from repro.cache.semantics import (
-    collapse_runs,
+    collapse_runs_sorted,
     fifo_sweep,
     flag_presence,
     flavor_decode,
@@ -89,7 +91,7 @@ def serial_replay(trace, spec):
 def assert_multi_matches_serial(trace, configs):
     """One dispatcher call over every spec equals the serial path."""
     serial = [serial_replay(trace, spec) for spec in configs]
-    swept = replay_trace_sweep(trace, configs, engine="auto")
+    swept = replay_trace_sweep(trace, configs)
     for spec, expect, got in zip(configs, serial, swept):
         assert got.as_dict() == expect.as_dict(), spec
 
@@ -153,7 +155,6 @@ class TestMultiEqualsSerial:
         stats = replay_trace_sweep(
             trace, [SWEEP_CONFIGS[0], MinConfig(size_words=8,
                                                 associativity=2)],
-            engine="auto",
         )
         assert all(s.refs_total == 0 for s in stats)
 
@@ -203,7 +204,8 @@ class TestReplayTraceKwargsGuard:
 
 
 def collapse_for(trace, config):
-    """The stream and CollapsedRuns a lane walk computes for ``config``."""
+    """The stream and the run collapse a set-major walk computes for
+    ``config``, over the whole set partition as one block."""
     columns = trace.to_columns()
     has_bypass, has_kill = flag_presence(columns)
     effective = (
@@ -212,8 +214,9 @@ def collapse_for(trace, config):
         config.honor_kill and has_kill,
     )
     stream = flavor_decode(columns, effective + (config.write_policy,))
-    return stream, collapse_runs(
-        stream.blocks_np, stream.types_np, config.num_sets
+    order = trace.set_partition(config.num_sets, config.line_words)
+    return stream, collapse_runs_sorted(
+        stream.blocks_np, stream.types_np, config.num_sets, order
     )
 
 
@@ -313,12 +316,14 @@ class TestRunCollapseBitIdentity:
             blocks = stream.blocks_np.tolist()
             types = stream.types_np.tolist()
             pure = collapse_runs_py(blocks, types, config.num_sets)
-            if runs is None or pure is None:
-                assert runs is None and pure is None
-                continue
-            assert runs.indices.tolist() == pure.indices
-            assert runs.run_writes == pure.run_writes
-            assert runs.last_indices.tolist() == pure.last_indices
+            # The loop keeps time order; the set-major heads sort back
+            # to it.
+            by_time = numpy.argsort(runs.heads, kind="stable")
+            assert runs.heads[by_time].tolist() == pure.indices
+            assert runs.run_writes[by_time].tolist() == pure.run_writes
+            assert runs.lasts[by_time].tolist() == pure.last_indices
+            assert runs.blocks.tolist() == [blocks[i] for i in runs.heads]
+            assert runs.types.tolist() == [types[i] for i in runs.heads]
             assert runs.follower_reads == pure.follower_reads
             assert runs.follower_writes == pure.follower_writes
             assert runs.collapsed == pure.collapsed

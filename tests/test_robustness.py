@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.cache.stackdist import replay_trace_sweep
 from repro.errors import (
     InternalError,
     ReproError,
@@ -66,25 +67,45 @@ class TestDifferential:
         )
         assert info["configs"] == 8
 
-    def test_sweep_legs_reach_the_scalar_profiler(self, monkeypatch):
-        """``auto`` scores LRU on the vector kernels, so only the
-        ``stackdist`` leg exercises the scalar hole-stack profiler."""
-        import repro.cache.stackdist as stackdist
+    def test_battery_scores_in_one_sweep(self, monkeypatch):
+        """The fuzzer scores its whole configuration battery, every
+        family of the engine table, in one dispatcher call."""
+        from repro.robustness import differential
 
-        class Reached(Exception):
-            pass
+        calls = []
 
-        def reached(*args, **kwargs):
-            raise Reached
+        def sweep(trace, specs):
+            calls.append(len(specs))
+            return replay_trace_sweep(trace, specs)
 
-        monkeypatch.setattr(stackdist, "profile_pass", reached)
+        monkeypatch.setattr(differential, "replay_trace_sweep", sweep)
         generated = generate_program(0)
-        with pytest.raises(Reached):
+        check_source(
+            generated.source,
+            expected_output=generated.expected_output,
+            expected_return=generated.expected_return,
+        )
+        assert calls == [12]
+
+    def test_sweep_mismatch_names_the_engine(self, monkeypatch):
+        """A swept result that disagrees with its serial replay is
+        reported under the name of the engine that scored it."""
+        from repro.robustness import differential
+
+        def sweep(trace, specs):
+            swept = replay_trace_sweep(trace, specs)
+            swept[3].hits += 1  # the FIFO configuration
+            return swept
+
+        monkeypatch.setattr(differential, "replay_trace_sweep", sweep)
+        generated = generate_program(0)
+        with pytest.raises(DifferentialError) as excinfo:
             check_source(
                 generated.source,
                 expected_output=generated.expected_output,
                 expected_return=generated.expected_return,
             )
+        assert excinfo.value.kind == "fifo_sweep"
 
     def test_wrong_model_prediction_is_flagged(self):
         generated = generate_program(0)
