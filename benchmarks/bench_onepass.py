@@ -45,13 +45,13 @@ import os
 import platform
 import struct
 import time
+from dataclasses import replace
 
 import numpy
 import pytest
 
-from repro.cache.belady import simulate_min
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import replay_trace
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.experiment import conventional_config
 from repro.evalharness.figure5 import figure5_options
@@ -164,24 +164,7 @@ def _specs():
 
 def _policy_specs(policy):
     """The same ladder under another replacement policy."""
-    if policy == "min":
-        return [MinConfig(config=geometry) for geometry in GEOMETRIES]
-    return [
-        CacheConfig(
-            size_words=geometry.size_words,
-            line_words=1,
-            associativity=geometry.associativity,
-            policy=policy,
-        )
-        for geometry in GEOMETRIES
-    ]
-
-
-def _reference(trace, spec):
-    """``spec`` through the reference per-event loop, MIN included."""
-    if isinstance(spec, MinConfig):
-        return simulate_min(trace, spec.config)
-    return replay_trace(trace, spec)
+    return [replace(geometry, policy=policy) for geometry in GEOMETRIES]
 
 
 def _min_of(reps, *fns):
@@ -238,7 +221,7 @@ def test_onepass_speedup_and_equivalence():
 
     def _reference_all():
         return {
-            name: [_reference(trace, spec) for spec in specs]
+            name: [replay_trace(trace, spec) for spec in specs]
             for name, trace in traces.items()
         }
 
@@ -288,12 +271,12 @@ def test_onepass_speedup_and_equivalence():
         for name, trace in traces.items():
             stacked = replay_trace_sweep(trace, policy_specs)
             for spec, got in zip(policy_specs, stacked):
-                want = _reference(trace, spec)
+                want = replay_trace(trace, spec)
                 assert got.as_dict() == want.as_dict(), (policy, name, spec)
         ladder_reference_seconds, stacked_seconds = _min_of(
             TIMING_REPS,
             lambda: [
-                [_reference(trace, spec) for spec in policy_specs]
+                [replay_trace(trace, spec) for spec in policy_specs]
                 for trace in traces.values()
             ],
             lambda: [

@@ -24,11 +24,6 @@ def test_policy_with_kill_bits(benchmark, policy, kill_bits):
     _bench, _program, trace = traced_benchmark(WORKLOAD)
 
     def simulate():
-        if policy == "min":
-            return replay_trace(
-                trace, policy="min", size_words=CACHE_WORDS,
-                associativity=4, honor_kill=kill_bits,
-            )
         return replay_trace(
             trace,
             CacheConfig(size_words=CACHE_WORDS, associativity=4,
@@ -47,20 +42,14 @@ def test_min_is_lower_bound(benchmark):
     _bench, _program, trace = traced_benchmark(WORKLOAD)
 
     def compare():
-        results = {}
-        for policy in POLICIES:
-            if policy == "min":
-                results[policy] = replay_trace(
-                    trace, policy="min", size_words=CACHE_WORDS,
-                    associativity=4,
-                )
-            else:
-                results[policy] = replay_trace(
-                    trace,
-                    CacheConfig(size_words=CACHE_WORDS, associativity=4,
-                                policy=policy),
-                )
-        return results
+        return {
+            policy: replay_trace(
+                trace,
+                CacheConfig(size_words=CACHE_WORDS, associativity=4,
+                            policy=policy),
+            )
+            for policy in POLICIES
+        }
 
     results = benchmark(compare)
     for policy in ("lru", "fifo", "random"):

@@ -1,4 +1,4 @@
-"""The online cache simulator (LRU/FIFO/Random) with bypass and kill.
+"""The cache simulator with bypass and kill, under every policy.
 
 A performance model: it tracks tags, dirtiness and recency but not
 data.  :class:`Cache` is a thin driver over the canonical transfer
@@ -11,12 +11,15 @@ from dataclasses import dataclass
 
 from repro.cache.semantics import UnifiedCache
 
-#: Online replacement policies (Belady MIN lives in repro.cache.belady).
-#: The last five are the predictive zoo (docs/POLICIES.md); ``ship``
-#: and ``hawkeye`` consume precomputed trace columns, so drivers build
-#: their policy objects via ``make_policy`` before replaying.
+#: Replacement policies: the paper's LRU, FIFO, Random, Belady's
+#: offline MIN, and the predictive zoo (the last five,
+#: docs/POLICIES.md).  ``min``, ``ship`` and ``hawkeye`` read
+#: precomputed trace columns, so a driver builds their policy objects
+#: from the trace (``repro.cache.replay.policy_for_trace``) before
+#: replaying; an online driver, which has no trace, cannot run them.
 POLICIES = (
-    "lru", "fifo", "random", "srrip", "brrip", "drrip", "ship", "hawkeye",
+    "lru", "fifo", "random", "min",
+    "srrip", "brrip", "drrip", "ship", "hawkeye",
 )
 
 #: What a kill-marked reference does to the line (paper Section 3.2

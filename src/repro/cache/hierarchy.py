@@ -38,9 +38,10 @@ Two inclusion disciplines are modeled:
   level's stats plus a per-event hit mask) — on the set-major kernel
   for an LRU level, where an event hits exactly when its stack
   distance is at most the associativity, and by the reference loop
-  over :class:`Cache` otherwise — and the mask cuts the filtered
-  stream out of the trace's columns; the outermost level is scored on
-  the final residual stream through the sweep dispatcher.
+  (:func:`~repro.cache.replay.replay_trace`) otherwise — and the mask
+  cuts the filtered stream out of the trace's columns; the outermost
+  level is scored on the final residual stream through the sweep
+  dispatcher.
   :class:`HierarchyCache` chains the online simulators and is
   bit-identical to this by construction — the differential harness
   holds the offline scorer to it.
@@ -48,8 +49,8 @@ Two inclusion disciplines are modeled:
 Every level is a full :class:`~repro.cache.semantics.UnifiedCache`
 over a pluggable :class:`~repro.cache.semantics.ReplacementPolicy`, so
 any zoo policy works at any level (``L2:512x8@srrip``); the offline
-scorer materializes each level's stream, which is what the
-signature-indexed predictors (SHiP, Hawkeye) need.  Those levels take
+scorer materializes each level's stream, which is what the policies
+that read trace columns (MIN, SHiP, Hawkeye) need.  Those levels take
 the reference loop.
 
 Modeling simplification, stated once: a level's victim writebacks are
@@ -64,11 +65,12 @@ from dataclasses import replace
 import numpy
 
 from repro.cache.cache import Cache, CacheConfig, POLICIES
+from repro.cache.replay import replay_trace
 from repro.cache.semantics import flag_presence
 from repro.cache.stackdist import engines_for, flavor_key, replay_trace_sweep
 from repro.cache.vectorized import vector_profile_pass
 from repro.errors import ReproError
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
+from repro.vm.trace import FLAG_KILL, TraceBuffer
 
 INCLUSIONS = ("inclusive", "non-inclusive")
 
@@ -346,8 +348,10 @@ class HierarchyCache:
     bit-identical to this model by the differential harness.
 
     The online chain builds each level's policy from its config alone,
-    so the signature-indexed predictors (SHiP, Hawkeye) — which need a
-    per-level precomputed stream — are offline-only (:func:`hierarchy_stats`).
+    so the policies that read trace columns (MIN, SHiP, Hawkeye) —
+    which need a per-level precomputed stream — are offline-only
+    (:func:`hierarchy_stats`): a level running one of them raises
+    :class:`ValueError` here.
     """
 
     def __init__(self, spec):
@@ -444,8 +448,8 @@ def level_outcome(trace, config):
     (:func:`~repro.cache.stackdist.engines_for`, consumer ``"hits"``)
     picks the scorer: the set-major kernel, where an event hits
     exactly when its stack distance is at most the associativity, or
-    the reference loop over :class:`Cache`.  The outcome is memoized
-    per config on the trace
+    the reference loop (:func:`~repro.cache.replay.replay_trace`).
+    The outcome is memoized per config on the trace
     (:meth:`~repro.vm.trace.TraceBuffer.memoized`), so every caller
     that filters the same trace through the same level shares one
     scoring.
@@ -461,45 +465,18 @@ def _score_level(trace, config):
     columns = trace.to_columns()
     has_bypass, has_kill = flag_presence(columns)
     name = engines_for(config, has_bypass, has_kill, "hits")[0]
+    hits = numpy.empty(len(trace), dtype=bool)
     if name == "vector_profile_pass":
-        hits = numpy.empty(len(trace), dtype=bool)
-        profile = vector_profile_pass(
+        stats = vector_profile_pass(
             columns, flavor_key(config, has_bypass, has_kill),
             config.num_sets, config.associativity,
             order=trace.set_partition(config.num_sets, config.line_words),
             hits=hits,
-        )
-        hits.flags.writeable = False
-        return profile.stats_for(config.associativity), hits
-
-    from repro.cache.replay import policy_for_trace
-
-    cache = Cache(config, policy=policy_for_trace(trace, config))
-    access = cache.access
-    if cache.policy.needs_index:
-        outcomes = (
-            access(
-                address,
-                bool(flags & FLAG_WRITE),
-                bool(flags & FLAG_BYPASS),
-                bool(flags & FLAG_KILL),
-                index=index,
-            ) == "hit"
-            for index, (address, flags) in enumerate(trace)
-        )
+        ).stats_for(config.associativity)
     else:
-        outcomes = (
-            access(
-                address,
-                bool(flags & FLAG_WRITE),
-                bool(flags & FLAG_BYPASS),
-                bool(flags & FLAG_KILL),
-            ) == "hit"
-            for address, flags in trace
-        )
-    hits = numpy.fromiter(outcomes, dtype=bool, count=len(trace))
+        stats = replay_trace(trace, config, hits=hits)
     hits.flags.writeable = False
-    return cache.stats, hits
+    return stats, hits
 
 
 def filtered_trace(trace, config):

@@ -5,9 +5,9 @@ The paper's bypass/kill transfer function lives in
 state-owning :class:`ReplacementPolicy` (LRU, FIFO, Random, MIN, and
 the predictive zoo: SRRIP, BRRIP, DRRIP, SHiP-lite, Hawkeye-lite — see
 ``docs/POLICIES.md``).  The online :class:`~repro.cache.cache.Cache`,
-the data-carrying functional twin, the reference replay and the
-offline MIN simulator all drive that one method, so a policy or a
-semantic rule changes once for all of them.
+the data-carrying functional twin and the reference replay (MIN
+included) all drive that one method, so a policy or a semantic rule
+changes once for all of them.
 
 Four one-pass engines re-derive the same transfer function for speed
 instead of calling it: the hole-stack automaton
@@ -170,16 +170,15 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
     """For each reference index, the index of the next through-cache
     reference to the same block (or infinity).
 
-    Bypassed references (when honored) never touch a line's future, so
-    they carry the marker ``-1`` instead of a position.  The result
-    depends only on the two arguments, never on geometry or policy, so
-    one index serves every MIN configuration of a sweep that shares
-    them.
+    Returns a float64 NumPy array, one entry per event.  Bypassed
+    references (when honored) never touch a line's future, so they
+    carry the marker ``-1`` instead of a position.  The result depends
+    only on the two arguments, never on geometry or policy, so one
+    index serves every MIN and Hawkeye configuration of a sweep that
+    shares them.
     """
     addresses, flags = trace.to_columns()
     n = len(addresses)
-    if n == 0:
-        return []
     a = _np.asarray(addresses, dtype=_np.int64)
     blocks = a if line_words == 1 else a // line_words
     if honor_bypass:
@@ -203,7 +202,7 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
         unsorted = _np.empty(len(cached))
         unsorted[order] = nxt
         out[cached] = unsorted
-    return out.tolist()
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -706,8 +705,9 @@ class MinPolicy(ReplacementPolicy):
 
     Per-set state is an insertion-ordered dict; the first strict
     minimum over ``(not dead, -next_use)`` wins, so infinity ties
-    break by insertion order — the same order the original offline
-    simulator produced.
+    break by insertion order, as in :func:`min_sweep`.  Offline: it
+    reads the trace's :func:`next_use_index`, so ``Cache(config)``
+    cannot build it (see :func:`make_policy`).
     """
 
     __slots__ = ("_sets", "_assoc", "_next_use")
@@ -950,7 +950,8 @@ class HawkeyePolicy(_RRIPPolicy):
     cache-friendly, a shadow miss trains it averse; friendly installs
     enter at RRPV 0, averse installs at the eviction frontier.
     ``optgen_hits`` counts shadow hits so the property suite can hold
-    the oracle to :func:`~repro.cache.belady.simulate_min`.
+    the oracle to a MIN replay
+    (:func:`~repro.cache.replay.replay_trace` with ``policy="min"``).
     """
 
     __slots__ = (
@@ -1008,10 +1009,14 @@ _POLICY_CLASSES = {
     "hawkeye": HawkeyePolicy,
 }
 
-#: Policies whose constructors need precomputed trace columns
-#: (next-use index and/or signature column) — drivers build these
-#: through :func:`make_policy` before replaying.
-PREDICTOR_POLICIES = ("ship", "hawkeye")
+#: Which policies read which precomputed trace column, decided once:
+#: MIN and Hawkeye read the next-use index (:func:`next_use_index`),
+#: SHiP and Hawkeye the signature column (:func:`signature_column`).
+#: A driver holding only a config builds them through
+#: :func:`repro.cache.replay.policy_for_trace`; the sweep dispatcher
+#: computes each column once per call for the groups that read it.
+NEXT_USE_POLICIES = ("min", "hawkeye")
+SIGNATURE_POLICIES = ("ship", "hawkeye")
 
 #: The RRIP family: every policy whose victim is the RRPV frontier.
 #: :func:`rrip_sweep` scores them all.
@@ -1022,9 +1027,10 @@ def make_policy(config, next_use=None, signatures=None):
     """Instantiate the :class:`ReplacementPolicy` for ``config``.
 
     MIN and Hawkeye need the trace's precomputed ``next_use`` index
-    (see :func:`next_use_index`); SHiP and Hawkeye need its
-    ``signatures`` column (see :func:`signature_column`); the plain
-    online policies ignore both.
+    (see :func:`next_use_index`), SHiP and Hawkeye its ``signatures``
+    column (see :func:`signature_column`); each raises
+    :class:`ValueError` without its columns.  The other policies
+    ignore both.
     """
     if config.policy == "ship":
         if signatures is None:
@@ -1036,7 +1042,7 @@ def make_policy(config, next_use=None, signatures=None):
                 "the Hawkeye policy needs next-use and signature columns"
             )
         return HawkeyePolicy(next_use, signatures)
-    if config.policy == "min" or next_use is not None:
+    if config.policy == "min":
         if next_use is None:
             raise ValueError("the MIN policy needs a next-use index")
         return MinPolicy(next_use)
@@ -1068,11 +1074,11 @@ class UnifiedCache:
         "_writethrough", "_allocate_on_write", "_kill_invalidates",
     )
 
-    def __init__(self, config, policy=None, data=False, next_use=None):
+    def __init__(self, config, policy=None, data=False):
         self.config = config
         self.stats = CacheStats()
         if policy is None:
-            policy = make_policy(config, next_use=next_use)
+            policy = make_policy(config)
         policy.reset(config)
         self.policy = policy
         self._clock = 0
@@ -1450,9 +1456,10 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     :func:`random_sweep` and :func:`min_sweep`: ``make_evict()`` is
     called once per lane and must return an ``evict(lines, counters,
     set_index)`` that pops a victim from the residency dict and
-    accounts the eviction.  ``stamps``, a per-event column, gives each
-    touch its stamp (a collapsed run takes its last event's); without
-    it the stamp is the walk's clock.
+    accounts the eviction.  ``stamps``, a per-event NumPy column,
+    gives each touch its stamp (a collapsed run takes its last
+    event's, gathered one set block at a time); without it the stamp
+    is the walk's clock.
 
     The walk is set-major: it goes through ``order``, the stable
     set-major argsort of the stream (``TraceBuffer.set_partition``;
@@ -1497,8 +1504,7 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
         # on: no tuple per event.
         events = zip(
             walk_blocks.tolist(), walk_types.tolist(), run_writes,
-            clock if stamps is None
-            else list(map(stamps.__getitem__, lasts.tolist())),
+            clock if stamps is None else stamps[lasts].tolist(),
         )
         for block, event_type, follower_wrote, stamp in events:
             set_index = block % num_sets
@@ -1734,8 +1740,11 @@ def rrip_sweep(stream, num_sets, assocs, line_words, kill_mode,
     if (ship or hawkeye) and signatures is None:
         raise ValueError("the {} policy needs a signature column".format(
             policy))
-    if hawkeye and next_use is None:
-        raise ValueError("the hawkeye policy needs a next-use index")
+    if hawkeye:
+        if next_use is None:
+            raise ValueError("the hawkeye policy needs a next-use index")
+        # Read once per event and lane: a list indexes faster.
+        next_use = next_use.tolist()
     writethrough = write_policy == "writethrough"
     kill_invalidates = kill_mode == "invalidate" and line_words == 1
     roles = _duel_roles(num_sets) if policy == "drrip" else None

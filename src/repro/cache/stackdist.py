@@ -72,7 +72,6 @@ from operator import le
 
 import numpy as _np
 
-from repro.cache.replay import MinConfig
 from repro.cache.semantics import (
     EV_BYPASS_READ,
     EV_BYPASS_READ_KILL,
@@ -81,8 +80,9 @@ from repro.cache.semantics import (
     EV_KILL_WRITE,
     EV_PLAIN_READ,
     EV_PLAIN_WRITE,
-    PREDICTOR_POLICIES,
+    NEXT_USE_POLICIES,
     RRIP_POLICIES,
+    SIGNATURE_POLICIES,
     fifo_sweep,
     flag_presence as _flag_presence,
     flavor_decode as _flavor_decode,
@@ -136,13 +136,13 @@ def flavor_key(config, has_bypass, has_kill):
 
 #: The engine table.  ``"families"`` lists, for each spec family, the
 #: engine every dispatcher calls, then ``"reference"``, the per-event
-#: ``Cache.access`` loop exact for every family: ``"lru"`` is LRU
-#: inside the stack-distance model (:func:`supports_stackdist`),
-#: ``"min"`` is :class:`~repro.cache.replay.MinConfig`, ``"rrip"`` is
-#: the predictive zoo (:data:`~repro.cache.semantics.RRIP_POLICIES`),
-#: and ``"other"`` is the LRU outside that model (write-around LRU,
-#: LRU with demote or multi-word-line kills on a trace that carries
-#: kills).  ``"consumers"`` lists the engines that give what each
+#: ``Cache.access`` loop (:func:`~repro.cache.replay.replay_trace`)
+#: exact for every family: ``"lru"`` is LRU inside the stack-distance
+#: model (:func:`supports_stackdist`), ``"min"`` is Belady MIN
+#: (``policy="min"``), ``"rrip"`` is the predictive zoo
+#: (:data:`~repro.cache.semantics.RRIP_POLICIES`), and ``"other"`` is
+#: the LRU outside that model (write-around LRU, LRU with demote or
+#: multi-word-line kills on a trace that carries kills).  ``"consumers"`` lists the engines that give what each
 #: consumer needs: ``CacheStats`` for a sweep (every engine), a
 #: per-event hit mask for ``level_outcome``.  Entries are names, not
 #: functions: each dispatcher looks the function up through its module
@@ -174,9 +174,7 @@ def engines_for(spec, has_bypass, has_kill, consumer="stats"):
     ``"stats"`` or ``"hits"``.  Raises :class:`ValueError` when no
     engine gives what ``consumer`` needs.
     """
-    if isinstance(spec, MinConfig):
-        family = "min"
-    elif spec.policy in ("fifo", "random"):
+    if spec.policy in ("fifo", "random", "min"):
         family = spec.policy
     elif spec.policy in RRIP_POLICIES:
         family = "rrip"
@@ -611,15 +609,16 @@ def _run_general(profile, iterator, num_sets, assoc_cap, write_policy,
 def replay_trace_sweep(trace, specs):
     """Score every spec of a sweep, one-pass where the math allows.
 
-    ``specs`` mixes :class:`~repro.cache.cache.CacheConfig` and
-    :class:`~repro.cache.replay.MinConfig` entries; the result list is
-    aligned with the input and bit-identical to the serial
-    :func:`~repro.cache.replay.replay_trace` path for every entry.
-    Specs sharing a policy, flavor and set count (and, for Random, a
-    seed) form one group, scored in one pass, up to its widest member,
-    by the engine :func:`engines_for` names for the group.  The kernel
-    and the lane walks (all but :func:`rrip_sweep`) share the trace's
-    memoized set partition.
+    ``specs`` are :class:`~repro.cache.cache.CacheConfig` entries, any
+    policy; the result list is aligned with the input and bit-identical
+    to the serial :func:`~repro.cache.replay.replay_trace` path for
+    every entry.  Specs sharing a policy, flavor and set count (and,
+    for Random, a seed) form one group, scored in one pass, up to its
+    widest member, by the engine :func:`engines_for` names for the
+    group.  The kernel and the lane walks (all but :func:`rrip_sweep`)
+    share the trace's memoized set partition; the next-use index and
+    the signature column are computed once per call for the groups
+    that read them.
     """
     from repro.cache import vectorized
 
@@ -628,9 +627,8 @@ def replay_trace_sweep(trace, specs):
     has_bypass, has_kill = _flag_presence(columns)
 
     groups = {}
-    for index, spec in enumerate(specs):
-        config = spec.config if isinstance(spec, MinConfig) else spec
-        kind = "min" if config is not spec else config.policy
+    for index, config in enumerate(specs):
+        kind = config.policy
         flavor = flavor_key(config, has_bypass, has_kill)
         key = (
             kind,
@@ -643,7 +641,7 @@ def replay_trace_sweep(trace, specs):
             # draw ordinal), so lanes sharing a seed sweep together.
             config.seed if kind == "random" else None,
         )
-        groups.setdefault(key, []).append((index, spec, config))
+        groups.setdefault(key, []).append((index, config))
 
     results = [None] * len(specs)
     decoded_cache = {}
@@ -657,7 +655,7 @@ def replay_trace_sweep(trace, specs):
         if stream is None:
             stream = decoded_cache[flavor] = _flavor_decode(columns, flavor)
         if name == "vector_profile_pass":
-            cap = max(member[2].associativity for member in members)
+            cap = max(member[1].associativity for member in members)
             scored = vectorized.vector_profile_pass(
                 columns, flavor, num_sets, cap, decoded=stream,
                 order=trace.set_partition(num_sets, line_words),
@@ -665,19 +663,21 @@ def replay_trace_sweep(trace, specs):
         else:
             lane_args = (
                 stream, num_sets,
-                sorted({member[2].associativity for member in members}),
+                sorted({member[1].associativity for member in members}),
                 line_words, kill_mode, write_policy, allocate_on_write,
             )
-            nu_key = (line_words, eff_hb)
-            if kind in ("min", "hawkeye") and nu_key not in next_use_cache:
-                next_use_cache[nu_key] = next_use_index(trace, *nu_key)
+            next_use = None
+            if kind in NEXT_USE_POLICIES:
+                nu_key = (line_words, eff_hb)
+                next_use = next_use_cache.get(nu_key)
+                if next_use is None:
+                    next_use = next_use_cache[nu_key] = next_use_index(
+                        trace, *nu_key
+                    )
+            if signatures is None and kind in SIGNATURE_POLICIES:
+                signatures = signature_column(trace)
             if name == "rrip_sweep":
-                if signatures is None and kind in PREDICTOR_POLICIES:
-                    signatures = signature_column(trace)
-                lanes = rrip_sweep(
-                    *lane_args, kind, signatures,
-                    next_use_cache[nu_key] if kind == "hawkeye" else None,
-                )
+                lanes = rrip_sweep(*lane_args, kind, signatures, next_use)
             else:
                 order = trace.set_partition(num_sets, line_words)
                 if name == "fifo_sweep":
@@ -687,9 +687,8 @@ def replay_trace_sweep(trace, specs):
                 elif name == "random_sweep":
                     lanes = random_sweep(*lane_args, seed, order=order)
                 else:
-                    lanes = min_sweep(*lane_args, next_use_cache[nu_key],
-                                      order=order)
+                    lanes = min_sweep(*lane_args, next_use, order=order)
             scored = lanes.__getitem__
-        for index, _spec, config in members:
+        for index, config in members:
             results[index] = scored(config.associativity)
     return results

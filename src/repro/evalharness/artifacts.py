@@ -38,11 +38,9 @@ The store is built to survive a hostile disk (see
   quarantine ls`` lists the evidence for triage.
 * **Bounded capacity** — an optional byte budget
   (``capacity_bytes=...`` or ``$REPRO_ARTIFACT_BUDGET``, suffixes
-  K/M/G) is enforced after every store by evicting whole entries; the
-  victim order is chosen by our own
-  :class:`~repro.cache.semantics.ReplacementPolicy` implementations
-  (LRU by last access, FIFO by store time, seeded Random), the store
-  dogfooding the very policies it exists to evaluate.
+  K/M/G) is enforced after every store by evicting whole entries,
+  least recently used first (last access is the ``stamp`` file's
+  mtime).
 
 Invalidation is by key only: bump ``ARTIFACT_SCHEMA`` whenever the
 trace format, the pickle layout, or any compilation semantics change
@@ -73,9 +71,6 @@ CACHE_ROOT_ENV = "REPRO_ARTIFACT_CACHE"
 
 #: Environment override for the capacity budget (bytes; K/M/G suffix).
 CAPACITY_ENV = "REPRO_ARTIFACT_BUDGET"
-
-#: Environment override for the eviction policy (lru/fifo/random).
-POLICY_ENV = "REPRO_ARTIFACT_POLICY"
 
 #: The files making up one entry; checksummed ones first.
 _PAYLOAD_FILES = ("program.pkl", "trace.bin")
@@ -168,19 +163,6 @@ class Artifact:
         self.from_cache = from_cache
 
 
-class _StoreGeometry:
-    """The store viewed as one fully-associative cache set, so the
-    :mod:`repro.cache.semantics` replacement policies can pick eviction
-    victims without knowing they are ranking directories."""
-
-    num_sets = 1
-
-    def __init__(self, associativity, policy, seed):
-        self.associativity = max(associativity, 1)
-        self.policy = policy
-        self.seed = seed
-
-
 def _fsync_file(handle):
     handle.flush()
     os.fsync(handle.fileno())
@@ -205,22 +187,18 @@ def _fsync_dir(path):
 class ArtifactCache:
     """Resolve (source × options) units, hitting disk when possible.
 
-    ``capacity_bytes``/``policy``/``seed`` bound the store: after every
-    write the total entry footprint is brought back under budget by
-    evicting whole entries in the order the named
-    :class:`~repro.cache.semantics.ReplacementPolicy` dictates.
-    Instance counters (``hits``, ``misses``, ``store_errors``,
-    ``quarantined``, ``evicted``) describe this process's view.
+    ``capacity_bytes`` bounds the store: after every write the total
+    entry footprint is brought back under budget by evicting whole
+    entries, least recently used first.  Instance counters (``hits``,
+    ``misses``, ``store_errors``, ``quarantined``, ``evicted``)
+    describe this process's view.
     """
 
-    def __init__(self, root=None, capacity_bytes=None, policy=None,
-                 seed=12345):
+    def __init__(self, root=None, capacity_bytes=None):
         self.root = root if root is not None else default_cache_root()
         if capacity_bytes is None:
             capacity_bytes = parse_size(os.environ.get(CAPACITY_ENV))
         self.capacity_bytes = capacity_bytes
-        self.policy = policy or os.environ.get(POLICY_ENV) or "lru"
-        self.seed = seed
         self.hits = 0
         self.misses = 0
         self.store_errors = 0
@@ -304,7 +282,6 @@ class ArtifactCache:
             "entries": len(entries),
             "bytes": total,
             "capacity_bytes": self.capacity_bytes,
-            "policy": self.policy,
             "quarantine_entries": len(quarantine),
             "quarantine_bytes": sum(
                 self.entry_size(path) for _, path in quarantine
@@ -620,61 +597,33 @@ class ArtifactCache:
     def _enforce_budget(self):
         """Bring the store back under ``capacity_bytes``.
 
-        Victims are chosen by the configured
-        :class:`~repro.cache.semantics.ReplacementPolicy` over a
-        one-set view of the store: every entry is installed with its
-        policy-relevant timestamp (last access for LRU, store time for
-        FIFO; Random draws from its seeded stream), then evicted one at
-        a time until the footprint fits.  Returns entries evicted.
+        Entries go least recently used first (:meth:`_entry_stamp`,
+        ties in :meth:`entries` order), one at a time until the
+        footprint fits.  Returns entries evicted.
         """
         if not self.capacity_bytes:
             return 0
         entries = []
         total = 0
-        for key, entry in self.entries():
+        for _key, entry in self.entries():
             size = self.entry_size(entry)
-            entries.append((key, entry, size))
+            entries.append((entry, size))
             total += size
-        if total <= self.capacity_bytes or not entries:
-            return 0
-        from repro.cache.semantics import make_policy
-
-        geometry = _StoreGeometry(
-            associativity=len(entries), policy=self.policy, seed=self.seed
-        )
-        policy = make_policy(geometry)
-        policy.reset(geometry)
-        by_key = {}
-        for key, entry, size in entries:
-            by_key[key] = (entry, size)
-            policy.install(0, key, self._entry_stamp(entry), 0)
         evicted = 0
-        while total > self.capacity_bytes and evicted < len(entries):
-            victim_key, _line = policy.evict(0)
-            entry, size = by_key[victim_key]
-            shutil.rmtree(entry, ignore_errors=True)
-            total -= size
-            evicted += 1
+        if total > self.capacity_bytes:
+            entries.sort(key=lambda item: self._entry_stamp(item[0]))
+            for entry, size in entries:
+                if total <= self.capacity_bytes:
+                    break
+                shutil.rmtree(entry, ignore_errors=True)
+                total -= size
+                evicted += 1
         self.evicted += evicted
         return evicted
 
     def _entry_stamp(self, entry):
-        """The policy clock for one entry.
-
-        LRU ranks by last access (the ``stamp`` file's mtime, refreshed
-        on every hit); FIFO ranks by the install clock, which
-        ``_WayPolicy.install`` also takes from this value — for
-        freshly-indexed entries that is store time (``stored_at``), so
-        both orders are served from one number: last access, falling
-        back to store time, falling back to directory mtime.
-        """
-        if self.policy == "fifo":
-            try:
-                with open(os.path.join(entry, "meta.json")) as handle:
-                    return float(json.load(handle)["stored_at"])
-            except (OSError, ValueError, KeyError, TypeError,
-                    json.JSONDecodeError):
-                pass
+        """When an entry was last used: the ``stamp`` file's mtime,
+        refreshed on every hit, falling back to the directory's."""
         try:
             return os.path.getmtime(os.path.join(entry, "stamp"))
         except OSError:

@@ -6,8 +6,8 @@ Subcommands:
 * ``verify`` — integrity-check every entry; corrupt ones are moved to
   quarantine (exit 1 when anything was bad).
 * ``gc`` — reap stale staging directories and enforce the byte budget
-  (``--budget``/``$REPRO_ARTIFACT_BUDGET``) with the configured
-  eviction policy.
+  (``--budget``/``$REPRO_ARTIFACT_BUDGET``), evicting the least
+  recently used entries first.
 * ``quarantine ls`` / ``quarantine clear`` — inspect or discard the
   quarantined evidence.
 """
@@ -24,7 +24,6 @@ def _build_cache(args):
     return ArtifactCache(
         root=args.root,
         capacity_bytes=parse_size(args.budget) if args.budget else None,
-        policy=args.policy,
     )
 
 
@@ -55,7 +54,6 @@ def cmd_stats(cache, args):
             else "unbounded"
         )
     )
-    print("eviction policy  {}".format(stats["policy"]))
     print(
         "quarantine       {} entr{} ({})".format(
             stats["quarantine_entries"],
@@ -136,9 +134,6 @@ def main(argv=None):
         "--budget", default=None,
         help="capacity budget for gc, e.g. 64M (default: "
              "$REPRO_ARTIFACT_BUDGET)")
-    parser.add_argument(
-        "--policy", default=None, choices=["lru", "fifo", "random"],
-        help="eviction policy (default: $REPRO_ARTIFACT_POLICY or lru)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     stats = commands.add_parser("stats", help="store footprint and counters")

@@ -14,10 +14,10 @@ resolve a stored artifact and score any number of cache geometries
 against it without touching the compiler or the VM again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import replay_trace
 from repro.cache.stackdist import replay_trace_sweep
 from repro.lang.errors import VMError
 from repro.programs import get_benchmark
@@ -94,18 +94,7 @@ def conventional_config(cache_config):
     """The same geometry with every annotation bit ignored — the
     conventional-machine baseline of all unified-vs-conventional
     comparisons."""
-    return CacheConfig(
-        size_words=cache_config.size_words,
-        line_words=cache_config.line_words,
-        associativity=cache_config.associativity,
-        policy=cache_config.policy,
-        honor_bypass=False,
-        honor_kill=False,
-        kill_mode=cache_config.kill_mode,
-        write_policy=cache_config.write_policy,
-        allocate_on_write=cache_config.allocate_on_write,
-        seed=cache_config.seed,
-    )
+    return replace(cache_config, honor_bypass=False, honor_kill=False)
 
 
 def _static_bypass_checked(program, cache_config):

@@ -14,11 +14,13 @@ per-configuration cost is far below a full compile-run-replay
 pipeline.
 """
 
+from dataclasses import replace
+
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
-from repro.cache.replay import MinConfig
 from repro.cache.stackdist import replay_trace_sweep
 from repro.evalharness.experiment import DEFAULT_CACHE, run_benchmark
+from repro.lang.errors import VMError
 from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.unified.pipeline import CompilationOptions, compile_source
 from repro.vm.memory import RecordingMemory
@@ -45,26 +47,13 @@ def _trace_for(name, paper_scale=False, options=None, artifact_cache=None):
     program = compile_source(bench.source, options)
     memory = RecordingMemory()
     result = program.run(memory=memory)
-    assert tuple(result.output) == bench.expected_output, (
-        name, result.output, bench.expected_output)
+    if tuple(result.output) != bench.expected_output:
+        raise VMError(
+            "benchmark {} produced {} instead of {}".format(
+                name, list(result.output), list(bench.expected_output)
+            )
+        )
     return memory.buffer, program
-
-
-def _variant(config, **overrides):
-    values = {
-        "size_words": config.size_words,
-        "line_words": config.line_words,
-        "associativity": config.associativity,
-        "policy": config.policy,
-        "honor_bypass": config.honor_bypass,
-        "honor_kill": config.honor_kill,
-        "kill_mode": config.kill_mode,
-        "write_policy": config.write_policy,
-        "allocate_on_write": config.allocate_on_write,
-        "seed": config.seed,
-    }
-    values.update(overrides)
-    return CacheConfig(**values)
 
 
 def cache_size_sweep(
@@ -79,10 +68,10 @@ def cache_size_sweep(
     trace, _program = _trace_for(name, paper_scale, options, artifact_cache)
     specs = []
     for size in sizes:
-        specs.append(_variant(base, size_words=size))
+        specs.append(replace(base, size_words=size))
         specs.append(
-            _variant(base, size_words=size, honor_bypass=False,
-                     honor_kill=False)
+            replace(base, size_words=size, honor_bypass=False,
+                    honor_kill=False)
         )
     stats = replay_trace_sweep(trace, specs)
     rows = []
@@ -118,19 +107,7 @@ def policy_ablation(
     specs = []
     for policy in policies:
         for honor_kill in (True, False):
-            if policy == "min":
-                specs.append(
-                    MinConfig(
-                        size_words=base.size_words,
-                        line_words=base.line_words,
-                        associativity=base.associativity,
-                        honor_kill=honor_kill,
-                    )
-                )
-            else:
-                specs.append(
-                    _variant(base, policy=policy, honor_kill=honor_kill)
-                )
+            specs.append(replace(base, policy=policy, honor_kill=honor_kill))
             cells.append((policy, honor_kill))
     all_stats = replay_trace_sweep(trace, specs)
     rows = []
@@ -190,7 +167,7 @@ def policy_zoo_sweep(
         for scheme in ("conventional", "unified"):
             honor = scheme == "unified"
             specs.append(
-                _variant(
+                replace(
                     base, policy=policy,
                     honor_bypass=honor, honor_kill=honor,
                 )
@@ -233,7 +210,7 @@ def kill_bit_ablation(name, base=DEFAULT_CACHE, paper_scale=False,
     for size in sizes:
         for mode in modes:
             specs.append(
-                _variant(
+                replace(
                     base,
                     size_words=size,
                     honor_kill=mode != "off",

@@ -57,7 +57,6 @@ bugs.
 
 from dataclasses import replace
 
-from repro.cache.belady import simulate_min
 from repro.cache.cache import CacheConfig
 from repro.cache.functional import DataCachedMemory
 from repro.cache.hierarchy import (
@@ -65,7 +64,7 @@ from repro.cache.hierarchy import (
     hierarchy_stats,
     parse_hierarchy,
 )
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import replay_trace
 from repro.cache.semantics import flag_presence
 from repro.cache.stackdist import engines_for, replay_trace_sweep
 from repro.errors import ReproError
@@ -378,7 +377,8 @@ def _check_cache_models(run, baseline, cache_words, associativity):
             "functional cache and tag-only replay disagree: {!r}".format(diff),
         )
 
-    min_stats = simulate_min(run.trace, config)
+    min_config = replace(config, policy="min")
+    min_stats = replay_trace(run.trace, min_config)
     lru = replayed.as_dict()
     minimum = min_stats.as_dict()
     for counter in POLICY_INDEPENDENT_COUNTERS:
@@ -423,7 +423,7 @@ def _check_cache_models(run, baseline, cache_words, associativity):
     }
     labels = ("unified", "conventional", "min", "fifo", "demote",
               "write-around")
-    battery = [config, blind, MinConfig(config), fifo, demote, write_around]
+    battery = [config, blind, min_config, fifo, demote, write_around]
     # The predictive-policy axis: random plus the whole zoo, each
     # replayed serially and held to the batch engines below.
     for zoo_policy in ("random", "srrip", "brrip", "drrip", "ship",

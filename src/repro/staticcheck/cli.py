@@ -34,6 +34,7 @@ Geometries are given as ``SIZE:ASSOC[:POLICY]`` (e.g. ``256:4`` or
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.cache.cache import CacheConfig
 from repro.evalharness.cli import (
@@ -47,7 +48,7 @@ from repro.staticcheck.crossval import cross_validate
 from repro.staticcheck.linter import lint_module
 from repro.staticcheck.locations import describe_loc
 from repro.staticcheck.mustmay import Classification, analyze_program
-from repro.unified.pipeline import CompilationOptions, compile_source
+from repro.unified.pipeline import compile_source
 
 #: The geometries ``--check`` exercises when none are given: the
 #: paper-scale default cache and a small high-conflict one.
@@ -362,18 +363,7 @@ def _run_check(args):
     # levels hide scalar traffic in registers, leaving little for the
     # classifier to grade).  Scheme and the other toggles follow the
     # command line.
-    options = _compile_options(args)
-    options = CompilationOptions(
-        scheme=options.scheme,
-        promotion="none",
-        promotion_budget=options.promotion_budget,
-        kill_bits=options.kill_bits,
-        spill_to_cache=options.spill_to_cache,
-        bypass_user_refs=options.bypass_user_refs,
-        merge_true_aliases=options.merge_true_aliases,
-        refine_points_to=options.refine_points_to,
-        cache_globals_in_blocks=options.cache_globals_in_blocks,
-    )
+    options = replace(_compile_options(args), promotion="none")
 
     header = "{:10s} {:>6s} {:>8s} {:>7s}".format(
         "benchmark", "lint", "sites", "byp%"

@@ -33,7 +33,11 @@ static classifications with no trace-format changes.
 """
 
 from repro.cache.cache import CacheConfig
-from repro.cache.semantics import UnifiedCache
+from repro.cache.semantics import (
+    NEXT_USE_POLICIES,
+    SIGNATURE_POLICIES,
+    UnifiedCache,
+)
 from repro.staticcheck import StaticCheckError
 from repro.staticcheck.mustmay import (
     TIER_OF,
@@ -237,10 +241,21 @@ def cross_validate(
     ``staticcheck``, kind ``crossval``) after the run completes.
     ``exact`` (used when no ready ``analysis`` is passed) runs the
     exact refinement pass before validating, so its verdicts get
-    audited too.
+    audited too.  The cache runs online, beside the VM, so a policy
+    that reads trace columns (MIN, SHiP, Hawkeye) raises
+    :class:`~repro.staticcheck.StaticCheckError` (kind
+    ``unsupported-geometry``).
     """
     if cache_config is None:
         cache_config = CacheConfig()
+    if cache_config.policy in NEXT_USE_POLICIES + SIGNATURE_POLICIES:
+        raise StaticCheckError(
+            "unsupported-geometry",
+            "cross-validation runs the cache online, without a trace, "
+            "and the {} policy reads trace columns".format(
+                cache_config.policy
+            ),
+        )
     if analysis is None:
         analysis = analyze_program(
             program, cache_config, entry=entry, exact=exact,

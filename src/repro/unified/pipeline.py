@@ -13,7 +13,7 @@ The result can be executed directly (:meth:`CompiledProgram.run`) with
 any memory system.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, unique
 
 from repro.analysis.alias import analyze_aliases
@@ -71,17 +71,10 @@ class CompilationOptions:
     merge_true_aliases: bool = False
 
     def normalized(self):
-        return CompilationOptions(
+        return replace(
+            self,
             scheme=Scheme.parse(self.scheme),
             promotion=PromotionLevel.parse(self.promotion),
-            promotion_budget=self.promotion_budget,
-            machine=self.machine,
-            kill_bits=self.kill_bits,
-            spill_to_cache=self.spill_to_cache,
-            refine_points_to=self.refine_points_to,
-            cache_globals_in_blocks=self.cache_globals_in_blocks,
-            bypass_user_refs=self.bypass_user_refs,
-            merge_true_aliases=self.merge_true_aliases,
         )
 
 

@@ -5,7 +5,7 @@ deterministic fault plans: torn writes never publish a partial entry,
 bit flips are caught by checksums and quarantined with a recorded
 reason, ``ENOSPC`` on store degrades to a counted miss, ``EIO`` on
 load degrades to a recompute without condemning the entry, the byte
-budget evicts through the repo's own replacement policies, and two
+budget evicts the least recently used entries first, and two
 processes racing store/load/gc on the same keys (with the
 ``store_pause`` injection widening the window) always observe correct
 artifacts — never a torn one.
@@ -14,7 +14,6 @@ artifacts — never a torn one.
 import hashlib
 import json
 import os
-import time
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro import faultinject
 from repro.evalharness.artifacts import (
     ARTIFACT_SCHEMA,
     CAPACITY_ENV,
-    POLICY_ENV,
     ArtifactCache,
     artifact_key,
     parse_size,
@@ -182,25 +180,20 @@ class TestBoundedCapacity:
         assert keys[1] not in remaining
         assert keys[0] in remaining and keys[2] in remaining
 
-    def test_fifo_evicts_oldest_store(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path / "store"), policy="fifo")
-        keys = self._fill(cache)
-        # Rewrite stored_at so key 2 is the oldest store, then touch
-        # its stamp to prove FIFO ignores recency of access.
-        for key, when in zip(keys, (3000, 2000, 1000)):
-            entry = os.path.join(cache.root, key[:2], key)
-            meta_path = os.path.join(entry, "meta.json")
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-            meta["stored_at"] = when
-            with open(meta_path, "w") as handle:
-                json.dump(meta, handle)
-        self._stamp(cache, keys[2], time.time())
-        total = sum(cache.entry_size(e) for _, e in cache.entries())
-        cache.capacity_bytes = total - 1
+    def test_budget_needing_two_evictions(self, cache):
+        """Each eviction removes a different entry, coldest first,
+        until the store fits."""
+        keys = self._fill(cache, count=4)
+        for key, when in zip(keys, (1000, 2000, 3000, 4000)):
+            self._stamp(cache, key, when)
+        sizes = {key: cache.entry_size(entry)
+                 for key, entry in cache.entries()}
+        # Only the two newest entries fit.
+        cache.capacity_bytes = sizes[keys[2]] + sizes[keys[3]]
         _removed, evicted = cache.gc()
-        assert evicted == 1
-        assert keys[2] not in {key for key, _ in cache.entries()}
+        assert evicted == 2
+        assert {key for key, _ in cache.entries()} == set(keys[2:])
+        assert cache.stats()["bytes"] <= cache.capacity_bytes
 
     def test_budget_enforced_after_store(self, tmp_path):
         cache = ArtifactCache(str(tmp_path / "store"))
@@ -221,11 +214,10 @@ class TestBoundedCapacity:
         assert parse_size("1G") == 1 << 30
 
     def test_env_budget_and_policy(self, tmp_path, monkeypatch):
+        # The budget is the store's one setting; eviction is always LRU.
         monkeypatch.setenv(CAPACITY_ENV, "2K")
-        monkeypatch.setenv(POLICY_ENV, "fifo")
         cache = ArtifactCache(str(tmp_path / "store"))
         assert cache.capacity_bytes == 2048
-        assert cache.policy == "fifo"
 
 
 class TestMaintenance:

@@ -6,12 +6,12 @@ family, the replay engines exact for it, and
 from it.  This file holds the table to both of its promises:
 
 * **Exactness.**  Every engine the table lists for a spec is
-  bit-identical to the serial reference :func:`replay_trace` (for MIN,
-  :func:`simulate_min`) over one trace corpus: Hypothesis traces over
-  dense and sparse addresses using every flag byte (the dense ones
-  also with set blocks of three events, so every set-major walk
-  crosses block boundaries), the empty trace, hand-built traces,
-  fuzzer programs and the six Figure 5 benchmarks.  The outputs only
+  bit-identical to the serial reference :func:`replay_trace` over one
+  trace corpus: Hypothesis traces over dense and sparse addresses
+  using every flag byte (the dense ones also with set blocks of three
+  events, so every set-major walk crosses block boundaries), the empty
+  trace, hand-built traces, fuzzer programs and the six Figure 5
+  benchmarks.  The outputs only
   the kernel gives are held too, on both sides of its associativity
   cap: its per-event hit mask equals ``Cache.access(...) == "hit"``
   event by event, and its distance histogram reproduces the hit
@@ -37,10 +37,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import semantics, stackdist, vectorized
-from repro.cache.belady import simulate_min
 from repro.cache.cache import POLICIES, Cache, CacheConfig
 from repro.cache.hierarchy import level_outcome
-from repro.cache.replay import MinConfig, policy_for_trace, replay_trace
+from repro.cache.replay import policy_for_trace, replay_trace
 from repro.cache.semantics import (
     EV_KILL_WRITE,
     EV_PLAIN_READ,
@@ -109,9 +108,10 @@ BATTERY = [
 ]
 
 #: The LRU battery plus levels the kernel never scores: other
-#: policies (one of them indexed), demoted kills and write-around.
+#: policies (two of them indexed), demoted kills and write-around.
 OUTCOME_CONFIGS = BATTERY + [
     CacheConfig(size_words=16, associativity=2, policy="fifo"),
+    CacheConfig(size_words=16, associativity=2, policy="min"),
     CacheConfig(size_words=16, associativity=4, policy="srrip"),
     CacheConfig(size_words=16, associativity=4, policy="hawkeye"),
     CacheConfig(size_words=16, associativity=2, kill_mode="demote"),
@@ -120,7 +120,9 @@ OUTCOME_CONFIGS = BATTERY + [
 
 
 def policy_configs(policy):
-    """The behaviorally distinct config family for one policy name."""
+    """The behaviorally distinct config family for one policy name:
+    honor flags, write policy, write-around, demoted kills, one way and
+    four-word lines (whose kills always demote)."""
     base = dict(size_words=8, line_words=1, associativity=2, policy=policy)
     if policy == "random":
         base["seed"] = 17
@@ -130,20 +132,9 @@ def policy_configs(policy):
         CacheConfig(**dict(base, write_policy="writethrough")),
         CacheConfig(**dict(base, allocate_on_write=False)),
         CacheConfig(**dict(base, kill_mode="demote")),
+        CacheConfig(**dict(base, size_words=4, associativity=1)),
+        CacheConfig(**dict(base, size_words=16, line_words=4)),
     ]
-
-
-MIN_CONFIGS = [
-    MinConfig(size_words=8, line_words=1, associativity=2),
-    MinConfig(size_words=8, line_words=1, associativity=2,
-              honor_kill=False),
-    MinConfig(size_words=8, line_words=1, associativity=2,
-              honor_bypass=False),
-    MinConfig(size_words=4, line_words=1, associativity=1),
-    MinConfig(size_words=16, line_words=4, associativity=2),
-    MinConfig(size_words=16, line_words=1, associativity=4,
-              kill_mode="demote"),
-]
 
 #: One fully associative Random set, and one LRU set wider than the
 #: kernel's cap (the kernel flags every set).
@@ -181,7 +172,6 @@ SPECS = _unique(
     OUTCOME_CONFIGS
     + SWEEP_CONFIGS
     + [config for policy in POLICIES for config in policy_configs(policy)]
-    + MIN_CONFIGS
     + WIDE_CONFIGS
     + RRIP_CONFIGS
 )
@@ -294,7 +284,8 @@ FIGURE5_SPECS = [
                 policy="random", seed=12345),
     CacheConfig(size_words=64, line_words=1, associativity=2,
                 policy="lru", honor_bypass=False, honor_kill=False),
-    MinConfig(size_words=256, associativity=4),
+    CacheConfig(size_words=256, line_words=1, associativity=4,
+                policy="min"),
     replace(ZOO_GEOMETRY, policy="drrip"),
     replace(ZOO_GEOMETRY, policy="hawkeye"),
     CacheConfig(size_words=256, line_words=1, associativity=4,
@@ -309,14 +300,14 @@ FIGURE5_SPECS = [
 
 
 def serial(trace, spec):
-    """The reference stats: ``replay_trace``, or ``simulate_min``."""
-    if isinstance(spec, MinConfig):
-        return simulate_min(trace, spec.config)
+    """The reference stats: ``replay_trace``."""
     return replay_trace(trace, spec)
 
 
 def reference_hits(trace, config):
-    """``Cache.access(...) == "hit"``, event by event."""
+    """``Cache.access(...) == "hit"``, event by event, driven here
+    rather than through ``replay_trace`` so its hit mask is held to
+    the access loop too."""
     cache = Cache(config, policy=policy_for_trace(trace, config))
     return [
         cache.access(
@@ -330,9 +321,8 @@ def reference_hits(trace, config):
     ]
 
 
-def lane_stats(name, trace, spec, presence):
-    """``spec`` scored by the lane sweep ``name``."""
-    config = spec.config if isinstance(spec, MinConfig) else spec
+def lane_stats(name, trace, config, presence):
+    """``config`` scored by the lane sweep ``name``."""
     flavor = flavor_key(config, *presence)
     line_words, honor_bypass, honor_kill, write_policy = flavor
     args = (
@@ -506,8 +496,7 @@ def automaton_inputs(trace, specs):
     presence = flag_presence(columns)
     caps = {}
     for spec in specs:
-        if (isinstance(spec, CacheConfig)
-                and stackdist.supports_stackdist(spec, *presence)):
+        if stackdist.supports_stackdist(spec, *presence):
             key = (flavor_key(spec, *presence), spec.num_sets)
             caps[key] = max(caps.get(key, 0), spec.associativity)
     calls = []
@@ -619,8 +608,8 @@ FAMILY_SPECS = {
         CacheConfig(size_words=WIDE, associativity=WIDE, policy="random"),
     ],
     "min": [
-        MinConfig(size_words=16, associativity=2),
-        MinConfig(size_words=WIDE, associativity=WIDE),
+        CacheConfig(size_words=16, associativity=2, policy="min"),
+        CacheConfig(size_words=WIDE, associativity=WIDE, policy="min"),
     ],
     "rrip": [
         CacheConfig(size_words=16, associativity=4, policy="srrip"),
@@ -739,8 +728,6 @@ class TestRouting:
     def test_consumers_reach_the_named_engine(self, reached):
         checked = 0
         for consumer, column, expected in routing_cells():
-            if consumer == "hits" and column == "min":
-                continue  # a MinConfig is never a hierarchy level
             for spec in FAMILY_SPECS[column]:
                 entered = drive(consumer, spec, reached)
                 if expected == "reference":

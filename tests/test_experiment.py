@@ -1,8 +1,11 @@
 """Experiment harness tests: Figure 5 bands, sweeps, CLI surface."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache.cache import CacheConfig
+from repro.cache.replay import replay_trace
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
     run_benchmark,
@@ -18,6 +21,7 @@ from repro.evalharness.figure5 import (
     format_figure5,
 )
 from repro.evalharness.sweeps import (
+    _trace_for,
     cache_size_sweep,
     kill_bit_ablation,
     policy_ablation,
@@ -65,6 +69,25 @@ class TestRunBenchmark:
         program = compile_source("int main() { print(1); return 0; }")
         with pytest.raises(VMError):
             run_compiled("bad", program, expected_output=[2])
+
+    def test_benchmark_output_checks_raise_vm_error(self, monkeypatch):
+        """The sweeps' trace and E10's combined trace check the
+        benchmark's output with a stage-tagged error, not an assert."""
+        from repro.evalharness import sweeps, unifiedcache
+        from repro.lang.errors import VMError
+        from repro.programs import get_benchmark
+
+        def wrong(name, paper_scale=False):
+            return replace(get_benchmark(name, paper_scale),
+                           expected_output=(-1,))
+
+        for module, record in ((sweeps, sweeps._trace_for),
+                               (unifiedcache,
+                                unifiedcache.record_combined_trace)):
+            monkeypatch.setattr(module, "get_benchmark", wrong)
+            with pytest.raises(VMError, match="instead of") as excinfo:
+                record("queen")
+            assert excinfo.value.stage == "vm"
 
     def test_keep_trace(self):
         result = run_benchmark("queen", keep_trace=True)
@@ -138,6 +161,21 @@ class TestSweeps:
         }
         assert by_key[("min", True)] <= by_key[("lru", True)]
         assert by_key[("min", False)] <= by_key[("lru", False)]
+
+    def test_ablation_cells_follow_the_base(self):
+        """Every cell, MIN included, is the base config with its policy
+        and kill bits swapped in: over a write-through base nothing is
+        ever written back."""
+        base = replace(DEFAULT_CACHE, size_words=64,
+                       write_policy="writethrough")
+        rows = policy_ablation("towers", policies=("lru", "min"), base=base)
+        assert [row["writebacks"] for row in rows] == [0] * 4, rows
+        trace, _program = _trace_for("towers")
+        for row in rows:
+            want = replay_trace(trace, replace(
+                base, policy=row["policy"], honor_kill=row["kill_bits"]))
+            assert row["misses"] == want.misses, row
+            assert row["bus_words"] == want.bus_words, row
 
     def test_kill_bits_never_hurt_misses(self):
         for size in (32, 64):

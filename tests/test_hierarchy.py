@@ -169,6 +169,17 @@ class TestOnlineChain:
         chain.access(0, False)
         assert sorted(chain.stats()) == ["L1", "L2"]
 
+    @pytest.mark.parametrize("policy", ["min", "ship", "hawkeye"])
+    def test_trace_column_levels_score_offline_only(self, policy):
+        """The online chain has no trace to build a MIN, SHiP or
+        Hawkeye level from; the offline scorer replays that level."""
+        spec = parse_hierarchy("L1:16x2@{},L2:64x4".format(policy))
+        with pytest.raises(ValueError):
+            HierarchyCache(spec)
+        trace = mixed_trace(events=400)
+        l1 = spec.level_configs()[0]
+        assert hierarchy_stats(trace, spec)["L1"] == replay_trace(trace, l1)
+
 
 class TestOfflineMatchesOnline:
     """Non-inclusive offline scoring == the online chain, bit for bit."""

@@ -32,7 +32,7 @@ import pytest
 
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.functional import DataCachedMemory
-from repro.cache.replay import MinConfig, policy_for_trace, replay_trace
+from repro.cache.replay import policy_for_trace, replay_trace
 from repro.cache.semantics import (
     ENTRY_DEAD,
     RRPV_MAX,
@@ -90,8 +90,6 @@ INDEXED_POLICIES = ("min", "ship", "hawkeye")
 
 def build_policy(policy, trace):
     """A ready policy instance for ``policy`` over ``trace``."""
-    if policy == "min":
-        return MinPolicy(next_use_index(trace, 1, True))
     return policy_for_trace(trace, CacheConfig(policy=policy, seed=1))
 
 
@@ -140,7 +138,7 @@ class TestProtocolSurface:
             make_policy(CacheConfig(policy="random", seed=1)), RandomPolicy
         )
         assert isinstance(
-            make_policy(CacheConfig(policy="lru"), next_use=[]), MinPolicy
+            make_policy(CacheConfig(policy="min"), next_use=[]), MinPolicy
         )
         assert isinstance(
             make_policy(CacheConfig(policy="srrip")), SRRIPPolicy
@@ -163,6 +161,8 @@ class TestProtocolSurface:
         )
 
     def test_predictor_policies_demand_their_columns(self):
+        with pytest.raises(ValueError, match="next-use index"):
+            make_policy(CacheConfig(policy="min"))
         with pytest.raises(ValueError, match="signature column"):
             make_policy(CacheConfig(policy="ship"))
         with pytest.raises(ValueError, match="next-use and signature"):
@@ -170,11 +170,15 @@ class TestProtocolSurface:
         with pytest.raises(ValueError, match="next-use and signature"):
             make_policy(CacheConfig(policy="hawkeye"), signatures=[])
 
-    def test_min_is_not_an_online_policy(self):
-        """MIN rides via MinConfig + next-use, never as a config
-        policy string — the config constructor rejects it."""
-        with pytest.raises(ValueError, match="unknown policy"):
-            CacheConfig(policy="min")
+    def test_min_cache_needs_the_next_use_index(self):
+        """MIN is a config policy, but an offline one: a cache built
+        from the config alone has no next-use index to read."""
+        config = CacheConfig(policy="min")
+        with pytest.raises(ValueError, match="next-use index"):
+            Cache(config)
+        trace = make_trace(HAND_REFS)
+        cache = Cache(config, policy=policy_for_trace(trace, config))
+        assert isinstance(cache.policy, MinPolicy)
 
     def test_unknown_policy_raises(self):
         class Stub:
@@ -254,12 +258,11 @@ class TestCrossEngineBitIdentity:
 
     def test_hand_trace_min(self):
         trace = make_trace(HAND_REFS)
-        specs = [
-            MinConfig(size_words=8, line_words=1, associativity=2),
-            MinConfig(size_words=8, line_words=1, associativity=2,
-                      honor_kill=False),
-            MinConfig(size_words=16, line_words=1, associativity=4,
-                      kill_mode="demote"),
+        specs = policy_configs("min") + [
+            CacheConfig(size_words=8, line_words=1, associativity=2,
+                        policy="min", honor_kill=False),
+            CacheConfig(size_words=16, line_words=1, associativity=4,
+                        policy="min", kill_mode="demote"),
         ]
         self.engines(trace, specs)
 
@@ -287,9 +290,9 @@ class TestCrossEngineBitIdentity:
 
     def test_fuzzed_traces_min(self, fuzz_traces):
         for trace in fuzz_traces:
-            self.engines(trace, [
-                MinConfig(size_words=8, line_words=1, associativity=2),
-                MinConfig(size_words=16, line_words=1, associativity=4),
+            self.engines(trace, policy_configs("min") + [
+                CacheConfig(size_words=16, line_words=1, associativity=4,
+                            policy="min"),
             ])
 
     def test_mixed_policy_battery_one_call(self, fuzz_traces):
@@ -301,7 +304,7 @@ class TestCrossEngineBitIdentity:
             CacheConfig(size_words=8, associativity=2, policy="fifo"),
             CacheConfig(size_words=8, associativity=2, policy="random",
                         seed=3),
-            MinConfig(size_words=8, line_words=1, associativity=2),
+            CacheConfig(size_words=8, associativity=2, policy="min"),
         ] + [
             CacheConfig(size_words=8, associativity=2, policy=policy)
             for policy in ZOO_POLICIES
@@ -517,13 +520,14 @@ class TestSharedNextUse:
         trace = make_trace(HAND_REFS)
         shared = next_use_index(trace, 1, True)
         specs = [
-            MinConfig(size_words=4, line_words=1, associativity=1),
-            MinConfig(size_words=8, line_words=1, associativity=2),
+            CacheConfig(size_words=4, line_words=1, associativity=1,
+                        policy="min"),
+            CacheConfig(size_words=8, line_words=1, associativity=2,
+                        policy="min"),
         ]
         direct = [serial(trace, spec) for spec in specs]
         via_policy = [
-            UnifiedCache(spec.config, policy=MinPolicy(shared))
-            for spec in specs
+            UnifiedCache(spec, policy=MinPolicy(shared)) for spec in specs
         ]
         for core in via_policy:
             for index, (address, flags) in enumerate(trace):

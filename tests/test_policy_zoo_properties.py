@@ -12,14 +12,13 @@ Three properties pin the zoo's mechanics to their definitions:
    trace, read off at the leader set.
 3. **OPTgen == MIN** — Hawkeye's shadow oracle is the incremental MIN
    next-use machinery re-used verbatim, so its hit count on a
-   single-set trace equals :func:`simulate_min` exactly.
+   single-set trace equals a MIN replay exactly.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.belady import simulate_min
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import policy_for_trace
+from repro.cache.replay import policy_for_trace, replay_trace
 from repro.cache.semantics import (
     SRRIPPolicy,
     UnifiedCache,
@@ -165,10 +164,9 @@ def test_hawkeye_optgen_matches_min(refs, associativity):
     policy = policy_for_trace(trace, config)
     core = UnifiedCache(config, policy=policy)
     drive(core, trace)
-    min_stats = simulate_min(
-        trace,
-        CacheConfig(size_words=associativity, line_words=1,
-                    associativity=associativity),
+    min_stats = replay_trace(
+        trace, policy="min", size_words=associativity, line_words=1,
+        associativity=associativity,
     )
     assert policy.optgen_refs == min_stats.hits + min_stats.misses
     assert policy.optgen_hits == min_stats.hits

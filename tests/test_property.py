@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.functional import DataCachedMemory
 from repro.cache.replay import replay_trace
-from repro.cache.belady import simulate_min
 from repro.ir.instructions import RefClass, RefInfo, RegionKind
 from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, TraceBuffer
 
@@ -89,7 +88,7 @@ class TestCacheBookkeeping:
         # Compare under identical annotation handling.
         trace = make_trace(refs)
         lru = replay_trace(trace, CacheConfig(policy="lru", **geometry))
-        best = simulate_min(trace, CacheConfig(policy="lru", **geometry))
+        best = replay_trace(trace, policy="min", **geometry)
         assert best.misses <= lru.misses
 
     @given(geometry=geometries, refs=raw_refs)

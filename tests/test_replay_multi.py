@@ -13,12 +13,14 @@ trace from here and holds every engine the engine table lists to the
 same oracle, one spec at a time.
 """
 
+from dataclasses import replace
+
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig, replay_trace
+from repro.cache.replay import replay_trace
 from repro.cache.semantics import (
     collapse_runs_sorted,
     fifo_sweep,
@@ -71,26 +73,14 @@ SWEEP_CONFIGS = [
                 seed=7, allocate_on_write=False, kill_mode="demote"),
 ]
 
-
-def serial_replay(trace, spec):
-    """The reference result for one sweep slot."""
-    if isinstance(spec, MinConfig):
-        return replay_trace(
-            trace,
-            policy="min",
-            size_words=spec.config.size_words,
-            line_words=spec.config.line_words,
-            associativity=spec.config.associativity,
-            honor_bypass=spec.config.honor_bypass,
-            honor_kill=spec.config.honor_kill,
-            kill_mode=spec.config.kill_mode,
-        )
-    return replay_trace(trace, spec)
+#: The MIN slot the mixed sweeps add to the families above.
+MIN_CONFIG = CacheConfig(size_words=8, line_words=1, associativity=2,
+                         policy="min")
 
 
 def assert_multi_matches_serial(trace, configs):
     """One dispatcher call over every spec equals the serial path."""
-    serial = [serial_replay(trace, spec) for spec in configs]
+    serial = [replay_trace(trace, spec) for spec in configs]
     swept = replay_trace_sweep(trace, configs)
     for spec, expect, got in zip(configs, serial, swept):
         assert got.as_dict() == expect.as_dict(), spec
@@ -129,13 +119,13 @@ class TestMultiEqualsSerial:
     def test_min_configs_share_next_use(self):
         trace = make_trace(HAND_REFS)
         specs = [
-            MinConfig(size_words=8, line_words=1, associativity=2),
-            MinConfig(size_words=8, line_words=1, associativity=2,
-                      honor_kill=False),
-            MinConfig(size_words=4, line_words=1, associativity=1),
-            MinConfig(size_words=16, line_words=4, associativity=2),
-            MinConfig(size_words=8, line_words=1, associativity=2,
-                      honor_bypass=False),
+            MIN_CONFIG,
+            replace(MIN_CONFIG, honor_kill=False),
+            CacheConfig(size_words=4, line_words=1, associativity=1,
+                        policy="min"),
+            CacheConfig(size_words=16, line_words=4, associativity=2,
+                        policy="min"),
+            replace(MIN_CONFIG, honor_bypass=False),
         ]
         assert_multi_matches_serial(trace, specs)
 
@@ -143,18 +133,17 @@ class TestMultiEqualsSerial:
         trace = make_trace(HAND_REFS)
         specs = [
             SWEEP_CONFIGS[0],
-            MinConfig(size_words=8, line_words=1, associativity=2),
+            MIN_CONFIG,
             SWEEP_CONFIGS[3],
-            MinConfig(size_words=8, line_words=1, associativity=2,
-                      honor_kill=False),
+            replace(MIN_CONFIG, honor_kill=False),
         ]
         assert_multi_matches_serial(trace, specs)
 
     def test_empty_trace(self):
         trace = make_trace([])
         stats = replay_trace_sweep(
-            trace, [SWEEP_CONFIGS[0], MinConfig(size_words=8,
-                                                associativity=2)],
+            trace, [SWEEP_CONFIGS[0],
+                    CacheConfig(size_words=8, associativity=2, policy="min")],
         )
         assert all(s.refs_total == 0 for s in stats)
 
@@ -173,9 +162,7 @@ class TestMultiEqualsSerial:
     def test_property_random_traces(self, refs):
         trace = make_trace(refs)
         specs = list(SWEEP_CONFIGS) + [
-            MinConfig(size_words=8, line_words=1, associativity=2),
-            MinConfig(size_words=8, line_words=1, associativity=2,
-                      honor_kill=False),
+            MIN_CONFIG, replace(MIN_CONFIG, honor_kill=False),
         ]
         assert_multi_matches_serial(trace, specs)
 
@@ -197,10 +184,18 @@ class TestReplayTraceKwargsGuard:
         stats = replay_trace(trace, size_words=8, associativity=2)
         assert stats.refs_total == len(HAND_REFS)
 
-    def test_min_config_plus_kwargs_raises(self):
-        config = CacheConfig(size_words=8, associativity=2)
-        with pytest.raises(ValueError, match="not both"):
-            MinConfig(config, size_words=4)
+    def test_min_kwargs_equal_min_config(self):
+        """The keyword spelling of a MIN replay builds the same config."""
+        trace = make_trace(HAND_REFS)
+        for honor_kill in (True, False):
+            by_kwargs = replay_trace(
+                trace, policy="min", size_words=8, line_words=1,
+                associativity=2, honor_kill=honor_kill,
+            )
+            by_config = replay_trace(
+                trace, replace(MIN_CONFIG, honor_kill=honor_kill)
+            )
+            assert by_kwargs.as_dict() == by_config.as_dict()
 
 
 def collapse_for(trace, config):
@@ -229,10 +224,9 @@ COLLAPSE_CONFIGS = [
 ]
 
 
-def walked(trace, spec):
-    """``spec`` scored by its lane walk, which fronts itself with the
-    run collapse whenever the spec allocates on write."""
-    config = spec.config if isinstance(spec, MinConfig) else spec
+def walked(trace, config):
+    """``config`` scored by its lane walk, which fronts itself with the
+    run collapse whenever the config allocates on write."""
     columns = trace.to_columns()
     stream = flavor_decode(columns,
                            flavor_key(config, *flag_presence(columns)))
@@ -241,7 +235,7 @@ def walked(trace, spec):
         config.line_words, config.kill_mode, config.write_policy,
         config.allocate_on_write,
     )
-    if isinstance(spec, MinConfig):
+    if config.policy == "min":
         lanes = min_sweep(*args, next_use_index(
             trace, config.line_words, config.honor_bypass
         ))
@@ -262,10 +256,8 @@ class TestRunCollapseBitIdentity:
     def assert_collapse_invisible(self, trace):
         # MIN rides the same collapse, stamped with the next use of
         # each run's last event.
-        for spec in COLLAPSE_CONFIGS + [
-            MinConfig(size_words=8, line_words=1, associativity=2),
-        ]:
-            want = serial_replay(trace, spec)
+        for spec in COLLAPSE_CONFIGS + [MIN_CONFIG]:
+            want = replay_trace(trace, spec)
             assert walked(trace, spec).as_dict() == want.as_dict(), spec
 
     def test_hand_trace(self):
@@ -358,7 +350,7 @@ class TestFuzzedProgramTraces:
                     SWEEP_CONFIGS[0],
                     SWEEP_CONFIGS[2],
                     SWEEP_CONFIGS[3],
-                    MinConfig(size_words=8, line_words=1, associativity=2),
+                    MIN_CONFIG,
                 ],
             )
 
@@ -382,6 +374,6 @@ class TestFuzzedProgramTraces:
                 SWEEP_CONFIGS[0],
                 SWEEP_CONFIGS[5],
                 SWEEP_CONFIGS[6],
-                MinConfig(size_words=8, line_words=1, associativity=2),
+                MIN_CONFIG,
             ],
         )

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig
 from repro.cache.stackdist import (
     engines_for,
     flavor_key,
@@ -78,7 +77,8 @@ class TestPropertyEquivalence:
                         policy="lru"),
             CacheConfig(size_words=16, line_words=1, associativity=2,
                         policy="fifo"),
-            MinConfig(size_words=16, line_words=1, associativity=2),
+            CacheConfig(size_words=16, line_words=1, associativity=2,
+                        policy="min"),
             CacheConfig(size_words=8, line_words=1, associativity=8,
                         policy="random", seed=seed),
             CacheConfig(size_words=64, line_words=1, associativity=4,

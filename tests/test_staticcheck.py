@@ -444,6 +444,29 @@ class TestCliAndFigure5:
         assert "static bypass ratio" in out
         assert "0 mismatch(es)" in out
 
+    @pytest.mark.parametrize("policy", ["min", "ship", "hawkeye"])
+    def test_offline_policy_is_a_clean_error(self, capsys, tmp_path,
+                                             policy):
+        """The validator runs the cache beside the VM, with no trace to
+        read columns from: ``--validate`` and ``--check`` print one
+        staticcheck error line, and the table mode still accepts the
+        policy."""
+        from repro.staticcheck.cli import main
+
+        path = tmp_path / "p.minic"
+        path.write_text("int main() { int x; x = 1; return x; }")
+        geometry = ["--geometry", "64:2:" + policy]
+        table = [str(path), "--promotion", "none"] + geometry
+        assert main(table) == 0
+        capsys.readouterr()
+        for argv in (table + ["--validate"],
+                     ["--check", "--benchmark", "queen"] + geometry):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            assert err[0].startswith("error [staticcheck]: "), err
+            assert policy in err[0]
+
     def test_figure5_carries_the_analysis_column(self):
         from repro.evalharness.experiment import run_benchmark
         from repro.evalharness.figure5 import Figure5Row, format_figure5

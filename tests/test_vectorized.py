@@ -20,7 +20,6 @@ from hypothesis import given, settings
 
 from repro.cache import semantics, vectorized
 from repro.cache.cache import CacheConfig
-from repro.cache.replay import MinConfig
 from repro.cache.stackdist import (
     StackDistanceProfile,
     _flag_presence,
@@ -248,7 +247,8 @@ class TestDispatch:
                         policy="random", seed=7),
             CacheConfig(size_words=16, line_words=1, associativity=2,
                         policy="lru", kill_mode="demote"),
-            MinConfig(size_words=16, line_words=1, associativity=2),
+            CacheConfig(size_words=16, line_words=1, associativity=2,
+                        policy="min"),
         ]
         _assert_identical(trace, specs)
 
