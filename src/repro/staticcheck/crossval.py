@@ -9,13 +9,13 @@ correctness oracles — a mismatch means either the abstract transfer
 functions or the concrete cache semantics are wrong, and both are
 worth knowing about immediately.
 
-The contract checked per dynamic memory reference, before the access
-is applied:
+The contract checked per dynamic memory reference, against whether
+the block was present just before the access:
 
-* ``ALWAYS_HIT`` / ``EXACT_HIT``   → ``cache.probe(address)`` is True;
-* ``ALWAYS_MISS`` / ``EXACT_MISS`` → ``cache.probe(address)`` is False;
-* ``EXACT_PERSISTENT`` → ``cache.probe(address)`` equals the presence
-  history the validator replays itself: an address is predicted
+* ``ALWAYS_HIT`` / ``EXACT_HIT``   → present;
+* ``ALWAYS_MISS`` / ``EXACT_MISS`` → absent;
+* ``EXACT_PERSISTENT`` → present exactly when the presence history
+  the validator replays itself says so: an address is predicted
   present exactly when it was installed through the cache and not
   since removed by a bypass or kill.  The certificate behind the
   verdict (:mod:`repro.staticcheck.uncertainty`) proves the involved
@@ -26,11 +26,24 @@ is applied:
   with it) but not definite.
 * ``UNKNOWN`` → nothing (counted, for the precision summary).
 
+Presence comes from the one :meth:`UnifiedCache.access
+<repro.cache.semantics.UnifiedCache.access>` each event makes:
+``access`` looks the block up once, before it mutates anything, and
+reports that lookup as a ``"hit"``, or as a ``"bypass"`` that counted
+a ``probe_hits``.  A ``"miss"``, or a ``"bypass"`` that did not, found
+the block absent.
+
 Static sites are keyed by RefInfo identity: each Load/Store owns one
 :class:`~repro.ir.instructions.RefInfo` and the VM hands exactly that
 object to the memory system, so ``id(ref)`` connects dynamic events to
-static classifications with no trace-format changes.
+static classifications with no trace-format changes.  :func:`site_plan`
+turns an analysis into one :class:`SitePlan` per site — what an event
+of that site counts, audits and does to the presence history — and
+both the validator and the static-only predictor
+(:mod:`repro.staticcheck.predictor`) read it.
 """
+
+from typing import NamedTuple
 
 from repro.cache.cache import CacheConfig
 from repro.cache.semantics import (
@@ -46,6 +59,89 @@ from repro.staticcheck.mustmay import (
     analyze_program,
 )
 from repro.vm.memory import FlatMemory, MemorySystem
+
+#: Audit kinds: what one event of a site claims about presence.
+AUDIT_NONE, AUDIT_HIT, AUDIT_MISS, AUDIT_PERSISTENT = range(4)
+
+_AUDIT_OF = {
+    Classification.ALWAYS_HIT: AUDIT_HIT,
+    Classification.EXACT_HIT: AUDIT_HIT,
+    Classification.ALWAYS_MISS: AUDIT_MISS,
+    Classification.EXACT_MISS: AUDIT_MISS,
+    Classification.EXACT_PERSISTENT: AUDIT_PERSISTENT,
+}
+
+#: Count slots: one per verdict, in enum order.  Tiers and the
+#: classified count are sums of slots.
+_VERDICTS = tuple(Classification)
+_SLOT_OF = {verdict: slot for slot, verdict in enumerate(_VERDICTS)}
+
+
+class SitePlan(NamedTuple):
+    """What one event of a static site counts, audits and tracks."""
+
+    #: Count slot of the verdict (``unknown`` for an unplanned ref).
+    slot: int
+    #: ``AUDIT_NONE`` / ``AUDIT_HIT`` / ``AUDIT_MISS`` /
+    #: ``AUDIT_PERSISTENT``.
+    audit: int
+    #: The bypass and kill bits as the geometry honors them.
+    bypass: bool
+    kill: bool
+    #: Whether the event leaves its address out of the presence
+    #: history (one-word lines, write-allocate, invalidate-mode kills —
+    #: the geometries the analysis models): a through access leaves
+    #: the block installed; a bypass or kill leaves it absent (a
+    #: killed read misses around the cache, a killed write retires its
+    #: own line after the transient allocate).
+    removes: bool
+    #: The :class:`~repro.staticcheck.mustmay.Site` and the verdict a
+    #: :class:`Mismatch` names (``None`` for an unplanned ref).
+    site: object
+    verdict: object
+
+
+def plan_ref(ref, config, site=None, verdict=None):
+    """The :class:`SitePlan` of one reference under ``config``."""
+    bypass = bool(ref.bypass) and config.honor_bypass
+    kill = bool(ref.kill) and config.honor_kill
+    return SitePlan(
+        _SLOT_OF[Classification.UNKNOWN if verdict is None else verdict],
+        _AUDIT_OF.get(verdict, AUDIT_NONE),
+        bypass,
+        kill,
+        bypass or kill,
+        site,
+        verdict,
+    )
+
+
+def site_plan(analysis):
+    """``{id(ref): SitePlan}`` for every site the analysis predicts.
+
+    Reads ``analysis.predictions`` (the verdicts) and
+    ``analysis.sites`` (the sites a :class:`Mismatch` names).  A ref
+    with no entry counts in the unknown tier and audits nothing
+    (:func:`plan_ref` with no verdict).
+    """
+    sites = {id(site.ref): site for site in analysis.sites}
+    config = analysis.config
+    return {
+        key: plan_ref(sites[key].ref, config, sites[key], verdict)
+        for key, verdict in analysis.predictions.items()
+    }
+
+
+def _tally(counts):
+    """``(events_total, events_classified, event_tiers)`` from the
+    per-slot event counts."""
+    tiers = {tier: 0 for tier in TIERS}
+    classified = 0
+    for verdict, count in zip(_VERDICTS, counts):
+        tiers[TIER_OF[verdict]] += count
+        if verdict in _AUDIT_OF:
+            classified += count
+    return sum(counts), classified, tiers
 
 
 class Mismatch:
@@ -75,91 +171,94 @@ class Mismatch:
 
 
 class ValidatingMemory(MemorySystem):
-    """Flat memory + online cache that audits static claims in-line."""
+    """Flat memory + online cache that audits static claims in-line.
+
+    The analysis is compiled once, here, into :func:`site_plan`; each
+    event then costs one plan lookup, one count and exactly one
+    ``UnifiedCache.access``.  ``read`` and ``write`` are closures over
+    that state, bound per instance.
+    """
 
     def __init__(self, analysis, flat=None, max_mismatches=25):
         self.analysis = analysis
         # The audit drives the canonical transfer function directly:
-        # probe() and access() answer from the same per-event
-        # semantics every other engine is defined against.
+        # access() answers presence from the same per-event semantics
+        # every other engine is defined against.
         self.cache = UnifiedCache(analysis.config)
         self.flat = flat if flat is not None else FlatMemory()
         self.max_mismatches = max_mismatches
         self.mismatches = []
-        self.events_total = 0
-        self.events_classified = 0
-        self.event_tiers = {tier: 0 for tier in TIERS}
-        self._predictions = analysis.predictions
-        self._sites = {id(site.ref): site for site in analysis.sites}
+        self._counts = [0] * len(_VERDICTS)
+        self.read, self.write = self._bind(site_plan(analysis))
+
+    @property
+    def events_total(self):
+        return sum(self._counts)
+
+    @property
+    def events_classified(self):
+        return _tally(self._counts)[1]
+
+    @property
+    def event_tiers(self):
+        return _tally(self._counts)[2]
+
+    def _bind(self, plan):
+        """The ``read``/``write`` closures auditing against ``plan``."""
+        plan_get = plan.get
+        config = self.analysis.config
+        counts = self._counts
+        access = self.cache.access
+        stats = self.cache.stats
+        mismatches = self.mismatches
+        max_mismatches = self.max_mismatches
+        words = self.flat.words
         # The presence history behind exact-persistent audits: which
         # addresses are currently installed through the cache.  Exact
         # for every address living in a certified (eviction-free) set;
         # persistent verdicts are only ever issued for those.
-        self._installed = set()
-        self._honor_bypass = analysis.config.honor_bypass
-        self._honor_kill = analysis.config.honor_kill
+        installed = set()
+        install = installed.add
+        remove = installed.discard
 
-    _HIT_VERDICTS = frozenset(
-        {Classification.ALWAYS_HIT, Classification.EXACT_HIT}
-    )
-    _MISS_VERDICTS = frozenset(
-        {Classification.ALWAYS_MISS, Classification.EXACT_MISS}
-    )
-
-    def _audit(self, address, ref):
-        self.events_total += 1
-        verdict = self._predictions.get(id(ref))
-        if verdict is None:
-            self.event_tiers["unknown"] += 1
-            self._track(address, ref)
-            return
-        self.event_tiers[TIER_OF[verdict]] += 1
-        if verdict in self._HIT_VERDICTS:
-            expected = True
-        elif verdict in self._MISS_VERDICTS:
-            expected = False
-        elif verdict is Classification.EXACT_PERSISTENT:
-            expected = address in self._installed
-        else:  # UNKNOWN / INPUT_DEPENDENT: nothing to audit.
-            self._track(address, ref)
-            return
-        self.events_classified += 1
-        present = self.cache.probe(address)
-        if present != expected and len(self.mismatches) < self.max_mismatches:
-            self.mismatches.append(
-                Mismatch(
-                    self._sites[id(ref)],
-                    address,
-                    self.events_total - 1,
-                    verdict,
-                    present,
+        def audit(address, ref, is_write):
+            entry = plan_get(id(ref))
+            if entry is None:
+                entry = plan_ref(ref, config)
+            slot, kind, bypass, kill, removes, site, verdict = entry
+            counts[slot] += 1
+            if kind:
+                expected = (
+                    address in installed if kind == AUDIT_PERSISTENT
+                    else kind == AUDIT_HIT
                 )
-            )
-        self._track(address, ref)
+                probes = stats.probe_hits
+                outcome = access(address, is_write, bypass, kill)
+                present = outcome == "hit" or (
+                    outcome == "bypass" and stats.probe_hits != probes
+                )
+                if present != expected and len(mismatches) < max_mismatches:
+                    mismatches.append(Mismatch(
+                        site, address, sum(counts) - 1, verdict, present
+                    ))
+            else:
+                access(address, is_write, bypass, kill)
+            if removes:
+                remove(address)
+            else:
+                install(address)
 
-    def _track(self, address, ref):
-        """Replay the presence history (one-word lines, write-allocate,
-        invalidate-mode kills — the geometries the analysis models).
-        A through access leaves the block installed; a bypass or kill
-        leaves it absent (a killed read misses around the cache, a
-        killed write retires its own line after the transient
-        allocate)."""
-        if (ref.bypass and self._honor_bypass) or (
-            ref.kill and self._honor_kill
-        ):
-            self._installed.discard(address)
-        else:
-            self._installed.add(address)
+        get = words.get
 
-    def read(self, address, ref):
-        self._audit(address, ref)
-        self.cache.access(address, False, ref.bypass, ref.kill)
-        return self.flat.words.get(address, 0)
+        def read(address, ref):
+            audit(address, ref, False)
+            return get(address, 0)
 
-    def write(self, address, value, ref):
-        self._audit(address, ref)
-        self.cache.access(address, True, ref.bypass, ref.kill)
-        self.flat.words[address] = value
+        def write(address, value, ref):
+            audit(address, ref, True)
+            words[address] = value
+
+        return read, write
 
     def poke(self, address, value):
         self.flat.poke(address, value)

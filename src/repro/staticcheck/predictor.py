@@ -30,19 +30,24 @@ that equality benchmark by benchmark.
 """
 
 from repro.cache.cache import CacheConfig
-from repro.staticcheck.mustmay import Classification, analyze_program
+from repro.staticcheck.crossval import (
+    AUDIT_HIT,
+    AUDIT_NONE,
+    AUDIT_PERSISTENT,
+    plan_ref,
+    site_plan,
+)
+from repro.staticcheck.mustmay import analyze_program
 from repro.vm.memory import FlatMemory, MemorySystem
-
-_HIT_VERDICTS = frozenset(
-    {Classification.ALWAYS_HIT, Classification.EXACT_HIT}
-)
-_MISS_VERDICTS = frozenset(
-    {Classification.ALWAYS_MISS, Classification.EXACT_MISS}
-)
 
 
 class PredictingMemory(MemorySystem):
-    """Flat memory that scores hits/misses from static verdicts alone."""
+    """Flat memory that scores hits/misses from static verdicts alone.
+
+    Each site's verdict dispatch and presence-history effect come from
+    the same :func:`~repro.staticcheck.crossval.site_plan` the
+    cross-validator audits with.
+    """
 
     def __init__(self, analysis, flat=None):
         self.analysis = analysis
@@ -53,40 +58,32 @@ class PredictingMemory(MemorySystem):
         self.refs_bypassed = 0
         self.unpredicted = 0
         self.unpredicted_sites = {}
-        self._predictions = analysis.predictions
-        self._sites = {id(site.ref): site for site in analysis.sites}
+        self._plan = site_plan(analysis)
         self._installed = set()
-        self._honor_bypass = analysis.config.honor_bypass
-        self._honor_kill = analysis.config.honor_kill
 
     def _predict(self, address, ref):
         self.refs_total += 1
-        if ref.bypass and self._honor_bypass:
+        entry = self._plan.get(id(ref))
+        if entry is None:
+            entry = plan_ref(ref, self.analysis.config)
+        if entry.bypass:
             # Bypass path: served around the cache, never a hit/miss
-            # event; any resident copy is gone afterwards.
+            # event.
             self.refs_bypassed += 1
-            self._installed.discard(address)
-            return
-        verdict = self._predictions.get(id(ref))
-        if verdict in _HIT_VERDICTS:
-            self.hits += 1
-        elif verdict in _MISS_VERDICTS:
-            self.misses += 1
-        elif verdict is Classification.EXACT_PERSISTENT:
-            if address in self._installed:
-                self.hits += 1
-            else:
-                self.misses += 1
-        else:
+        elif entry.audit == AUDIT_NONE:
             self.unpredicted += 1
-            site = self._sites.get(id(ref))
+            site = entry.site
             if site is not None and len(self.unpredicted_sites) < 10:
                 self.unpredicted_sites.setdefault(
                     site.where(), site.classification.value
                 )
-        if ref.kill and self._honor_kill:
-            # A killed read installs nothing (hit or miss); a killed
-            # write retires its own line after the transient allocate.
+        elif entry.audit == AUDIT_HIT or (
+            entry.audit == AUDIT_PERSISTENT and address in self._installed
+        ):
+            self.hits += 1
+        else:
+            self.misses += 1
+        if entry.removes:
             self._installed.discard(address)
         else:
             self._installed.add(address)

@@ -295,6 +295,12 @@ class Machine:
         #: handlers close over via ``vm`` (an unboxed ``[0]`` cell).
         self.fp = 0
         self._call_stack = []
+        self._memory_binding = self._memory_plan()
+        #: The trace buffer the recording handlers append to directly.
+        self._recorded = (
+            self.memory.buffer
+            if self._memory_binding[0] == "recording" else None
+        )
         fuse = self._enable_fusion and self.instruction_sink is None
         handlers = []
         overlays = []
@@ -693,16 +699,21 @@ class Machine:
         Exact-type :class:`RecordingMemory` (over exact-type
         :class:`FlatMemory`) and exact-type :class:`FlatMemory` get
         inlined fast paths — the flag byte is encoded at compile time
-        and the handler talks straight to the trace buffer and the
-        word dict.  Anything else (streaming sinks, subclasses) goes
-        through ``memory.read``/``memory.write`` unchanged.
+        and the handler talks straight to the trace buffer's arrays
+        (:meth:`~repro.vm.trace.TraceBuffer.direct_appends`; at the
+        event cap it calls ``append``, which raises) and the word dict.
+        Anything else (streaming sinks, subclasses) goes through
+        ``memory.read``/``memory.write`` unchanged.
         """
         memory = self.memory
         if (
             type(memory) is RecordingMemory
             and type(memory.flat) is FlatMemory
         ):
-            return "recording", memory.buffer.append, memory.flat.words
+            buffer = memory.buffer
+            addrs, flags, lim = buffer.direct_appends()
+            record = (addrs.append, flags.append, addrs, lim, buffer.append)
+            return "recording", record, memory.flat.words
         if type(memory) is FlatMemory:
             return "flat", None, memory.words
         return "generic", None, None
@@ -714,9 +725,10 @@ class Machine:
         vm = self
         d = ins.dest.index
         mem = ins.mem
-        kind, append, words = self._memory_plan()
+        kind, record, words = self._memory_binding
         if kind == "recording":
             fb = encode_flags(ins.ref, False)
+            aa, fa, addrs, lim, append = record
             get = words.get
         elif kind == "flat":
             get = words.get
@@ -728,9 +740,13 @@ class Machine:
             if symbol.global_address is not None:
                 address = symbol.global_address
                 if kind == "recording":
-                    def h(append=append, get=get, regs=regs, d=d,
-                          a=address, fb=fb, n=nxt):
-                        append(a, fb)
+                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                          get=get, regs=regs, d=d, a=address, fb=fb, n=nxt):
+                        if len(addrs) < lim:
+                            aa(a)
+                            fa(fb)
+                        else:
+                            append(a, fb)
                         regs[d] = get(a, 0)
                         return n
                 elif kind == "flat":
@@ -745,10 +761,14 @@ class Machine:
                 return h
             off = offsets[symbol]
             if kind == "recording":
-                def h(append=append, get=get, regs=regs, vm=vm,
-                      d=d, off=off, fb=fb, n=nxt):
+                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                      get=get, regs=regs, vm=vm, d=d, off=off, fb=fb, n=nxt):
                     a = vm.fp + off
-                    append(a, fb)
+                    if len(addrs) < lim:
+                        aa(a)
+                        fa(fb)
+                    else:
+                        append(a, fb)
                     regs[d] = get(a, 0)
                     return n
             elif kind == "flat":
@@ -765,8 +785,8 @@ class Machine:
         ai = mem.addr.index
         lo, hi = GLOBAL_BASE, self.stack_base
         if kind == "recording":
-            def h(append=append, get=get, regs=regs, d=d, ai=ai,
-                  lo=lo, hi=hi, fb=fb, ins=ins, n=nxt):
+            def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append, get=get,
+                  regs=regs, d=d, ai=ai, lo=lo, hi=hi, fb=fb, ins=ins, n=nxt):
                 a = regs[ai]
                 if a < lo or a >= hi:
                     raise VMError(
@@ -774,7 +794,11 @@ class Machine:
                             a, ins
                         )
                     )
-                append(a, fb)
+                if len(addrs) < lim:
+                    aa(a)
+                    fa(fb)
+                else:
+                    append(a, fb)
                 regs[d] = get(a, 0)
                 return n
         elif kind == "flat":
@@ -812,9 +836,10 @@ class Machine:
         src = ins.src
         src_reg = src.index if src.__class__ is PReg else None
         src_val = None if src_reg is not None else src.value
-        kind, append, words = self._memory_plan()
+        kind, record, words = self._memory_binding
         if kind == "recording":
             fb = encode_flags(ins.ref, True)
+            aa, fa, addrs, lim, append = record
         if kind == "generic":
             write = self.memory.write
 
@@ -824,15 +849,25 @@ class Machine:
                 address = symbol.global_address
                 if kind == "recording":
                     if src_reg is not None:
-                        def h(append=append, words=words, regs=regs,
-                              a=address, s=src_reg, fb=fb, n=nxt):
-                            append(a, fb)
+                        def h(aa=aa, fa=fa, addrs=addrs, lim=lim,
+                              append=append, words=words, regs=regs, a=address,
+                              s=src_reg, fb=fb, n=nxt):
+                            if len(addrs) < lim:
+                                aa(a)
+                                fa(fb)
+                            else:
+                                append(a, fb)
                             words[a] = regs[s]
                             return n
                     else:
-                        def h(append=append, words=words, a=address,
-                              v=src_val, fb=fb, n=nxt):
-                            append(a, fb)
+                        def h(aa=aa, fa=fa, addrs=addrs, lim=lim,
+                              append=append, words=words, a=address, v=src_val,
+                              fb=fb, n=nxt):
+                            if len(addrs) < lim:
+                                aa(a)
+                                fa(fb)
+                            else:
+                                append(a, fb)
                             words[a] = v
                             return n
                 elif kind == "flat":
@@ -860,17 +895,27 @@ class Machine:
             off = offsets[symbol]
             if kind == "recording":
                 if src_reg is not None:
-                    def h(append=append, words=words, regs=regs, vm=vm,
-                          off=off, s=src_reg, fb=fb, n=nxt):
+                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                          words=words, regs=regs, vm=vm, off=off, s=src_reg,
+                          fb=fb, n=nxt):
                         a = vm.fp + off
-                        append(a, fb)
+                        if len(addrs) < lim:
+                            aa(a)
+                            fa(fb)
+                        else:
+                            append(a, fb)
                         words[a] = regs[s]
                         return n
                 else:
-                    def h(append=append, words=words, vm=vm, off=off,
-                          v=src_val, fb=fb, n=nxt):
+                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                          words=words, vm=vm, off=off, v=src_val, fb=fb,
+                          n=nxt):
                         a = vm.fp + off
-                        append(a, fb)
+                        if len(addrs) < lim:
+                            aa(a)
+                            fa(fb)
+                        else:
+                            append(a, fb)
                         words[a] = v
                         return n
             elif kind == "flat":
@@ -901,8 +946,9 @@ class Machine:
         lo, hi = GLOBAL_BASE, self.stack_base
         if kind == "recording":
             if src_reg is not None:
-                def h(append=append, words=words, regs=regs, ai=ai,
-                      lo=lo, hi=hi, s=src_reg, fb=fb, ins=ins, n=nxt):
+                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                      words=words, regs=regs, ai=ai, lo=lo, hi=hi, s=src_reg,
+                      fb=fb, ins=ins, n=nxt):
                     a = regs[ai]
                     if a < lo or a >= hi:
                         raise VMError(
@@ -910,12 +956,17 @@ class Machine:
                                 a, ins
                             )
                         )
-                    append(a, fb)
+                    if len(addrs) < lim:
+                        aa(a)
+                        fa(fb)
+                    else:
+                        append(a, fb)
                     words[a] = regs[s]
                     return n
             else:
-                def h(append=append, words=words, regs=regs, ai=ai,
-                      lo=lo, hi=hi, v=src_val, fb=fb, ins=ins, n=nxt):
+                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
+                      words=words, regs=regs, ai=ai, lo=lo, hi=hi, v=src_val,
+                      fb=fb, ins=ins, n=nxt):
                     a = regs[ai]
                     if a < lo or a >= hi:
                         raise VMError(
@@ -923,7 +974,11 @@ class Machine:
                                 a, ins
                             )
                         )
-                    append(a, fb)
+                    if len(addrs) < lim:
+                        aa(a)
+                        fa(fb)
+                    else:
+                        append(a, fb)
                     words[a] = v
                     return n
         elif kind == "flat":
@@ -1018,6 +1073,10 @@ class Machine:
             raise VMError("stack overflow on entry")
         self.fp = fp
         self._call_stack.clear()
+        if self._recorded is not None:
+            # The recording handlers skip TraceBuffer.append, and with
+            # it the invalidation of whatever was decoded before.
+            self._recorded.drop_memos()
         handlers = self._handlers
         index = self._entry_index[entry]
         steps = self.steps

@@ -218,11 +218,29 @@ class TraceBuffer:
             or self._columns is not None
             or self._memo is not None
         ):
-            self._events = None
-            self._columns = None
-            self._memo = None
+            self.drop_memos()
         self.addresses.append(address)
         self.flags.append(flags)
+
+    def drop_memos(self):
+        """Forget the decoded events, the columns and the memos."""
+        self._events = None
+        self._columns = None
+        self._memo = None
+
+    def direct_appends(self):
+        """``(addresses, flags, limit)`` for a writer that inlines
+        :meth:`append`.
+
+        While ``len(addresses) < limit`` such a writer may append one
+        event straight to the two arrays; at the limit it calls
+        :meth:`append`, which holds the cap's check and message.  It
+        skips :meth:`append`'s invalidation, so it calls
+        :meth:`drop_memos` before its first event (the VM's recording
+        handlers do, at the start of every run).
+        """
+        limit = sys.maxsize if self.max_events is None else self.max_events
+        return self.addresses, self.flags, limit
 
     def __len__(self):
         return len(self.addresses)

@@ -8,6 +8,13 @@ on NumPy arrays.  These are the plain loops they replaced: tests
 require the kernels to agree with them exactly, bit for bit.  The
 module also builds legacy RPTRACE1 payloads, which the library still
 reads but no longer writes.
+
+:class:`ProbingValidatingMemory` is the cross-validator as it was
+before :func:`repro.staticcheck.crossval.site_plan`: per event it
+dispatches on the verdict, calls ``UnifiedCache.probe`` for presence,
+then makes the access.  The planned
+:class:`~repro.staticcheck.crossval.ValidatingMemory`, which reads
+presence from the access itself, must audit exactly as it does.
 """
 
 import struct
@@ -22,7 +29,10 @@ from repro.cache.multicore import (
     PartitionedLRUPolicy,
     interleave_traces,
 )
-from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE
+from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE, UnifiedCache
+from repro.staticcheck.crossval import Mismatch
+from repro.staticcheck.mustmay import TIER_OF, TIERS, Classification
+from repro.vm.memory import FlatMemory, MemorySystem
 from repro.vm.trace import (
     FLAG_BYPASS,
     FLAG_KILL,
@@ -228,3 +238,97 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
         seed=merged.seed,
         chunk=merged.chunk,
     )
+
+
+class ProbingValidatingMemory(MemorySystem):
+    """Flat memory + online cache that audits static claims in-line."""
+
+    def __init__(self, analysis, flat=None, max_mismatches=25):
+        self.analysis = analysis
+        # The audit drives the canonical transfer function directly:
+        # probe() and access() answer from the same per-event
+        # semantics every other engine is defined against.
+        self.cache = UnifiedCache(analysis.config)
+        self.flat = flat if flat is not None else FlatMemory()
+        self.max_mismatches = max_mismatches
+        self.mismatches = []
+        self.events_total = 0
+        self.events_classified = 0
+        self.event_tiers = {tier: 0 for tier in TIERS}
+        self._predictions = analysis.predictions
+        self._sites = {id(site.ref): site for site in analysis.sites}
+        # The presence history behind exact-persistent audits: which
+        # addresses are currently installed through the cache.  Exact
+        # for every address living in a certified (eviction-free) set;
+        # persistent verdicts are only ever issued for those.
+        self._installed = set()
+        self._honor_bypass = analysis.config.honor_bypass
+        self._honor_kill = analysis.config.honor_kill
+
+    _HIT_VERDICTS = frozenset(
+        {Classification.ALWAYS_HIT, Classification.EXACT_HIT}
+    )
+    _MISS_VERDICTS = frozenset(
+        {Classification.ALWAYS_MISS, Classification.EXACT_MISS}
+    )
+
+    def _audit(self, address, ref):
+        self.events_total += 1
+        verdict = self._predictions.get(id(ref))
+        if verdict is None:
+            self.event_tiers["unknown"] += 1
+            self._track(address, ref)
+            return
+        self.event_tiers[TIER_OF[verdict]] += 1
+        if verdict in self._HIT_VERDICTS:
+            expected = True
+        elif verdict in self._MISS_VERDICTS:
+            expected = False
+        elif verdict is Classification.EXACT_PERSISTENT:
+            expected = address in self._installed
+        else:  # UNKNOWN / INPUT_DEPENDENT: nothing to audit.
+            self._track(address, ref)
+            return
+        self.events_classified += 1
+        present = self.cache.probe(address)
+        if present != expected and len(self.mismatches) < self.max_mismatches:
+            self.mismatches.append(
+                Mismatch(
+                    self._sites[id(ref)],
+                    address,
+                    self.events_total - 1,
+                    verdict,
+                    present,
+                )
+            )
+        self._track(address, ref)
+
+    def _track(self, address, ref):
+        """Replay the presence history (one-word lines, write-allocate,
+        invalidate-mode kills — the geometries the analysis models).
+        A through access leaves the block installed; a bypass or kill
+        leaves it absent (a killed read misses around the cache, a
+        killed write retires its own line after the transient
+        allocate)."""
+        if (ref.bypass and self._honor_bypass) or (
+            ref.kill and self._honor_kill
+        ):
+            self._installed.discard(address)
+        else:
+            self._installed.add(address)
+
+    def read(self, address, ref):
+        self._audit(address, ref)
+        self.cache.access(address, False, ref.bypass, ref.kill)
+        return self.flat.words.get(address, 0)
+
+    def write(self, address, value, ref):
+        self._audit(address, ref)
+        self.cache.access(address, True, ref.bypass, ref.kill)
+        self.flat.words[address] = value
+
+    def poke(self, address, value):
+        self.flat.poke(address, value)
+
+    def peek(self, address):
+        return self.flat.peek(address)

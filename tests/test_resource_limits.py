@@ -110,6 +110,34 @@ class TestTraceBuffer:
         with pytest.raises(ResourceExhausted):
             program.run(memory=memory)
 
+    def test_recording_cap_keeps_exactly_max_events(self):
+        # Global, frame and indirect loads and stores, of registers and
+        # constants: every recording handler of the VM.
+        from repro.unified.pipeline import CompilationOptions
+
+        program = compile_source(
+            "int g; int a[4]; int main() { int i; int s; s = 0;"
+            " for (i = 0; i < 4; i = i + 1) { a[i] = i; g = 7;"
+            " s = s + a[i] + g; } return s; }",
+            CompilationOptions(promotion="none"),
+        )
+        full = RecordingMemory()
+        program.run(memory=full)
+        total = len(full.buffer)
+        for cap in (1, 2, 5, total // 2, total - 1):
+            memory = RecordingMemory(max_events=cap)
+            with pytest.raises(
+                ResourceExhausted,
+                match=r"^trace buffer exceeded {} events".format(cap),
+            ):
+                program.run(memory=memory)
+            assert len(memory.buffer.addresses) == cap
+            assert len(memory.buffer.flags) == cap
+            assert list(memory.buffer) == list(full.buffer)[:cap]
+        memory = RecordingMemory(max_events=total)
+        program.run(memory=memory)
+        assert list(memory.buffer) == list(full.buffer)
+
 
 class TestRunKwargs:
     def test_max_steps_flows_through_run(self):

@@ -8,6 +8,8 @@ against the simulator on real executions, including the six-benchmark
 acceptance gate that CI runs via ``repro-analyze --check``).
 """
 
+import os
+
 import pytest
 
 from repro.cache.cache import CacheConfig
@@ -404,17 +406,33 @@ class TestCrossValidation:
 # The acceptance gate: all six benchmarks, table included.
 # ----------------------------------------------------------------------
 
+#: ``repro-analyze --check --json`` under the default geometries (256:4
+#: and 64:2), byte for byte.  Regenerate after an intended change with
+#: ``REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest
+#: tests/test_staticcheck.py -k analyze_check -q``.
+ANALYZE_CHECK_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "analyze_check.json"
+)
+
+
 class TestBenchmarkAcceptance:
     @pytest.mark.slow
-    def test_repro_analyze_check_passes(self, capsys):
+    def test_repro_analyze_check_passes(self, capsys, tmp_path):
         from repro.staticcheck.cli import main
 
-        assert main(["--check"]) == 0
+        path = tmp_path / "analyze-check.json"
+        assert main(["--check", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         for name in ("bubble", "intmm", "puzzle", "queen", "sieve",
                      "towers"):
             assert name in out
         assert "zero lint violations, zero mismatches" in out
+        measured = path.read_text()
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            with open(ANALYZE_CHECK_GOLDEN, "w") as handle:
+                handle.write(measured)
+        with open(ANALYZE_CHECK_GOLDEN) as handle:
+            assert measured == handle.read()
 
     def test_single_benchmark_gate(self):
         from repro.programs import get_benchmark

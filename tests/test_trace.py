@@ -137,6 +137,29 @@ class TestTraceBuffer:
         assert list(addresses) == [3, 4, 5]
         assert list(flags) == [FLAG_KILL, FLAG_WRITE, 0]
 
+    def test_recording_run_drops_memos_before_its_first_event(self):
+        # The VM's recording handlers append to the arrays directly, so
+        # the run itself must forget what was decoded before it.
+        from repro.unified.pipeline import CompilationOptions, compile_source
+
+        program = compile_source(
+            "int g; int main() { g = 3; return g; }",
+            CompilationOptions(promotion="none"),
+        )
+        memory = RecordingMemory()
+        buffer = memory.buffer
+        buffer.append(9, FLAG_WRITE)
+        buffer.events()
+        buffer.to_columns()
+        buffer.set_partition(4)
+        vm = program.machine(memory=memory)
+        for _ in range(2):
+            vm.run()
+            assert len(buffer) > 1
+            assert len(buffer.events()) == len(buffer)
+            assert list(buffer.to_columns()[0]) == list(buffer.addresses)
+            assert len(buffer.set_partition(4)) == len(buffer)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(ENCODABLE_FLAGS), max_size=300))
     @example([])
