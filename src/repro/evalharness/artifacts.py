@@ -45,6 +45,10 @@ The store is built to survive a hostile disk (see
 Invalidation is by key only: bump ``ARTIFACT_SCHEMA`` whenever the
 trace format, the pickle layout, or any compilation semantics change
 without a version bump.
+
+Every trace the harness scores comes from :func:`resolve`, with or
+without a store: :func:`record` runs a compiled program under the
+recorder, and :func:`check_output` is the one benchmark-output check.
 """
 
 import hashlib
@@ -163,6 +167,44 @@ class Artifact:
         self.from_cache = from_cache
 
 
+def check_output(name, output, expected_output):
+    """Raise a stage-``vm`` :class:`VMError` unless ``output`` is the
+    ``expected_output`` (``None`` checks nothing)."""
+    if expected_output is not None and tuple(output) != tuple(
+        expected_output
+    ):
+        raise VMError(
+            "benchmark {} produced {} instead of {}".format(
+                name, list(output), list(expected_output)
+            )
+        )
+
+
+def record(name, program, expected_output=None, key=None):
+    """Run a compiled program once under the recorder, check its
+    output, and return the fresh :class:`Artifact`."""
+    memory = RecordingMemory()
+    result = program.run(memory=memory)
+    check_output(name, result.output, expected_output)
+    return Artifact(key, name, program, memory.buffer, tuple(result.output),
+                    result.steps, from_cache=False)
+
+
+def resolve(name, source, options=None, expected_output=None,
+            artifact_cache=None):
+    """Compile, record and check ``source``: the one route to a trace.
+
+    With ``artifact_cache`` this is :meth:`ArtifactCache.resolve`.
+    Without one the unit is compiled and recorded in-process by the
+    same :func:`record`, and nothing touches a store.
+    """
+    if artifact_cache is not None:
+        return artifact_cache.resolve(name, source, options, expected_output)
+    options = options or CompilationOptions()
+    return record(name, compile_source(source, options), expected_output,
+                  key=artifact_key(source, options))
+
+
 def _fsync_file(handle):
     handle.flush()
     os.fsync(handle.fileno())
@@ -215,14 +257,14 @@ class ArtifactCache:
         is recomputed and stored.  A store failure (disk full, injected
         ``OSError``) is counted and swallowed — the computed artifact
         is still returned, the cache just stays cold for that key.
-        ``expected_output`` is enforced on both paths, matching
-        ``run_compiled``'s guard.
+        ``expected_output`` is enforced on both paths by
+        :func:`check_output`, after a miss is stored.
         """
         options = (options or CompilationOptions()).normalized()
         key = artifact_key(source, options)
         artifact = self._load(key, name)
         if artifact is None:
-            artifact = self._compute(key, name, source, options)
+            artifact = record(name, compile_source(source, options), key=key)
             try:
                 self._store(artifact)
             except OSError:
@@ -230,14 +272,7 @@ class ArtifactCache:
             self.misses += 1
         else:
             self.hits += 1
-        if expected_output is not None and artifact.output != tuple(
-            expected_output
-        ):
-            raise VMError(
-                "benchmark {} produced {} instead of {}".format(
-                    name, list(artifact.output), list(expected_output)
-                )
-            )
+        check_output(name, artifact.output, expected_output)
         return artifact
 
     def clear(self):
@@ -377,20 +412,6 @@ class ArtifactCache:
 
     def _entry_dir(self, key):
         return os.path.join(self.root, key[:2], key)
-
-    def _compute(self, key, name, source, options):
-        program = compile_source(source, options)
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        return Artifact(
-            key,
-            name,
-            program,
-            memory.buffer,
-            tuple(result.output),
-            result.steps,
-            from_cache=False,
-        )
 
     # -- load ----------------------------------------------------------
 

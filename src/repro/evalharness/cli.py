@@ -192,6 +192,7 @@ def main_figure5(argv=None):
             cache_config=cache,
             names=(tuple(args.benchmarks) if args.benchmarks
                    else BENCHMARK_NAMES),
+            artifact_cache=artifact_cache,
         )
         print()
         print(format_static_predictor(predictor_rows))

@@ -14,15 +14,14 @@ resolve a stored artifact and score any number of cache geometries
 against it without touching the compiler or the VM again.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.cache.cache import CacheConfig
 from repro.cache.replay import replay_trace
 from repro.cache.stackdist import replay_trace_sweep
-from repro.lang.errors import VMError
+from repro.evalharness.artifacts import record, resolve
 from repro.programs import get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 #: The default simulated data cache: 256 words on chip (the paper's
 #: "typical cache implemented on the processor chip contains 128 to 256
@@ -44,7 +43,6 @@ class ExperimentResult:
     conventional_stats: object
     output: tuple
     steps: int
-    trace: object = field(default=None, repr=False)
     #: The static bypass ratio derived independently by the must/may
     #: analysis (:mod:`repro.staticcheck`), or ``None`` when the cache
     #: geometry is outside what the analysis models.  Cross-checks the
@@ -119,7 +117,6 @@ def evaluate_trace(
     output,
     steps,
     cache_config=DEFAULT_CACHE,
-    keep_trace=False,
 ):
     """Score one recorded trace under one cache geometry.
 
@@ -141,7 +138,6 @@ def evaluate_trace(
         conventional_stats=conventional_stats,
         output=tuple(output),
         steps=steps,
-        trace=trace if keep_trace else None,
         static_bypass_checked=_static_bypass_checked(program, cache_config),
     )
 
@@ -153,7 +149,6 @@ def evaluate_trace_multi(
     output,
     steps,
     cache_configs,
-    keep_trace=False,
 ):
     """Score one recorded trace under many cache geometries at once.
 
@@ -185,7 +180,6 @@ def evaluate_trace_multi(
                 conventional_stats=stats[2 * index + 1],
                 output=output,
                 steps=steps,
-                trace=trace if keep_trace else None,
                 static_bypass_checked=_static_bypass_checked(
                     program, cache_config
                 ),
@@ -199,27 +193,16 @@ def run_compiled(
     program,
     expected_output=None,
     cache_config=DEFAULT_CACHE,
-    keep_trace=False,
 ):
     """Trace an already-compiled program and simulate both schemes."""
-    memory = RecordingMemory()
-    result = program.run(memory=memory)
-    if expected_output is not None and tuple(result.output) != tuple(
-        expected_output
-    ):
-        raise VMError(
-            "benchmark {} produced {} instead of {}".format(
-                name, result.output, list(expected_output)
-            )
-        )
+    artifact = record(name, program, expected_output)
     return evaluate_trace(
         name,
         program,
-        memory.buffer,
-        tuple(result.output),
-        result.steps,
+        artifact.trace,
+        artifact.output,
+        artifact.steps,
         cache_config=cache_config,
-        keep_trace=keep_trace,
     )
 
 
@@ -228,39 +211,25 @@ def run_benchmark(
     paper_scale=False,
     options=None,
     cache_config=DEFAULT_CACHE,
-    keep_trace=False,
     artifact_cache=None,
 ):
     """Compile and measure one named benchmark.
 
-    With ``artifact_cache`` (an
-    :class:`~repro.evalharness.artifacts.ArtifactCache`) the compile
-    and VM-execution happen at most once per annotation configuration
-    across every run sharing that cache; the returned result is
-    bit-identical to the direct path.
+    The trace comes from :func:`~repro.evalharness.artifacts.resolve`:
+    compiled, recorded and output-checked in-process, or, with
+    ``artifact_cache`` (an
+    :class:`~repro.evalharness.artifacts.ArtifactCache`), at most once
+    per annotation configuration across every run sharing that store.
+    Either way it is scored by the reference :func:`evaluate_trace`.
     """
     bench = get_benchmark(name, paper_scale)
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name,
-            bench.source,
-            options or CompilationOptions(),
-            expected_output=bench.expected_output,
-        )
-        return evaluate_trace(
-            bench.name,
-            artifact.program,
-            artifact.trace,
-            artifact.output,
-            artifact.steps,
-            cache_config=cache_config,
-            keep_trace=keep_trace,
-        )
-    program = compile_source(bench.source, options or CompilationOptions())
-    return run_compiled(
+    artifact = resolve(bench.name, bench.source, options,
+                       bench.expected_output, artifact_cache)
+    return evaluate_trace(
         bench.name,
-        program,
-        expected_output=bench.expected_output,
+        artifact.program,
+        artifact.trace,
+        artifact.output,
+        artifact.steps,
         cache_config=cache_config,
-        keep_trace=keep_trace,
     )

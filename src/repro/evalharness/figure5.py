@@ -12,9 +12,11 @@ The paper reports (Section 5):
 
 from dataclasses import dataclass
 
+from repro.cache.replay import replay_trace
+from repro.evalharness.artifacts import resolve
 from repro.evalharness.experiment import DEFAULT_CACHE
 from repro.evalharness.tables import format_bar_chart, format_table
-from repro.programs import BENCHMARK_NAMES
+from repro.programs import BENCHMARK_NAMES, get_benchmark
 
 #: The bands the paper states in Section 5.
 PAPER_STATIC_BAND = (70.0, 80.0)
@@ -202,11 +204,15 @@ def static_predictor_table(
     cache_config=DEFAULT_CACHE,
     names=BENCHMARK_NAMES,
     exact_budget=None,
+    artifact_cache=None,
 ):
     """The static-only predictor versus the simulator, per benchmark.
 
-    Each benchmark is compiled once; the simulated side replays the
-    recorded trace through the reference cache (the numbers behind the
+    Each benchmark's checked trace comes from
+    :func:`~repro.evalharness.artifacts.resolve` (through
+    ``artifact_cache`` when given); the simulated side replays it under
+    ``cache_config`` alone through the reference
+    :func:`~repro.cache.replay.replay_trace` (the numbers behind the
     golden Figure 5 values for the same options/geometry), while the
     predicted side re-executes under
     :class:`~repro.staticcheck.predictor.PredictingMemory` — flat
@@ -214,26 +220,20 @@ def static_predictor_table(
     alone.  On every benchmark where the analysis decides all events
     (``exact``), the two must match count-for-count.
     """
-    from repro.evalharness.experiment import run_compiled
-    from repro.programs import get_benchmark
     from repro.staticcheck import StaticCheckError
     from repro.staticcheck.predictor import predict_program
-    from repro.unified.pipeline import compile_source
 
     if options is None:
         options = figure5_options()
     rows = []
     for name in names:
         bench = get_benchmark(name, paper_scale)
-        program = compile_source(bench.source, options)
-        result = run_compiled(
-            name, program, expected_output=bench.expected_output,
-            cache_config=cache_config,
-        )
-        stats = result.unified_stats
+        artifact = resolve(bench.name, bench.source, options,
+                           bench.expected_output, artifact_cache)
+        stats = replay_trace(artifact.trace, cache_config)
         try:
             prediction = predict_program(
-                program, cache_config, exact_budget=exact_budget
+                artifact.program, cache_config, exact_budget=exact_budget
             )
         except StaticCheckError as error:
             rows.append(StaticPredictorRow(

@@ -51,14 +51,14 @@ from repro.evalharness.artifacts import (
     ARTIFACT_SCHEMA,
     ArtifactCache,
     options_fingerprint,
+    resolve,
 )
 from repro.evalharness.experiment import (
     DEFAULT_CACHE,
     evaluate_trace_multi,
 )
 from repro.programs import get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 #: Environment overrides for the supervisor defaults.
 TIMEOUT_ENV = "REPRO_UNIT_TIMEOUT"
@@ -116,13 +116,16 @@ def unit_fingerprint(unit):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
+def evaluate_unit(unit, artifact_cache=None):
     """Resolve one unit's artifact and score all its geometries.
 
     Returns the list of :class:`ExperimentResult`, one per entry of
     ``unit.cache_configs``, in order.
 
-    Every unit, single-geometry ones included, scores through
+    The trace comes from :func:`~repro.evalharness.artifacts.resolve`,
+    through ``artifact_cache`` when there is one and in-process when
+    not, with the benchmark's output checked either way.  Every unit,
+    single-geometry ones included, scores through
     :func:`~repro.evalharness.experiment.evaluate_trace_multi` and so
     through the sweep dispatcher.  The results are bit-identical to
     the reference serial replay
@@ -130,33 +133,8 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
     equivalence battery and the golden Figure 5 pin hold them to.
     """
     bench = get_benchmark(unit.name, unit.paper_scale)
-    options = unit.options or CompilationOptions()
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name,
-            bench.source,
-            options,
-            expected_output=bench.expected_output,
-        )
-        program = artifact.program
-        trace = artifact.trace
-        output = artifact.output
-        steps = artifact.steps
-    else:
-        program = compile_source(bench.source, options)
-        memory = RecordingMemory()
-        result = program.run(memory=memory)
-        if tuple(result.output) != tuple(bench.expected_output):
-            from repro.lang.errors import VMError
-
-            raise VMError(
-                "benchmark {} produced {} instead of {}".format(
-                    bench.name, result.output, list(bench.expected_output)
-                )
-            )
-        trace = memory.buffer
-        output = tuple(result.output)
-        steps = result.steps
+    artifact = resolve(bench.name, bench.source, unit.options,
+                       bench.expected_output, artifact_cache)
     if unit.hierarchy:
         from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
 
@@ -164,13 +142,13 @@ def evaluate_unit(unit, artifact_cache=None, keep_trace=False):
         rows = []
         for spec_text in unit.hierarchy:
             spec = parse_hierarchy(spec_text, base=base)
-            row = hierarchy_stats(trace, spec).as_dict()
+            row = hierarchy_stats(artifact.trace, spec).as_dict()
             row["benchmark"] = unit.name
             rows.append(row)
         return rows
     return evaluate_trace_multi(
-        bench.name, program, trace, output, steps, unit.cache_configs,
-        keep_trace=keep_trace,
+        bench.name, artifact.program, artifact.trace, artifact.output,
+        artifact.steps, unit.cache_configs,
     )
 
 

@@ -3,7 +3,8 @@
 Every function returns a list of plain dict rows so the pytest
 benchmarks and the examples can both render or assert on them.
 
-Each sweep obtains its reference trace once (compile + VM run, or an
+Each sweep obtains its reference trace once from
+:func:`~repro.evalharness.artifacts.resolve` (compile + VM run, or an
 :class:`~repro.evalharness.artifacts.ArtifactCache` hit) and scores
 every configuration of the battery through the single-pass
 sweep dispatcher (:func:`~repro.cache.stackdist.replay_trace_sweep`):
@@ -19,41 +20,28 @@ from dataclasses import replace
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import hierarchy_stats, parse_hierarchy
 from repro.cache.stackdist import replay_trace_sweep
+from repro.evalharness.artifacts import resolve
 from repro.evalharness.experiment import DEFAULT_CACHE, run_benchmark
-from repro.lang.errors import VMError
 from repro.programs import BENCHMARK_NAMES, get_benchmark
-from repro.unified.pipeline import CompilationOptions, compile_source
-from repro.vm.memory import RecordingMemory
+from repro.unified.pipeline import CompilationOptions
 
 
 def _trace_for(name, paper_scale=False, options=None, artifact_cache=None):
-    """Compile + run once, returning the annotated trace.
+    """The benchmark's checked trace and program, as a pair.
 
     Defaults to the Figure 5 configuration so every sweep measures the
-    same reference stream the headline experiment uses.  With
-    ``artifact_cache`` the compile and VM run resolve through the
-    on-disk artifact store instead.
+    same reference stream the headline experiment uses.  The pair
+    comes from :func:`~repro.evalharness.artifacts.resolve`: through
+    ``artifact_cache`` when there is one, compiled and recorded
+    in-process when not.
     """
     from repro.evalharness.figure5 import figure5_options
 
     bench = get_benchmark(name, paper_scale)
-    options = options or figure5_options()
-    if artifact_cache is not None:
-        artifact = artifact_cache.resolve(
-            bench.name, bench.source, options,
-            expected_output=bench.expected_output,
-        )
-        return artifact.trace, artifact.program
-    program = compile_source(bench.source, options)
-    memory = RecordingMemory()
-    result = program.run(memory=memory)
-    if tuple(result.output) != bench.expected_output:
-        raise VMError(
-            "benchmark {} produced {} instead of {}".format(
-                name, list(result.output), list(bench.expected_output)
-            )
-        )
-    return memory.buffer, program
+    artifact = resolve(bench.name, bench.source,
+                       options or figure5_options(), bench.expected_output,
+                       artifact_cache)
+    return artifact.trace, artifact.program
 
 
 def cache_size_sweep(
@@ -289,14 +277,8 @@ def spill_ablation(name="pressure-kernel", base=DEFAULT_CACHE,
             machine=machine,
             spill_to_cache=spill_to_cache,
         )
-        if artifact_cache is not None:
-            artifact = artifact_cache.resolve(name, source, options)
-            trace = artifact.trace
-        else:
-            program = compile_source(source, options)
-            memory = RecordingMemory()
-            program.run(memory=memory)
-            trace = memory.buffer
+        trace = resolve(name, source, options,
+                        artifact_cache=artifact_cache).trace
         (stats,) = replay_trace_sweep(trace, [base])
         summary = trace.summary()
         rows.append(

@@ -18,8 +18,8 @@ one shared cache, keeping per-class statistics.
 from dataclasses import dataclass
 
 from repro.cache.cache import Cache, CacheConfig
+from repro.evalharness.artifacts import check_output
 from repro.evalharness.figure5 import figure5_options
-from repro.lang.errors import VMError
 from repro.programs import get_benchmark
 from repro.unified.pipeline import compile_source
 from repro.vm.memory import RecordingMemory
@@ -63,12 +63,7 @@ def record_combined_trace(name, paper_scale=False, options=None):
 
     vm = program.machine(memory=memory, instruction_sink=ifetch)
     result = vm.run()
-    if tuple(result.output) != bench.expected_output:
-        raise VMError(
-            "benchmark {} produced {} instead of {}".format(
-                name, list(result.output), list(bench.expected_output)
-            )
-        )
+    check_output(name, result.output, bench.expected_output)
     return buffer, program
 
 

@@ -21,6 +21,7 @@ from repro.evalharness.artifacts import (
     ArtifactCache,
     artifact_key,
     options_fingerprint,
+    resolve,
 )
 from repro.lang.errors import VMError
 from repro.programs import get_benchmark
@@ -326,6 +327,10 @@ class TestArtifactCache:
         cache.resolve("simple", SIMPLE)
         with pytest.raises(VMError, match="instead of"):
             cache.resolve("simple", SIMPLE, expected_output=(999,))
+        # ... and without a store.
+        with pytest.raises(VMError, match="instead of") as excinfo:
+            resolve("simple", SIMPLE, expected_output=(999,))
+        assert excinfo.value.stage == "vm"
 
     def test_clear(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
@@ -345,5 +350,15 @@ class TestArtifactCache:
             bench.name, bench.source, expected_output=bench.expected_output
         )
         assert warm.from_cache
-        assert list(warm.trace) == list(artifact.trace)
-        assert warm.program.static.rows() == artifact.program.static.rows()
+        direct = resolve(
+            bench.name, bench.source, expected_output=bench.expected_output
+        )
+        assert not direct.from_cache
+        for stored in (artifact, warm):
+            assert stored.key == direct.key
+            assert stored.trace.to_bytes() == direct.trace.to_bytes()
+            assert stored.output == direct.output
+            assert stored.steps == direct.steps
+            assert stored.program.static.rows() == (
+                direct.program.static.rows()
+            )

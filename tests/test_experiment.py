@@ -71,9 +71,17 @@ class TestRunBenchmark:
             run_compiled("bad", program, expected_output=[2])
 
     def test_benchmark_output_checks_raise_vm_error(self, monkeypatch):
-        """The sweeps' trace and E10's combined trace check the
-        benchmark's output with a stage-tagged error, not an assert."""
-        from repro.evalharness import sweeps, unifiedcache
+        """Every route from a benchmark to its trace (the reference
+        run, the pool's unit, the sweeps, the static predictor and
+        E10's combined trace) checks the benchmark's output with a
+        stage-tagged error, not an assert."""
+        from repro.evalharness import (
+            experiment,
+            figure5,
+            parallel,
+            sweeps,
+            unifiedcache,
+        )
         from repro.lang.errors import VMError
         from repro.programs import get_benchmark
 
@@ -81,18 +89,20 @@ class TestRunBenchmark:
             return replace(get_benchmark(name, paper_scale),
                            expected_output=(-1,))
 
-        for module, record in ((sweeps, sweeps._trace_for),
-                               (unifiedcache,
-                                unifiedcache.record_combined_trace)):
+        routes = (
+            (experiment, experiment.run_benchmark),
+            (parallel,
+             lambda name: parallel.evaluate_unit(parallel.EvalUnit(name))),
+            (sweeps, sweeps._trace_for),
+            (figure5,
+             lambda name: figure5.static_predictor_table(names=(name,))),
+            (unifiedcache, unifiedcache.record_combined_trace),
+        )
+        for module, route in routes:
             monkeypatch.setattr(module, "get_benchmark", wrong)
             with pytest.raises(VMError, match="instead of") as excinfo:
-                record("queen")
+                route("queen")
             assert excinfo.value.stage == "vm"
-
-    def test_keep_trace(self):
-        result = run_benchmark("queen", keep_trace=True)
-        assert result.trace is not None
-        assert len(result.trace) == result.dynamic["total"]
 
 
 class TestFigure5:

@@ -10,6 +10,7 @@ agreement contract behind the Figure 5 static-predictor CI job.
 
 import pytest
 
+from repro.evalharness.artifacts import ArtifactCache
 from repro.evalharness.experiment import DEFAULT_CACHE, run_compiled
 from repro.evalharness.figure5 import (
     StaticPredictorRow,
@@ -58,7 +59,7 @@ class TestPredictorAgreement:
         assert prediction.unpredicted > 0
         assert "input-dependent" in prediction.describe()
 
-    def test_figure5_table_rows_all_ok(self):
+    def test_figure5_table_rows_all_ok(self, tmp_path):
         rows = static_predictor_table(
             options=NONE_OPTIONS,
             names=("bubble", "sieve"),
@@ -70,6 +71,16 @@ class TestPredictorAgreement:
         rendered = format_static_predictor(rows)
         assert "exact, agrees" in rendered
         assert "excused" in rendered
+        # The same rows from a cold and then a warm artifact store: the
+        # predictor also runs on a program unpickled from the store.
+        cache = ArtifactCache(str(tmp_path))
+        for _ in range(2):
+            assert static_predictor_table(
+                options=NONE_OPTIONS,
+                names=("bubble", "sieve"),
+                artifact_cache=cache,
+            ) == rows
+        assert cache.hits + cache.misses == 4
 
     def test_figure5_default_options_never_disagree(self):
         # Under the figure's modest promotion, spill traffic makes the
