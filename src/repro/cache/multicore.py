@@ -58,13 +58,12 @@ from repro.cache.semantics import (
     ENTRY_DIRTY,
     LRUPolicy,
     _WAY_TAG,
-    _WAY_VALID,
     _by_stamp,
     _mix64,
 )
 from repro.cache.stackdist import flavor_key
 from repro.cache.vectorized import vector_profile_pass
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
+from repro.vm.trace import FLAG_KILL, IS_BYPASS, IS_KILL, IS_WRITE
 
 #: Way-list slot holding the installing core's id (the first slot past
 #: the shared ``_WAY_INSERTED`` tail; the RRIP family's extra slots
@@ -230,7 +229,7 @@ class PartitionedLRUPolicy(LRUPolicy):
         candidates = self._candidates(lines)
         dead = [line for line in candidates if line[ENTRY_DEAD]]
         victim = min(dead or candidates, key=_by_stamp)
-        victim[_WAY_VALID] = False
+        self._release(set_index, victim)
         return victim[_WAY_TAG], victim
 
 
@@ -440,6 +439,7 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
         ).astype(bool)
 
     shared_policy = shared.policy
+    resident = shared_policy.resident
     shared_stats = shared.stats
     kill_probes = 0
     shared_refs = [0] * cores
@@ -455,12 +455,11 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
             # stale shared copy is dead too — free the way without a
             # reference.
             block = shifted // line_words
-            set_index = block % num_sets
-            entry = shared_policy.lookup(set_index, block)
+            entry = resident.get(block)
             if entry is not None:
                 if entry[ENTRY_DIRTY]:
                     shared_stats.dead_drops += 1
-                shared_policy.invalidate(set_index, block, entry)
+                shared_policy.invalidate(block % num_sets, block, entry)
                 shared_stats.dead_line_frees += 1
                 kill_probes += 1
             continue
@@ -468,10 +467,7 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
             policy.core = core
         shared_refs[core] += 1
         if shared_access(
-            shifted,
-            bool(flags & FLAG_WRITE),
-            bool(flags & FLAG_BYPASS),
-            bool(flags & FLAG_KILL),
+            shifted, IS_WRITE[flags], IS_BYPASS[flags], IS_KILL[flags]
         ) == "hit":
             shared_hits[core] += 1
     return MulticoreResult(

@@ -24,14 +24,7 @@ from repro.cache.semantics import (
     next_use_index,
     signature_column,
 )
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
-
-#: One annotation bit of every flag byte as a bool: the reference loop
-#: decodes an event with three tuple lookups.
-_WRITES, _BYPASSES, _KILLS = (
-    tuple(bool(flags & bit) for flags in range(256))
-    for bit in (FLAG_WRITE, FLAG_BYPASS, FLAG_KILL)
-)
+from repro.vm.trace import IS_BYPASS, IS_KILL, IS_WRITE
 
 
 def replay_trace(trace, config=None, hits=None, **kwargs):
@@ -57,7 +50,7 @@ def replay_trace(trace, config=None, hits=None, **kwargs):
 
     cache = Cache(config, policy=policy_for_trace(trace, config))
     access = cache.access
-    writes, bypasses, kills = _WRITES, _BYPASSES, _KILLS
+    writes, bypasses, kills = IS_WRITE, IS_BYPASS, IS_KILL
     if cache.policy.needs_index:
         outcomes = (
             access(address, writes[flags], bypasses[flags], kills[flags],

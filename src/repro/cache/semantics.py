@@ -522,6 +522,11 @@ class ReplacementPolicy:
     the core and whose tail belongs to the policy.  ``evict`` must
     prefer dead lines (smallest stamp first) before applying its own
     order — the paper's dead-line reuse is policy-independent.
+
+    ``resident`` maps every resident block to its entry, one dict over
+    all sets (a block's set is a function of the block).  ``reset``
+    creates it and ``install`` / ``evict`` / ``invalidate`` keep it
+    exact, so the core finds a block with one ``dict.get``.
     """
 
     __slots__ = ()
@@ -532,11 +537,8 @@ class ReplacementPolicy:
     needs_index = False
 
     def reset(self, config):
-        """(Re)build empty per-set state for ``config``'s geometry."""
-        raise NotImplementedError
-
-    def lookup(self, set_index, block):
-        """The resident entry for ``block``, or ``None``."""
+        """(Re)build empty per-set state and ``resident`` for
+        ``config``'s geometry."""
         raise NotImplementedError
 
     def touch(self, entry, clock, index):
@@ -586,7 +588,7 @@ class _WayPolicy(ReplacementPolicy):
     victim sequence is reproducible across every driver.
     """
 
-    __slots__ = ("_sets",)
+    __slots__ = ("_sets", "_free", "resident")
 
     #: Extra way-list slots appended after ``_WAY_INSERTED`` (the RRIP
     #: family claims four: rrpv, signature, outcome, set index).
@@ -601,21 +603,15 @@ class _WayPolicy(ReplacementPolicy):
             ]
             for _ in range(config.num_sets)
         ]
-
-    def lookup(self, set_index, block):
-        for line in self._sets[set_index]:
-            if line[_WAY_VALID] and line[_WAY_TAG] == block:
-                return line
-        return None
+        #: Per-set count of invalid ways.
+        self._free = [config.associativity] * config.num_sets
+        self.resident = {}
 
     def touch(self, entry, clock, index):
         entry[_WAY_STAMP] = clock
 
     def room(self, set_index):
-        for line in self._sets[set_index]:
-            if not line[_WAY_VALID]:
-                return True
-        return False
+        return self._free[set_index] > 0
 
     def evict(self, set_index):
         lines = self._sets[set_index]
@@ -624,7 +620,7 @@ class _WayPolicy(ReplacementPolicy):
             victim = min(dead, key=_by_stamp)
         else:
             victim = self._victim(set_index, lines)
-        victim[_WAY_VALID] = False
+        self._release(set_index, victim)
         return victim[_WAY_TAG], victim
 
     def install(self, set_index, block, clock, index):
@@ -636,12 +632,20 @@ class _WayPolicy(ReplacementPolicy):
                 line[_WAY_VALID] = True
                 line[_WAY_STAMP] = clock
                 line[_WAY_INSERTED] = clock
+                self.resident[block] = line
+                self._free[set_index] -= 1
                 return line
         raise AssertionError("install without room")
 
     def invalidate(self, set_index, block, entry):
-        entry[_WAY_VALID] = False
         entry[ENTRY_DIRTY] = False
+        self._release(set_index, entry)
+
+    def _release(self, set_index, line):
+        """Free ``line``'s way: every way leaves ``resident`` here."""
+        line[_WAY_VALID] = False
+        del self.resident[line[_WAY_TAG]]
+        self._free[set_index] += 1
 
     def entries(self):
         for lines in self._sets:
@@ -710,7 +714,7 @@ class MinPolicy(ReplacementPolicy):
     cannot build it (see :func:`make_policy`).
     """
 
-    __slots__ = ("_sets", "_assoc", "_next_use")
+    __slots__ = ("_sets", "_assoc", "_next_use", "resident")
     name = "min"
     needs_index = True
 
@@ -720,9 +724,7 @@ class MinPolicy(ReplacementPolicy):
     def reset(self, config):
         self._assoc = config.associativity
         self._sets = [dict() for _ in range(config.num_sets)]
-
-    def lookup(self, set_index, block):
-        return self._sets[set_index].get(block)
+        self.resident = {}
 
     def touch(self, entry, clock, index):
         entry[_MIN_NEXT_USE] = self._next_use[index]
@@ -743,15 +745,18 @@ class MinPolicy(ReplacementPolicy):
             if victim_key is None or key < victim_key:
                 victim_key = key
                 victim_block = block
+        del self.resident[victim_block]
         return victim_block, lines.pop(victim_block)
 
     def install(self, set_index, block, clock, index):
         entry = [False, False, None, self._next_use[index]]
         self._sets[set_index][block] = entry
+        self.resident[block] = entry
         return entry
 
     def invalidate(self, set_index, block, entry):
         del self._sets[set_index][block]
+        del self.resident[block]
 
     def entries(self):
         for lines in self._sets:
@@ -1072,6 +1077,7 @@ class UnifiedCache:
         "config", "stats", "policy", "main", "value", "_clock",
         "_line_words", "_num_sets", "_honor_bypass", "_honor_kill",
         "_writethrough", "_allocate_on_write", "_kill_invalidates",
+        "_resident",
     )
 
     def __init__(self, config, policy=None, data=False):
@@ -1081,6 +1087,8 @@ class UnifiedCache:
             policy = make_policy(config)
         policy.reset(config)
         self.policy = policy
+        # The map ``reset`` just built; nothing resets the policy again.
+        self._resident = policy.resident
         self._clock = 0
         self._line_words = config.line_words
         self._num_sets = config.num_sets
@@ -1123,7 +1131,7 @@ class UnifiedCache:
         block = address // line_words
         set_index = block % self._num_sets
         policy = self.policy
-        entry = policy.lookup(set_index, block)
+        entry = self._resident.get(block)
         main = self.main
 
         if bypass:
@@ -1255,8 +1263,7 @@ class UnifiedCache:
 
     def probe(self, address):
         """Would ``address`` hit right now?  Counts nothing."""
-        block = address // self._line_words
-        return self.policy.lookup(block % self._num_sets, block) is not None
+        return address // self._line_words in self._resident
 
     def contents(self):
         """``{block: dirty}`` for every resident line."""
@@ -1267,16 +1274,14 @@ class UnifiedCache:
 
     def peek(self, address):
         """Observe a word without touching state (cached copy wins)."""
-        block = address // self._line_words
-        entry = self.policy.lookup(block % self._num_sets, block)
+        entry = self._resident.get(address // self._line_words)
         if entry is not None:
             return entry[ENTRY_VALUE]
         return self.main.get(address, 0)
 
     def poke(self, address, value):
         """Set a word directly, keeping any cached copy coherent."""
-        block = address // self._line_words
-        entry = self.policy.lookup(block % self._num_sets, block)
+        entry = self._resident.get(address // self._line_words)
         if entry is not None:
             entry[ENTRY_VALUE] = value
         self.main[address] = value

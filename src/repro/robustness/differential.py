@@ -71,7 +71,7 @@ from repro.errors import ReproError
 from repro.regalloc.promotion import PromotionLevel
 from repro.unified.pipeline import CompilationOptions, Scheme, compile_source
 from repro.vm.memory import RecordingMemory
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
+from repro.vm.trace import FLAG_WRITE, IS_BYPASS, IS_KILL, IS_WRITE
 
 #: Fuel budget for each fuzzed run; generated programs are tiny, so a
 #: run that gets anywhere near this is itself a bug.
@@ -254,7 +254,10 @@ def check_source(
     _check_cache_models(
         by_name["unified/aggressive"], baseline, cache_words, associativity
     )
-    _check_superinstructions(by_name["unified/aggressive"], max_steps)
+    # Aggressive promotion fuses the longest register runs; none fuses
+    # runs of loads and stores.
+    for name in ("unified/aggressive", "unified/none"):
+        _check_superinstructions(by_name[name], max_steps)
     static_events = _check_static_analysis(
         runs, by_name, cache_words, associativity
     )
@@ -514,10 +517,7 @@ def _check_hierarchy(run, cache_words, associativity):
         online = HierarchyCache(spec)
         for address, flags in run.trace:
             online.access(
-                address,
-                bool(flags & FLAG_WRITE),
-                bool(flags & FLAG_BYPASS),
-                bool(flags & FLAG_KILL),
+                address, IS_WRITE[flags], IS_BYPASS[flags], IS_KILL[flags]
             )
         online_stats = online.stats()
         for name, stats in offline.levels:

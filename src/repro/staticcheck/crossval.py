@@ -221,11 +221,22 @@ class ValidatingMemory(MemorySystem):
         install = installed.add
         remove = installed.discard
 
-        def audit(address, ref, is_write):
+        def mismatch(address, entry, present):
+            if len(mismatches) < max_mismatches:
+                mismatches.append(Mismatch(
+                    entry.site, address, sum(counts) - 1, entry.verdict,
+                    present,
+                ))
+
+        # read and write each carry the whole audit in-line (no shared
+        # helper frame: one call per reference is the hot path).
+        get = words.get
+
+        def read(address, ref):
             entry = plan_get(id(ref))
             if entry is None:
                 entry = plan_ref(ref, config)
-            slot, kind, bypass, kill, removes, site, verdict = entry
+            slot, kind, bypass, kill, removes, _site, _verdict = entry
             counts[slot] += 1
             if kind:
                 expected = (
@@ -233,29 +244,44 @@ class ValidatingMemory(MemorySystem):
                     else kind == AUDIT_HIT
                 )
                 probes = stats.probe_hits
-                outcome = access(address, is_write, bypass, kill)
+                outcome = access(address, False, bypass, kill)
                 present = outcome == "hit" or (
                     outcome == "bypass" and stats.probe_hits != probes
                 )
-                if present != expected and len(mismatches) < max_mismatches:
-                    mismatches.append(Mismatch(
-                        site, address, sum(counts) - 1, verdict, present
-                    ))
+                if present != expected:
+                    mismatch(address, entry, present)
             else:
-                access(address, is_write, bypass, kill)
+                access(address, False, bypass, kill)
             if removes:
                 remove(address)
             else:
                 install(address)
-
-        get = words.get
-
-        def read(address, ref):
-            audit(address, ref, False)
             return get(address, 0)
 
         def write(address, value, ref):
-            audit(address, ref, True)
+            entry = plan_get(id(ref))
+            if entry is None:
+                entry = plan_ref(ref, config)
+            slot, kind, bypass, kill, removes, _site, _verdict = entry
+            counts[slot] += 1
+            if kind:
+                expected = (
+                    address in installed if kind == AUDIT_PERSISTENT
+                    else kind == AUDIT_HIT
+                )
+                probes = stats.probe_hits
+                outcome = access(address, True, bypass, kill)
+                present = outcome == "hit" or (
+                    outcome == "bypass" and stats.probe_hits != probes
+                )
+                if present != expected:
+                    mismatch(address, entry, present)
+            else:
+                access(address, True, bypass, kill)
+            if removes:
+                remove(address)
+            else:
+                install(address)
             words[address] = value
 
         return read, write

@@ -14,23 +14,33 @@ step.  The interpreter loop is then just ``index = handlers[index]()``
 plus the fuel check; each handler returns the global index of its
 successor.  Handlers bind the memory system at construction — build
 the :class:`Machine` after the memory it should run against, and do
-not swap ``vm.memory`` afterwards.
+not swap ``vm.memory`` afterwards.  They share the frame pointer and
+call stack through a small :class:`_Frame`, never the machine itself,
+so a dropped machine frees its memory system and trace at once.
 
 On top of the per-instruction handlers the compiler builds
-**superinstructions**: each maximal straight-line run of Load/Store-
-free locals-in-registers ops (BinOp/Move/UnOp/AddrOfSym, optionally
-closing with the block's Jump/CJump) is code-generated into a single
-zero-argument handler, so one dispatch retires the whole run.  The
-generated bodies inline register indices and constants as literals
-and are cached module-wide by source text, so structurally repeated
-runs share one code object.  Fuel accounting charges a run's full
-length before executing it (a budget overrun raises without running
-the partial superinstruction — registers are the only state such a
-run touches, so the externally visible result is unchanged), and the
-fused table is bypassed whenever an ``instruction_sink`` is attached
-so fetch traces still see every instruction.  ``ReferenceMachine``
-opts out entirely via ``_enable_fusion`` and remains the oracle the
-fused interpreter is differentially tested against.
+**superinstructions**: each maximal straight-line run of BinOp/Move/
+UnOp/AddrOfSym and Load/Store ops (optionally closing with the block's
+Jump/CJump/Ret or a known Call) is code-generated into a single
+zero-argument handler, so one dispatch retires the whole run.  A
+Load/Store inlines its memory binding's effects (``_memory_plan``) in
+the order its per-instruction handler applies them: the wild-address
+check, the trace append, then the word read or write, or the memory
+system's ``read``/``write``.  The generated bodies inline register
+indices, constants, frame offsets and flag bytes as literals; the
+memory callables and each site's instruction and RefInfo are factory
+arguments, so bodies are cached module-wide by source text and
+structurally repeated runs share one code object.
+
+Fuel is charged a run's full length before it executes.  When a run
+would overrun the budget, the loop hands its index to the
+per-instruction table instead, which stops at exactly ``budget + 1``
+steps after making every trace event, word write and audit the
+reference interpreter makes.  The fused table is bypassed whenever an
+``instruction_sink`` is attached so fetch traces still see every
+instruction.  ``ReferenceMachine`` opts out entirely via
+``_enable_fusion`` and remains the oracle the fused interpreter is
+differentially tested against.
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +64,7 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.vm.memory import FlatMemory, RecordingMemory
+from repro.vm.trace import encode_flags
 
 #: Default top-of-stack word address (stack grows downward from here).
 DEFAULT_STACK_BASE = 1 << 22
@@ -125,9 +136,10 @@ _FUSE_OPS = {
     "ge": "(1 if {} >= {} else 0)",
 }
 
-#: Names the generated bodies may reference beyond ``vm``/``r``.
-#: (_Halt / the error types serve the fused Ret and Call closers;
-#: _Halt is injected below its definition.)
+#: Names the generated bodies may reference beyond their factory
+#: arguments.  (_Halt / the error types serve the fused Ret and Call
+#: closers and the wild-address check; _Halt is injected below its
+#: definition.)
 _FUSE_GLOBALS = {
     "_c_div": _c_div,
     "_c_mod": _c_mod,
@@ -146,14 +158,27 @@ _FUSED_CODE_CACHE_LIMIT = 4096
 _FUSE_RUN_LIMIT = 32
 
 
+#: Per memory binding (:meth:`Machine._memory_plan`): the names its
+#: callables take, in order, in the per-instruction handlers and in the
+#: fused bodies' factories.
+_MEMORY_NAMES = {
+    "recording": ("aa", "fa", "addrs", "lim", "append", "get", "words"),
+    "flat": ("get", "words"),
+    "generic": ("read", "write"),
+}
+
+
 def _fusable(ins, offsets):
     """Can ``ins`` join a superinstruction run?
 
-    Only ops whose effects live entirely in the register file (plus a
-    frame-pointer read for local AddrOfSym): no memory traffic, no
-    output, no control transfer, and no construction-time surprises —
-    unknown BinOps and unknown frame symbols keep their individual
-    handlers so they fail exactly as before.
+    Register ops (plus a frame-pointer read for local AddrOfSym) and
+    Load/Store whose address is a known frame or global symbol or a
+    register: no output, no control transfer, and no construction-time
+    surprises — unknown BinOps and unknown frame symbols keep their
+    individual handlers so they fail exactly as before.  A memory op's
+    run-time faults (a wild address, the trace cap) raise from inside
+    the run at that op, after the ops before it, as they would from
+    its own handler.
     """
     cls = ins.__class__
     if cls is BinOp:
@@ -163,30 +188,31 @@ def _fusable(ins, offsets):
     if cls is AddrOfSym:
         symbol = ins.symbol
         return symbol.global_address is not None or symbol in offsets
+    if cls is Load or cls is Store:
+        mem = ins.mem
+        if mem.__class__ is SymMem:
+            symbol = mem.symbol
+            return symbol.global_address is not None or symbol in offsets
+        return mem.addr.__class__ is PReg
     return False
+
+
+def _fuse_operand(operand):
+    return (
+        "r[%d]" % operand.index if operand.__class__ is PReg
+        else repr(operand.value)
+    )
 
 
 def _fuse_stmt(ins, offsets):
     """One fusable instruction -> one generated statement."""
     cls = ins.__class__
     if cls is BinOp:
-        left, right = ins.left, ins.right
-        a = (
-            "r[%d]" % left.index if left.__class__ is PReg
-            else repr(left.value)
-        )
-        b = (
-            "r[%d]" % right.index if right.__class__ is PReg
-            else repr(right.value)
-        )
+        a = _fuse_operand(ins.left)
+        b = _fuse_operand(ins.right)
         return "r[%d] = %s" % (ins.dest.index, _FUSE_OPS[ins.op].format(a, b))
     if cls is Move:
-        src = ins.src
-        value = (
-            "r[%d]" % src.index if src.__class__ is PReg
-            else repr(src.value)
-        )
-        return "r[%d] = %s" % (ins.dest.index, value)
+        return "r[%d] = %s" % (ins.dest.index, _fuse_operand(ins.src))
     if cls is UnOp:
         operand = ins.operand
         if operand.__class__ is PReg:
@@ -204,7 +230,85 @@ def _fuse_stmt(ins, offsets):
     symbol = ins.symbol
     if symbol.global_address is not None:
         return "r[%d] = %d" % (ins.dest.index, symbol.global_address)
-    return "r[%d] = vm.fp + %s" % (ins.dest.index, repr(offsets[symbol]))
+    return "r[%d] = f.fp + %s" % (ins.dest.index, repr(offsets[symbol]))
+
+
+def _fuse_address(ins, offsets, hi, site):
+    """``(statements, expression)`` for a memory op's word address.
+
+    A register address gets the wild-address check, with the message
+    its per-instruction handler raises.
+    """
+    mem = ins.mem
+    if mem.__class__ is SymMem:
+        symbol = mem.symbol
+        if symbol.global_address is not None:
+            return [], "%d" % symbol.global_address
+        return ["a = f.fp + %r" % offsets[symbol]], "a"
+    return [
+        "a = r[%d]" % mem.addr.index,
+        "if a < %d or a >= %d:" % (GLOBAL_BASE, hi),
+        "    raise VMError('wild memory access at address {} by {!r}'"
+        ".format(a, %s))" % site(ins),
+    ], "a"
+
+
+# One statement generator per memory binding: a Load (``value`` None)
+# or a Store of ``value`` at address expression ``a``, in the order the
+# binding's per-instruction handler applies its effects.
+
+
+def _fuse_recording(ins, a, value, site):
+    fb = encode_flags(ins.ref, value is not None)
+    lines = [
+        "if len(addrs) < lim:",
+        "    aa(%s)" % a,
+        "    fa(%d)" % fb,
+        "else:",
+        "    append(%s, %d)" % (a, fb),
+    ]
+    if value is None:
+        lines.append("r[%d] = get(%s, 0)" % (ins.dest.index, a))
+    else:
+        lines.append("words[%s] = %s" % (a, value))
+    return lines
+
+
+def _fuse_flat(ins, a, value, site):
+    if value is None:
+        return ["r[%d] = get(%s, 0)" % (ins.dest.index, a)]
+    return ["words[%s] = %s" % (a, value)]
+
+
+def _fuse_generic(ins, a, value, site):
+    if value is None:
+        return ["r[%d] = read(%s, %s)" % (ins.dest.index, a, site(ins.ref))]
+    return ["write(%s, %s, %s)" % (a, value, site(ins.ref))]
+
+
+_FUSE_MEMORY = {
+    "recording": _fuse_recording,
+    "flat": _fuse_flat,
+    "generic": _fuse_generic,
+}
+
+
+class _Frame:
+    """The frame pointer and call stack the handlers share.
+
+    Handlers close over this object, never over their Machine, so a
+    Machine is in no reference cycle with its handler table: the
+    machine, its memory and the trace buffer its handlers append to
+    are freed as soon as the last user drops the machine, not at
+    whatever later cyclic collection finds them.
+    """
+
+    __slots__ = ("fp", "calls")
+
+    def __init__(self):
+        self.fp = 0
+        #: ``(return index, caller's fp)`` per active call.
+        self.calls = []
 
 
 class _Halt(Exception):
@@ -291,10 +395,7 @@ class Machine:
         module = self.module
         #: Index of the fall-off guard handler (one past the code).
         guard = self.code_size
-        #: Current frame pointer — a plain rebindable attribute the
-        #: handlers close over via ``vm`` (an unboxed ``[0]`` cell).
-        self.fp = 0
-        self._call_stack = []
+        self._frame = _Frame()
         self._memory_binding = self._memory_plan()
         #: The trace buffer the recording handlers append to directly.
         self._recorded = (
@@ -404,10 +505,13 @@ class Machine:
         """Generate and instantiate one superinstruction handler.
 
         The body is plain source — register indices, constants, frame
-        offsets and successor indices all inlined as literals — wrapped
-        in a ``_make(vm, r)`` factory so one compiled code object
-        serves every machine whose run has the same shape.  Returns
-        ``(handler, instructions_retired)``.
+        offsets, flag bytes and successor indices all inlined as
+        literals — wrapped in a ``_make(f, r, m, k)`` factory so one
+        compiled code object serves every machine whose run has the
+        same shape: ``f`` is the machine's :class:`_Frame`, ``r`` its
+        register file, ``m`` the memory binding's callables and ``k``
+        the memory ops' instructions and RefInfos, in order of use.
+        Returns ``(handler, instructions_retired)``.
 
         A closing Jump is **threaded**: instead of returning the
         target's index, the target block's own fusable head run (and
@@ -417,9 +521,31 @@ class Machine:
         is threaded at most once per body; a self-jump therefore
         unrolls a single partial iteration and then returns.
         """
-        lines = ["def _make(vm, r):", "    def _fused():"]
+        kind, memory = self._memory_binding
+        fuse_memory = _FUSE_MEMORY[kind]
+        hi = self.stack_base
+        lines = []
+        sites = []
+        uses_memory = False
+
+        def site(obj):
+            sites.append(obj)
+            return "k%d" % (len(sites) - 1)
+
+        def emit(ins):
+            nonlocal uses_memory
+            cls = ins.__class__
+            if cls is Load or cls is Store:
+                uses_memory = True
+                setup, a = _fuse_address(ins, offsets, hi, site)
+                value = None if cls is Load else _fuse_operand(ins.src)
+                for line in setup + fuse_memory(ins, a, value, site):
+                    lines.append("        " + line)
+            else:
+                lines.append("        " + _fuse_stmt(ins, offsets))
+
         for ins in run:
-            lines.append("        " + _fuse_stmt(ins, offsets))
+            emit(ins)
         count = len(run)
         #: Successor index when the current segment has no closer.
         succ = guard if j >= m else base + j
@@ -448,9 +574,7 @@ class Machine:
                     and count + k < _FUSE_RUN_LIMIT
                     and _fusable(t_instructions[k], offsets)
                 ):
-                    lines.append(
-                        "        " + _fuse_stmt(t_instructions[k], offsets)
-                    )
+                    emit(t_instructions[k])
                     k += 1
                 count += k
                 if k == 0:
@@ -478,11 +602,11 @@ class Machine:
                     )
             elif cls is Ret:
                 lines.extend([
-                    "        cs = vm._call_stack",
+                    "        cs = f.calls",
                     "        if not cs:",
                     "            raise _Halt",
                     "        n, fp = cs.pop()",
-                    "        vm.fp = fp",
+                    "        f.fp = fp",
                     "        return n",
                 ])
             else:  # Call to a known function
@@ -495,22 +619,30 @@ class Machine:
                 after = base + j + 1 if j < m - 1 else guard
                 overflow = "stack overflow calling {}".format(callee.name)
                 lines.extend([
-                    "        cs = vm._call_stack",
-                    "        cs.append((%d, vm.fp))" % after,
+                    "        cs = f.calls",
+                    "        cs.append((%d, f.fp))" % after,
                     "        if len(cs) > %d:" % MAX_CALL_DEPTH,
                     "            raise ResourceExhausted(",
                     "                'call stack overflow "
                     "(recursion too deep)'",
                     "            )",
-                    "        fp = vm.fp - %d" % callee.frame.size,
+                    "        fp = f.fp - %d" % callee.frame.size,
                     "        if fp < %d:" % self._global_top,
                     "            raise VMError(%r)" % overflow,
-                    "        vm.fp = fp",
+                    "        f.fp = fp",
                     "        return %d" % centry,
                 ])
             break
+        head = ["def _make(f, r, m, k):"]
+        if uses_memory:
+            head.append("    %s = m" % ", ".join(_MEMORY_NAMES[kind]))
+        if sites:
+            head.append("    %s, = k" % ", ".join(
+                "k%d" % i for i in range(len(sites))
+            ))
+        head.append("    def _fused():")
         lines.append("    return _fused")
-        source = "\n".join(lines)
+        source = "\n".join(head + lines)
         make = _FUSED_CODE_CACHE.get(source)
         if make is None:
             namespace = dict(_FUSE_GLOBALS)
@@ -518,12 +650,12 @@ class Machine:
             make = namespace["_make"]
             if len(_FUSED_CODE_CACHE) < _FUSED_CODE_CACHE_LIMIT:
                 _FUSED_CODE_CACHE[source] = make
-        return make(self, self.regs), count
+        return make(self._frame, self.regs, memory, tuple(sites)), count
 
     def _compile_instruction(self, ins, nxt, function, offsets, guard):
         """One instruction -> one zero-argument handler closure."""
         regs = self.regs
-        vm = self
+        frame = self._frame
         cls = ins.__class__
 
         if cls is BinOp:
@@ -627,8 +759,8 @@ class Machine:
                     regs[d] = a
                     return n
             else:
-                def h(regs=regs, d=d, vm=vm, off=offsets[symbol], n=nxt):
-                    regs[d] = vm.fp + off
+                def h(regs=regs, d=d, f=frame, off=offsets[symbol], n=nxt):
+                    regs[d] = f.fp + off
                     return n
             return h
 
@@ -647,32 +779,32 @@ class Machine:
             )
 
             def h(
-                cs=self._call_stack,
-                vm=vm,
+                cs=frame.calls,
+                f=frame,
                 n=nxt,
                 size=callee.frame.size,
                 ce=centry,
                 top=self._global_top,
                 cname=callee.name,
             ):
-                cs.append((n, vm.fp))
+                cs.append((n, f.fp))
                 if len(cs) > MAX_CALL_DEPTH:
                     raise ResourceExhausted(
                         "call stack overflow (recursion too deep)"
                     )
-                fp = vm.fp - size
+                fp = f.fp - size
                 if fp < top:
                     raise VMError("stack overflow calling {}".format(cname))
-                vm.fp = fp
+                f.fp = fp
                 return ce
             return h
 
         if cls is Ret:
-            def h(cs=self._call_stack, vm=vm):
+            def h(cs=frame.calls, f=frame):
                 if not cs:
                     raise _Halt
                 n, fp = cs.pop()
-                vm.fp = fp
+                f.fp = fp
                 return n
             return h
 
@@ -696,10 +828,12 @@ class Machine:
     def _memory_plan(self):
         """How loads/stores bind the memory system.
 
-        Exact-type :class:`RecordingMemory` (over exact-type
-        :class:`FlatMemory`) and exact-type :class:`FlatMemory` get
-        inlined fast paths — the flag byte is encoded at compile time
-        and the handler talks straight to the trace buffer's arrays
+        Returns ``(kind, callables)``, the callables named by
+        ``_MEMORY_NAMES[kind]``.  Exact-type :class:`RecordingMemory`
+        (over exact-type :class:`FlatMemory`) and exact-type
+        :class:`FlatMemory` get inlined fast paths — the flag byte is
+        encoded at compile time and the handler talks straight to the
+        trace buffer's arrays
         (:meth:`~repro.vm.trace.TraceBuffer.direct_appends`; at the
         event cap it calls ``append``, which raises) and the word dict.
         Anything else (streaming sinks, subclasses) goes through
@@ -712,28 +846,28 @@ class Machine:
         ):
             buffer = memory.buffer
             addrs, flags, lim = buffer.direct_appends()
-            record = (addrs.append, flags.append, addrs, lim, buffer.append)
-            return "recording", record, memory.flat.words
+            words = memory.flat.words
+            return "recording", (
+                addrs.append, flags.append, addrs, lim, buffer.append,
+                words.get, words,
+            )
         if type(memory) is FlatMemory:
-            return "flat", None, memory.words
-        return "generic", None, None
+            return "flat", (memory.words.get, memory.words)
+        return "generic", (memory.read, memory.write)
 
     def _compile_load(self, ins, nxt, offsets):
-        from repro.vm.trace import encode_flags
-
         regs = self.regs
-        vm = self
+        frame = self._frame
         d = ins.dest.index
         mem = ins.mem
-        kind, record, words = self._memory_binding
+        kind, memory = self._memory_binding
         if kind == "recording":
             fb = encode_flags(ins.ref, False)
-            aa, fa, addrs, lim, append = record
-            get = words.get
+            aa, fa, addrs, lim, append, get, _words = memory
         elif kind == "flat":
-            get = words.get
+            get, _words = memory
         else:
-            read = self.memory.read
+            read, _write = memory
 
         if mem.__class__ is SymMem:
             symbol = mem.symbol
@@ -762,8 +896,8 @@ class Machine:
             off = offsets[symbol]
             if kind == "recording":
                 def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                      get=get, regs=regs, vm=vm, d=d, off=off, fb=fb, n=nxt):
-                    a = vm.fp + off
+                      get=get, regs=regs, f=frame, d=d, off=off, fb=fb, n=nxt):
+                    a = f.fp + off
                     if len(addrs) < lim:
                         aa(a)
                         fa(fb)
@@ -772,13 +906,13 @@ class Machine:
                     regs[d] = get(a, 0)
                     return n
             elif kind == "flat":
-                def h(get=get, regs=regs, vm=vm, d=d, off=off, n=nxt):
-                    regs[d] = get(vm.fp + off, 0)
+                def h(get=get, regs=regs, f=frame, d=d, off=off, n=nxt):
+                    regs[d] = get(f.fp + off, 0)
                     return n
             else:
-                def h(read=read, regs=regs, vm=vm, d=d, off=off,
+                def h(read=read, regs=regs, f=frame, d=d, off=off,
                       ref=ins.ref, n=nxt):
-                    regs[d] = read(vm.fp + off, ref)
+                    regs[d] = read(f.fp + off, ref)
                     return n
             return h
 
@@ -828,20 +962,20 @@ class Machine:
         return h
 
     def _compile_store(self, ins, nxt, offsets):
-        from repro.vm.trace import encode_flags
-
         regs = self.regs
-        vm = self
+        frame = self._frame
         mem = ins.mem
         src = ins.src
         src_reg = src.index if src.__class__ is PReg else None
         src_val = None if src_reg is not None else src.value
-        kind, record, words = self._memory_binding
+        kind, memory = self._memory_binding
         if kind == "recording":
             fb = encode_flags(ins.ref, True)
-            aa, fa, addrs, lim, append = record
-        if kind == "generic":
-            write = self.memory.write
+            aa, fa, addrs, lim, append, _get, words = memory
+        elif kind == "flat":
+            _get, words = memory
+        else:
+            _read, write = memory
 
         if mem.__class__ is SymMem:
             symbol = mem.symbol
@@ -896,9 +1030,9 @@ class Machine:
             if kind == "recording":
                 if src_reg is not None:
                     def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                          words=words, regs=regs, vm=vm, off=off, s=src_reg,
+                          words=words, regs=regs, f=frame, off=off, s=src_reg,
                           fb=fb, n=nxt):
-                        a = vm.fp + off
+                        a = f.fp + off
                         if len(addrs) < lim:
                             aa(a)
                             fa(fb)
@@ -908,9 +1042,9 @@ class Machine:
                         return n
                 else:
                     def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                          words=words, vm=vm, off=off, v=src_val, fb=fb,
+                          words=words, f=frame, off=off, v=src_val, fb=fb,
                           n=nxt):
-                        a = vm.fp + off
+                        a = f.fp + off
                         if len(addrs) < lim:
                             aa(a)
                             fa(fb)
@@ -920,25 +1054,25 @@ class Machine:
                         return n
             elif kind == "flat":
                 if src_reg is not None:
-                    def h(words=words, regs=regs, vm=vm, off=off,
+                    def h(words=words, regs=regs, f=frame, off=off,
                           s=src_reg, n=nxt):
-                        words[vm.fp + off] = regs[s]
+                        words[f.fp + off] = regs[s]
                         return n
                 else:
-                    def h(words=words, vm=vm, off=off, v=src_val,
+                    def h(words=words, f=frame, off=off, v=src_val,
                           n=nxt):
-                        words[vm.fp + off] = v
+                        words[f.fp + off] = v
                         return n
             else:
                 if src_reg is not None:
-                    def h(write=write, regs=regs, vm=vm, off=off,
+                    def h(write=write, regs=regs, f=frame, off=off,
                           s=src_reg, ref=ins.ref, n=nxt):
-                        write(vm.fp + off, regs[s], ref)
+                        write(f.fp + off, regs[s], ref)
                         return n
                 else:
-                    def h(write=write, vm=vm, off=off, v=src_val,
+                    def h(write=write, f=frame, off=off, v=src_val,
                           ref=ins.ref, n=nxt):
-                        write(vm.fp + off, v, ref)
+                        write(f.fp + off, v, ref)
                         return n
             return h
 
@@ -1071,8 +1205,8 @@ class Machine:
         fp = self.stack_base - function.frame.size
         if fp < self._global_top:
             raise VMError("stack overflow on entry")
-        self.fp = fp
-        self._call_stack.clear()
+        self._frame.fp = fp
+        self._frame.calls.clear()
         if self._recorded is not None:
             # The recording handlers skip TraceBuffer.append, and with
             # it the invalidation of whatever was decoded before.
@@ -1083,23 +1217,21 @@ class Machine:
         sink = self.instruction_sink
 
         try:
-            if sink is None and self._fast_handlers is not None:
-                # Superinstruction table: each handler retires a whole
-                # fused run, so fuel is charged by ``costs`` up front.
-                # An overrun raises before the run executes; fused ops
-                # only touch registers, so nothing visible is lost.
-                fast = self._fast_handlers
-                costs = self._costs
-                while True:
-                    steps += costs[index]
-                    if steps > budget:
-                        self.steps = budget + 1
-                        raise ResourceExhausted(
-                            "execution exceeded {} steps "
-                            "(infinite loop?)".format(budget)
-                        )
-                    index = fast[index]()
-            elif sink is None:
+            if sink is None:
+                if self._fast_handlers is not None:
+                    # Superinstruction table: each handler retires a
+                    # whole fused run, so fuel is charged by ``costs``
+                    # up front.  A run that would overrun is left to the
+                    # per-instruction loop below, which executes its
+                    # ops one by one and stops exactly at budget + 1.
+                    fast = self._fast_handlers
+                    costs = self._costs
+                    while True:
+                        steps += costs[index]
+                        if steps > budget:
+                            steps -= costs[index]
+                            break
+                        index = fast[index]()
                 while True:
                     steps += 1
                     if steps > budget:

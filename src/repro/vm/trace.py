@@ -60,6 +60,14 @@ ORIGIN_MASK = 0x70
 #: classifies; it never changes cache behaviour.
 FLAG_INSTRUCTION = 0x80
 
+#: One annotation bit of every flag byte as a bool, indexed by the
+#: byte: the per-event drivers decode an event with three tuple
+#: lookups instead of three ``bool(flags & FLAG_*)``.
+IS_WRITE, IS_BYPASS, IS_KILL = (
+    tuple(bool(flags & bit) for flags in range(256))
+    for bit in (FLAG_WRITE, FLAG_BYPASS, FLAG_KILL)
+)
+
 _ORIGIN_CODES = {
     RefOrigin.USER: 0,
     RefOrigin.SPILL: 1,

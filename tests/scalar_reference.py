@@ -212,12 +212,11 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
         if outcome == "hit":
             if kill and probe_kills:
                 block = shifted // line_words
-                set_index = block % num_sets
-                entry = shared_policy.lookup(set_index, block)
+                entry = shared_policy.resident.get(block)
                 if entry is not None:
                     if entry[ENTRY_DIRTY]:
                         shared_stats.dead_drops += 1
-                    shared_policy.invalidate(set_index, block, entry)
+                    shared_policy.invalidate(block % num_sets, block, entry)
                     shared_stats.dead_line_frees += 1
                     kill_probes += 1
             continue

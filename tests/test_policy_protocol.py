@@ -69,9 +69,10 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "figure5.json"
 )
 
-#: Every protocol operation the semantics core calls on a policy.
+#: Every protocol operation the semantics core calls on a policy (it
+#: finds resident blocks through the ``resident`` map instead).
 PROTOCOL_OPS = (
-    "reset", "lookup", "touch", "room", "evict", "install",
+    "reset", "touch", "room", "evict", "install",
     "invalidate", "demote", "entries",
 )
 
@@ -194,6 +195,8 @@ class TestProtocolSurface:
             instance = make_policy(CacheConfig(policy=policy, seed=1))
         for op in PROTOCOL_OPS:
             assert callable(getattr(instance, op)), (policy, op)
+        instance.reset(CacheConfig(policy=policy, seed=1))
+        assert instance.resident == {}, policy
         assert isinstance(instance.needs_index, bool)
         assert instance.needs_index == (policy in INDEXED_POLICIES)
 

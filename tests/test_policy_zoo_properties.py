@@ -94,7 +94,7 @@ def test_srrip_never_evicts_the_mru_block(refs, geometry):
     for address, is_write in refs:
         block = address  # line_words == 1
         set_index = block % config.num_sets
-        hit = policy.lookup(set_index, block) is not None
+        hit = block in policy.resident
         core.access(address, is_write, False, False)
         for evicted_set, victim in policy.evictions[seen:]:
             assert evicted_set == set_index
@@ -121,7 +121,7 @@ def per_set_hits(trace, config):
     for index, (address, flags) in enumerate(trace):
         block = address // config.line_words
         set_index = block % config.num_sets
-        if core.policy.lookup(set_index, block) is not None:
+        if block in core.policy.resident:
             hits[set_index] = hits.get(set_index, 0) + 1
         core.access(address, bool(flags & FLAG_WRITE), False, False,
                     index=index)

@@ -1,25 +1,37 @@
 """The superinstruction (fused-run) fast table versus the oracle.
 
 :meth:`Machine._fuse_block` compiles maximal straight-line runs of
-register-only ops — optionally closed by one control op, with Jump
-targets threaded through — into single exec-generated handlers.  This
-suite holds the fused table to the same bar as the closure compiler:
-identical observable behaviour to :class:`ReferenceMachine` (return
-value, output, steps, registers, memory, traces), exact fuel
-accounting at exhaustion, and an untouched per-instruction path
-whenever an ``instruction_sink`` needs to see every fetch.
+register ops and loads/stores — optionally closed by one control op,
+with Jump targets threaded through — into single exec-generated
+handlers.  This suite holds the fused table to the same bar as the
+closure compiler, under every memory binding the VM inlines
+(``Machine._memory_plan``: flat, recording, and the generic
+``read``/``write`` path of a streaming cache or the static-analysis
+validator): identical observable behaviour to
+:class:`ReferenceMachine` (return value, output, steps, registers,
+memory, traces, cache stats, audits), exact fuel accounting at
+exhaustion, and an untouched per-instruction path whenever an
+``instruction_sink`` needs to see every fetch.
 """
 
 import pytest
 
+from repro.cache.cache import Cache, CacheConfig
 from repro.lang.errors import ResourceExhausted, VMError
 from repro.programs import BENCHMARK_NAMES, get_benchmark
+from repro.staticcheck.crossval import ValidatingMemory
+from repro.staticcheck.mustmay import analyze_program
 from repro.unified.pipeline import CompilationOptions, compile_source
 from repro.vm.machine import Machine
-from repro.vm.memory import RecordingMemory
+from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
 from repro.vm.reference import ReferenceMachine
 
 AGGRESSIVE = CompilationOptions(scheme="unified", promotion="aggressive")
+NONE = CompilationOptions(scheme="unified", promotion="none")
+
+#: The geometry the generic bindings simulate: ``repro-analyze
+#: --check``'s small one, where bypasses, kills and evictions all bite.
+CACHE = CacheConfig(size_words=64, associativity=2)
 
 
 class _UnfusedMachine(Machine):
@@ -29,6 +41,50 @@ class _UnfusedMachine(Machine):
     _enable_fusion = False
 
 
+def _flat(program):
+    memory = FlatMemory()
+    return memory, lambda: {"words": memory.words}
+
+
+def _recording(program):
+    memory = RecordingMemory()
+    return memory, lambda: {
+        "words": memory.flat.words, "trace": list(memory.buffer),
+    }
+
+
+def _streaming(program):
+    memory = StreamingMemory(Cache(CACHE))
+    return memory, lambda: {
+        "words": memory.flat.words, "stats": memory.sink.stats,
+    }
+
+
+def _validating(program):
+    memory = ValidatingMemory(analyze_program(program, CACHE))
+    return memory, lambda: {
+        "words": memory.flat.words,
+        "stats": memory.cache.stats,
+        "audits": (memory.events_total, memory.events_classified,
+                   memory.event_tiers),
+        "mismatches": [
+            (m.site, m.address, m.event_index, m.predicted, m.present)
+            for m in memory.mismatches
+        ],
+    }
+
+
+#: One memory per binding of ``Machine._memory_plan``: ``(memory,
+#: observe)`` factories, ``observe()`` returning what the run left in
+#: the memory system.  Streaming and validating share the generic one.
+BINDINGS = {
+    "flat": _flat,
+    "recording": _recording,
+    "streaming": _streaming,
+    "validating": _validating,
+}
+
+
 def _run(cls, program, max_steps=None, memory=None):
     vm = cls(program.module, memory=memory,
              machine=program.options.machine)
@@ -36,29 +92,45 @@ def _run(cls, program, max_steps=None, memory=None):
     return vm, result
 
 
-def assert_equivalent(source, options=None):
+def assert_equivalent(source, options=None, binding="recording"):
     program = compile_source(source, options or CompilationOptions())
     runs = []
     for cls in (Machine, _UnfusedMachine, ReferenceMachine):
-        memory = RecordingMemory()
+        memory, observe = BINDINGS[binding](program)
         vm, result = _run(cls, program, memory=memory)
-        runs.append((vm, memory, result))
-    (vm_a, mem_a, res_a) = runs[0]
-    for vm_b, mem_b, res_b in runs[1:]:
+        runs.append((vm, observe(), result))
+    (vm_a, seen_a, res_a) = runs[0]
+    assert vm_a._fast_handlers is not None
+    for vm_b, seen_b, res_b in runs[1:]:
         assert res_a.return_value == res_b.return_value
         assert res_a.output == res_b.output
         assert res_a.steps == res_b.steps
         assert vm_a.regs == vm_b.regs
-        assert mem_a.flat.words == mem_b.flat.words
-        assert list(mem_a.buffer) == list(mem_b.buffer)
+        assert seen_a == seen_b
+
+
+@pytest.fixture(params=sorted(BINDINGS))
+def binding(request):
+    return request.param
 
 
 class TestObservableEquivalence:
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_benchmark_aggressive(self, name):
-        """Aggressive promotion is where fusion coverage peaks (locals
-        live in registers), so it is the sharpest differential."""
+        """Aggressive promotion fuses the longest register runs
+        (locals live in registers)."""
         assert_equivalent(get_benchmark(name).source, AGGRESSIVE)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    @pytest.mark.parametrize("binding", ["flat", "streaming", "validating"])
+    def test_benchmark_aggressive_bindings(self, name, binding):
+        assert_equivalent(get_benchmark(name).source, AGGRESSIVE, binding)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_benchmark_no_promotion(self, name, binding):
+        """No promotion leaves every scalar reference in memory, so
+        nearly every fused op is a Load/Store."""
+        assert_equivalent(get_benchmark(name).source, NONE, binding)
 
     @pytest.mark.parametrize("name", ["sieve", "towers"])
     @pytest.mark.parametrize("promotion", ["none", "modest", "aggressive"])
@@ -73,6 +145,14 @@ class TestObservableEquivalence:
         from repro.robustness.generator import generate_program
 
         assert_equivalent(generate_program(seed).source, AGGRESSIVE)
+
+    @pytest.mark.parametrize("seed", [5, 23, 47, 101])
+    @pytest.mark.parametrize("options", [AGGRESSIVE, NONE],
+                             ids=["aggressive", "none"])
+    def test_generated_program_bindings(self, seed, options, binding):
+        from repro.robustness.generator import generate_program
+
+        assert_equivalent(generate_program(seed).source, options, binding)
 
     def test_tight_self_loop_threads_correctly(self):
         """A block whose Jump closes back on itself — the thread pass
@@ -107,20 +187,26 @@ class TestFuelAccounting:
                 vm.run(max_steps=500)
             assert vm.steps == 501, cls.__name__
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 50, 499])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 50, 499, 5003])
     def test_exhaustion_agrees_at_every_budget(self, budget):
-        program = compile_source(
-            get_benchmark("sieve").source, AGGRESSIVE
-        )
-        outcomes = []
-        for cls in (Machine, ReferenceMachine):
-            vm = cls(program.module, machine=program.options.machine)
-            try:
-                result = vm.run(max_steps=budget)
-                outcomes.append(("done", result.steps, result.return_value))
-            except ResourceExhausted:
-                outcomes.append(("exhausted", vm.steps, None))
-        assert outcomes[0] == outcomes[1]
+        """A run that would overrun the budget executes op by op up to
+        it: at promotion none, whose runs hold loads and stores, the
+        partial trace and words match the oracle's too."""
+        for options in (AGGRESSIVE, NONE):
+            program = compile_source(get_benchmark("sieve").source, options)
+            outcomes = []
+            for cls in (Machine, ReferenceMachine):
+                memory = RecordingMemory()
+                vm = cls(program.module, memory=memory,
+                         machine=program.options.machine)
+                try:
+                    result = vm.run(max_steps=budget)
+                    outcome = ("done", result.steps, result.return_value)
+                except ResourceExhausted:
+                    outcome = ("exhausted", vm.steps, None)
+                outcomes.append((outcome, vm.regs, list(memory.buffer),
+                                 memory.flat.words))
+            assert outcomes[0] == outcomes[1], options.promotion
 
     def test_successful_run_step_counts_match(self):
         program = compile_source(get_benchmark("towers").source, AGGRESSIVE)
@@ -130,6 +216,55 @@ class TestFuelAccounting:
 
 
 class TestErrorEquivalence:
+    WILD = """
+    int a[4];
+    int main() {
+        int i;
+        int s;
+        i = 3;
+        s = a[i];
+        a[i] = s + 1;
+        i = i * 10000000;
+        a[i] = 5;
+        return s;
+    }
+    """
+
+    def _raised(self, cls, program, memory):
+        vm = cls(program.module, memory=memory,
+                 machine=program.options.machine)
+        with pytest.raises((VMError, ResourceExhausted)) as info:
+            vm.run()
+        return str(info.value), vm.regs
+
+    @pytest.mark.parametrize("options", [AGGRESSIVE, NONE],
+                             ids=["aggressive", "none"])
+    def test_wild_access_mid_run(self, options, binding):
+        """A wild address inside a fused run raises the handler's
+        message after the run's earlier ops took effect."""
+        program = compile_source(self.WILD, options)
+        seen = []
+        for cls in (Machine, _UnfusedMachine, ReferenceMachine):
+            memory, observe = BINDINGS[binding](program)
+            message, regs = self._raised(cls, program, memory)
+            seen.append((message, regs, observe()))
+        assert "wild memory access" in seen[0][0]
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 40])
+    def test_trace_cap_mid_run(self, cap):
+        """The trace cap raises from inside a fused run, after exactly
+        the events the oracle recorded."""
+        program = compile_source(get_benchmark("sieve").source, NONE)
+        seen = []
+        for cls in (Machine, ReferenceMachine):
+            memory = RecordingMemory(max_events=cap)
+            message, regs = self._raised(cls, program, memory)
+            seen.append((message, regs, list(memory.buffer),
+                         memory.flat.words))
+        assert "trace buffer exceeded" in seen[0][0]
+        assert seen[0] == seen[1]
+
     def test_division_by_zero_mid_run(self):
         """A trap raised from inside a fused run surfaces as the same
         VMError the scalar handler raises."""
@@ -173,6 +308,30 @@ class TestSinkGating:
         assert vm._costs is None
 
 
+class TestLifetime:
+    @pytest.mark.parametrize("binding", sorted(BINDINGS))
+    def test_machine_is_freed_without_the_cycle_collector(self, binding):
+        """The handlers share a frame object, not the Machine, so a
+        dropped machine frees its memory system and trace at once."""
+        import gc
+        import weakref
+
+        program = compile_source(get_benchmark("towers").source, NONE)
+        memory, _observe = BINDINGS[binding](program)
+        gc.disable()
+        try:
+            vm = Machine(program.module, memory=memory,
+                         machine=program.options.machine)
+            vm.run()
+            machine_ref = weakref.ref(vm)
+            memory_ref = weakref.ref(memory)
+            del vm, memory, _observe
+            assert machine_ref() is None
+            assert memory_ref() is None
+        finally:
+            gc.enable()
+
+
 class TestFastTableStructure:
     def test_overlay_layout(self):
         """Fused handlers overlay run heads; every slot still holds a
@@ -198,12 +357,35 @@ class TestFastTableStructure:
         assert vm._fast_handlers is None
 
     def test_fused_code_cache_is_bounded_and_reused(self):
+        """A second build of the same modules, under every binding,
+        re-uses the cached factories: sites and memory callables are
+        factory arguments, never source text."""
         from repro.vm import machine as machine_mod
 
-        program = compile_source(get_benchmark("sieve").source, AGGRESSIVE)
-        Machine(program.module, machine=program.options.machine)
+        programs = [
+            compile_source(get_benchmark(name).source, options)
+            for name in BENCHMARK_NAMES
+            for options in (AGGRESSIVE, NONE)
+        ]
+
+        def build_all():
+            for program in programs:
+                for make in BINDINGS.values():
+                    memory, _observe = make(program)
+                    Machine(program.module, memory=memory,
+                            machine=program.options.machine)
+
+        build_all()
         before = len(machine_mod._FUSED_CODE_CACHE)
         assert 0 < before <= machine_mod._FUSED_CODE_CACHE_LIMIT
-        # A second build of the same module re-uses the cached factories.
-        Machine(program.module, machine=program.options.machine)
+        build_all()
         assert len(machine_mod._FUSED_CODE_CACHE) == before
+
+    def test_memory_ops_fuse(self):
+        """At promotion none a fused run holds loads and stores: the
+        fast table retires the program in far fewer dispatches."""
+        program = compile_source(get_benchmark("sieve").source, NONE)
+        vm = Machine(program.module, memory=RecordingMemory(),
+                     machine=program.options.machine)
+        heads = [cost for cost in vm._costs if cost > 1]
+        assert heads and max(heads) >= 8
