@@ -54,7 +54,6 @@ import numpy
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import HierarchyError, level_outcome
 from repro.cache.semantics import (
-    ENTRY_DEAD,
     ENTRY_DIRTY,
     LRUPolicy,
     _WAY_TAG,
@@ -227,8 +226,9 @@ class PartitionedLRUPolicy(LRUPolicy):
     def evict(self, set_index):
         lines = self._sets[set_index]
         candidates = self._candidates(lines)
-        dead = [line for line in candidates if line[ENTRY_DEAD]]
-        victim = min(dead or candidates, key=_by_stamp)
+        victim = self._dead_victim(candidates) if self._demoted else None
+        if victim is None:
+            victim = min(candidates, key=_by_stamp)
         self._release(set_index, victim)
         return victim[_WAY_TAG], victim
 

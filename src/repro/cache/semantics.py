@@ -47,7 +47,7 @@ from itertools import count as _count, repeat as _repeat
 import numpy as _np
 
 from repro.cache.stats import CacheStats
-from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
+from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE, set_order
 
 _INFINITY = float("inf")
 
@@ -588,7 +588,7 @@ class _WayPolicy(ReplacementPolicy):
     victim sequence is reproducible across every driver.
     """
 
-    __slots__ = ("_sets", "_free", "resident")
+    __slots__ = ("_sets", "_free", "resident", "_demoted")
 
     #: Extra way-list slots appended after ``_WAY_INSERTED`` (the RRIP
     #: family claims four: rrpv, signature, outcome, set index).
@@ -606,6 +606,10 @@ class _WayPolicy(ReplacementPolicy):
         #: Per-set count of invalid ways.
         self._free = [config.associativity] * config.num_sets
         self.resident = {}
+        #: Has a kill demoted a line since ``reset``?  Only ``demote``
+        #: leaves a line dead, so until then ``evict`` skips the scan
+        #: for dead lines.
+        self._demoted = False
 
     def touch(self, entry, clock, index):
         entry[_WAY_STAMP] = clock
@@ -615,13 +619,20 @@ class _WayPolicy(ReplacementPolicy):
 
     def evict(self, set_index):
         lines = self._sets[set_index]
-        dead = [line for line in lines if line[ENTRY_DEAD]]
-        if dead:
-            victim = min(dead, key=_by_stamp)
-        else:
+        victim = self._dead_victim(lines) if self._demoted else None
+        if victim is None:
             victim = self._victim(set_index, lines)
         self._release(set_index, victim)
         return victim[_WAY_TAG], victim
+
+    def demote(self, entry):
+        self._demoted = True
+
+    @staticmethod
+    def _dead_victim(lines):
+        """The dead line of ``lines`` with the smallest stamp, if any."""
+        dead = [line for line in lines if line[ENTRY_DEAD]]
+        return min(dead, key=_by_stamp) if dead else None
 
     def install(self, set_index, block, clock, index):
         for line in self._sets[set_index]:
@@ -799,6 +810,7 @@ class _RRIPPolicy(_WayPolicy):
         # Kill/bypass interaction: the compiler said dead, so force the
         # hardware's predicted-dead state and withhold the line from
         # predictor training (its non-reuse is knowledge, not evidence).
+        self._demoted = True
         entry[_WAY_RRPV] = RRPV_MAX
         entry[_WAY_SIG] = None
 
@@ -1481,7 +1493,7 @@ def _lane_sweep(stream, num_sets, assocs, line_words, kill_mode,
     blocks = stream.blocks_np
     types = stream.types_np
     if order is None:
-        order = _np.argsort(blocks % num_sets, kind="stable")
+        order = set_order(blocks, num_sets)
     clock = _count(1)
     collapsed = 0
 

@@ -95,6 +95,7 @@ from repro.cache.stackdist import (
     _run_general,
     cold_probes,
 )
+from repro.vm.trace import set_order
 
 #: Above this associativity cap the level loop stops paying for
 #: itself: the kernel then flags every set and replays it through the
@@ -137,7 +138,7 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     blocks = stream.blocks_np
     if len(blocks):
         if order is None:
-            order = _np.argsort(blocks % num_sets, kind="stable")
+            order = set_order(blocks, num_sets)
         for lo, hi in set_blocks(blocks, num_sets):
             _profile_block(profile, stream, num_sets, assoc_cap,
                            write_policy, order[lo:hi], tally, hits)

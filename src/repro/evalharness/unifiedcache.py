@@ -23,12 +23,10 @@ from repro.evalharness.figure5 import figure5_options
 from repro.programs import get_benchmark
 from repro.unified.pipeline import compile_source
 from repro.vm.memory import RecordingMemory
-from repro.vm.trace import (
-    FLAG_BYPASS,
-    FLAG_INSTRUCTION,
-    FLAG_KILL,
-    FLAG_WRITE,
-)
+from repro.vm.trace import FLAG_INSTRUCTION, IS_BYPASS, IS_KILL, IS_WRITE
+
+#: The bypass/kill decode of a replay that ignores the annotations.
+_IGNORED = (False,) * 256
 
 
 @dataclass
@@ -79,6 +77,9 @@ def replay_combined(trace, config=None, honor_annotations=True, **kwargs):
     cache = Cache(config)
     split = SplitStats()
     access = cache.access
+    bypasses, kills = (
+        (IS_BYPASS, IS_KILL) if honor_annotations else (_IGNORED, _IGNORED)
+    )
     for address, flags in trace:
         if flags & FLAG_INSTRUCTION:
             split.i_refs += 1
@@ -86,9 +87,8 @@ def replay_combined(trace, config=None, honor_annotations=True, **kwargs):
                 split.i_hits += 1
             continue
         split.d_refs += 1
-        bypass = honor_annotations and bool(flags & FLAG_BYPASS)
-        kill = honor_annotations and bool(flags & FLAG_KILL)
-        outcome = access(address, bool(flags & FLAG_WRITE), bypass, kill)
+        outcome = access(address, IS_WRITE[flags], bypasses[flags],
+                         kills[flags])
         if outcome == "hit":
             split.d_hits += 1
         elif outcome == "bypass":

@@ -1,12 +1,15 @@
 """Chaitin-style graph coloring with Briggs optimistic spilling.
 
 Simplification removes any node with fewer than K still-present
-neighbors; when none exists, the cheapest node by ``cost / degree`` is
+neighbors, the smallest id first (degrees are kept as nodes leave, not
+recounted); when none exists, the cheapest node by ``cost / degree`` is
 pushed optimistically.  Color assignment walks the stack backwards,
 preferring a move partner's color when legal; nodes that find no color
 become actual spills and are reported to the driver for spill-code
 insertion and another round.
 """
+
+from heapq import heapify, heappop, heappush
 
 from repro.ir.instructions import PReg, VReg
 
@@ -30,29 +33,42 @@ def color_graph(graph, machine):
     """
     num_colors = machine.num_regs
     nodes = graph.vreg_nodes()
+    ordered = sorted(nodes, key=lambda node: node.id)
+    rank = {node: position for position, node in enumerate(ordered)}
     remaining = set(nodes)
 
     # Degrees count both uncolored vregs still in the graph and
-    # precolored physical registers (which never leave).
-    def current_degree(node):
-        degree = 0
-        for neighbor in graph.neighbors(node):
-            if isinstance(neighbor, PReg) or neighbor in remaining:
-                degree += 1
-        return degree
+    # precolored physical registers (which never leave).  Pushing a
+    # node lowers its remaining neighbors' degrees, and degrees only
+    # fall, so a node that drops below K stays simplifiable: ``ready``
+    # holds the ranks of those nodes, and its smallest live rank is the
+    # smallest-id simplifiable node.
+    degree = {}
+    for node in nodes:
+        degree[node] = sum(
+            1 for neighbor in graph.neighbors(node)
+            if isinstance(neighbor, PReg) or neighbor in remaining
+        )
+    ready = [rank[node] for node in nodes if degree[node] < num_colors]
+    heapify(ready)
 
     stack = []
-    ordered = sorted(nodes, key=lambda node: node.id)
     while remaining:
-        candidate = None
-        for node in ordered:
-            if node in remaining and current_degree(node) < num_colors:
-                candidate = node
-                break
-        if candidate is None:
-            candidate = _pick_spill_candidate(graph, remaining, current_degree)
+        while ready and ordered[ready[0]] not in remaining:
+            heappop(ready)
+        if ready:
+            candidate = ordered[heappop(ready)]
+        else:
+            candidate = _pick_spill_candidate(
+                graph, ordered, remaining, degree
+            )
         stack.append(candidate)
         remaining.discard(candidate)
+        for neighbor in graph.neighbors(candidate):
+            if neighbor in remaining:
+                degree[neighbor] -= 1
+                if degree[neighbor] == num_colors - 1:
+                    heappush(ready, rank[neighbor])
 
     assignment = {}
     spilled = []
@@ -72,14 +88,15 @@ def color_graph(graph, machine):
     return ColoringResult(assignment, spilled)
 
 
-def _pick_spill_candidate(graph, remaining, current_degree):
+def _pick_spill_candidate(graph, ordered, remaining, degree):
+    """The cheapest remaining node by ``cost / degree``, smallest id
+    first among equals."""
     best = None
     best_metric = None
-    for node in sorted(remaining, key=lambda node: node.id):
-        if node in graph.no_spill:
+    for node in ordered:
+        if node not in remaining or node in graph.no_spill:
             continue
-        degree = max(current_degree(node), 1)
-        metric = graph.costs.get(node, 1) / degree
+        metric = graph.costs.get(node, 1) / max(degree[node], 1)
         if best_metric is None or metric < best_metric:
             best = node
             best_metric = metric

@@ -34,13 +34,17 @@ a ``probe_hits``.  A ``"miss"``, or a ``"bypass"`` that did not, found
 the block absent.
 
 Static sites are keyed by RefInfo identity: each Load/Store owns one
-:class:`~repro.ir.instructions.RefInfo` and the VM hands exactly that
-object to the memory system, so ``id(ref)`` connects dynamic events to
-static classifications with no trace-format changes.  :func:`site_plan`
-turns an analysis into one :class:`SitePlan` per site — what an event
-of that site counts, audits and does to the presence history — and
-both the validator and the static-only predictor
-(:mod:`repro.staticcheck.predictor`) read it.
+:class:`~repro.ir.instructions.RefInfo`, so ``id(ref)`` connects
+dynamic events to static classifications with no trace-format
+changes.  :func:`site_plan` turns an analysis into one
+:class:`SitePlan` per site — what an event of that site counts, audits
+and does to the presence history — and both the validator and the
+static-only predictor (:mod:`repro.staticcheck.predictor`) read it.
+Sites are bound at machine construction, not looked up per event: the
+VM calls the memory system's ``bind_site`` once per RefInfo while it
+builds its handlers, and the validator compiles that site's plan
+entry into the ``read_at``/``write_at`` closures every event of the
+site then calls (:meth:`ValidatingMemory.bind_site`).
 """
 
 from typing import NamedTuple
@@ -173,10 +177,13 @@ class Mismatch:
 class ValidatingMemory(MemorySystem):
     """Flat memory + online cache that audits static claims in-line.
 
-    The analysis is compiled once, here, into :func:`site_plan`; each
-    event then costs one plan lookup, one count and exactly one
-    ``UnifiedCache.access``.  ``read`` and ``write`` are closures over
-    that state, bound per instance.
+    The analysis is compiled once, here, into :func:`site_plan`, and
+    each site's plan entry once more into the site's own ``read_at`` /
+    ``write_at`` closures (:meth:`bind_site`), which the VM asks for
+    while it builds its handlers.  An event then costs one count and
+    exactly one ``UnifiedCache.access``, plus the presence check its
+    verdict audits; no plan is looked up during the run.  ``read`` and
+    ``write`` call the same closures, memoized by ``id(ref)``.
     """
 
     def __init__(self, analysis, flat=None, max_mismatches=25):
@@ -189,7 +196,16 @@ class ValidatingMemory(MemorySystem):
         self.max_mismatches = max_mismatches
         self.mismatches = []
         self._counts = [0] * len(_VERDICTS)
-        self.read, self.write = self._bind(site_plan(analysis))
+        self._plan = site_plan(analysis)
+        # The presence history behind exact-persistent audits: which
+        # addresses are currently installed through the cache.  Exact
+        # for every address living in a certified (eviction-free) set;
+        # persistent verdicts are only ever issued for those.
+        self._installed = set()
+        #: ``id(ref) -> (ref, read_at, write_at)``.  The closures hold
+        #: no reference to this object, so a dropped run frees it at
+        #: once.
+        self._bound = {}
 
     @property
     def events_total(self):
@@ -203,88 +219,88 @@ class ValidatingMemory(MemorySystem):
     def event_tiers(self):
         return _tally(self._counts)[2]
 
-    def _bind(self, plan):
-        """The ``read``/``write`` closures auditing against ``plan``."""
-        plan_get = plan.get
-        config = self.analysis.config
+    def read(self, address, ref):
+        return self.bind_site(ref)[0](address)
+
+    def write(self, address, value, ref):
+        self.bind_site(ref)[1](address, value)
+
+    def bind_site(self, ref):
+        """The site's audit as ``(read_at, write_at)``, compiled from its
+        plan entry on the first call for ``ref`` (see
+        :meth:`~repro.vm.memory.MemorySystem.bind_site`: the bypass
+        and kill bits are read then)."""
+        bound = self._bound.get(id(ref))
+        if bound is None or bound[0] is not ref:
+            bound = self._bound[id(ref)] = (ref,) + self._compile_site(ref)
+        return bound[1:]
+
+    def _compile_site(self, ref):
+        entry = self._plan.get(id(ref))
+        if entry is None:
+            entry = plan_ref(ref, self.analysis.config)
+        slot, kind, bypass, kill, removes, site, verdict = entry
         counts = self._counts
         access = self.cache.access
+        words = self.flat.words
+        get = words.get
+        installed = self._installed
+        track = installed.discard if removes else installed.add
+
+        if kind == AUDIT_NONE:
+            def read_at(address):
+                counts[slot] += 1
+                access(address, False, bypass, kill)
+                track(address)
+                return get(address, 0)
+
+            def write_at(address, value):
+                counts[slot] += 1
+                access(address, True, bypass, kill)
+                track(address)
+                words[address] = value
+
+            return read_at, write_at
+
         stats = self.cache.stats
         mismatches = self.mismatches
         max_mismatches = self.max_mismatches
-        words = self.flat.words
-        # The presence history behind exact-persistent audits: which
-        # addresses are currently installed through the cache.  Exact
-        # for every address living in a certified (eviction-free) set;
-        # persistent verdicts are only ever issued for those.
-        installed = set()
-        install = installed.add
-        remove = installed.discard
+        persistent = kind == AUDIT_PERSISTENT
+        hit = kind == AUDIT_HIT
 
-        def mismatch(address, entry, present):
+        def mismatch(address, present):
             if len(mismatches) < max_mismatches:
                 mismatches.append(Mismatch(
-                    entry.site, address, sum(counts) - 1, entry.verdict,
-                    present,
+                    site, address, sum(counts) - 1, verdict, present,
                 ))
 
-        # read and write each carry the whole audit in-line (no shared
-        # helper frame: one call per reference is the hot path).
-        get = words.get
-
-        def read(address, ref):
-            entry = plan_get(id(ref))
-            if entry is None:
-                entry = plan_ref(ref, config)
-            slot, kind, bypass, kill, removes, _site, _verdict = entry
+        # read_at and write_at each carry the whole audit in-line (no
+        # shared helper frame: one call per reference is the hot path).
+        def read_at(address):
             counts[slot] += 1
-            if kind:
-                expected = (
-                    address in installed if kind == AUDIT_PERSISTENT
-                    else kind == AUDIT_HIT
-                )
-                probes = stats.probe_hits
-                outcome = access(address, False, bypass, kill)
-                present = outcome == "hit" or (
-                    outcome == "bypass" and stats.probe_hits != probes
-                )
-                if present != expected:
-                    mismatch(address, entry, present)
-            else:
-                access(address, False, bypass, kill)
-            if removes:
-                remove(address)
-            else:
-                install(address)
+            expected = address in installed if persistent else hit
+            probes = stats.probe_hits
+            outcome = access(address, False, bypass, kill)
+            if (outcome == "hit" or (
+                outcome == "bypass" and stats.probe_hits != probes
+            )) != expected:
+                mismatch(address, not expected)
+            track(address)
             return get(address, 0)
 
-        def write(address, value, ref):
-            entry = plan_get(id(ref))
-            if entry is None:
-                entry = plan_ref(ref, config)
-            slot, kind, bypass, kill, removes, _site, _verdict = entry
+        def write_at(address, value):
             counts[slot] += 1
-            if kind:
-                expected = (
-                    address in installed if kind == AUDIT_PERSISTENT
-                    else kind == AUDIT_HIT
-                )
-                probes = stats.probe_hits
-                outcome = access(address, True, bypass, kill)
-                present = outcome == "hit" or (
-                    outcome == "bypass" and stats.probe_hits != probes
-                )
-                if present != expected:
-                    mismatch(address, entry, present)
-            else:
-                access(address, True, bypass, kill)
-            if removes:
-                remove(address)
-            else:
-                install(address)
+            expected = address in installed if persistent else hit
+            probes = stats.probe_hits
+            outcome = access(address, True, bypass, kill)
+            if (outcome == "hit" or (
+                outcome == "bypass" and stats.probe_hits != probes
+            )) != expected:
+                mismatch(address, not expected)
+            track(address)
             words[address] = value
 
-        return read, write
+        return read_at, write_at
 
     def poke(self, address, value):
         self.flat.poke(address, value)

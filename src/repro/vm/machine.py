@@ -2,21 +2,31 @@
 
 Executes fully allocated IR: sixteen physical registers, a word-
 addressed memory, a downward-growing stack of frames.  Every data
-memory access goes through the pluggable memory system together with
-its :class:`RefInfo`, which is how traces and cache models observe the
-reference stream with the paper's bypass/kill annotations attached.
+memory access goes through the pluggable memory system, which is how
+traces and cache models observe the reference stream with the paper's
+bypass/kill annotations attached.  Those annotations belong to the
+static Load/Store site (its :class:`RefInfo`), so the memory system
+sees them once per site, not once per event: exact-type
+:class:`FlatMemory` and :class:`RecordingMemory` are inlined (the
+trace flag byte encoded at construction), and every other memory
+system is bound per site — the machine calls its
+:meth:`~repro.vm.memory.MemorySystem.bind_site` once per RefInfo while
+it builds its handlers, and each event calls the returned
+``read_at(address)`` or ``write_at(address, value)``.
 
 The hot loop is **closure-compiled**: at construction time every
 instruction is translated into a zero-argument handler closure with
 its operand kinds, arithmetic op, frame offsets, jump targets, and
-trace flag byte resolved once, instead of being re-dispatched on every
-step.  The interpreter loop is then just ``index = handlers[index]()``
-plus the fuel check; each handler returns the global index of its
-successor.  Handlers bind the memory system at construction — build
-the :class:`Machine` after the memory it should run against, and do
-not swap ``vm.memory`` afterwards.  They share the frame pointer and
-call stack through a small :class:`_Frame`, never the machine itself,
-so a dropped machine frees its memory system and trace at once.
+trace flag byte or bound memory site resolved once, instead of being
+re-dispatched on every step.  The interpreter loop is then just
+``index = handlers[index]()`` plus the fuel check; each handler
+returns the global index of its successor.  Handlers bind the memory
+system at construction — build the :class:`Machine` after the memory
+it should run against, and after the last change to a reference's
+bypass/kill bits, and do not swap ``vm.memory`` afterwards.  They
+share the frame pointer and call stack through a small
+:class:`_Frame`, never the machine itself, so a dropped machine frees
+its memory system and trace at once.
 
 On top of the per-instruction handlers the compiler builds
 **superinstructions**: each maximal straight-line run of BinOp/Move/
@@ -25,12 +35,13 @@ Jump/CJump/Ret or a known Call) is code-generated into a single
 zero-argument handler, so one dispatch retires the whole run.  A
 Load/Store inlines its memory binding's effects (``_memory_plan``) in
 the order its per-instruction handler applies them: the wild-address
-check, the trace append, then the word read or write, or the memory
-system's ``read``/``write``.  The generated bodies inline register
-indices, constants, frame offsets and flag bytes as literals; the
-memory callables and each site's instruction and RefInfo are factory
-arguments, so bodies are cached module-wide by source text and
-structurally repeated runs share one code object.
+check, the trace append, then the word read or write, or the call to
+its site's bound ``read_at``/``write_at``.  The generated bodies
+inline register indices, constants, frame offsets and flag bytes as
+literals; the memory callables, each memory op's instruction and each
+site's bound callable are factory arguments, so bodies are cached
+module-wide by source text and structurally repeated runs share one
+code object.
 
 Fuel is charged a run's full length before it executes.  When a run
 would overrun the budget, the loop hands its index to the
@@ -160,11 +171,12 @@ _FUSE_RUN_LIMIT = 32
 
 #: Per memory binding (:meth:`Machine._memory_plan`): the names its
 #: callables take, in order, in the per-instruction handlers and in the
-#: fused bodies' factories.
+#: fused bodies' factories.  The site binding has no memory-wide
+#: callables: each site's own pair is a factory argument.
 _MEMORY_NAMES = {
     "recording": ("aa", "fa", "addrs", "lim", "append", "get", "words"),
     "flat": ("get", "words"),
-    "generic": ("read", "write"),
+    "site": (),
 }
 
 
@@ -255,10 +267,11 @@ def _fuse_address(ins, offsets, hi, site):
 
 # One statement generator per memory binding: a Load (``value`` None)
 # or a Store of ``value`` at address expression ``a``, in the order the
-# binding's per-instruction handler applies its effects.
+# binding's per-instruction handler applies its effects.  ``memory`` is
+# the binding's callables (the site binding's: its per-site binder).
 
 
-def _fuse_recording(ins, a, value, site):
+def _fuse_recording(ins, a, value, site, memory):
     fb = encode_flags(ins.ref, value is not None)
     lines = [
         "if len(addrs) < lim:",
@@ -274,22 +287,23 @@ def _fuse_recording(ins, a, value, site):
     return lines
 
 
-def _fuse_flat(ins, a, value, site):
+def _fuse_flat(ins, a, value, site, memory):
     if value is None:
         return ["r[%d] = get(%s, 0)" % (ins.dest.index, a)]
     return ["words[%s] = %s" % (a, value)]
 
 
-def _fuse_generic(ins, a, value, site):
+def _fuse_site(ins, a, value, site, bind):
+    read_at, write_at = bind(ins.ref)
     if value is None:
-        return ["r[%d] = read(%s, %s)" % (ins.dest.index, a, site(ins.ref))]
-    return ["write(%s, %s, %s)" % (a, value, site(ins.ref))]
+        return ["r[%d] = %s(%s)" % (ins.dest.index, site(read_at), a)]
+    return ["%s(%s, %s)" % (site(write_at), a, value)]
 
 
 _FUSE_MEMORY = {
     "recording": _fuse_recording,
     "flat": _fuse_flat,
-    "generic": _fuse_generic,
+    "site": _fuse_site,
 }
 
 
@@ -510,7 +524,9 @@ class Machine:
         compiled code object serves every machine whose run has the
         same shape: ``f`` is the machine's :class:`_Frame`, ``r`` its
         register file, ``m`` the memory binding's callables and ``k``
-        the memory ops' instructions and RefInfos, in order of use.
+        the memory ops' instructions (for the wild-address message)
+        and, under the site binding, their sites' bound ``read_at`` /
+        ``write_at``, in order of use.
         Returns ``(handler, instructions_retired)``.
 
         A closing Jump is **threaded**: instead of returning the
@@ -539,7 +555,8 @@ class Machine:
                 uses_memory = True
                 setup, a = _fuse_address(ins, offsets, hi, site)
                 value = None if cls is Load else _fuse_operand(ins.src)
-                for line in setup + fuse_memory(ins, a, value, site):
+                for line in setup + fuse_memory(ins, a, value, site,
+                                                memory):
                     lines.append("        " + line)
             else:
                 lines.append("        " + _fuse_stmt(ins, offsets))
@@ -634,8 +651,9 @@ class Machine:
                 ])
             break
         head = ["def _make(f, r, m, k):"]
-        if uses_memory:
-            head.append("    %s = m" % ", ".join(_MEMORY_NAMES[kind]))
+        names = _MEMORY_NAMES[kind]
+        if uses_memory and names:
+            head.append("    %s = m" % ", ".join(names))
         if sites:
             head.append("    %s, = k" % ", ".join(
                 "k%d" % i for i in range(len(sites))
@@ -828,16 +846,21 @@ class Machine:
     def _memory_plan(self):
         """How loads/stores bind the memory system.
 
-        Returns ``(kind, callables)``, the callables named by
-        ``_MEMORY_NAMES[kind]``.  Exact-type :class:`RecordingMemory`
-        (over exact-type :class:`FlatMemory`) and exact-type
-        :class:`FlatMemory` get inlined fast paths — the flag byte is
+        Returns ``(kind, callables)``.  Exact-type
+        :class:`RecordingMemory` (over exact-type :class:`FlatMemory`)
+        and exact-type :class:`FlatMemory` get inlined fast paths, the
+        callables named by ``_MEMORY_NAMES[kind]`` — the flag byte is
         encoded at compile time and the handler talks straight to the
         trace buffer's arrays
         (:meth:`~repro.vm.trace.TraceBuffer.direct_appends`; at the
         event cap it calls ``append``, which raises) and the word dict.
-        Anything else (streaming sinks, subclasses) goes through
-        ``memory.read``/``memory.write`` unchanged.
+        Anything else (streaming sinks, the audits, subclasses) gets the
+        ``"site"`` binding, whose one callable ``bind(ref)`` returns the
+        site's ``(read_at, write_at)`` from
+        :meth:`~repro.vm.memory.MemorySystem.bind_site`.  ``bind``
+        calls ``bind_site`` once per RefInfo, however many handlers
+        and fused bodies (jump threading repeats an instruction) the
+        site appears in.
         """
         memory = self.memory
         if (
@@ -853,7 +876,16 @@ class Machine:
             )
         if type(memory) is FlatMemory:
             return "flat", (memory.words.get, memory.words)
-        return "generic", (memory.read, memory.write)
+        bind_site = memory.bind_site
+        bound = {}
+
+        def bind(ref):
+            pair = bound.get(id(ref))
+            if pair is None:
+                pair = bound[id(ref)] = bind_site(ref)
+            return pair
+
+        return "site", bind
 
     def _compile_load(self, ins, nxt, offsets):
         regs = self.regs
@@ -867,7 +899,7 @@ class Machine:
         elif kind == "flat":
             get, _words = memory
         else:
-            read, _write = memory
+            read_at = memory(ins.ref)[0]
 
         if mem.__class__ is SymMem:
             symbol = mem.symbol
@@ -888,9 +920,8 @@ class Machine:
                         regs[d] = get(a, 0)
                         return n
                 else:
-                    def h(read=read, regs=regs, d=d, a=address,
-                          ref=ins.ref, n=nxt):
-                        regs[d] = read(a, ref)
+                    def h(read_at=read_at, regs=regs, d=d, a=address, n=nxt):
+                        regs[d] = read_at(a)
                         return n
                 return h
             off = offsets[symbol]
@@ -910,9 +941,9 @@ class Machine:
                     regs[d] = get(f.fp + off, 0)
                     return n
             else:
-                def h(read=read, regs=regs, f=frame, d=d, off=off,
-                      ref=ins.ref, n=nxt):
-                    regs[d] = read(f.fp + off, ref)
+                def h(read_at=read_at, regs=regs, f=frame, d=d, off=off,
+                      n=nxt):
+                    regs[d] = read_at(f.fp + off)
                     return n
             return h
 
@@ -948,8 +979,8 @@ class Machine:
                 regs[d] = get(a, 0)
                 return n
         else:
-            def h(read=read, regs=regs, d=d, ai=ai, lo=lo, hi=hi,
-                  ref=ins.ref, ins=ins, n=nxt):
+            def h(read_at=read_at, regs=regs, d=d, ai=ai, lo=lo, hi=hi,
+                  ins=ins, n=nxt):
                 a = regs[ai]
                 if a < lo or a >= hi:
                     raise VMError(
@@ -957,7 +988,7 @@ class Machine:
                             a, ins
                         )
                     )
-                regs[d] = read(a, ref)
+                regs[d] = read_at(a)
                 return n
         return h
 
@@ -975,7 +1006,7 @@ class Machine:
         elif kind == "flat":
             _get, words = memory
         else:
-            _read, write = memory
+            write_at = memory(ins.ref)[1]
 
         if mem.__class__ is SymMem:
             symbol = mem.symbol
@@ -1016,14 +1047,13 @@ class Machine:
                             return n
                 else:
                     if src_reg is not None:
-                        def h(write=write, regs=regs, a=address, s=src_reg,
-                              ref=ins.ref, n=nxt):
-                            write(a, regs[s], ref)
+                        def h(write_at=write_at, regs=regs, a=address,
+                              s=src_reg, n=nxt):
+                            write_at(a, regs[s])
                             return n
                     else:
-                        def h(write=write, a=address, v=src_val,
-                              ref=ins.ref, n=nxt):
-                            write(a, v, ref)
+                        def h(write_at=write_at, a=address, v=src_val, n=nxt):
+                            write_at(a, v)
                             return n
                 return h
             off = offsets[symbol]
@@ -1065,14 +1095,14 @@ class Machine:
                         return n
             else:
                 if src_reg is not None:
-                    def h(write=write, regs=regs, f=frame, off=off,
-                          s=src_reg, ref=ins.ref, n=nxt):
-                        write(f.fp + off, regs[s], ref)
+                    def h(write_at=write_at, regs=regs, f=frame, off=off,
+                          s=src_reg, n=nxt):
+                        write_at(f.fp + off, regs[s])
                         return n
                 else:
-                    def h(write=write, f=frame, off=off, v=src_val,
-                          ref=ins.ref, n=nxt):
-                        write(f.fp + off, v, ref)
+                    def h(write_at=write_at, f=frame, off=off, v=src_val,
+                          n=nxt):
+                        write_at(f.fp + off, v)
                         return n
             return h
 
@@ -1142,8 +1172,8 @@ class Machine:
                     return n
         else:
             if src_reg is not None:
-                def h(write=write, regs=regs, ai=ai, lo=lo, hi=hi,
-                      s=src_reg, ref=ins.ref, ins=ins, n=nxt):
+                def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
+                      s=src_reg, ins=ins, n=nxt):
                     a = regs[ai]
                     if a < lo or a >= hi:
                         raise VMError(
@@ -1151,11 +1181,11 @@ class Machine:
                                 a, ins
                             )
                         )
-                    write(a, regs[s], ref)
+                    write_at(a, regs[s])
                     return n
             else:
-                def h(write=write, regs=regs, ai=ai, lo=lo, hi=hi,
-                      v=src_val, ref=ins.ref, ins=ins, n=nxt):
+                def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
+                      v=src_val, ins=ins, n=nxt):
                     a = regs[ai]
                     if a < lo or a >= hi:
                         raise VMError(
@@ -1163,7 +1193,7 @@ class Machine:
                                 a, ins
                             )
                         )
-                    write(a, v, ref)
+                    write_at(a, v)
                     return n
         return h
 

@@ -1,4 +1,14 @@
-"""Memory systems the VM can run against."""
+"""Memory systems the VM can run against.
+
+A memory system answers word reads and writes, each annotated with the
+:class:`~repro.ir.instructions.RefInfo` of the Load/Store that made
+it.  The VM never hands it that RefInfo per event: while it builds its
+handlers it calls :meth:`MemorySystem.bind_site` once per static
+site, and every event of the site then calls the bound pair with the
+address alone.  ``read``/``write`` remain the per-event entry points
+of the reference interpreter (:class:`repro.vm.reference.ReferenceMachine`)
+and of direct callers.
+"""
 
 from repro.vm.trace import TraceBuffer, encode_flags
 
@@ -11,6 +21,32 @@ class MemorySystem:
 
     def write(self, address, value, ref):
         raise NotImplementedError
+
+    def bind_site(self, ref):
+        """``(read_at, write_at)`` for the static site that owns ``ref``.
+
+        ``read_at(address)`` returns the word and
+        ``write_at(address, value)`` stores it, with exactly the effects
+        of ``read(address, ref)`` and ``write(address, value, ref)``.
+        The VM calls this once per RefInfo while it builds its handlers,
+        so an override may read the site's bypass and kill bits, and
+        anything else it derives from ``ref``, there and only there:
+        change ``ref.bypass``/``ref.kill`` before the machine that runs
+        the program is built, never during its run.
+
+        This default closes over ``read``/``write`` with ``ref`` bound,
+        so a memory system that implements only those still runs, one
+        frame deeper.
+        """
+        read, write = self.read, self.write
+
+        def read_at(address):
+            return read(address, ref)
+
+        def write_at(address, value):
+            write(address, value, ref)
+
+        return read_at, write_at
 
 
 class FlatMemory(MemorySystem):
@@ -84,6 +120,24 @@ class StreamingMemory(MemorySystem):
     def write(self, address, value, ref):
         self.sink.access(address, True, ref.bypass, ref.kill)
         self.flat.words[address] = value
+
+    def bind_site(self, ref):
+        """The site's bypass and kill bits, read once (see
+        :meth:`MemorySystem.bind_site`)."""
+        access = self.sink.access
+        words = self.flat.words
+        get = words.get
+        bypass, kill = ref.bypass, ref.kill
+
+        def read_at(address):
+            access(address, False, bypass, kill)
+            return get(address, 0)
+
+        def write_at(address, value):
+            access(address, True, bypass, kill)
+            words[address] = value
+
+        return read_at, write_at
 
     def poke(self, address, value):
         self.flat.poke(address, value)

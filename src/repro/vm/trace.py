@@ -100,6 +100,23 @@ def origin_from_flags(flags):
     return _CODE_ORIGINS[(flags & ORIGIN_MASK) >> ORIGIN_SHIFT]
 
 
+def set_order(blocks, num_sets):
+    """``numpy.argsort(blocks % num_sets, kind="stable")``: the events
+    set-major, each set's in time order.
+
+    Up to 65,536 sets the key is computed straight into a uint16 array,
+    with no int64 temporary, and NumPy's stable argsort of a 16-bit key
+    is a radix sort; a stable sort's permutation is unique, so the
+    result is the same.  Wider geometries keep the int64 key.
+    """
+    if num_sets <= 1 << 16:
+        key = numpy.empty(len(blocks), dtype=numpy.uint16)
+        numpy.remainder(blocks, num_sets, out=key, casting="unsafe")
+    else:
+        key = blocks % num_sets
+    return numpy.argsort(key, kind="stable")
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """An unpacked view of one reference, for tests and small tools."""
@@ -292,9 +309,10 @@ class TraceBuffer:
     def set_partition(self, num_sets, line_words=1):
         """A stable argsort of the trace by cache-set index.
 
-        Returns a NumPy int64 permutation that groups events set-major
-        (all of set 0's events in time order, then set 1's, ...).  The
-        sort key is ``(address // line_words) % num_sets`` — the set
+        Returns a NumPy int64 permutation (:func:`set_order`) that
+        groups events set-major (all of set 0's events in time order,
+        then set 1's, ...).  The sort key is
+        ``(address // line_words) % num_sets`` — the set
         index every replay engine derives — so one partition is shared
         by the stack-distance profiler's run collapse and the
         vectorized set-major kernels for every flavor of the same
@@ -305,7 +323,7 @@ class TraceBuffer:
         def build():
             addresses, _ = self.to_columns()
             blocks = addresses if line_words == 1 else addresses // line_words
-            return numpy.argsort(blocks % num_sets, kind="stable")
+            return set_order(blocks, num_sets)
 
         return self.memoized(
             ("set_partition", int(num_sets), int(line_words)), build

@@ -14,7 +14,14 @@ before :func:`repro.staticcheck.crossval.site_plan`: per event it
 dispatches on the verdict, calls ``UnifiedCache.probe`` for presence,
 then makes the access.  The planned
 :class:`~repro.staticcheck.crossval.ValidatingMemory`, which reads
-presence from the access itself, must audit exactly as it does.
+presence from the access itself, must audit exactly as it does.  It
+implements only ``read``/``write``, so the VM drives it through the
+default :meth:`~repro.vm.memory.MemorySystem.bind_site`.
+
+:func:`color_graph_rescan` is the graph colourer as it was before
+:func:`repro.regalloc.chaitin.color_graph` kept its degrees: every
+pick rescans the nodes from the smallest id and recounts each
+candidate's degree.  Both must pick, assign and spill identically.
 """
 
 import struct
@@ -30,6 +37,8 @@ from repro.cache.multicore import (
     interleave_traces,
 )
 from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE, UnifiedCache
+from repro.ir.instructions import PReg
+from repro.regalloc.chaitin import ColoringResult, _preferred_color
 from repro.staticcheck.crossval import Mismatch
 from repro.staticcheck.mustmay import TIER_OF, TIERS, Classification
 from repro.vm.memory import FlatMemory, MemorySystem
@@ -331,3 +340,69 @@ class ProbingValidatingMemory(MemorySystem):
 
     def peek(self, address):
         return self.flat.peek(address)
+
+
+def color_graph_rescan(graph, machine):
+    """The colourer that recounts degrees on every pick."""
+    num_colors = machine.num_regs
+    nodes = graph.vreg_nodes()
+    remaining = set(nodes)
+
+    # Degrees count both uncolored vregs still in the graph and
+    # precolored physical registers (which never leave).
+    def current_degree(node):
+        degree = 0
+        for neighbor in graph.neighbors(node):
+            if isinstance(neighbor, PReg) or neighbor in remaining:
+                degree += 1
+        return degree
+
+    stack = []
+    ordered = sorted(nodes, key=lambda node: node.id)
+    while remaining:
+        candidate = None
+        for node in ordered:
+            if node in remaining and current_degree(node) < num_colors:
+                candidate = node
+                break
+        if candidate is None:
+            candidate = _pick_spill_candidate_rescan(
+                graph, remaining, current_degree
+            )
+        stack.append(candidate)
+        remaining.discard(candidate)
+
+    assignment = {}
+    spilled = []
+    while stack:
+        node = stack.pop()
+        forbidden = set()
+        for neighbor in graph.neighbors(node):
+            if isinstance(neighbor, PReg):
+                forbidden.add(neighbor.index)
+            elif neighbor in assignment:
+                forbidden.add(assignment[neighbor])
+        color = _preferred_color(graph, node, assignment, forbidden, num_colors)
+        if color is None:
+            spilled.append(node)
+        else:
+            assignment[node] = color
+    return ColoringResult(assignment, spilled)
+
+
+def _pick_spill_candidate_rescan(graph, remaining, current_degree):
+    best = None
+    best_metric = None
+    for node in sorted(remaining, key=lambda node: node.id):
+        if node in graph.no_spill:
+            continue
+        degree = max(current_degree(node), 1)
+        metric = graph.costs.get(node, 1) / degree
+        if best_metric is None or metric < best_metric:
+            best = node
+            best_metric = metric
+    if best is None:
+        best = min(
+            remaining, key=lambda node: (graph.costs.get(node, 1), node.id)
+        )
+    return best

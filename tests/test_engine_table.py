@@ -244,6 +244,20 @@ DEMOTED_REVIVAL = [
     (0, 0), (0, FLAG_KILL), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 0),
 ]
 
+#: The specs where a kill demotes and a set has a victim to choose:
+#: demoted kills, or multi-word lines (whose kills always demote), at
+#: two or more ways.
+DEMOTE_SPECS = [
+    spec for spec in SPECS
+    if spec.honor_kill and spec.associativity > 1
+    and (spec.kill_mode == "demote" or spec.line_words > 1)
+]
+
+#: Plain reads of 64 consecutive words: every set of every
+#: ``DEMOTE_SPECS`` geometry sees more blocks than it has ways, so each
+#: evicts before any kill arrives.
+EVICTING_PREFIX = [(address, 0) for address in range(64)]
+
 FUZZER_SEEDS = (3, 7, 11, 17, 23, 29, 45, 79, 91, 117)
 
 
@@ -453,6 +467,25 @@ class TestExactness:
     def test_figure5_traces(self, figure5_traces):
         for trace in figure5_traces.values():
             assert_table_exact(trace, FIGURE5_SPECS, masks=False)
+
+    def test_evicting_prefix_evicts_in_every_set(self):
+        assert DEMOTE_SPECS
+        for spec in DEMOTE_SPECS:
+            blocks = {address // spec.line_words
+                      for address, _flags in EVICTING_PREFIX}
+            per_set = [0] * spec.num_sets
+            for block in blocks:
+                per_set[block % spec.num_sets] += 1
+            assert min(per_set) > spec.associativity, spec
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=traces)
+    def test_first_kill_after_every_set_evicted(self, events):
+        """The online policies look for dead lines only once a kill has
+        demoted one.  A first kill that arrives after every set has
+        evicted must still leave the lane walks' dead-first victims."""
+        assert_table_exact(make_trace(EVICTING_PREFIX + events),
+                           DEMOTE_SPECS)
 
     @settings(max_examples=25, deadline=None)
     @given(events=traces)

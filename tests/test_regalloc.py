@@ -168,6 +168,70 @@ class TestColoring:
         assert spill_refs
 
 
+class TestColoringAgainstRescan:
+    """:func:`~repro.regalloc.chaitin.color_graph` keeps each node's
+    degree as nodes leave; :func:`scalar_reference.color_graph_rescan`
+    recounts it on every pick.  On every graph the compiler builds,
+    both must assign the same colours in the same order and spill the
+    same nodes."""
+
+    TINY = MachineConfig(num_regs=8, num_arg_regs=4, num_caller_saved=4)
+
+    def colorings(self, monkeypatch, sources, options):
+        from scalar_reference import color_graph_rescan
+
+        from repro.regalloc import allocator
+        from repro.regalloc.chaitin import color_graph
+
+        spills = []
+
+        def both(graph, machine):
+            result = color_graph(graph, machine)
+            oracle = color_graph_rescan(graph, machine)
+            assert (list(result.assignment.items())
+                    == list(oracle.assignment.items()))
+            assert result.spilled == oracle.spilled
+            spills.append(len(result.spilled))
+            return result
+
+        monkeypatch.setattr(allocator, "color_graph", both)
+        for source in sources:
+            for option in options:
+                compile_source(source, option)
+        return spills
+
+    @pytest.mark.parametrize("promotion", ["none", "modest", "aggressive"])
+    def test_benchmarks(self, monkeypatch, promotion):
+        from repro.programs import (
+            BENCHMARK_NAMES,
+            EXTRA_BENCHMARK_NAMES,
+            get_benchmark,
+        )
+
+        sources = [get_benchmark(name).source
+                   for name in BENCHMARK_NAMES + EXTRA_BENCHMARK_NAMES]
+        spills = self.colorings(monkeypatch, sources, [
+            CompilationOptions(scheme="unified", promotion=promotion),
+        ])
+        assert len(spills) >= len(sources)
+
+    def test_generated_programs(self, monkeypatch):
+        from repro.robustness.generator import generate_program
+
+        sources = [generate_program(seed).source for seed in range(12)]
+        self.colorings(monkeypatch, sources, [
+            CompilationOptions(promotion=promotion)
+            for promotion in ("none", "aggressive")
+        ])
+
+    def test_spilling_graphs(self, monkeypatch):
+        spills = self.colorings(monkeypatch, [PRESSURE_SOURCE], [
+            CompilationOptions(promotion="aggressive"),
+            CompilationOptions(promotion="aggressive", machine=self.TINY),
+        ])
+        assert sum(spills) > 0
+
+
 class TestCalleeSaves:
     def test_recursive_function_saves_callee_registers(self):
         source = (

@@ -4,32 +4,48 @@
 register ops and loads/stores — optionally closed by one control op,
 with Jump targets threaded through — into single exec-generated
 handlers.  This suite holds the fused table to the same bar as the
-closure compiler, under every memory binding the VM inlines
-(``Machine._memory_plan``: flat, recording, and the generic
-``read``/``write`` path of a streaming cache or the static-analysis
-validator): identical observable behaviour to
-:class:`ReferenceMachine` (return value, output, steps, registers,
-memory, traces, cache stats, audits), exact fuel accounting at
-exhaustion, and an untouched per-instruction path whenever an
-``instruction_sink`` needs to see every fetch.
+closure compiler, under every memory binding the VM knows
+(``Machine._memory_plan``: flat, recording, and the per-site binding
+through ``MemorySystem.bind_site`` of a streaming cache, the
+static-analysis validator, the static predictor, the data-carrying
+cache and a memory system that implements only ``read``/``write``):
+identical observable behaviour to :class:`ReferenceMachine`, which
+calls ``read``/``write`` per event (return value, output, steps,
+registers, memory, traces, cache stats, audits, predictions), exact
+fuel accounting at exhaustion, and an untouched per-instruction path
+whenever an ``instruction_sink`` needs to see every fetch.  Each
+RefInfo is bound once, and the validator looks no plan up while the
+program runs.
 """
+
+from collections import Counter
+from unittest import mock
 
 import pytest
 
 from repro.cache.cache import Cache, CacheConfig
+from repro.cache.functional import DataCachedMemory
+from repro.ir.instructions import Load, Store
 from repro.lang.errors import ResourceExhausted, VMError
 from repro.programs import BENCHMARK_NAMES, get_benchmark
 from repro.staticcheck.crossval import ValidatingMemory
 from repro.staticcheck.mustmay import analyze_program
+from repro.staticcheck.predictor import PredictingMemory
 from repro.unified.pipeline import CompilationOptions, compile_source
+from repro.vm import machine as machine_mod
 from repro.vm.machine import Machine
-from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
+from repro.vm.memory import (
+    FlatMemory,
+    MemorySystem,
+    RecordingMemory,
+    StreamingMemory,
+)
 from repro.vm.reference import ReferenceMachine
 
 AGGRESSIVE = CompilationOptions(scheme="unified", promotion="aggressive")
 NONE = CompilationOptions(scheme="unified", promotion="none")
 
-#: The geometry the generic bindings simulate: ``repro-analyze
+#: The geometry the per-site bindings simulate: ``repro-analyze
 #: --check``'s small one, where bypasses, kills and evictions all bite.
 CACHE = CacheConfig(size_words=64, associativity=2)
 
@@ -74,14 +90,66 @@ def _validating(program):
     }
 
 
+def _predicting(program):
+    memory = PredictingMemory(analyze_program(program, CACHE, exact=True))
+    return memory, lambda: {
+        "words": memory.flat.words,
+        "predicted": (memory.hits, memory.misses, memory.refs_total,
+                      memory.refs_bypassed, memory.unpredicted,
+                      list(memory.unpredicted_sites.items())),
+    }
+
+
+def _data_cached(program):
+    memory = DataCachedMemory(CACHE)
+
+    def observe():
+        memory.flush()
+        return {"stats": memory.stats, "main": memory.main}
+
+    return memory, observe
+
+
+class ReadWriteOnlyMemory(MemorySystem):
+    """Implements only ``read``/``write``: the VM binds it through the
+    default :meth:`MemorySystem.bind_site`."""
+
+    def __init__(self):
+        self.words = {}
+        self.log = []
+
+    def read(self, address, ref):
+        self.log.append((address, id(ref), ref.bypass, ref.kill))
+        return self.words.get(address, 0)
+
+    def write(self, address, value, ref):
+        self.log.append((address, id(ref), value))
+        self.words[address] = value
+
+    def poke(self, address, value):
+        self.words[address] = value
+
+    def peek(self, address):
+        return self.words.get(address, 0)
+
+
+def _read_write_only(program):
+    memory = ReadWriteOnlyMemory()
+    return memory, lambda: {"words": memory.words, "log": memory.log}
+
+
 #: One memory per binding of ``Machine._memory_plan``: ``(memory,
 #: observe)`` factories, ``observe()`` returning what the run left in
-#: the memory system.  Streaming and validating share the generic one.
+#: the memory system.  All but flat and recording share the per-site
+#: binding.
 BINDINGS = {
     "flat": _flat,
     "recording": _recording,
     "streaming": _streaming,
     "validating": _validating,
+    "predicting": _predicting,
+    "data-cached": _data_cached,
+    "read-write-only": _read_write_only,
 }
 
 
@@ -122,7 +190,7 @@ class TestObservableEquivalence:
         assert_equivalent(get_benchmark(name).source, AGGRESSIVE)
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-    @pytest.mark.parametrize("binding", ["flat", "streaming", "validating"])
+    @pytest.mark.parametrize("binding", sorted(set(BINDINGS) - {"recording"}))
     def test_benchmark_aggressive_bindings(self, name, binding):
         assert_equivalent(get_benchmark(name).source, AGGRESSIVE, binding)
 
@@ -308,6 +376,120 @@ class TestSinkGating:
         assert vm._costs is None
 
 
+class _CountingPlan(dict):
+    """A plan mapping that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def _memory_refs(module):
+    return {
+        id(ins.ref)
+        for function in module.functions.values()
+        for ins in function.instructions()
+        if isinstance(ins, (Load, Store))
+    }
+
+
+class TestSiteBinding:
+    @pytest.mark.parametrize("options", [AGGRESSIVE, NONE],
+                             ids=["aggressive", "none"])
+    def test_validator_looks_up_no_plan_during_run(self, options):
+        """Every plan lookup happens while the machine is built; the
+        run itself only calls the bound closures."""
+        program = compile_source(get_benchmark("queen").source, options)
+        memory = ValidatingMemory(analyze_program(program, CACHE))
+        memory._plan = plan = _CountingPlan(memory._plan)
+        vm = Machine(program.module, memory=memory,
+                     machine=program.options.machine)
+        built = plan.lookups
+        assert built == len(_memory_refs(program.module))
+        vm.run()
+        assert memory.events_total > 0
+        assert plan.lookups == built
+
+    @pytest.mark.parametrize("options", [AGGRESSIVE, NONE],
+                             ids=["aggressive", "none"])
+    def test_each_ref_is_bound_once(self, options):
+        """Jump threading emits a site in several fused bodies, and
+        each site also has its per-instruction handler, but the memory
+        system binds each RefInfo once."""
+        program = compile_source(get_benchmark("towers").source, options)
+        memory = StreamingMemory(Cache(CACHE))
+        bound = Counter()
+        bind_site = memory.bind_site
+
+        def counting_bind(ref):
+            bound[id(ref)] += 1
+            return bind_site(ref)
+
+        memory.bind_site = counting_bind
+        emitted = Counter()
+        fuse_site = machine_mod._FUSE_MEMORY["site"]
+
+        def counting_fuse(ins, a, value, site, bind):
+            emitted[id(ins.ref)] += 1
+            return fuse_site(ins, a, value, site, bind)
+
+        with mock.patch.dict(machine_mod._FUSE_MEMORY,
+                             {"site": counting_fuse}):
+            Machine(program.module, memory=memory,
+                    machine=program.options.machine)
+        assert set(bound) == _memory_refs(program.module)
+        assert set(bound.values()) == {1}
+        assert max(emitted.values()) >= 2
+
+    def test_bits_are_read_when_the_machine_is_built(self):
+        """A site's bypass/kill bits are fixed once its machine exists:
+        flipping them afterwards changes nothing the bound run does,
+        and a machine built after the flip sees it."""
+        program = compile_source(get_benchmark("towers").source, NONE)
+        refs = [
+            ins.ref
+            for function in program.module.functions.values()
+            for ins in function.instructions()
+            if isinstance(ins, (Load, Store)) and ins.ref.bypass
+        ]
+        assert refs
+
+        def stats(flip_after_build):
+            memory = StreamingMemory(Cache(CACHE))
+            vm = Machine(program.module, memory=memory,
+                         machine=program.options.machine)
+            if flip_after_build:
+                for ref in refs:
+                    ref.bypass = False
+            try:
+                vm.run()
+            finally:
+                for ref in refs:
+                    ref.bypass = True
+            return memory.sink.stats
+
+        before = stats(False)
+        assert stats(True) == before
+        for ref in refs:
+            ref.bypass = False
+        try:
+            after = stats(False)
+        finally:
+            for ref in refs:
+                ref.bypass = True
+        assert after.refs_bypassed == 0 < before.refs_bypassed
+
+
 class TestLifetime:
     @pytest.mark.parametrize("binding", sorted(BINDINGS))
     def test_machine_is_freed_without_the_cycle_collector(self, binding):
@@ -360,8 +542,6 @@ class TestFastTableStructure:
         """A second build of the same modules, under every binding,
         re-uses the cached factories: sites and memory callables are
         factory arguments, never source text."""
-        from repro.vm import machine as machine_mod
-
         programs = [
             compile_source(get_benchmark(name).source, options)
             for name in BENCHMARK_NAMES

@@ -1,5 +1,6 @@
 """Trace encoding and memory-system wrapper tests."""
 
+import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from repro.vm.trace import (
     TraceEvent,
     encode_flags,
     origin_from_flags,
+    set_order,
 )
 from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
 from scalar_reference import rptrace1_bytes
@@ -186,6 +188,53 @@ class TestTraceBuffer:
             TraceBuffer.from_bytes(data, max_events=3)
         assert len(TraceBuffer.from_bytes(data, max_events=10)) == 10
         assert len(TraceBuffer.from_bytes(data, max_events=None)) == 10
+
+
+#: Set counts on both sides of the 16-bit key's range.
+SET_COUNTS = (1, 3, 48, 64, 4096, 65536, 65537)
+
+
+def assert_set_order(buffer):
+    """:func:`set_order`, and the partition built on it, equal the
+    int64-key stable argsort at every set count and line size."""
+    addresses, _flags = buffer.to_columns()
+    for line_words in (1, 4):
+        blocks = addresses if line_words == 1 else addresses // line_words
+        for num_sets in SET_COUNTS:
+            want = numpy.argsort(blocks % num_sets, kind="stable")
+            got = set_order(blocks, num_sets)
+            assert got.dtype == want.dtype
+            assert numpy.array_equal(got, want), (line_words, num_sets)
+            assert numpy.array_equal(
+                buffer.set_partition(num_sets, line_words), want
+            )
+
+
+class TestSetOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(events=st.lists(
+        st.tuples(st.integers(0, 1 << 62), st.sampled_from(ENCODABLE_FLAGS)),
+        max_size=400,
+    ))
+    def test_hypothesis_traces(self, events):
+        buffer = TraceBuffer()
+        for address, flags in events:
+            buffer.append(address, flags)
+        assert_set_order(buffer)
+
+    @pytest.mark.parametrize("seed", [3, 11, 45])
+    def test_fuzzer_traces(self, seed):
+        from repro.robustness.generator import generate_program
+        from repro.unified.pipeline import CompilationOptions, compile_source
+
+        program = compile_source(
+            generate_program(seed).source,
+            CompilationOptions(scheme="unified", promotion="none"),
+        )
+        memory = RecordingMemory()
+        program.run(memory=memory)
+        assert len(memory.buffer)
+        assert_set_order(memory.buffer)
 
 
 class TestMemorySystems:
