@@ -12,8 +12,6 @@ paper's hardware depends on.
 Restricted to line size one, like the paper's data cache.
 """
 
-from itertools import count
-
 from repro.cache.cache import CacheConfig
 from repro.cache.semantics import UnifiedCache
 from repro.vm.memory import MemorySystem
@@ -37,8 +35,7 @@ class DataCachedMemory(MemorySystem):
             raise ValueError("the functional model requires line size 1")
         self.config = config
         self._core = UnifiedCache(config, policy=policy, data=True)
-        #: The event index every access takes, shared by all sites.
-        self._events = count()
+        self._index = 0
 
     @property
     def stats(self):
@@ -63,31 +60,17 @@ class DataCachedMemory(MemorySystem):
 
     def read(self, address, ref):
         core = self._core
-        core.access(address, False, ref.bypass, ref.kill,
-                    index=next(self._events))
+        index = self._index
+        self._index = index + 1
+        core.access(address, False, ref.bypass, ref.kill, index=index)
         return core.value
 
     def write(self, address, value, ref):
-        self._core.access(address, True, ref.bypass, ref.kill, value=value,
-                          index=next(self._events))
-
-    def bind_site(self, ref):
-        """The site's bypass and kill bits, read once (see
-        :meth:`~repro.vm.memory.MemorySystem.bind_site`)."""
-        core = self._core
-        access = core.access
-        events = self._events
-        bypass, kill = ref.bypass, ref.kill
-
-        def read_at(address):
-            access(address, False, bypass, kill, index=next(events))
-            return core.value
-
-        def write_at(address, value):
-            access(address, True, bypass, kill, value=value,
-                   index=next(events))
-
-        return read_at, write_at
+        index = self._index
+        self._index = index + 1
+        self._core.access(
+            address, True, ref.bypass, ref.kill, value=value, index=index
+        )
 
     def flush(self):
         """Write every dirty line back; used before final memory checks."""

@@ -41,10 +41,10 @@ changes.  :func:`site_plan` turns an analysis into one
 and does to the presence history — and both the validator and the
 static-only predictor (:mod:`repro.staticcheck.predictor`) read it.
 Sites are bound at machine construction, not looked up per event: the
-VM calls the memory system's ``bind_site`` once per RefInfo while it
+VM asks the memory system's ``bind_site`` for each site while it
 builds its handlers, and the validator compiles that site's plan
-entry into the ``read_at``/``write_at`` closures every event of the
-site then calls (:meth:`ValidatingMemory.bind_site`).
+entry, once per RefInfo, into the ``read_at``/``write_at`` closures
+every event of the site then calls (:meth:`ValidatingMemory.bind_site`).
 """
 
 from typing import NamedTuple
@@ -183,7 +183,7 @@ class ValidatingMemory(MemorySystem):
     while it builds its handlers.  An event then costs one count and
     exactly one ``UnifiedCache.access``, plus the presence check its
     verdict audits; no plan is looked up during the run.  ``read`` and
-    ``write`` call the same closures, memoized by ``id(ref)``.
+    ``write`` call the same closures.
     """
 
     def __init__(self, analysis, flat=None, max_mismatches=25):
@@ -227,9 +227,12 @@ class ValidatingMemory(MemorySystem):
 
     def bind_site(self, ref):
         """The site's audit as ``(read_at, write_at)``, compiled from its
-        plan entry on the first call for ``ref`` (see
-        :meth:`~repro.vm.memory.MemorySystem.bind_site`: the bypass
-        and kill bits are read then)."""
+        plan entry on the first call for ``ref`` and memoized by
+        ``id(ref)``, so the VM's handlers and fused bodies, ``read``
+        and ``write`` share one pair per site (see
+        :meth:`~repro.vm.memory.MemorySystem.bind_site`).  A planned
+        site's bypass and kill bits were read when this memory was
+        built, an unplanned one's are read here."""
         bound = self._bound.get(id(ref))
         if bound is None or bound[0] is not ref:
             bound = self._bound[id(ref)] = (ref,) + self._compile_site(ref)

@@ -41,108 +41,60 @@ from repro.staticcheck.mustmay import analyze_program
 from repro.vm.memory import FlatMemory, MemorySystem
 
 
-#: Slots of :class:`PredictingMemory`'s tally.
-_TOTAL, _BYPASSED, _UNPREDICTED, _HITS, _MISSES = range(5)
-
-
-def _tallied(slot):
-    return property(lambda memory: memory._tally[slot])
-
-
 class PredictingMemory(MemorySystem):
     """Flat memory that scores hits/misses from static verdicts alone.
 
     Each site's verdict dispatch and presence-history effect come from
     the same :func:`~repro.staticcheck.crossval.site_plan` the
-    cross-validator audits with, compiled into the site's own
-    ``read_at``/``write_at`` when the VM binds it (:meth:`bind_site`);
-    ``read``/``write`` call the same closures, memoized by ``id(ref)``.
+    cross-validator audits with.
     """
-
-    refs_total = _tallied(_TOTAL)
-    refs_bypassed = _tallied(_BYPASSED)
-    unpredicted = _tallied(_UNPREDICTED)
-    hits = _tallied(_HITS)
-    misses = _tallied(_MISSES)
 
     def __init__(self, analysis, flat=None):
         self.analysis = analysis
         self.flat = flat if flat is not None else FlatMemory()
+        self.hits = 0
+        self.misses = 0
+        self.refs_total = 0
+        self.refs_bypassed = 0
+        self.unpredicted = 0
         self.unpredicted_sites = {}
-        self._tally = [0] * 5
         self._plan = site_plan(analysis)
         self._installed = set()
-        #: ``id(ref) -> (ref, read_at, write_at)``; the closures hold no
-        #: reference to this object.
-        self._bound = {}
 
-    def read(self, address, ref):
-        return self.bind_site(ref)[0](address)
-
-    def write(self, address, value, ref):
-        self.bind_site(ref)[1](address, value)
-
-    def bind_site(self, ref):
-        """The site's prediction as ``(read_at, write_at)``, compiled
-        from its plan entry on the first call for ``ref`` (see
-        :meth:`~repro.vm.memory.MemorySystem.bind_site`)."""
-        bound = self._bound.get(id(ref))
-        if bound is None or bound[0] is not ref:
-            bound = self._bound[id(ref)] = (ref,) + self._compile_site(ref)
-        return bound[1:]
-
-    def _compile_site(self, ref):
+    def _predict(self, address, ref):
+        self.refs_total += 1
         entry = self._plan.get(id(ref))
         if entry is None:
             entry = plan_ref(ref, self.analysis.config)
-        tally = self._tally
-        installed = self._installed
-        track = installed.discard if entry.removes else installed.add
-        site = entry.site
         if entry.bypass:
             # Bypass path: served around the cache, never a hit/miss
             # event.
-            outcome = _BYPASSED
+            self.refs_bypassed += 1
         elif entry.audit == AUDIT_NONE:
-            outcome = _UNPREDICTED
-        elif entry.audit == AUDIT_PERSISTENT:
-            outcome = None
+            self.unpredicted += 1
+            site = entry.site
+            if site is not None and len(self.unpredicted_sites) < 10:
+                self.unpredicted_sites.setdefault(
+                    site.where(), site.classification.value
+                )
+        elif entry.audit == AUDIT_HIT or (
+            entry.audit == AUDIT_PERSISTENT and address in self._installed
+        ):
+            self.hits += 1
         else:
-            outcome = _HITS if entry.audit == AUDIT_HIT else _MISSES
-
-        if outcome == _UNPREDICTED and site is not None:
-            sites = self.unpredicted_sites
-            where, verdict = site.where(), site.classification.value
-
-            def predict(address):
-                tally[_TOTAL] += 1
-                tally[_UNPREDICTED] += 1
-                if len(sites) < 10:
-                    sites.setdefault(where, verdict)
-                track(address)
-        elif outcome is None:
-            def predict(address):
-                tally[_TOTAL] += 1
-                tally[_HITS if address in installed else _MISSES] += 1
-                track(address)
+            self.misses += 1
+        if entry.removes:
+            self._installed.discard(address)
         else:
-            def predict(address):
-                tally[_TOTAL] += 1
-                tally[outcome] += 1
-                track(address)
+            self._installed.add(address)
 
-        words = self.flat.words
-        get = words.get
+    def read(self, address, ref):
+        self._predict(address, ref)
+        return self.flat.words.get(address, 0)
 
-        def read_at(address):
-            predict(address)
-            return get(address, 0)
-
-        def write_at(address, value):
-            predict(address)
-            words[address] = value
-
-        return read_at, write_at
+    def write(self, address, value, ref):
+        self._predict(address, ref)
+        self.flat.words[address] = value
 
     def poke(self, address, value):
         self.flat.poke(address, value)

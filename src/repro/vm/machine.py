@@ -5,14 +5,14 @@ addressed memory, a downward-growing stack of frames.  Every data
 memory access goes through the pluggable memory system, which is how
 traces and cache models observe the reference stream with the paper's
 bypass/kill annotations attached.  Those annotations belong to the
-static Load/Store site (its :class:`RefInfo`), so the memory system
-sees them once per site, not once per event: exact-type
+static Load/Store site (its :class:`RefInfo`), so the machine hands
+them over when it builds its handlers, not per event: exact-type
 :class:`FlatMemory` and :class:`RecordingMemory` are inlined (the
 trace flag byte encoded at construction), and every other memory
-system is bound per site — the machine calls its
-:meth:`~repro.vm.memory.MemorySystem.bind_site` once per RefInfo while
-it builds its handlers, and each event calls the returned
-``read_at(address)`` or ``write_at(address, value)``.
+system is bound per site — each handler and fused body asks its
+:meth:`~repro.vm.memory.MemorySystem.bind_site` for the site's pair,
+and each event calls ``read_at(address)`` or
+``write_at(address, value)``.
 
 The hot loop is **closure-compiled**: at construction time every
 instruction is translated into a zero-argument handler closure with
@@ -268,7 +268,7 @@ def _fuse_address(ins, offsets, hi, site):
 # One statement generator per memory binding: a Load (``value`` None)
 # or a Store of ``value`` at address expression ``a``, in the order the
 # binding's per-instruction handler applies its effects.  ``memory`` is
-# the binding's callables (the site binding's: its per-site binder).
+# the binding's callables (the site binding's: ``bind_site``).
 
 
 def _fuse_recording(ins, a, value, site, memory):
@@ -855,12 +855,10 @@ class Machine:
         (:meth:`~repro.vm.trace.TraceBuffer.direct_appends`; at the
         event cap it calls ``append``, which raises) and the word dict.
         Anything else (streaming sinks, the audits, subclasses) gets the
-        ``"site"`` binding, whose one callable ``bind(ref)`` returns the
-        site's ``(read_at, write_at)`` from
-        :meth:`~repro.vm.memory.MemorySystem.bind_site`.  ``bind``
-        calls ``bind_site`` once per RefInfo, however many handlers
-        and fused bodies (jump threading repeats an instruction) the
-        site appears in.
+        ``"site"`` binding, whose one callable is the memory system's
+        :meth:`~repro.vm.memory.MemorySystem.bind_site`: each handler
+        and fused body that holds a Load/Store asks it for the site's
+        ``(read_at, write_at)``.
         """
         memory = self.memory
         if (
@@ -876,16 +874,7 @@ class Machine:
             )
         if type(memory) is FlatMemory:
             return "flat", (memory.words.get, memory.words)
-        bind_site = memory.bind_site
-        bound = {}
-
-        def bind(ref):
-            pair = bound.get(id(ref))
-            if pair is None:
-                pair = bound[id(ref)] = bind_site(ref)
-            return pair
-
-        return "site", bind
+        return "site", memory.bind_site
 
     def _compile_load(self, ins, nxt, offsets):
         regs = self.regs

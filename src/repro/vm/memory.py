@@ -3,10 +3,10 @@
 A memory system answers word reads and writes, each annotated with the
 :class:`~repro.ir.instructions.RefInfo` of the Load/Store that made
 it.  The VM never hands it that RefInfo per event: while it builds its
-handlers it calls :meth:`MemorySystem.bind_site` once per static
-site, and every event of the site then calls the bound pair with the
-address alone.  ``read``/``write`` remain the per-event entry points
-of the reference interpreter (:class:`repro.vm.reference.ReferenceMachine`)
+handlers it asks :meth:`MemorySystem.bind_site` for each static site's
+pair, and every event of the site then calls the pair with the address
+alone.  ``read``/``write`` remain the per-event entry points of the
+reference interpreter (:class:`repro.vm.reference.ReferenceMachine`)
 and of direct callers.
 """
 
@@ -28,15 +28,18 @@ class MemorySystem:
         ``read_at(address)`` returns the word and
         ``write_at(address, value)`` stores it, with exactly the effects
         of ``read(address, ref)`` and ``write(address, value, ref)``.
-        The VM calls this once per RefInfo while it builds its handlers,
-        so an override may read the site's bypass and kill bits, and
-        anything else it derives from ``ref``, there and only there:
-        change ``ref.bypass``/``ref.kill`` before the machine that runs
-        the program is built, never during its run.
+        The VM calls this while it builds its handlers, once for each
+        handler and fused body the site appears in (jump threading
+        repeats an instruction), so an override that compiles the site
+        memoizes it per RefInfo.  An override may read the site's
+        bypass and kill bits, and anything else it derives from
+        ``ref``, there and only there: change ``ref.bypass``/``ref.kill``
+        before the machine that runs the program is built, never during
+        its run.
 
         This default closes over ``read``/``write`` with ``ref`` bound,
-        so a memory system that implements only those still runs, one
-        frame deeper.
+        so a memory system that implements only those runs one frame
+        deeper.
         """
         read, write = self.read, self.write
 
@@ -120,24 +123,6 @@ class StreamingMemory(MemorySystem):
     def write(self, address, value, ref):
         self.sink.access(address, True, ref.bypass, ref.kill)
         self.flat.words[address] = value
-
-    def bind_site(self, ref):
-        """The site's bypass and kill bits, read once (see
-        :meth:`MemorySystem.bind_site`)."""
-        access = self.sink.access
-        words = self.flat.words
-        get = words.get
-        bypass, kill = ref.bypass, ref.kill
-
-        def read_at(address):
-            access(address, False, bypass, kill)
-            return get(address, 0)
-
-        def write_at(address, value):
-            access(address, True, bypass, kill)
-            words[address] = value
-
-        return read_at, write_at
 
     def poke(self, address, value):
         self.flat.poke(address, value)

@@ -13,9 +13,9 @@ identical observable behaviour to :class:`ReferenceMachine`, which
 calls ``read``/``write`` per event (return value, output, steps,
 registers, memory, traces, cache stats, audits, predictions), exact
 fuel accounting at exhaustion, and an untouched per-instruction path
-whenever an ``instruction_sink`` needs to see every fetch.  Each
-RefInfo is bound once, and the validator looks no plan up while the
-program runs.
+whenever an ``instruction_sink`` needs to see every fetch.  The
+validator compiles each RefInfo's audit once and looks no plan up
+while the program runs.
 """
 
 from collections import Counter
@@ -424,18 +424,18 @@ class TestSiteBinding:
                              ids=["aggressive", "none"])
     def test_each_ref_is_bound_once(self, options):
         """Jump threading emits a site in several fused bodies, and
-        each site also has its per-instruction handler, but the memory
-        system binds each RefInfo once."""
+        each site also has its per-instruction handler, but the
+        validator compiles each RefInfo's audit once."""
         program = compile_source(get_benchmark("towers").source, options)
-        memory = StreamingMemory(Cache(CACHE))
-        bound = Counter()
-        bind_site = memory.bind_site
+        memory = ValidatingMemory(analyze_program(program, CACHE))
+        compiled = Counter()
+        compile_site = memory._compile_site
 
-        def counting_bind(ref):
-            bound[id(ref)] += 1
-            return bind_site(ref)
+        def counting_compile(ref):
+            compiled[id(ref)] += 1
+            return compile_site(ref)
 
-        memory.bind_site = counting_bind
+        memory._compile_site = counting_compile
         emitted = Counter()
         fuse_site = machine_mod._FUSE_MEMORY["site"]
 
@@ -447,14 +447,15 @@ class TestSiteBinding:
                              {"site": counting_fuse}):
             Machine(program.module, memory=memory,
                     machine=program.options.machine)
-        assert set(bound) == _memory_refs(program.module)
-        assert set(bound.values()) == {1}
+        assert set(compiled) == _memory_refs(program.module)
+        assert set(compiled.values()) == {1}
         assert max(emitted.values()) >= 2
 
     def test_bits_are_read_when_the_machine_is_built(self):
-        """A site's bypass/kill bits are fixed once its machine exists:
-        flipping them afterwards changes nothing the bound run does,
-        and a machine built after the flip sees it."""
+        """A validated site's bypass/kill bits are fixed once its
+        machine exists: flipping them afterwards changes nothing the
+        bound audit does, and a validator and machine built after the
+        flip see it."""
         program = compile_source(get_benchmark("towers").source, NONE)
         refs = [
             ins.ref
@@ -465,7 +466,7 @@ class TestSiteBinding:
         assert refs
 
         def stats(flip_after_build):
-            memory = StreamingMemory(Cache(CACHE))
+            memory = ValidatingMemory(analyze_program(program, CACHE))
             vm = Machine(program.module, memory=memory,
                          machine=program.options.machine)
             if flip_after_build:
@@ -476,7 +477,7 @@ class TestSiteBinding:
             finally:
                 for ref in refs:
                     ref.bypass = True
-            return memory.sink.stats
+            return memory.cache.stats
 
         before = stats(False)
         assert stats(True) == before
