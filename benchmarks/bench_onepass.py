@@ -112,7 +112,10 @@ V1_EVENT_BYTES = 9
 
 class _UnfusedMachine(Machine):
     """The closure VM with superinstruction fusion disabled — the
-    baseline side of the fused-vs-unfused ratio."""
+    baseline side of the fused-vs-unfused ratio.  Its Load/Store
+    handlers call each site's ``bind_site`` pair, while the fused
+    bodies inline the recording memory, so the ratio measures that
+    inlining as well as the saved dispatches."""
 
     _enable_fusion = False
 

@@ -87,7 +87,16 @@ def pytest_runtest_logreport(report):
 
 def pytest_sessionfinish(session):
     """Emit the per-module BENCH_*.json records so each layer's cost
-    trajectory accumulates alongside the other benchmark records."""
+    trajectory accumulates alongside the other benchmark records.
+
+    Each record says whether pytest-benchmark timed its ``benchmark``
+    fixtures: a bench's call phase includes those rounds when it did,
+    so the same tree reads several times slower with it on.  The flag
+    is the mode the plugin actually ran in, which ``--benchmark-enable``
+    and xdist change as well as ``--benchmark-disable``.
+    """
+    bench_session = getattr(session.config, "_benchmarksession", None)
+    disabled = bench_session is None or bench_session.disabled
     for timings, filename in _timing_sinks.values():
         if not timings:
             continue
@@ -97,6 +106,7 @@ def pytest_sessionfinish(session):
             ),
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "benchmark_disabled": disabled,
             "timings": timings,
         }
         out_path = os.path.join(str(session.config.rootdir), filename)

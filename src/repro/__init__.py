@@ -37,7 +37,7 @@ from repro.regalloc.promotion import PromotionLevel
 from repro.cache.cache import Cache, CacheConfig
 from repro.cache.stats import CacheStats
 from repro.vm.machine import ExecutionResult, Machine, run_module
-from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
+from repro.vm.memory import FlatMemory, RecordingMemory
 
 __version__ = "1.0.0"
 
@@ -55,6 +55,5 @@ __all__ = [
     "run_module",
     "FlatMemory",
     "RecordingMemory",
-    "StreamingMemory",
     "__version__",
 ]

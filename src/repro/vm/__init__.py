@@ -10,14 +10,12 @@ obtains its different views of the same execution:
 * :class:`RecordingMemory` — flat memory plus a compact
   :class:`TraceBuffer` of every data reference for offline cache
   simulation (including Belady MIN, which needs the future);
-* :class:`StreamingMemory` — flat memory feeding an online cache
-  simulator without materialising the trace;
 * :class:`repro.cache.functional.DataCachedMemory` — a cache that
   actually holds the data, used to *prove* the unified protocol
   (bypass + kill bits) never changes program results.
 """
 
-from repro.vm.memory import FlatMemory, MemorySystem, RecordingMemory, StreamingMemory
+from repro.vm.memory import FlatMemory, MemorySystem, RecordingMemory
 from repro.vm.machine import ExecutionResult, Machine, run_module
 from repro.vm.trace import (
     FLAG_AMBIGUOUS,
@@ -38,7 +36,6 @@ __all__ = [
     "MemorySystem",
     "FlatMemory",
     "RecordingMemory",
-    "StreamingMemory",
     "TraceBuffer",
     "TraceEvent",
     "encode_flags",

@@ -6,19 +6,19 @@ memory access goes through the pluggable memory system, which is how
 traces and cache models observe the reference stream with the paper's
 bypass/kill annotations attached.  Those annotations belong to the
 static Load/Store site (its :class:`RefInfo`), so the machine hands
-them over when it builds its handlers, not per event: exact-type
-:class:`FlatMemory` and :class:`RecordingMemory` are inlined (the
-trace flag byte encoded at construction), and every other memory
-system is bound per site — each handler and fused body asks its
-:meth:`~repro.vm.memory.MemorySystem.bind_site` for the site's pair,
+them over when it builds its handlers, not per event: each
+per-instruction Load/Store handler asks the memory system's
+:meth:`~repro.vm.memory.MemorySystem.bind_site` for its site's pair,
 and each event calls ``read_at(address)`` or
-``write_at(address, value)``.
+``write_at(address, value)``.  The fused bodies bind the same way,
+except under exact-type :class:`RecordingMemory`, whose trace append
+(the flag byte encoded at construction) and word access they inline.
 
 The hot loop is **closure-compiled**: at construction time every
 instruction is translated into a zero-argument handler closure with
-its operand kinds, arithmetic op, frame offsets, jump targets, and
-trace flag byte or bound memory site resolved once, instead of being
-re-dispatched on every step.  The interpreter loop is then just
+its operand kinds, arithmetic op, frame offsets, jump targets and
+bound memory site resolved once, instead of being re-dispatched on
+every step.  The interpreter loop is then just
 ``index = handlers[index]()`` plus the fuel check; each handler
 returns the global index of its successor.  Handlers bind the memory
 system at construction — build the :class:`Machine` after the memory
@@ -33,15 +33,15 @@ On top of the per-instruction handlers the compiler builds
 UnOp/AddrOfSym and Load/Store ops (optionally closing with the block's
 Jump/CJump/Ret or a known Call) is code-generated into a single
 zero-argument handler, so one dispatch retires the whole run.  A
-Load/Store inlines its memory binding's effects (``_memory_plan``) in
-the order its per-instruction handler applies them: the wild-address
-check, the trace append, then the word read or write, or the call to
-its site's bound ``read_at``/``write_at``.  The generated bodies
-inline register indices, constants, frame offsets and flag bytes as
-literals; the memory callables, each memory op's instruction and each
-site's bound callable are factory arguments, so bodies are cached
-module-wide by source text and structurally repeated runs share one
-code object.
+Load/Store applies its per-instruction handler's effects in order: the
+wild-address check, then the call to its site's bound
+``read_at``/``write_at`` or, under the recording binding
+(``_memory_plan``), that pair's trace append and word read or write,
+inlined.  The generated bodies inline register indices, constants,
+frame offsets and flag bytes as literals; the memory callables, each
+memory op's instruction and each site's bound callable are factory
+arguments, so bodies are cached module-wide by source text and
+structurally repeated runs share one code object.
 
 Fuel is charged a run's full length before it executes.  When a run
 would overrun the budget, the loop hands its index to the
@@ -169,13 +169,12 @@ _FUSED_CODE_CACHE_LIMIT = 4096
 _FUSE_RUN_LIMIT = 32
 
 
-#: Per memory binding (:meth:`Machine._memory_plan`): the names its
-#: callables take, in order, in the per-instruction handlers and in the
-#: fused bodies' factories.  The site binding has no memory-wide
-#: callables: each site's own pair is a factory argument.
+#: Per memory binding of the fused bodies (:meth:`Machine._memory_plan`):
+#: the names its callables take, in order, in their factories.  The
+#: site binding has no memory-wide callables: each site's own pair is a
+#: factory argument.
 _MEMORY_NAMES = {
     "recording": ("aa", "fa", "addrs", "lim", "append", "get", "words"),
-    "flat": ("get", "words"),
     "site": (),
 }
 
@@ -266,9 +265,9 @@ def _fuse_address(ins, offsets, hi, site):
 
 
 # One statement generator per memory binding: a Load (``value`` None)
-# or a Store of ``value`` at address expression ``a``, in the order the
-# binding's per-instruction handler applies its effects.  ``memory`` is
-# the binding's callables (the site binding's: ``bind_site``).
+# or a Store of ``value`` at address expression ``a``, with the effects
+# of the site's bound pair in their order.  ``memory`` is the binding's
+# callables (the site binding's: ``bind_site``).
 
 
 def _fuse_recording(ins, a, value, site, memory):
@@ -287,12 +286,6 @@ def _fuse_recording(ins, a, value, site, memory):
     return lines
 
 
-def _fuse_flat(ins, a, value, site, memory):
-    if value is None:
-        return ["r[%d] = get(%s, 0)" % (ins.dest.index, a)]
-    return ["words[%s] = %s" % (a, value)]
-
-
 def _fuse_site(ins, a, value, site, bind):
     read_at, write_at = bind(ins.ref)
     if value is None:
@@ -302,7 +295,6 @@ def _fuse_site(ins, a, value, site, bind):
 
 _FUSE_MEMORY = {
     "recording": _fuse_recording,
-    "flat": _fuse_flat,
     "site": _fuse_site,
 }
 
@@ -411,7 +403,7 @@ class Machine:
         guard = self.code_size
         self._frame = _Frame()
         self._memory_binding = self._memory_plan()
-        #: The trace buffer the recording handlers append to directly.
+        #: The trace buffer the fused recording bodies append to directly.
         self._recorded = (
             self.memory.buffer
             if self._memory_binding[0] == "recording" else None
@@ -844,21 +836,21 @@ class Machine:
         return h
 
     def _memory_plan(self):
-        """How loads/stores bind the memory system.
+        """How the fused bodies' loads/stores bind the memory system.
 
         Returns ``(kind, callables)``.  Exact-type
-        :class:`RecordingMemory` (over exact-type :class:`FlatMemory`)
-        and exact-type :class:`FlatMemory` get inlined fast paths, the
-        callables named by ``_MEMORY_NAMES[kind]`` — the flag byte is
-        encoded at compile time and the handler talks straight to the
-        trace buffer's arrays
+        :class:`RecordingMemory` over exact-type :class:`FlatMemory`
+        gets the one inlined fast path, ``"recording"``: the callables
+        named by ``_MEMORY_NAMES["recording"]``, with which a body
+        appends straight to the trace buffer's arrays
         (:meth:`~repro.vm.trace.TraceBuffer.direct_appends`; at the
-        event cap it calls ``append``, which raises) and the word dict.
-        Anything else (streaming sinks, the audits, subclasses) gets the
-        ``"site"`` binding, whose one callable is the memory system's
-        :meth:`~repro.vm.memory.MemorySystem.bind_site`: each handler
-        and fused body that holds a Load/Store asks it for the site's
-        ``(read_at, write_at)``.
+        event cap it calls ``append``, which raises) and touches the
+        word dict, its flag bytes encoded at compile time.  Every other
+        memory system gets the ``"site"`` binding, whose one callable
+        is its :meth:`~repro.vm.memory.MemorySystem.bind_site`: each
+        body asks it for each of its sites' ``(read_at, write_at)``.
+        The per-instruction handlers bind through ``bind_site`` under
+        either.
         """
         memory = self.memory
         if (
@@ -872,318 +864,96 @@ class Machine:
                 addrs.append, flags.append, addrs, lim, buffer.append,
                 words.get, words,
             )
-        if type(memory) is FlatMemory:
-            return "flat", (memory.words.get, memory.words)
         return "site", memory.bind_site
 
     def _compile_load(self, ins, nxt, offsets):
         regs = self.regs
-        frame = self._frame
         d = ins.dest.index
         mem = ins.mem
-        kind, memory = self._memory_binding
-        if kind == "recording":
-            fb = encode_flags(ins.ref, False)
-            aa, fa, addrs, lim, append, get, _words = memory
-        elif kind == "flat":
-            get, _words = memory
-        else:
-            read_at = memory(ins.ref)[0]
-
+        read_at = self.memory.bind_site(ins.ref)[0]
         if mem.__class__ is SymMem:
             symbol = mem.symbol
             if symbol.global_address is not None:
-                address = symbol.global_address
-                if kind == "recording":
-                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                          get=get, regs=regs, d=d, a=address, fb=fb, n=nxt):
-                        if len(addrs) < lim:
-                            aa(a)
-                            fa(fb)
-                        else:
-                            append(a, fb)
-                        regs[d] = get(a, 0)
-                        return n
-                elif kind == "flat":
-                    def h(get=get, regs=regs, d=d, a=address, n=nxt):
-                        regs[d] = get(a, 0)
-                        return n
-                else:
-                    def h(read_at=read_at, regs=regs, d=d, a=address, n=nxt):
-                        regs[d] = read_at(a)
-                        return n
+                def h(read_at=read_at, regs=regs, d=d,
+                      a=symbol.global_address, n=nxt):
+                    regs[d] = read_at(a)
+                    return n
                 return h
-            off = offsets[symbol]
-            if kind == "recording":
-                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                      get=get, regs=regs, f=frame, d=d, off=off, fb=fb, n=nxt):
-                    a = f.fp + off
-                    if len(addrs) < lim:
-                        aa(a)
-                        fa(fb)
-                    else:
-                        append(a, fb)
-                    regs[d] = get(a, 0)
-                    return n
-            elif kind == "flat":
-                def h(get=get, regs=regs, f=frame, d=d, off=off, n=nxt):
-                    regs[d] = get(f.fp + off, 0)
-                    return n
-            else:
-                def h(read_at=read_at, regs=regs, f=frame, d=d, off=off,
-                      n=nxt):
-                    regs[d] = read_at(f.fp + off)
-                    return n
+
+            def h(read_at=read_at, regs=regs, f=self._frame, d=d,
+                  off=offsets[symbol], n=nxt):
+                regs[d] = read_at(f.fp + off)
+                return n
             return h
 
-        ai = mem.addr.index
-        lo, hi = GLOBAL_BASE, self.stack_base
-        if kind == "recording":
-            def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append, get=get,
-                  regs=regs, d=d, ai=ai, lo=lo, hi=hi, fb=fb, ins=ins, n=nxt):
-                a = regs[ai]
-                if a < lo or a >= hi:
-                    raise VMError(
-                        "wild memory access at address {} by {!r}".format(
-                            a, ins
-                        )
-                    )
-                if len(addrs) < lim:
-                    aa(a)
-                    fa(fb)
-                else:
-                    append(a, fb)
-                regs[d] = get(a, 0)
-                return n
-        elif kind == "flat":
-            def h(get=get, regs=regs, d=d, ai=ai, lo=lo, hi=hi,
-                  ins=ins, n=nxt):
-                a = regs[ai]
-                if a < lo or a >= hi:
-                    raise VMError(
-                        "wild memory access at address {} by {!r}".format(
-                            a, ins
-                        )
-                    )
-                regs[d] = get(a, 0)
-                return n
-        else:
-            def h(read_at=read_at, regs=regs, d=d, ai=ai, lo=lo, hi=hi,
-                  ins=ins, n=nxt):
-                a = regs[ai]
-                if a < lo or a >= hi:
-                    raise VMError(
-                        "wild memory access at address {} by {!r}".format(
-                            a, ins
-                        )
-                    )
-                regs[d] = read_at(a)
-                return n
+        def h(read_at=read_at, regs=regs, d=d, ai=mem.addr.index,
+              lo=GLOBAL_BASE, hi=self.stack_base, ins=ins, n=nxt):
+            a = regs[ai]
+            if a < lo or a >= hi:
+                raise VMError(
+                    "wild memory access at address {} by {!r}".format(a, ins)
+                )
+            regs[d] = read_at(a)
+            return n
         return h
 
     def _compile_store(self, ins, nxt, offsets):
         regs = self.regs
-        frame = self._frame
         mem = ins.mem
         src = ins.src
-        src_reg = src.index if src.__class__ is PReg else None
-        src_val = None if src_reg is not None else src.value
-        kind, memory = self._memory_binding
-        if kind == "recording":
-            fb = encode_flags(ins.ref, True)
-            aa, fa, addrs, lim, append, _get, words = memory
-        elif kind == "flat":
-            _get, words = memory
-        else:
-            write_at = memory(ins.ref)[1]
-
+        write_at = self.memory.bind_site(ins.ref)[1]
         if mem.__class__ is SymMem:
             symbol = mem.symbol
             if symbol.global_address is not None:
-                address = symbol.global_address
-                if kind == "recording":
-                    if src_reg is not None:
-                        def h(aa=aa, fa=fa, addrs=addrs, lim=lim,
-                              append=append, words=words, regs=regs, a=address,
-                              s=src_reg, fb=fb, n=nxt):
-                            if len(addrs) < lim:
-                                aa(a)
-                                fa(fb)
-                            else:
-                                append(a, fb)
-                            words[a] = regs[s]
-                            return n
-                    else:
-                        def h(aa=aa, fa=fa, addrs=addrs, lim=lim,
-                              append=append, words=words, a=address, v=src_val,
-                              fb=fb, n=nxt):
-                            if len(addrs) < lim:
-                                aa(a)
-                                fa(fb)
-                            else:
-                                append(a, fb)
-                            words[a] = v
-                            return n
-                elif kind == "flat":
-                    if src_reg is not None:
-                        def h(words=words, regs=regs, a=address,
-                              s=src_reg, n=nxt):
-                            words[a] = regs[s]
-                            return n
-                    else:
-                        def h(words=words, a=address, v=src_val, n=nxt):
-                            words[a] = v
-                            return n
+                a = symbol.global_address
+                if src.__class__ is PReg:
+                    def h(write_at=write_at, regs=regs, a=a, s=src.index,
+                          n=nxt):
+                        write_at(a, regs[s])
+                        return n
                 else:
-                    if src_reg is not None:
-                        def h(write_at=write_at, regs=regs, a=address,
-                              s=src_reg, n=nxt):
-                            write_at(a, regs[s])
-                            return n
-                    else:
-                        def h(write_at=write_at, a=address, v=src_val, n=nxt):
-                            write_at(a, v)
-                            return n
+                    def h(write_at=write_at, a=a, v=src.value, n=nxt):
+                        write_at(a, v)
+                        return n
                 return h
-            off = offsets[symbol]
-            if kind == "recording":
-                if src_reg is not None:
-                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                          words=words, regs=regs, f=frame, off=off, s=src_reg,
-                          fb=fb, n=nxt):
-                        a = f.fp + off
-                        if len(addrs) < lim:
-                            aa(a)
-                            fa(fb)
-                        else:
-                            append(a, fb)
-                        words[a] = regs[s]
-                        return n
-                else:
-                    def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                          words=words, f=frame, off=off, v=src_val, fb=fb,
-                          n=nxt):
-                        a = f.fp + off
-                        if len(addrs) < lim:
-                            aa(a)
-                            fa(fb)
-                        else:
-                            append(a, fb)
-                        words[a] = v
-                        return n
-            elif kind == "flat":
-                if src_reg is not None:
-                    def h(words=words, regs=regs, f=frame, off=off,
-                          s=src_reg, n=nxt):
-                        words[f.fp + off] = regs[s]
-                        return n
-                else:
-                    def h(words=words, f=frame, off=off, v=src_val,
-                          n=nxt):
-                        words[f.fp + off] = v
-                        return n
+            f, off = self._frame, offsets[symbol]
+            if src.__class__ is PReg:
+                def h(write_at=write_at, regs=regs, f=f, off=off,
+                      s=src.index, n=nxt):
+                    write_at(f.fp + off, regs[s])
+                    return n
             else:
-                if src_reg is not None:
-                    def h(write_at=write_at, regs=regs, f=frame, off=off,
-                          s=src_reg, n=nxt):
-                        write_at(f.fp + off, regs[s])
-                        return n
-                else:
-                    def h(write_at=write_at, f=frame, off=off, v=src_val,
-                          n=nxt):
-                        write_at(f.fp + off, v)
-                        return n
+                def h(write_at=write_at, f=f, off=off, v=src.value, n=nxt):
+                    write_at(f.fp + off, v)
+                    return n
             return h
 
         ai = mem.addr.index
         lo, hi = GLOBAL_BASE, self.stack_base
-        if kind == "recording":
-            if src_reg is not None:
-                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                      words=words, regs=regs, ai=ai, lo=lo, hi=hi, s=src_reg,
-                      fb=fb, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
+        if src.__class__ is PReg:
+            def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
+                  s=src.index, ins=ins, n=nxt):
+                a = regs[ai]
+                if a < lo or a >= hi:
+                    raise VMError(
+                        "wild memory access at address {} by {!r}".format(
+                            a, ins
                         )
-                    if len(addrs) < lim:
-                        aa(a)
-                        fa(fb)
-                    else:
-                        append(a, fb)
-                    words[a] = regs[s]
-                    return n
-            else:
-                def h(aa=aa, fa=fa, addrs=addrs, lim=lim, append=append,
-                      words=words, regs=regs, ai=ai, lo=lo, hi=hi, v=src_val,
-                      fb=fb, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
-                        )
-                    if len(addrs) < lim:
-                        aa(a)
-                        fa(fb)
-                    else:
-                        append(a, fb)
-                    words[a] = v
-                    return n
-        elif kind == "flat":
-            if src_reg is not None:
-                def h(words=words, regs=regs, ai=ai, lo=lo, hi=hi,
-                      s=src_reg, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
-                        )
-                    words[a] = regs[s]
-                    return n
-            else:
-                def h(words=words, regs=regs, ai=ai, lo=lo, hi=hi,
-                      v=src_val, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
-                        )
-                    words[a] = v
-                    return n
+                    )
+                write_at(a, regs[s])
+                return n
         else:
-            if src_reg is not None:
-                def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
-                      s=src_reg, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
+            def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
+                  v=src.value, ins=ins, n=nxt):
+                a = regs[ai]
+                if a < lo or a >= hi:
+                    raise VMError(
+                        "wild memory access at address {} by {!r}".format(
+                            a, ins
                         )
-                    write_at(a, regs[s])
-                    return n
-            else:
-                def h(write_at=write_at, regs=regs, ai=ai, lo=lo, hi=hi,
-                      v=src_val, ins=ins, n=nxt):
-                    a = regs[ai]
-                    if a < lo or a >= hi:
-                        raise VMError(
-                            "wild memory access at address {} by {!r}".format(
-                                a, ins
-                            )
-                        )
-                    write_at(a, v)
-                    return n
+                    )
+                write_at(a, v)
+                return n
         return h
 
     # ------------------------------------------------------------------
@@ -1227,8 +997,8 @@ class Machine:
         self._frame.fp = fp
         self._frame.calls.clear()
         if self._recorded is not None:
-            # The recording handlers skip TraceBuffer.append, and with
-            # it the invalidation of whatever was decoded before.
+            # The fused recording bodies skip TraceBuffer.append, and
+            # with it the invalidation of whatever was decoded before.
             self._recorded.drop_memos()
         handlers = self._handlers
         index = self._entry_index[entry]

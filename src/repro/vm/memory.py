@@ -5,9 +5,11 @@ A memory system answers word reads and writes, each annotated with the
 it.  The VM never hands it that RefInfo per event: while it builds its
 handlers it asks :meth:`MemorySystem.bind_site` for each static site's
 pair, and every event of the site then calls the pair with the address
-alone.  ``read``/``write`` remain the per-event entry points of the
-reference interpreter (:class:`repro.vm.reference.ReferenceMachine`)
-and of direct callers.
+alone.  That is the one way the VM's per-instruction handlers reach
+memory, whatever the memory system; only its fused bodies inline an
+exact-type :class:`RecordingMemory`.  ``read``/``write`` remain the
+per-event entry points of the reference interpreter
+(:class:`repro.vm.reference.ReferenceMachine`) and of direct callers.
 """
 
 from repro.vm.trace import TraceBuffer, encode_flags
@@ -39,7 +41,9 @@ class MemorySystem:
 
         This default closes over ``read``/``write`` with ``ref`` bound,
         so a memory system that implements only those runs one frame
-        deeper.
+        deeper.  A subclass that changes ``read``/``write`` under an
+        override (such as :class:`RecordingMemory`'s) overrides this
+        method to match.
         """
         read, write = self.read, self.write
 
@@ -98,31 +102,31 @@ class RecordingMemory(MemorySystem):
         self.buffer.append(address, encode_flags(ref, True))
         self.flat.words[address] = value
 
-    def poke(self, address, value):
-        self.flat.poke(address, value)
+    def bind_site(self, ref):
+        """The site's pair with both flag bytes encoded here, once.
 
-    def peek(self, address):
-        return self.flat.peek(address)
+        Each event makes one :meth:`TraceBuffer.append`, which holds
+        the event cap's check and message, then touches the word dict.
+        Every data event of the VM's per-instruction handlers takes
+        this path: all of them on a machine with an
+        ``instruction_sink`` (the combined I+D recorder), which builds
+        no fused table.
+        """
+        append = self.buffer.append
+        words = self.flat.words
+        get = words.get
+        read_flags = encode_flags(ref, False)
+        write_flags = encode_flags(ref, True)
 
+        def read_at(address):
+            append(address, read_flags)
+            return get(address, 0)
 
-class StreamingMemory(MemorySystem):
-    """Flat memory that feeds an online cache simulator as it runs.
+        def write_at(address, value):
+            append(address, write_flags)
+            words[address] = value
 
-    ``sink`` must expose ``access(address, is_write, bypass, kill)``;
-    :class:`repro.cache.Cache` does.
-    """
-
-    def __init__(self, sink, flat=None):
-        self.flat = flat if flat is not None else FlatMemory()
-        self.sink = sink
-
-    def read(self, address, ref):
-        self.sink.access(address, False, ref.bypass, ref.kill)
-        return self.flat.words.get(address, 0)
-
-    def write(self, address, value, ref):
-        self.sink.access(address, True, ref.bypass, ref.kill)
-        self.flat.words[address] = value
+        return read_at, write_at
 
     def poke(self, address, value):
         self.flat.poke(address, value)

@@ -4,16 +4,18 @@
 register ops and loads/stores — optionally closed by one control op,
 with Jump targets threaded through — into single exec-generated
 handlers.  This suite holds the fused table to the same bar as the
-closure compiler, under every memory binding the VM knows
-(``Machine._memory_plan``: flat, recording, and the per-site binding
-through ``MemorySystem.bind_site`` of a streaming cache, the
-static-analysis validator, the static predictor, the data-carrying
-cache and a memory system that implements only ``read``/``write``):
-identical observable behaviour to :class:`ReferenceMachine`, which
-calls ``read``/``write`` per event (return value, output, steps,
-registers, memory, traces, cache stats, audits, predictions), exact
-fuel accounting at exhaustion, and an untouched per-instruction path
-whenever an ``instruction_sink`` needs to see every fetch.  The
+closure compiler, under both memory bindings the fused bodies know
+(``Machine._memory_plan``: the inlined recording one, and the per-site
+binding through ``MemorySystem.bind_site`` of flat memory, a streaming
+cache, the static-analysis validator, the static predictor, the
+data-carrying cache and a memory system that implements only
+``read``/``write``): identical observable behaviour to
+:class:`ReferenceMachine`, which calls ``read``/``write`` per event
+(return value, output, steps, registers, memory, traces, cache stats,
+audits, predictions), exact fuel accounting at exhaustion, and an
+untouched per-instruction path whenever an ``instruction_sink`` needs
+to see every fetch.  The per-instruction handlers bind every memory
+system through ``bind_site``, ``RecordingMemory``'s own included.  The
 validator compiles each RefInfo's audit once and looks no plan up
 while the program runs.
 """
@@ -34,12 +36,7 @@ from repro.staticcheck.predictor import PredictingMemory
 from repro.unified.pipeline import CompilationOptions, compile_source
 from repro.vm import machine as machine_mod
 from repro.vm.machine import Machine
-from repro.vm.memory import (
-    FlatMemory,
-    MemorySystem,
-    RecordingMemory,
-    StreamingMemory,
-)
+from repro.vm.memory import FlatMemory, MemorySystem, RecordingMemory
 from repro.vm.reference import ReferenceMachine
 
 AGGRESSIVE = CompilationOptions(scheme="unified", promotion="aggressive")
@@ -51,8 +48,8 @@ CACHE = CacheConfig(size_words=64, associativity=2)
 
 
 class _UnfusedMachine(Machine):
-    """A Machine with fusion disabled — the per-instruction closure
-    table, byte-for-byte the pre-superinstruction interpreter."""
+    """A Machine with fusion disabled: only the per-instruction closure
+    table, each Load/Store bound through ``bind_site``."""
 
     _enable_fusion = False
 
@@ -66,13 +63,6 @@ def _recording(program):
     memory = RecordingMemory()
     return memory, lambda: {
         "words": memory.flat.words, "trace": list(memory.buffer),
-    }
-
-
-def _streaming(program):
-    memory = StreamingMemory(Cache(CACHE))
-    return memory, lambda: {
-        "words": memory.flat.words, "stats": memory.sink.stats,
     }
 
 
@@ -138,10 +128,37 @@ def _read_write_only(program):
     return memory, lambda: {"words": memory.words, "log": memory.log}
 
 
-#: One memory per binding of ``Machine._memory_plan``: ``(memory,
-#: observe)`` factories, ``observe()`` returning what the run left in
-#: the memory system.  All but flat and recording share the per-site
-#: binding.
+class StreamingMemory(FlatMemory):
+    """Flat memory that feeds an online cache per event through
+    ``read``/``write`` alone: ``sink.access(address, is_write, bypass,
+    kill)``, as :class:`~repro.cache.cache.Cache` takes it."""
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+
+    def read(self, address, ref):
+        self.sink.access(address, False, ref.bypass, ref.kill)
+        return self.words.get(address, 0)
+
+    def write(self, address, value, ref):
+        self.sink.access(address, True, ref.bypass, ref.kill)
+        self.words[address] = value
+
+
+def _streaming(program):
+    memory = StreamingMemory(Cache(CACHE))
+    return memory, lambda: {
+        "words": memory.words, "stats": memory.sink.stats,
+    }
+
+
+#: One memory per way the VM binds memory: ``(memory, observe)``
+#: factories, ``observe()`` returning what the run left in the memory
+#: system.  Recording has its own ``bind_site`` and the fused bodies'
+#: inlined binding; flat, streaming, predicting, data-cached and
+#: read-write-only run through the default ``bind_site``, validating
+#: through its memoized one.
 BINDINGS = {
     "flat": _flat,
     "recording": _recording,
@@ -489,6 +506,38 @@ class TestSiteBinding:
             for ref in refs:
                 ref.bypass = True
         assert after.refs_bypassed == 0 < before.refs_bypassed
+
+
+class TestRecordingBinding:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    @pytest.mark.parametrize("options", [AGGRESSIVE, NONE],
+                             ids=["aggressive", "none"])
+    def test_only_the_reference_calls_read_or_write(self, name, options):
+        """The VM reaches a RecordingMemory through its ``bind_site``
+        and the fused bodies' inlined binding, never through the
+        per-event ``read``/``write``, which only the reference
+        interpreter calls.  Without the override the default
+        ``bind_site`` would call them a frame deeper, and E10's
+        recorder, whose every data event takes this binding, would
+        slow down."""
+        bench = get_benchmark(name)
+        program = compile_source(bench.source, options)
+
+        def refuse(self, *args):
+            raise AssertionError("per-event read/write called")
+
+        def build(cls, **kwargs):
+            return cls(program.module, memory=RecordingMemory(),
+                       machine=program.options.machine, **kwargs)
+
+        with mock.patch.object(RecordingMemory, "read", refuse), \
+                mock.patch.object(RecordingMemory, "write", refuse):
+            for vm in (build(Machine), build(_UnfusedMachine),
+                       build(Machine, instruction_sink=lambda a: None)):
+                assert tuple(vm.run().output) == bench.expected_output
+                assert len(vm.memory.buffer) > 0
+            with pytest.raises(AssertionError, match="read/write called"):
+                build(ReferenceMachine).run()
 
 
 class TestLifetime:

@@ -18,7 +18,7 @@ from repro.vm.trace import (
     origin_from_flags,
     set_order,
 )
-from repro.vm.memory import FlatMemory, RecordingMemory, StreamingMemory
+from repro.vm.memory import FlatMemory, RecordingMemory
 from scalar_reference import rptrace1_bytes
 
 
@@ -262,14 +262,27 @@ class TestMemorySystems:
         assert memory.read(10, make_ref()) == 7
 
     def test_streaming_memory_feeds_cache(self):
-        from repro.cache.cache import Cache
+        """A memory system that implements only ``read``/``write`` runs
+        through the default ``bind_site``: fed by the VM, its online
+        cache counts exactly what the recorded trace replays to."""
+        from repro.cache.cache import Cache, CacheConfig
+        from repro.cache.replay import replay_trace
+        from repro.programs import get_benchmark
+        from repro.unified.pipeline import CompilationOptions, compile_source
+        from test_superinstructions import StreamingMemory
 
-        cache = Cache(size_words=4, associativity=4)
-        memory = StreamingMemory(cache)
-        memory.write(3, 1, make_ref())
-        memory.read(3, make_ref())
-        assert cache.stats.refs_total == 2
-        assert cache.stats.hits == 1
+        config = CacheConfig(size_words=64, associativity=2)
+        program = compile_source(
+            get_benchmark("towers").source,
+            CompilationOptions(scheme="unified", promotion="none"),
+        )
+        streaming = StreamingMemory(Cache(config))
+        program.run(memory=streaming)
+        recording = RecordingMemory()
+        program.run(memory=recording)
+        stats = streaming.sink.stats
+        assert stats.refs_bypassed > 0 and stats.hits > 0
+        assert stats == replay_trace(recording.buffer, config)
 
     def test_poke_is_not_traced(self):
         memory = RecordingMemory()

@@ -12,6 +12,8 @@ from repro.evalharness.unifiedcache import (
 )
 from repro.cache.cache import CacheConfig
 from repro.vm.machine import TEXT_BASE
+from repro.vm.memory import RecordingMemory
+from repro.vm.reference import ReferenceMachine
 from repro.vm.trace import FLAG_INSTRUCTION
 
 SOURCE = (
@@ -92,6 +94,27 @@ class TestCombinedTrace:
         assert split.d_refs == summary["total"]
         assert split.d_bypassed == summary["bypassed"]
         assert stats.refs_total == len(trace)
+
+    @pytest.mark.parametrize("name", ["queen", "towers"])
+    def test_trace_matches_reference_interpreter(self, name):
+        """A sinked machine builds no fused table, so every data event
+        of E10's recorder goes through ``RecordingMemory.bind_site``;
+        the reference interpreter, which calls ``read``/``write`` per
+        event, records the same bytes under the same fetch sink."""
+        trace, program = record_combined_trace(name)
+        memory = RecordingMemory()
+        buffer = memory.buffer
+
+        def ifetch(address):
+            buffer.append(address, FLAG_INSTRUCTION)
+
+        ReferenceMachine(
+            program.module, memory=memory, machine=program.options.machine,
+            instruction_sink=ifetch,
+        ).run()
+        summary = trace.summary()
+        assert summary["writes"] > 0 and summary["bypassed"] > 0
+        assert trace.to_bytes() == buffer.to_bytes()
 
     def test_split_stats_rates(self):
         split = SplitStats(i_refs=10, i_hits=9, d_refs=6, d_hits=2,
