@@ -48,8 +48,8 @@ CACHE_WORDS = 64
 ZOO = ("srrip", "brrip", "drrip", "ship", "hawkeye", "random")
 
 #: Ceiling on (policy replay time) / (LRU replay time).  Hawkeye pays
-#: for a shadow MIN per access and still measures well under 2x; 3x
-#: leaves room for noise without letting a quadratic regression hide.
+#: for a shadow MIN per access and measures about 2x; 3x leaves room
+#: for noise without letting a quadratic regression hide.
 COST_CEILING = 3.0
 ROUNDS = 3
 
@@ -57,8 +57,12 @@ ROUNDS = 3
 #: (``replay_trace_sweep`` time) for the E17 grid on towers: the
 #: earlier 1.5 against the retired multi-configuration replay times
 #: the reference/multi-replay time ratio on this grid (1.25, timed
-#: with the two interleaved), rounded up.
-SWEEP_FLOOR = 1.9
+#: with the two interleaved), rounded up: 1.9; then, when the
+#: reference loop got faster (one bound transfer function per flavor),
+#: times the new/old reference time on this grid (0.808, the best of
+#: five alternating best-of-N timings per side), which keeps the
+#: sweep's absolute time bound where it was.
+SWEEP_FLOOR = 1.54
 
 
 def config_for(policy):

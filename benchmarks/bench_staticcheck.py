@@ -7,7 +7,9 @@ alone on top of a ready must/may solution, (b) the full
 analyze-and-validate round trip, and (c) the static-only predictor —
 and record the refinement's step counts and verdict-tier yield via
 ``record_property`` so ``BENCH_staticcheck.json`` tracks precision
-alongside cost.
+alongside cost.  The round trip also records its own best of
+``TIMING_REPS`` wall clocks: its call-phase duration moves by half
+its value from run to run on a shared host, a minimum far less.
 """
 
 import time
@@ -30,6 +32,9 @@ CHECK_OPTIONS = CompilationOptions(scheme="unified", promotion="none")
 
 SMALL_CACHE = CacheConfig(size_words=64, line_words=1, associativity=2,
                           policy="lru")
+
+#: min-of-N repetitions of the round trip's recorded timing.
+TIMING_REPS = 5
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -75,6 +80,14 @@ def test_check_gate_round_trip(benchmark, record_property):
     record_property("events_total", reports[0].events_total)
     record_property("definite_percent",
                     round(reports[0].dynamic_classified_percent, 1))
+    best = None
+    for _ in range(TIMING_REPS):
+        started = time.perf_counter()
+        validate_both()
+        seconds = time.perf_counter() - started
+        best = seconds if best is None else min(best, seconds)
+    record_property("min_seconds", round(best, 4))
+    record_property("timing_reps", TIMING_REPS)
 
 
 def test_static_predictor(benchmark, record_property):

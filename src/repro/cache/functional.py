@@ -13,7 +13,7 @@ Restricted to line size one, like the paper's data cache.
 """
 
 from repro.cache.cache import CacheConfig
-from repro.cache.semantics import UnifiedCache
+from repro.cache.semantics import ENTRY_DIRTY, ENTRY_VALUE, UnifiedCache
 from repro.vm.memory import MemorySystem
 
 
@@ -54,7 +54,10 @@ class DataCachedMemory(MemorySystem):
 
     def peek(self, address):
         """Coherent view: the cached copy wins over main memory."""
-        return self._core.peek(address)
+        entry = self._core.policy.resident.get(address)
+        if entry is not None:
+            return entry[ENTRY_VALUE]
+        return self._core.main.get(address, 0)
 
     # ------------------------------------------------------------------
 
@@ -73,5 +76,10 @@ class DataCachedMemory(MemorySystem):
         )
 
     def flush(self):
-        """Write every dirty line back; used before final memory checks."""
-        self._core.flush()
+        """Write every dirty line back; used before final memory checks.
+        Lines stay resident."""
+        main = self._core.main
+        for block, entry in self._core.policy.entries():
+            if entry[ENTRY_DIRTY]:
+                main[block] = entry[ENTRY_VALUE]
+                entry[ENTRY_DIRTY] = False

@@ -54,7 +54,6 @@ import numpy
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import HierarchyError, level_outcome
 from repro.cache.semantics import (
-    ENTRY_DIRTY,
     LRUPolicy,
     _WAY_TAG,
     _by_stamp,
@@ -62,7 +61,7 @@ from repro.cache.semantics import (
 )
 from repro.cache.stackdist import flavor_key
 from repro.cache.vectorized import vector_profile_pass
-from repro.vm.trace import FLAG_KILL, IS_BYPASS, IS_KILL, IS_WRITE
+from repro.vm.trace import FLAG_KILL
 
 #: Way-list slot holding the installing core's id (the first slot past
 #: the shared ``_WAY_INSERTED`` tail; the RRIP family's extra slots
@@ -438,13 +437,11 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
             numpy.frombuffer(merged.flags, dtype=numpy.uint8) & FLAG_KILL
         ).astype(bool)
 
-    shared_policy = shared.policy
-    resident = shared_policy.resident
-    shared_stats = shared.stats
     kill_probes = 0
     shared_refs = [0] * cores
     shared_hits = [0] * cores
-    shared_access = shared.access
+    on_flags = shared.on_flags
+    free_dead = shared.free_dead
     for core, address, flags, l1_hit_event in compress(
         zip(merged.cores, merged.addresses, merged.flags, l1_hit.tobytes()),
         visit.tobytes(),
@@ -454,21 +451,13 @@ def simulate_multicore(traces, l1_config, shared_config, quotas=None,
             # A kill the private level served retired its line; a
             # stale shared copy is dead too — free the way without a
             # reference.
-            block = shifted // line_words
-            entry = resident.get(block)
-            if entry is not None:
-                if entry[ENTRY_DIRTY]:
-                    shared_stats.dead_drops += 1
-                shared_policy.invalidate(block % num_sets, block, entry)
-                shared_stats.dead_line_frees += 1
+            if free_dead(shifted):
                 kill_probes += 1
             continue
         if policy is not None:
             policy.core = core
         shared_refs[core] += 1
-        if shared_access(
-            shifted, IS_WRITE[flags], IS_BYPASS[flags], IS_KILL[flags]
-        ) == "hit":
+        if on_flags[flags](shifted) == "hit":
             shared_hits[core] += 1
     return MulticoreResult(
         names=tuple(names),

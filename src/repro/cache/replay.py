@@ -24,7 +24,6 @@ from repro.cache.semantics import (
     next_use_index,
     signature_column,
 )
-from repro.vm.trace import IS_BYPASS, IS_KILL, IS_WRITE
 
 
 def replay_trace(trace, config=None, hits=None, **kwargs):
@@ -34,8 +33,8 @@ def replay_trace(trace, config=None, hits=None, **kwargs):
     dropping kwargs next to an explicit config hid real mistakes, so
     that combination raises :class:`ValueError`.  With ``hits``, a
     NumPy boolean array of one entry per event, the replay also fills
-    the hit mask the set-major kernel gives: true exactly where
-    :meth:`Cache.access` returned ``"hit"``.  Returns the resulting
+    the hit mask the set-major kernel gives: true exactly where the
+    event's transfer function returned ``"hit"``.  Returns the resulting
     :class:`~repro.cache.stats.CacheStats`.
     """
     if config is None:
@@ -49,19 +48,14 @@ def replay_trace(trace, config=None, hits=None, **kwargs):
         )
 
     cache = Cache(config, policy=policy_for_trace(trace, config))
-    access = cache.access
-    writes, bypasses, kills = IS_WRITE, IS_BYPASS, IS_KILL
+    on_flags = cache.on_flags
     if cache.policy.needs_index:
         outcomes = (
-            access(address, writes[flags], bypasses[flags], kills[flags],
-                   index=index)
+            on_flags[flags](address, index)
             for index, (address, flags) in enumerate(trace)
         )
     else:
-        outcomes = (
-            access(address, writes[flags], bypasses[flags], kills[flags])
-            for address, flags in trace
-        )
+        outcomes = (on_flags[flags](address) for address, flags in trace)
     if hits is None:
         deque(outcomes, maxlen=0)
     else:

@@ -1,16 +1,18 @@
 """The canonical per-event cache semantics.
 
 The paper's bypass/kill transfer function lives in
-:meth:`UnifiedCache.access`; replacement decisions are delegated to a
-state-owning :class:`ReplacementPolicy` (LRU, FIFO, Random, MIN, and
-the predictive zoo: SRRIP, BRRIP, DRRIP, SHiP-lite, Hawkeye-lite — see
-``docs/POLICIES.md``).  The online :class:`~repro.cache.cache.Cache`,
-the data-carrying functional twin and the reference replay (MIN
-included) all drive that one method, so a policy or a semantic rule
-changes once for all of them.
+:class:`UnifiedCache`, one function per event flavor (the EV_* codes),
+each built once per cache with the config folded in; replacement
+decisions are delegated to a state-owning :class:`ReplacementPolicy`
+(LRU, FIFO, Random, MIN, and the predictive zoo: SRRIP, BRRIP, DRRIP,
+SHiP-lite, Hawkeye-lite — see ``docs/POLICIES.md``).  The online
+:class:`~repro.cache.cache.Cache`, the data-carrying functional twin,
+the reference replay (MIN included), the static-analysis audit and the
+shared level of the multi-core model all drive those seven functions,
+so a policy or a semantic rule changes once for all of them.
 
-Four one-pass engines re-derive the same transfer function for speed
-instead of calling it: the hole-stack automaton
+Four one-pass engines re-derive the same semantics for speed instead
+of calling them: the hole-stack automaton
 (:func:`repro.cache.stackdist._run_general`), the set-major kernel
 (:func:`repro.cache.vectorized.vector_profile_pass`), and this
 module's two lane walks: :func:`_lane_sweep` (behind
@@ -24,19 +26,18 @@ for, and by the differential fuzzer on every fuzzed trace.
 
 Three layers:
 
-* **Flavor decode** — ``flavor_decode`` (the EV_* typed stream shared
-  by the sweep engines), ``flag_presence``, ``next_use_index``, the
-  same-block run collapse (:func:`collapse_runs_sorted`) and the set
-  blocks (:func:`set_blocks`) that the kernel and the lane walks share.
-* **The transfer function** — :class:`UnifiedCache` plus the policy
-  protocol: the reference handling of bypass probes, kill bits
-  (invalidate vs demote), write policies, write-allocation, and
-  dirty-writeback accounting.
-* **Lane walks** — the single-pass multi-associativity sweeps
-  :func:`fifo_sweep` / :func:`random_sweep` / :func:`min_sweep` /
-  :func:`lru_sweep` / :func:`rrip_sweep` that score a whole geometry
-  column in one walk of the stream: set-major, one set block at a
-  time, except :func:`rrip_sweep`, whose predictors span sets.
+* **Flavor decode** — ``flavor_decode`` (the EV_* typed stream),
+  ``flavor_constants`` (what a flavor fixes in the statistics),
+  ``flag_presence``, ``next_use_index``, the same-block run collapse
+  (:func:`collapse_runs_sorted`) and the set blocks
+  (:func:`set_blocks`) that the kernel and the lane walks share.
+* **The transfer functions** — :class:`UnifiedCache` plus the policy
+  protocol: bypass probes, kill bits (invalidate vs demote), write
+  policies, write-allocation and dirty-writeback accounting.
+* **Lane walks** — single-pass multi-associativity sweeps that score a
+  whole geometry column in one walk of the stream: set-major, one set
+  block at a time, except :func:`rrip_sweep`, whose predictors span
+  sets.
 
 The contract between every pair of engines is bit-identical
 :class:`~repro.cache.stats.CacheStats`, never approximately-equal.
@@ -111,7 +112,7 @@ def flavor_decode(columns, flavor):
     the trace's flag presence.
     """
     addresses, flags = columns
-    line_words, honor_bypass, honor_kill, _write_policy = flavor
+    line_words, honor_bypass, honor_kill, write_policy = flavor
     stream = FlavorStream()
     a = _np.asarray(addresses, dtype=_np.int64)
     blocks = a if line_words == 1 else a // line_words
@@ -122,19 +123,19 @@ def flavor_decode(columns, flavor):
     stream.blocks_np = blocks
     stream.types_np = types
     counts = _np.bincount(types, minlength=7).tolist()
-    stream.constants = flavor_constants(counts, flavor)
+    stream.constants = flavor_constants(counts, write_policy)
     return stream
 
 
-def flavor_constants(counts, flavor):
+def flavor_constants(counts, write_policy):
     """The geometry-independent :class:`CacheStats` contributions.
 
     ``kills`` and ``words_to_memory_const`` assume every kill-write
     event reaches a cache line (true whenever
     ``allocate_on_write=True``); the write-around sweeps count kills
-    per associativity instead of using this entry.
+    per associativity instead of using this entry, and
+    :class:`UnifiedCache` subtracts its write-around kill-write misses.
     """
-    _line_words, _hb, _hk, write_policy = flavor
     refs_total = sum(counts)
     writes = counts[EV_PLAIN_WRITE] + counts[EV_KILL_WRITE] + counts[
         EV_BYPASS_WRITE
@@ -158,7 +159,6 @@ def flavor_constants(counts, flavor):
         "writes": writes,
         "refs_cached": refs_total - refs_bypassed,
         "refs_bypassed": refs_bypassed,
-        "cached_events": refs_total - refs_bypassed,
         "kills": kills,
         "bypass_writes": counts[EV_BYPASS_WRITE],
         "words_to_memory_const": words_to_memory,
@@ -195,13 +195,10 @@ def next_use_index(trace, line_words=1, honor_bypass=True):
         # Within a block group the stable sort keeps time order, so
         # each event's next use is simply its right neighbor.
         nxt = _np.empty(len(cached))
-        if len(cached) > 1:
-            same = sorted_blocks[1:] == sorted_blocks[:-1]
-            nxt[:-1] = _np.where(same, sorted_indices[1:], _np.inf)
+        same = sorted_blocks[1:] == sorted_blocks[:-1]
+        nxt[:-1] = _np.where(same, sorted_indices[1:], _np.inf)
         nxt[-1] = _np.inf
-        unsorted = _np.empty(len(cached))
-        unsorted[order] = nxt
-        out[cached] = unsorted
+        out[sorted_indices] = nxt
     return out
 
 
@@ -1074,52 +1071,228 @@ def make_policy(config, next_use=None, signatures=None):
 # ----------------------------------------------------------------------
 
 
+#: Event-count slots after the seven EV_* flavors: through-cache
+#: misses (the hits are the rest), bypassed reads that found their
+#: block, and write-around kill-write misses, which retire no line.
+_N_MISSES, _N_BYPASS_HITS, _N_AROUND_KILLS = 7, 8, 9
+
+#: The :class:`CacheStats` fields :func:`flavor_constants` fixes outright.
+_CONSTANT_FIELDS = ("refs_total", "reads", "writes", "refs_cached",
+                    "refs_bypassed", "bypass_writes")
+
+
+def _transfer_functions(config, policy, stats, n, main, seen):
+    """A cache's seven transfer functions, in EV_* order, and its
+    ``free_dead``.  Each takes ``(address, index=None, value=None)``,
+    returns ``"hit"``/``"miss"``/``"bypass"`` and counts its event in
+    ``n``, from which :attr:`UnifiedCache.stats` derives what the
+    flavor fixes, and the rest in ``stats``.  ``main`` is the data-mode
+    word store (``None`` without data), ``seen[0]`` the word a read
+    observed.  Nothing here refers to the cache, so a dropped cache is
+    freed by reference counting."""
+    lw, num_sets = config.line_words, config.num_sets
+    writeback = config.write_policy == "writeback"
+    allocate = config.allocate_on_write
+    invalidating = config.kill_mode == "invalidate" and lw == 1
+    data = main is not None
+    get = policy.resident.get
+    touch, invalidate = policy.touch, policy.invalidate
+    room, evict, install = policy.room, policy.evict, policy.install
+    # Stamps only order lines, so only through-cache events tick.
+    tick = _count(1).__next__
+
+    def free_dead(address):
+        block = address // lw
+        entry = get(block)
+        if entry is None:
+            return False
+        if entry[ENTRY_DIRTY]:
+            stats.dead_drops += 1
+        invalidate(block % num_sets, block, entry)
+        stats.dead_line_frees += 1
+        return True
+
+    def bind(flavor, is_write, bypass, kill):
+        def transfer(address, index=None, value=None):
+            n[flavor] += 1
+            if is_write and data and (bypass or not writeback):
+                main[address] = value
+            block = address // lw
+            entry = get(block)
+            if bypass:
+                if entry is None:
+                    if data and not is_write:
+                        seen[0] = main.get(address, 0)
+                    return "bypass"
+                if is_write:
+                    # A bypassed store goes straight to memory; a
+                    # resident copy is stale and dies without writeback
+                    # (the store supersedes whatever the line held).
+                    stats.probe_hits += 1
+                else:
+                    n[_N_BYPASS_HITS] += 1
+                    if data:
+                        seen[0] = entry[ENTRY_VALUE]
+                    if entry[ENTRY_DIRTY]:
+                        if kill:
+                            # Last use of a dead value: drop it instead
+                            # of flushing.
+                            stats.dead_drops += 1
+                        else:
+                            stats.writebacks += 1
+                            stats.words_to_memory += lw
+                            if data:
+                                main[address] = entry[ENTRY_VALUE]
+                invalidate(block % num_sets, block, entry)
+                return "bypass"
+            if entry is not None:
+                touch(entry, tick(), index)
+                entry[ENTRY_DEAD] = False
+                outcome = "hit"
+            else:
+                n[_N_MISSES] += 1
+                if kill and not is_write:
+                    # A killed read misses *around* the cache: the
+                    # value is dead after this one use, so serve the
+                    # word and install nothing.
+                    stats.words_from_memory += 1
+                    if data:
+                        seen[0] = main.get(address, 0)
+                    return "miss"
+                if is_write and not allocate:
+                    # Write-around: the store goes to memory without
+                    # claiming a line (and without honoring any kill —
+                    # there is no line to retire).
+                    if kill:
+                        n[_N_AROUND_KILLS] += 1
+                    if writeback:
+                        stats.words_to_memory += 1
+                        if data:
+                            main[address] = value
+                    return "miss"
+                set_index = block % num_sets
+                if not room(set_index):
+                    victim_block, victim = evict(set_index)
+                    stats.evictions += 1
+                    if victim[ENTRY_DIRTY]:
+                        stats.writebacks += 1
+                        stats.words_to_memory += lw
+                        if data:
+                            main[victim_block] = victim[ENTRY_VALUE]
+                entry = install(set_index, block, tick(), index)
+                if not (is_write and lw == 1):
+                    # A one-word write-allocate needs no fill;
+                    # everything else fetches the line.
+                    stats.words_from_memory += lw
+                if data and not is_write:
+                    entry[ENTRY_VALUE] = main.get(address, 0)
+                outcome = "miss"
+            if is_write:
+                if writeback:
+                    entry[ENTRY_DIRTY] = True
+                if data:
+                    entry[ENTRY_VALUE] = value
+            elif data:
+                seen[0] = entry[ENTRY_VALUE]
+            if kill:
+                # Retire the dead value after its final touch.
+                if invalidating:
+                    free_dead(address)
+                else:
+                    # Demote (or a partial-line kill): mark dead so the
+                    # next eviction in this set prefers it; predictive
+                    # policies additionally force their predicted-dead
+                    # state.
+                    entry[ENTRY_DEAD] = True
+                    policy.demote(entry)
+            return outcome
+
+        return transfer
+
+    return (
+        bind(EV_PLAIN_READ, False, False, False),
+        bind(EV_PLAIN_WRITE, True, False, False),
+        bind(EV_KILL_READ, False, False, True),
+        bind(EV_KILL_WRITE, True, False, True),
+        bind(EV_BYPASS_READ, False, True, False),
+        bind(EV_BYPASS_READ_KILL, False, True, True),
+        bind(EV_BYPASS_WRITE, True, True, False),
+    ), free_dead
+
+
 class UnifiedCache:
     """The paper's cache semantics over a pluggable policy.
 
-    ``access`` is the single source of truth for how a reference with
-    bypass/kill bits moves words, dirties lines, and retires dead
-    values; every engine is a driver over it.  With ``data=True`` the
-    cache also carries values (the functional twin): ``main`` is the
-    backing word store, writes deposit ``value``, and reads leave the
-    observed word in ``self.value``.
+    Each flavor (the EV_* codes) has one transfer function, built with
+    the cache with the config folded in (:func:`_transfer_functions`):
+    ``transfer[flavor]`` holds them, ``on_flags[flag byte]`` picks a
+    trace event's, and the honor flags decide which.  A driver binds
+    once and makes one call per event; ``access`` is a thin dispatcher
+    for callers that hold the bits.  ``free_dead(address)`` frees a
+    line another level's kill left dead.  With ``data=True`` the cache
+    also carries values (the functional twin): ``main`` is the backing
+    word store, writes deposit ``value``, and reads leave the observed
+    word in ``self.value``.
     """
 
     __slots__ = (
-        "config", "stats", "policy", "main", "value", "_clock",
-        "_line_words", "_num_sets", "_honor_bypass", "_honor_kill",
-        "_writethrough", "_allocate_on_write", "_kill_invalidates",
-        "_resident",
+        "config", "policy", "main", "transfer", "on_flags", "free_dead",
+        "_stats", "_counts", "_folded", "_seen",
     )
 
     def __init__(self, config, policy=None, data=False):
-        self.config = config
-        self.stats = CacheStats()
-        if policy is None:
-            policy = make_policy(config)
-        policy.reset(config)
-        self.policy = policy
-        # The map ``reset`` just built; nothing resets the policy again.
-        self._resident = policy.resident
-        self._clock = 0
-        self._line_words = config.line_words
-        self._num_sets = config.num_sets
-        self._honor_bypass = config.honor_bypass
-        self._honor_kill = config.honor_kill
-        self._writethrough = config.write_policy == "writethrough"
-        self._allocate_on_write = config.allocate_on_write
-        self._kill_invalidates = (
-            config.kill_mode == "invalidate" and config.line_words == 1
-        )
         if data and config.line_words != 1:
             raise ValueError(
                 "data-carrying caches require line_words=1 "
                 "(got {})".format(config.line_words)
             )
+        self.config = config
+        if policy is None:
+            policy = make_policy(config)
+        policy.reset(config)
+        self.policy = policy
         self.main = {} if data else None
-        self.value = None
+        self._seen = [None]
+        self._stats = CacheStats()
+        self._counts = [0] * (_N_AROUND_KILLS + 1)
+        self._folded = self._counts[:]
+        self.transfer, self.free_dead = _transfer_functions(
+            config, policy, self._stats, self._counts, self.main,
+            self._seen,
+        )
+        types = _event_types(config.honor_bypass, config.honor_kill)
+        self.on_flags = tuple(
+            self.transfer[types[flags & _EVENT_BITS]] for flags in range(256)
+        )
 
-    # -- the canonical per-event semantics ----------------------------
+    @property
+    def stats(self):
+        """The live :class:`CacheStats`.  Reading it folds in what the
+        flavors fix for the events since the last read, so it is exact
+        whenever read, and edits made to it in place stay."""
+        counts, folded, stats = self._counts, self._folded, self._stats
+        delta = [now - then for now, then in zip(counts, folded)]
+        folded[:] = counts
+        const = flavor_constants(delta[:_N_MISSES], self.config.write_policy)
+        for name in _CONSTANT_FIELDS:
+            setattr(stats, name, getattr(stats, name) + const[name])
+        misses, bypass_hits, around_kills = delta[_N_MISSES:]
+        stats.hits += const["refs_cached"] - misses
+        stats.misses += misses
+        stats.kills += const["kills"] - around_kills
+        stats.words_to_memory += const["words_to_memory_const"]
+        stats.probe_hits += bypass_hits
+        stats.bypass_read_hits += bypass_hits
+        # Every other bypassed read fetched its word.
+        fetched = delta[EV_BYPASS_READ] + delta[EV_BYPASS_READ_KILL]
+        stats.words_from_memory += fetched - bypass_hits
+        stats.bypass_reads_from_memory += fetched - bypass_hits
+        return stats
+
+    @property
+    def value(self):
+        """The word the last data-mode read observed."""
+        return self._seen[0]
 
     def access(self, address, is_write, bypass=False, kill=False,
                value=None, index=None):
@@ -1128,154 +1301,17 @@ class UnifiedCache:
         ``index`` is the trace position (consumed by next-use-driven
         policies); ``value`` is the stored word in data mode.
         """
-        stats = self.stats
-        stats.refs_total += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        if bypass and not self._honor_bypass:
-            bypass = False
-        if kill and not self._honor_kill:
-            kill = False
-        self._clock += 1
-        line_words = self._line_words
-        block = address // line_words
-        set_index = block % self._num_sets
-        policy = self.policy
-        entry = self._resident.get(block)
-        main = self.main
+        return self.on_flags[
+            (FLAG_WRITE if is_write else 0)
+            | (FLAG_BYPASS if bypass else 0)
+            | (FLAG_KILL if kill else 0)
+        ](address, index, value)
 
-        if bypass:
-            stats.refs_bypassed += 1
-            if is_write:
-                # A bypassed store goes straight to memory; a resident
-                # copy is stale and dies without writeback (the store
-                # supersedes whatever the line held).
-                stats.words_to_memory += 1
-                stats.bypass_writes += 1
-                if main is not None:
-                    main[address] = value
-                if entry is not None:
-                    stats.probe_hits += 1
-                    policy.invalidate(set_index, block, entry)
-                return "bypass"
-            if entry is not None:
-                stats.probe_hits += 1
-                stats.bypass_read_hits += 1
-                if main is not None:
-                    self.value = entry[ENTRY_VALUE]
-                if entry[ENTRY_DIRTY]:
-                    if kill:
-                        # Last use of a dead value: drop it instead of
-                        # flushing.
-                        stats.dead_drops += 1
-                    else:
-                        stats.writebacks += 1
-                        stats.words_to_memory += line_words
-                        if main is not None:
-                            main[address] = entry[ENTRY_VALUE]
-                if kill:
-                    stats.kills += 1
-                policy.invalidate(set_index, block, entry)
-                return "bypass"
-            stats.words_from_memory += 1
-            stats.bypass_reads_from_memory += 1
-            if kill:
-                stats.kills += 1
-            if main is not None:
-                self.value = main.get(address, 0)
-            return "bypass"
-
-        # -- through-cache path ---------------------------------------
-        stats.refs_cached += 1
-        writethrough = self._writethrough
-        if is_write and writethrough:
-            stats.words_to_memory += 1
-            if main is not None:
-                main[address] = value
-
-        if entry is not None:
-            stats.hits += 1
-            if is_write:
-                if not writethrough:
-                    entry[ENTRY_DIRTY] = True
-                if main is not None:
-                    entry[ENTRY_VALUE] = value
-            elif main is not None:
-                self.value = entry[ENTRY_VALUE]
-            policy.touch(entry, self._clock, index)
-            entry[ENTRY_DEAD] = False
-            if kill:
-                self._kill(set_index, block, entry)
-            return "hit"
-
-        stats.misses += 1
-        if kill and not is_write:
-            # A killed read misses *around* the cache: the value is
-            # dead after this one use, so serve the word and install
-            # nothing.
-            stats.kills += 1
-            stats.words_from_memory += 1
-            if main is not None:
-                self.value = main.get(address, 0)
-            return "miss"
-        if is_write and not self._allocate_on_write:
-            # Write-around: the store goes to memory without claiming
-            # a line (and without honoring any kill — there is no line
-            # to retire).
-            if not writethrough:
-                stats.words_to_memory += 1
-                if main is not None:
-                    main[address] = value
-            return "miss"
-
-        if not policy.room(set_index):
-            victim_block, victim = policy.evict(set_index)
-            stats.evictions += 1
-            if victim[ENTRY_DIRTY]:
-                stats.writebacks += 1
-                stats.words_to_memory += line_words
-                if main is not None:
-                    main[victim_block] = victim[ENTRY_VALUE]
-        entry = policy.install(set_index, block, self._clock, index)
-        if is_write:
-            if not writethrough:
-                entry[ENTRY_DIRTY] = True
-            if main is not None:
-                entry[ENTRY_VALUE] = value
-        elif main is not None:
-            entry[ENTRY_VALUE] = main.get(address, 0)
-            self.value = entry[ENTRY_VALUE]
-        if not (is_write and line_words == 1):
-            # A one-word write-allocate needs no fill; everything else
-            # fetches the line.
-            stats.words_from_memory += line_words
-        if kill:
-            self._kill(set_index, block, entry)
-        return "miss"
-
-    def _kill(self, set_index, block, entry):
-        """Retire a dead value after its final touch."""
-        stats = self.stats
-        stats.kills += 1
-        if self._kill_invalidates:
-            if entry[ENTRY_DIRTY]:
-                stats.dead_drops += 1
-            self.policy.invalidate(set_index, block, entry)
-            stats.dead_line_frees += 1
-        else:
-            # Demote (or a partial-line kill): mark dead so the next
-            # eviction in this set prefers it; predictive policies
-            # additionally force their predicted-dead state.
-            entry[ENTRY_DEAD] = True
-            self.policy.demote(entry)
-
-    # -- inspection and data-mode helpers -----------------------------
+    # -- inspection ----------------------------------------------------
 
     def probe(self, address):
         """Would ``address`` hit right now?  Counts nothing."""
-        return address // self._line_words in self._resident
+        return address // self.config.line_words in self.policy.resident
 
     def contents(self):
         """``{block: dirty}`` for every resident line."""
@@ -1284,73 +1320,36 @@ class UnifiedCache:
             for block, entry in self.policy.entries()
         }
 
-    def peek(self, address):
-        """Observe a word without touching state (cached copy wins)."""
-        entry = self._resident.get(address // self._line_words)
-        if entry is not None:
-            return entry[ENTRY_VALUE]
-        return self.main.get(address, 0)
-
-    def poke(self, address, value):
-        """Set a word directly, keeping any cached copy coherent."""
-        entry = self._resident.get(address // self._line_words)
-        if entry is not None:
-            entry[ENTRY_VALUE] = value
-        self.main[address] = value
-
-    def flush(self):
-        """Write every dirty line back to ``main`` (lines stay resident)."""
-        for block, entry in self.policy.entries():
-            if entry[ENTRY_DIRTY]:
-                self.main[block * self._line_words] = entry[ENTRY_VALUE]
-                entry[ENTRY_DIRTY] = False
-
 
 # ----------------------------------------------------------------------
 # Lane walks
 # ----------------------------------------------------------------------
 
 
-# Per-associativity counter slots used by the single-pass sweeps.
-_C_HITS = 0
-_C_MISSES = 1
-_C_EVICTIONS = 2
-_C_WRITEBACKS = 3
-_C_WORDS_FROM = 4
-_C_WORDS_TO = 5
-_C_PROBE_HITS = 6
-_C_KILLS = 7
-_C_DEAD_DROPS = 8
-_C_DEAD_FREES = 9
-_C_BYPASS_READ_HITS = 10
-_C_BYPASS_READ_MEM = 11
-_C_SLOTS = 12
+#: The single-pass sweeps' per-associativity counters: the
+#: :class:`CacheStats` field of each slot, in slot order.
+_COUNTER_FIELDS = (
+    "hits", "misses", "evictions", "writebacks", "words_from_memory",
+    "words_to_memory", "probe_hits", "kills", "dead_drops",
+    "dead_line_frees", "bypass_read_hits", "bypass_reads_from_memory",
+)
+(
+    _C_HITS, _C_MISSES, _C_EVICTIONS, _C_WRITEBACKS, _C_WORDS_FROM,
+    _C_WORDS_TO, _C_PROBE_HITS, _C_KILLS, _C_DEAD_DROPS, _C_DEAD_FREES,
+    _C_BYPASS_READ_HITS, _C_BYPASS_READ_MEM,
+) = range(len(_COUNTER_FIELDS))
+_C_SLOTS = len(_COUNTER_FIELDS)
 
 
 def _sweep_stats(stream, counters, collapsed):
     """Assemble exact :class:`CacheStats` from sweep counters."""
     const = stream.constants
-    stats = CacheStats()
-    stats.refs_total = const["refs_total"]
-    stats.reads = const["reads"]
-    stats.writes = const["writes"]
-    stats.refs_cached = const["refs_cached"]
-    stats.refs_bypassed = const["refs_bypassed"]
-    stats.bypass_writes = const["bypass_writes"]
-    stats.hits = counters[_C_HITS] + collapsed
-    stats.misses = counters[_C_MISSES]
-    stats.evictions = counters[_C_EVICTIONS]
-    stats.writebacks = counters[_C_WRITEBACKS]
-    stats.words_from_memory = counters[_C_WORDS_FROM]
-    stats.words_to_memory = (
-        const["words_to_memory_const"] + counters[_C_WORDS_TO]
+    stats = CacheStats(
+        **{name: const[name] for name in _CONSTANT_FIELDS},
+        **dict(zip(_COUNTER_FIELDS, counters)),
     )
-    stats.probe_hits = counters[_C_PROBE_HITS]
-    stats.kills = counters[_C_KILLS]
-    stats.dead_drops = counters[_C_DEAD_DROPS]
-    stats.dead_line_frees = counters[_C_DEAD_FREES]
-    stats.bypass_read_hits = counters[_C_BYPASS_READ_HITS]
-    stats.bypass_reads_from_memory = counters[_C_BYPASS_READ_MEM]
+    stats.hits += collapsed
+    stats.words_to_memory += const["words_to_memory_const"]
     return stats
 
 
@@ -1905,10 +1904,9 @@ def rrip_sweep(stream, num_sets, assocs, line_words, kill_mode,
             if is_kill:
                 c[_C_KILLS] += 1
 
-    cached = stream.constants["cached_events"]
+    cached = stream.constants["refs_cached"]
     for lane in lanes:
-        counters = lane[2]
-        counters[_C_HITS] = cached - counters[_C_MISSES]
+        lane[2][_C_HITS] = cached - lane[2][_C_MISSES]
     return {lane[0]: _sweep_stats(stream, lane[2], 0) for lane in lanes}
 
 

@@ -6,8 +6,9 @@ blocks of a set in recency order and a reference that finds its block
 at stack position ``p`` hits exactly the caches with ``assoc >= p``.
 This module extends that machinery to the paper's unified-management
 semantics and reconstructs **exact** :class:`~repro.cache.stats.CacheStats`
-— bit-identical to serial :meth:`repro.cache.cache.Cache.access`
-replay, not approximations — for every ``(num_sets, associativity)``
+— bit-identical to the serial replay through
+:class:`~repro.cache.semantics.UnifiedCache`'s transfer functions, not
+approximations — for every ``(num_sets, associativity)``
 geometry sharing one *flavor* (``line_words``, honored flag set,
 write policy) in one pass per ``(flavor, num_sets)`` pair.
 
@@ -136,7 +137,7 @@ def flavor_key(config, has_bypass, has_kill):
 
 #: The engine table.  ``"families"`` lists, for each spec family, the
 #: engine every dispatcher calls, then ``"reference"``, the per-event
-#: ``Cache.access`` loop (:func:`~repro.cache.replay.replay_trace`)
+#: ``UnifiedCache`` loop (:func:`~repro.cache.replay.replay_trace`)
 #: exact for every family: ``"lru"`` is LRU inside the stack-distance
 #: model (:func:`supports_stackdist`), ``"min"`` is Belady MIN
 #: (``policy="min"``), ``"rrip"`` is the predictive zoo

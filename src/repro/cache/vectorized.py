@@ -119,8 +119,8 @@ def vector_profile_pass(columns, flavor, num_sets, assoc_cap,
     ``hits``, when given, is a writable boolean array with one slot
     per trace event.  The kernel fills it in time order with each
     event's outcome in the ``assoc_cap``-way cache: true exactly when
-    :meth:`~repro.cache.semantics.UnifiedCache.access` would return
-    ``"hit"``.
+    the event's :class:`~repro.cache.semantics.UnifiedCache` transfer
+    function would return ``"hit"``.
 
     The kernel runs over set blocks of at most
     :data:`~repro.cache.semantics.SET_BLOCK_EVENTS` events

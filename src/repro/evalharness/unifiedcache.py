@@ -15,7 +15,7 @@ interleaved with the data references it causes) and replays it through
 one shared cache, keeping per-class statistics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cache.cache import Cache, CacheConfig
 from repro.evalharness.artifacts import check_output
@@ -23,10 +23,7 @@ from repro.evalharness.figure5 import figure5_options
 from repro.programs import get_benchmark
 from repro.unified.pipeline import compile_source
 from repro.vm.memory import RecordingMemory
-from repro.vm.trace import FLAG_INSTRUCTION, IS_BYPASS, IS_KILL, IS_WRITE
-
-#: The bypass/kill decode of a replay that ignores the annotations.
-_IGNORED = (False,) * 256
+from repro.vm.trace import FLAG_INSTRUCTION
 
 
 @dataclass
@@ -70,25 +67,25 @@ def replay_combined(trace, config=None, honor_annotations=True, **kwargs):
 
     Instruction events are plain cached reads; data events carry their
     bypass/kill annotations (ignored when ``honor_annotations`` is
-    False, giving the conventional baseline).
+    False, giving the conventional baseline: the config with both
+    honor flags off).
     """
     if config is None:
         config = CacheConfig(**kwargs)
+    if not honor_annotations:
+        config = replace(config, honor_bypass=False, honor_kill=False)
     cache = Cache(config)
     split = SplitStats()
-    access = cache.access
-    bypasses, kills = (
-        (IS_BYPASS, IS_KILL) if honor_annotations else (_IGNORED, _IGNORED)
-    )
+    # An instruction fetch's flag byte decodes as a plain read.
+    on_flags = cache.on_flags
     for address, flags in trace:
+        outcome = on_flags[flags](address)
         if flags & FLAG_INSTRUCTION:
             split.i_refs += 1
-            if access(address, False) == "hit":
+            if outcome == "hit":
                 split.i_hits += 1
             continue
         split.d_refs += 1
-        outcome = access(address, IS_WRITE[flags], bypasses[flags],
-                         kills[flags])
         if outcome == "hit":
             split.d_hits += 1
         elif outcome == "bypass":

@@ -26,12 +26,13 @@ the block was present just before the access:
   with it) but not definite.
 * ``UNKNOWN`` → nothing (counted, for the precision summary).
 
-Presence comes from the one :meth:`UnifiedCache.access
-<repro.cache.semantics.UnifiedCache.access>` each event makes:
-``access`` looks the block up once, before it mutates anything, and
-reports that lookup as a ``"hit"``, or as a ``"bypass"`` that counted
-a ``probe_hits``.  A ``"miss"``, or a ``"bypass"`` that did not, found
-the block absent.
+Presence is read just before the access, from the map the cache
+itself finds blocks in: the policy's ``resident`` map, block to entry
+(the analysis models one-word lines, so a block is its address).  The
+access is one call of the site's own transfer function, its read or
+write flavor off :attr:`UnifiedCache.on_flags
+<repro.cache.semantics.UnifiedCache>`, picked when the site is bound;
+nothing per event decodes a bit.
 
 Static sites are keyed by RefInfo identity: each Load/Store owns one
 :class:`~repro.ir.instructions.RefInfo`, so ``id(ref)`` connects
@@ -43,8 +44,9 @@ static-only predictor (:mod:`repro.staticcheck.predictor`) read it.
 Sites are bound at machine construction, not looked up per event: the
 VM asks the memory system's ``bind_site`` for each site while it
 builds its handlers, and the validator compiles that site's plan
-entry, once per RefInfo, into the ``read_at``/``write_at`` closures
-every event of the site then calls (:meth:`ValidatingMemory.bind_site`).
+entry and transfer functions, once per RefInfo, into the
+``read_at``/``write_at`` closures every event of the site then calls
+(:meth:`ValidatingMemory.bind_site`).
 """
 
 from typing import NamedTuple
@@ -63,6 +65,7 @@ from repro.staticcheck.mustmay import (
     analyze_program,
 )
 from repro.vm.memory import FlatMemory, MemorySystem
+from repro.vm.trace import FLAG_BYPASS, FLAG_KILL, FLAG_WRITE
 
 #: Audit kinds: what one event of a site claims about presence.
 AUDIT_NONE, AUDIT_HIT, AUDIT_MISS, AUDIT_PERSISTENT = range(4)
@@ -181,16 +184,16 @@ class ValidatingMemory(MemorySystem):
     each site's plan entry once more into the site's own ``read_at`` /
     ``write_at`` closures (:meth:`bind_site`), which the VM asks for
     while it builds its handlers.  An event then costs one count and
-    exactly one ``UnifiedCache.access``, plus the presence check its
-    verdict audits; no plan is looked up during the run.  ``read`` and
-    ``write`` call the same closures.
+    one call of its site's transfer function, plus the presence check
+    its verdict audits; no plan is looked up during the run.  ``read``
+    and ``write`` call the same closures.
     """
 
     def __init__(self, analysis, flat=None, max_mismatches=25):
         self.analysis = analysis
-        # The audit drives the canonical transfer function directly:
-        # access() answers presence from the same per-event semantics
-        # every other engine is defined against.
+        # The audit drives the canonical transfer functions directly,
+        # the per-event semantics every other engine is defined
+        # against.
         self.cache = UnifiedCache(analysis.config)
         self.flat = flat if flat is not None else FlatMemory()
         self.max_mismatches = max_mismatches
@@ -244,7 +247,9 @@ class ValidatingMemory(MemorySystem):
             entry = plan_ref(ref, self.analysis.config)
         slot, kind, bypass, kill, removes, site, verdict = entry
         counts = self._counts
-        access = self.cache.access
+        bits = (FLAG_BYPASS if bypass else 0) | (FLAG_KILL if kill else 0)
+        on_flags = self.cache.on_flags
+        cache_read, cache_write = on_flags[bits], on_flags[bits | FLAG_WRITE]
         words = self.flat.words
         get = words.get
         installed = self._installed
@@ -253,19 +258,19 @@ class ValidatingMemory(MemorySystem):
         if kind == AUDIT_NONE:
             def read_at(address):
                 counts[slot] += 1
-                access(address, False, bypass, kill)
+                cache_read(address)
                 track(address)
                 return get(address, 0)
 
             def write_at(address, value):
                 counts[slot] += 1
-                access(address, True, bypass, kill)
+                cache_write(address)
                 track(address)
                 words[address] = value
 
             return read_at, write_at
 
-        stats = self.cache.stats
+        resident = self.cache.policy.resident
         mismatches = self.mismatches
         max_mismatches = self.max_mismatches
         persistent = kind == AUDIT_PERSISTENT
@@ -282,24 +287,18 @@ class ValidatingMemory(MemorySystem):
         def read_at(address):
             counts[slot] += 1
             expected = address in installed if persistent else hit
-            probes = stats.probe_hits
-            outcome = access(address, False, bypass, kill)
-            if (outcome == "hit" or (
-                outcome == "bypass" and stats.probe_hits != probes
-            )) != expected:
+            if (address in resident) != expected:
                 mismatch(address, not expected)
+            cache_read(address)
             track(address)
             return get(address, 0)
 
         def write_at(address, value):
             counts[slot] += 1
             expected = address in installed if persistent else hit
-            probes = stats.probe_hits
-            outcome = access(address, True, bypass, kill)
-            if (outcome == "hit" or (
-                outcome == "bypass" and stats.probe_hits != probes
-            )) != expected:
+            if (address in resident) != expected:
                 mismatch(address, not expected)
+            cache_write(address)
             track(address)
             words[address] = value
 

@@ -6,8 +6,8 @@ uncertainty filter (:mod:`repro.staticcheck.uncertainty`) routed here,
 this module model-checks the (CFG location x concrete cache set)
 product: it enumerates every reachable LRU stack of the one cache set
 the focused reference maps to, walking the whole interprocedural CFG
-with transfer rules that mirror
-:meth:`repro.cache.semantics.UnifiedCache.access` case by case — a
+with transfer rules that mirror the transfer functions of
+:class:`repro.cache.semantics.UnifiedCache` case by case — a
 through hit refreshes to MRU, a miss installs at MRU and evicts the
 LRU block from a full set, a bypass takes the block out, an
 invalidate-mode kill leaves the line invalid, and a killed write that
@@ -269,7 +269,7 @@ class _SetExploration:
             self.succs[name] = succs
             self.entries[name] = entry
 
-    # -- transfer rules (mirror UnifiedCache.access) -------------------
+    # -- transfer rules (mirror UnifiedCache's transfer functions) -----
 
     def _apply_ref(self, state, op):
         (_kind, instr_id, in_set, bypass, kill, is_write, ambig,

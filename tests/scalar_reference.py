@@ -9,12 +9,22 @@ require the kernels to agree with them exactly, bit for bit.  The
 module also builds legacy RPTRACE1 payloads, which the library still
 reads but no longer writes.
 
+:class:`ScalarCache` is :class:`~repro.cache.semantics.UnifiedCache`
+as it was before each flavor got its own bound transfer function: one
+``access`` body that re-tests the honor flags, the write policy, data
+mode and the flavor on every event and bumps every counter itself.
+The bound functions must agree with it event for event, and every
+oracle here drives it, never the cache under test:
+:func:`replay_trace_py` and :func:`replay_combined_py` are the
+reference replay and E10's combined replay over it.
+
 :class:`ProbingValidatingMemory` is the cross-validator as it was
 before :func:`repro.staticcheck.crossval.site_plan`: per event it
-dispatches on the verdict, calls ``UnifiedCache.probe`` for presence,
+dispatches on the verdict, calls ``ScalarCache.probe`` for presence,
 then makes the access.  The planned
 :class:`~repro.staticcheck.crossval.ValidatingMemory`, which reads
-presence from the access itself, must audit exactly as it does.  It
+presence off the cache's ``resident`` map and calls its site's bound
+transfer functions, must audit exactly as it does.  It
 implements only ``read``/``write``, so the VM drives it through the
 default :meth:`~repro.vm.memory.MemorySystem.bind_site`.
 
@@ -29,14 +39,22 @@ from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
-from repro.cache.cache import Cache
 from repro.cache.hierarchy import HierarchyError
 from repro.cache.multicore import (
     MulticoreResult,
     PartitionedLRUPolicy,
     interleave_traces,
 )
-from repro.cache.semantics import ENTRY_DIRTY, EV_PLAIN_WRITE, UnifiedCache
+from repro.cache.replay import policy_for_trace
+from repro.cache.semantics import (
+    ENTRY_DEAD,
+    ENTRY_DIRTY,
+    ENTRY_VALUE,
+    EV_PLAIN_WRITE,
+    make_policy,
+)
+from repro.cache.stats import CacheStats
+from repro.evalharness.unifiedcache import SplitStats
 from repro.ir.instructions import PReg
 from repro.regalloc.chaitin import ColoringResult, _preferred_color
 from repro.staticcheck.crossval import Mismatch
@@ -44,8 +62,12 @@ from repro.staticcheck.mustmay import TIER_OF, TIERS, Classification
 from repro.vm.memory import FlatMemory, MemorySystem
 from repro.vm.trace import (
     FLAG_BYPASS,
+    FLAG_INSTRUCTION,
     FLAG_KILL,
     FLAG_WRITE,
+    IS_BYPASS,
+    IS_KILL,
+    IS_WRITE,
     TRACE_FORMAT_VERSION_V1,
     TRACE_MAGIC_V1,
 )
@@ -168,6 +190,231 @@ def decode_deltas_py(payload, count):
     return out
 
 
+class ScalarCache:
+    """The per-event reference for
+    :class:`~repro.cache.semantics.UnifiedCache`.
+
+    Its ``access`` is the body the seven bound transfer functions
+    replaced, and ``stats`` is a plain :class:`CacheStats` it bumps on
+    every event.  The replacement policies are the production ones.
+    """
+
+    def __init__(self, config, policy=None, data=False):
+        self.config = config
+        self.stats = CacheStats()
+        if policy is None:
+            policy = make_policy(config)
+        policy.reset(config)
+        self.policy = policy
+        self._resident = policy.resident
+        self._clock = 0
+        self._line_words = config.line_words
+        self._num_sets = config.num_sets
+        self._honor_bypass = config.honor_bypass
+        self._honor_kill = config.honor_kill
+        self._writethrough = config.write_policy == "writethrough"
+        self._allocate_on_write = config.allocate_on_write
+        self._kill_invalidates = (
+            config.kill_mode == "invalidate" and config.line_words == 1
+        )
+        if data and config.line_words != 1:
+            raise ValueError("data-carrying caches require line_words=1")
+        self.main = {} if data else None
+        self.value = None
+
+    def access(self, address, is_write, bypass=False, kill=False,
+               value=None, index=None):
+        """Apply one reference; returns ``"hit"``/``"miss"``/``"bypass"``."""
+        stats = self.stats
+        stats.refs_total += 1
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        if bypass and not self._honor_bypass:
+            bypass = False
+        if kill and not self._honor_kill:
+            kill = False
+        self._clock += 1
+        line_words = self._line_words
+        block = address // line_words
+        set_index = block % self._num_sets
+        policy = self.policy
+        entry = self._resident.get(block)
+        main = self.main
+
+        if bypass:
+            stats.refs_bypassed += 1
+            if is_write:
+                stats.words_to_memory += 1
+                stats.bypass_writes += 1
+                if main is not None:
+                    main[address] = value
+                if entry is not None:
+                    stats.probe_hits += 1
+                    policy.invalidate(set_index, block, entry)
+                return "bypass"
+            if entry is not None:
+                stats.probe_hits += 1
+                stats.bypass_read_hits += 1
+                if main is not None:
+                    self.value = entry[ENTRY_VALUE]
+                if entry[ENTRY_DIRTY]:
+                    if kill:
+                        stats.dead_drops += 1
+                    else:
+                        stats.writebacks += 1
+                        stats.words_to_memory += line_words
+                        if main is not None:
+                            main[address] = entry[ENTRY_VALUE]
+                if kill:
+                    stats.kills += 1
+                policy.invalidate(set_index, block, entry)
+                return "bypass"
+            stats.words_from_memory += 1
+            stats.bypass_reads_from_memory += 1
+            if kill:
+                stats.kills += 1
+            if main is not None:
+                self.value = main.get(address, 0)
+            return "bypass"
+
+        stats.refs_cached += 1
+        writethrough = self._writethrough
+        if is_write and writethrough:
+            stats.words_to_memory += 1
+            if main is not None:
+                main[address] = value
+
+        if entry is not None:
+            stats.hits += 1
+            if is_write:
+                if not writethrough:
+                    entry[ENTRY_DIRTY] = True
+                if main is not None:
+                    entry[ENTRY_VALUE] = value
+            elif main is not None:
+                self.value = entry[ENTRY_VALUE]
+            policy.touch(entry, self._clock, index)
+            entry[ENTRY_DEAD] = False
+            if kill:
+                self._kill(set_index, block, entry)
+            return "hit"
+
+        stats.misses += 1
+        if kill and not is_write:
+            stats.kills += 1
+            stats.words_from_memory += 1
+            if main is not None:
+                self.value = main.get(address, 0)
+            return "miss"
+        if is_write and not self._allocate_on_write:
+            if not writethrough:
+                stats.words_to_memory += 1
+                if main is not None:
+                    main[address] = value
+            return "miss"
+
+        if not policy.room(set_index):
+            victim_block, victim = policy.evict(set_index)
+            stats.evictions += 1
+            if victim[ENTRY_DIRTY]:
+                stats.writebacks += 1
+                stats.words_to_memory += line_words
+                if main is not None:
+                    main[victim_block] = victim[ENTRY_VALUE]
+        entry = policy.install(set_index, block, self._clock, index)
+        if is_write:
+            if not writethrough:
+                entry[ENTRY_DIRTY] = True
+            if main is not None:
+                entry[ENTRY_VALUE] = value
+        elif main is not None:
+            entry[ENTRY_VALUE] = main.get(address, 0)
+            self.value = entry[ENTRY_VALUE]
+        if not (is_write and line_words == 1):
+            stats.words_from_memory += line_words
+        if kill:
+            self._kill(set_index, block, entry)
+        return "miss"
+
+    def _kill(self, set_index, block, entry):
+        stats = self.stats
+        stats.kills += 1
+        if self._kill_invalidates:
+            if entry[ENTRY_DIRTY]:
+                stats.dead_drops += 1
+            self.policy.invalidate(set_index, block, entry)
+            stats.dead_line_frees += 1
+        else:
+            entry[ENTRY_DEAD] = True
+            self.policy.demote(entry)
+
+    def probe(self, address):
+        return address // self._line_words in self._resident
+
+    def contents(self):
+        return {
+            block: entry[ENTRY_DIRTY]
+            for block, entry in self.policy.entries()
+        }
+
+
+def free_dead_py(cache, address):
+    """Per-event reference for
+    :meth:`~repro.cache.semantics.UnifiedCache.free_dead`: retire a
+    stale copy of ``address`` in a :class:`ScalarCache`, writing its
+    statistics in place.  Returns whether a line was resident."""
+    block = address // cache.config.line_words
+    entry = cache.policy.resident.get(block)
+    if entry is None:
+        return False
+    if entry[ENTRY_DIRTY]:
+        cache.stats.dead_drops += 1
+    cache.policy.invalidate(block % cache.config.num_sets, block, entry)
+    cache.stats.dead_line_frees += 1
+    return True
+
+
+def replay_trace_py(trace, config):
+    """Per-event reference for :func:`repro.cache.replay.replay_trace`:
+    the trace through :class:`ScalarCache`, the flags decoded per
+    event.  Returns the stats and the per-event outcomes."""
+    cache = ScalarCache(config, policy=policy_for_trace(trace, config))
+    outcomes = [
+        cache.access(address, IS_WRITE[flags], IS_BYPASS[flags],
+                     IS_KILL[flags], index=index)
+        for index, (address, flags) in enumerate(trace)
+    ]
+    return cache.stats, outcomes
+
+
+def replay_combined_py(trace, config, honor_annotations=True):
+    """Per-event reference for
+    :func:`repro.evalharness.unifiedcache.replay_combined`: the
+    conventional baseline passes the annotations as cleared bits to a
+    cache that honors them."""
+    cache = ScalarCache(config)
+    split = SplitStats()
+    for address, flags in trace:
+        if flags & FLAG_INSTRUCTION:
+            split.i_refs += 1
+            if cache.access(address, False) == "hit":
+                split.i_hits += 1
+            continue
+        split.d_refs += 1
+        outcome = cache.access(
+            address, IS_WRITE[flags],
+            honor_annotations and IS_BYPASS[flags],
+            honor_annotations and IS_KILL[flags],
+        )
+        if outcome == "hit":
+            split.d_hits += 1
+        elif outcome == "bypass":
+            split.d_bypassed += 1
+    return split, cache.stats
+
+
 def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
                           shared_kill=False, seed=0, chunk=8, names=None,
                           merged=None):
@@ -175,16 +422,18 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
     :func:`repro.cache.multicore.simulate_multicore`.
 
     Walks the merged stream once, driving each core's private
-    :class:`Cache` and, for every reference the private level does not
-    serve as a hit, the shared level — the loop the production code
-    replaced with one private-level outcome per core.
+    :class:`ScalarCache` and, for every reference the private level
+    does not serve as a hit, the shared level — the loop the
+    production code replaced with one private-level outcome per core.
+    It frees a stale shared copy with :func:`free_dead_py`, where the
+    production code asks the cache's ``free_dead``.
     """
     cores = len(traces)
     if merged is None:
         merged = interleave_traces(traces, seed=seed, chunk=chunk)
     if names is None:
         names = ["core{}".format(index) for index in range(cores)]
-    l1s = [Cache(l1_config) for _ in range(cores)]
+    l1s = [ScalarCache(l1_config) for _ in range(cores)]
     shared_effective = replace(
         shared_config,
         honor_bypass=False,
@@ -195,10 +444,10 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
         if len(quotas) != cores:
             raise HierarchyError("need one way quota per core")
         policy = PartitionedLRUPolicy(quotas)
-        shared = Cache(replace(shared_effective, policy="lru"),
-                       policy=policy)
+        shared = ScalarCache(replace(shared_effective, policy="lru"),
+                             policy=policy)
     else:
-        shared = Cache(shared_effective)
+        shared = ScalarCache(shared_effective)
 
     line_words = shared_effective.line_words
     num_sets = shared_effective.num_sets
@@ -207,8 +456,6 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
     stride_words = stride_blocks * line_words
 
     probe_kills = bool(shared_kill and l1_config.honor_kill)
-    shared_policy = shared.policy
-    shared_stats = shared.stats
     kill_probes = 0
     shared_refs = [0] * cores
     shared_hits = [0] * cores
@@ -219,15 +466,8 @@ def simulate_multicore_py(traces, l1_config, shared_config, quotas=None,
         outcome = l1s[core].access(address, is_write, bypass, kill)
         shifted = address + core * stride_words
         if outcome == "hit":
-            if kill and probe_kills:
-                block = shifted // line_words
-                entry = shared_policy.resident.get(block)
-                if entry is not None:
-                    if entry[ENTRY_DIRTY]:
-                        shared_stats.dead_drops += 1
-                    shared_policy.invalidate(block % num_sets, block, entry)
-                    shared_stats.dead_line_frees += 1
-                    kill_probes += 1
+            if kill and probe_kills and free_dead_py(shared, shifted):
+                kill_probes += 1
             continue
         if policy is not None:
             policy.core = core
@@ -253,10 +493,10 @@ class ProbingValidatingMemory(MemorySystem):
 
     def __init__(self, analysis, flat=None, max_mismatches=25):
         self.analysis = analysis
-        # The audit drives the canonical transfer function directly:
-        # probe() and access() answer from the same per-event
-        # semantics every other engine is defined against.
-        self.cache = UnifiedCache(analysis.config)
+        # The audit drives the scalar cache: probe() and access()
+        # answer from the per-event body the bound transfer functions
+        # are held to.
+        self.cache = ScalarCache(analysis.config)
         self.flat = flat if flat is not None else FlatMemory()
         self.max_mismatches = max_mismatches
         self.mismatches = []

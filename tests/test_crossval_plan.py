@@ -1,10 +1,12 @@
 """The planned cross-validator against the probe-then-access oracle.
 
 :class:`~repro.staticcheck.crossval.ValidatingMemory` reads each
-site's audit from :func:`~repro.staticcheck.crossval.site_plan` and
-presence from the one ``UnifiedCache.access`` it makes per event.
-:class:`scalar_reference.ProbingValidatingMemory` keeps the per-event
-verdict dispatch and the separate ``probe`` that this replaced.  Both
+site's audit from :func:`~repro.staticcheck.crossval.site_plan`,
+presence from the cache's ``resident`` map, and calls the site's bound
+transfer functions.  :class:`scalar_reference.ProbingValidatingMemory`
+keeps the per-event verdict dispatch, the separate ``probe`` and the
+per-event ``access`` body (:class:`scalar_reference.ScalarCache`) that
+this replaced.  Both
 run the same program under the same analysis, honest or seeded with
 wrong verdicts, and must agree on every count, on the cache's
 statistics and on the recorded mismatches, field by field.
