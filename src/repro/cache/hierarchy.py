@@ -8,10 +8,9 @@ levels below is a design choice with measurable consequences, so the
 model makes bypass an *addressing set* (``HierarchySpec.bypass_levels``,
 a subset of the level names): the reference probes-and-invalidates at
 every level the set names and is a perfectly ordinary cached reference
-at every level it does not.  The historical two-position knob survives
-as spelling sugar — ``bypass_level="l1"`` (deprecated) addresses the
-innermost level only and ``bypass_level="both"`` (deprecated) addresses
-every level — so existing E16 scripts run unchanged.
+at every level it does not.  The set also takes the historical
+two-position spellings: ``"l1"`` addresses the innermost level only and
+``"both"`` addresses every level.
 
 Kill bits always act at the innermost level only: the liveness argument
 (Section 3.2) is about the level whose working set the register
@@ -74,10 +73,6 @@ from repro.vm.trace import FLAG_KILL, TraceBuffer
 
 INCLUSIONS = ("inclusive", "non-inclusive")
 
-#: The legacy two-position knob (kept importable for old callers);
-#: ``"l1"`` maps to "innermost level only", ``"both"`` to "every level".
-BYPASS_LEVELS = ("l1", "both")
-
 
 class HierarchyError(ReproError, ValueError):
     """A malformed hierarchy spec (bad token, duplicate level, …).
@@ -95,7 +90,7 @@ def _resolve_bypass(value, names):
     """Normalize a bypass addressing ``value`` to level names, in order.
 
     ``value`` may be ``None`` (default: the innermost level), one of
-    the legacy knob spellings ``"l1"``/``"both"``, a ``"+"``-joined
+    the two-position spellings ``"l1"``/``"both"``, a ``"+"``-joined
     string of level names (``"L1+L3"``), or an iterable of names.
     Names resolve case-insensitively; the result is deduplicated and
     ordered processor-outward.
@@ -113,8 +108,8 @@ def _resolve_bypass(value, names):
     for part in parts:
         match = lowered.get(part.lower())
         if match is None and part.lower() == "l1" and len(parts) == 1:
-            # The legacy knob on a hierarchy whose first level is not
-            # literally named "L1".
+            # The two-position spelling on a hierarchy whose first
+            # level is not literally named "L1".
             match = names[0]
         if match is None:
             raise HierarchyError(
@@ -138,14 +133,14 @@ class HierarchySpec:
     config shares the innermost level's ``line_words`` (mixed line
     sizes would make the inter-level traffic accounting ambiguous).
     ``bypass_levels`` is the set of level names the bypass bit
-    addresses, stored processor-outward; the deprecated
-    ``bypass_level`` keyword ("l1"/"both") is accepted as sugar.
+    addresses (anything :func:`_resolve_bypass` accepts, ``"l1"`` and
+    ``"both"`` included), stored processor-outward.
     """
 
     __slots__ = ("levels", "inclusion", "bypass_levels")
 
     def __init__(self, levels, inclusion="non-inclusive",
-                 bypass_level=None, bypass_levels=None):
+                 bypass_levels=None):
         levels = tuple(levels)
         if len(levels) < 2:
             raise HierarchyError("a hierarchy needs at least two levels")
@@ -160,11 +155,6 @@ class HierarchySpec:
                     "duplicate level name {!r}".format(name)
                 )
             seen.add(key)
-        if bypass_level is not None and bypass_levels is not None:
-            raise HierarchyError(
-                "pass either bypass_level (deprecated knob) or "
-                "bypass_levels (addressing set), not both"
-            )
         line_words = levels[0][1].line_words
         for _name, config in levels[1:]:
             if config.line_words != line_words:
@@ -189,10 +179,7 @@ class HierarchySpec:
                     )
         self.levels = levels
         self.inclusion = inclusion
-        self.bypass_levels = _resolve_bypass(
-            bypass_levels if bypass_levels is not None else bypass_level,
-            tuple(names),
-        )
+        self.bypass_levels = _resolve_bypass(bypass_levels, tuple(names))
 
     @property
     def bypass_level(self):
@@ -253,8 +240,7 @@ class HierarchySpec:
         return ",".join(parts)
 
 
-def parse_hierarchy(text, base=None, inclusion=None, bypass_level=None,
-                    bypass_levels=None):
+def parse_hierarchy(text, base=None, inclusion=None, bypass_levels=None):
     """Parse ``"L1:64x2,L2:512x8,L3:4096x8"`` into a :class:`HierarchySpec`.
 
     Each ``NAME:SIZExASSOC[@POLICY]`` part builds a level from ``base``
@@ -263,7 +249,7 @@ def parse_hierarchy(text, base=None, inclusion=None, bypass_level=None,
     list also accepts the bare discipline tokens ``inclusive`` /
     ``non-inclusive`` and ``bypass=`` addressing tokens —
     ``bypass=L1+L3`` names levels directly; ``bypass=l1`` /
-    ``bypass=both`` are the deprecated knob spellings.  Whitespace
+    ``bypass=both`` are the two-position spellings.  Whitespace
     around tokens is ignored.  Duplicate level names and contradictory
     repeated ``inclusive``/``bypass=`` tokens raise
     :class:`HierarchyError` (stage ``hierarchy``) instead of silently
@@ -326,12 +312,11 @@ def parse_hierarchy(text, base=None, inclusion=None, bypass_level=None,
         if policy is not None:
             overrides["policy"] = policy
         levels.append((name, replace(base, **overrides)))
-    if bypass_level is None and bypass_levels is None:
-        bypass_level = token_bypass
+    if bypass_levels is None:
+        bypass_levels = token_bypass
     return HierarchySpec(
         levels,
         inclusion=inclusion or token_inclusion or "non-inclusive",
-        bypass_level=bypass_level,
         bypass_levels=bypass_levels,
     )
 

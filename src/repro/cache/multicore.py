@@ -53,21 +53,14 @@ import numpy
 
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import HierarchyError, level_outcome
-from repro.cache.semantics import (
-    LRUPolicy,
-    _WAY_TAG,
-    _by_stamp,
-    _mix64,
-)
+from repro.cache.semantics import ENTRY_STAMP, LRUPolicy, _by_stamp, _mix64
 from repro.cache.stackdist import flavor_key
 from repro.cache.vectorized import vector_profile_pass
 from repro.vm.trace import FLAG_KILL
 
-#: Way-list slot holding the installing core's id (the first slot past
-#: the shared ``_WAY_INSERTED`` tail; the RRIP family's extra slots
-#: start at the same index, but the partitioned policy is LRU-based
-#: and never coexists with them in one policy object).
-_PART_OWNER = 7
+#: Entry slot holding the installing core's id: the partitioned
+#: policy's tail, right after the store's slots.
+_PART_OWNER = ENTRY_STAMP + 1
 
 
 class MergedTrace:
@@ -98,10 +91,6 @@ class MergedTrace:
 
     def __iter__(self):
         return zip(self.cores, self.addresses, self.flags)
-
-    @property
-    def num_cores(self):
-        return len(self.counts)
 
     def tobytes(self):
         """The merged stream as one byte string (determinism checks)."""
@@ -166,9 +155,9 @@ class PartitionedLRUPolicy(LRUPolicy):
 
     ``quotas[core]`` is the number of ways per set the core owns; the
     quotas must sum to the associativity.  The driver sets ``core``
-    before each shared-level access (the simulation is serial).  Free
-    ways fill normally — partitioning constrains only whose line a
-    full set gives up: a core at/over its quota victimizes its own
+    before each shared-level access (the simulation is serial).  A set
+    with room fills normally — partitioning constrains only whose line
+    a full set gives up: a core at/over its quota victimizes its own
     LRU line; an under-quota core reclaims the LRU line of an
     over-quota core.  Dead lines are preferred within the allowed
     candidate set (smallest stamp first), keeping the paper's
@@ -178,7 +167,6 @@ class PartitionedLRUPolicy(LRUPolicy):
 
     __slots__ = ("quotas", "core")
     name = "partitioned-lru"
-    _extra_slots = 1
 
     def __init__(self, quotas):
         self.quotas = tuple(int(quota) for quota in quotas)
@@ -195,10 +183,8 @@ class PartitionedLRUPolicy(LRUPolicy):
             )
         super().reset(config)
 
-    def install(self, set_index, block, clock, index):
-        line = super().install(set_index, block, clock, index)
-        line[_PART_OWNER] = self.core
-        return line
+    def _entry(self, set_index, block, clock, index):
+        return [False, False, None, block, clock, self.core]
 
     def _candidates(self, lines):
         """The lines the installing core may victimize in a full set."""
@@ -222,14 +208,9 @@ class PartitionedLRUPolicy(LRUPolicy):
         others = [line for line in lines if line[_PART_OWNER] != core]
         return others or lines
 
-    def evict(self, set_index):
-        lines = self._sets[set_index]
-        candidates = self._candidates(lines)
-        victim = self._dead_victim(candidates) if self._demoted else None
-        if victim is None:
-            victim = min(candidates, key=_by_stamp)
-        self._release(set_index, victim)
-        return victim[_WAY_TAG], victim
+    def _victim(self, set_index, lines):
+        candidates = self._candidates(lines.values())
+        return self._dead_victim(candidates) or min(candidates, key=_by_stamp)
 
 
 def utility_curves(traces, l1_config, shared_config):

@@ -70,12 +70,6 @@ class ExperimentResult:
         return 100.0 * self.dynamic["unambiguous"] / self.dynamic["total"]
 
     @property
-    def dynamic_percent_bypassed(self):
-        if self.dynamic["total"] == 0:
-            return 0.0
-        return 100.0 * self.dynamic["bypassed"] / self.dynamic["total"]
-
-    @property
     def cache_traffic_reduction(self):
         return self.unified_stats.cache_traffic_reduction_vs(
             self.conventional_stats

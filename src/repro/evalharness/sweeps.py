@@ -359,7 +359,7 @@ def hierarchy_sweep(
         for bypass_level in bypass_levels:
             spec = parse_hierarchy(
                 hierarchy, base=base,
-                inclusion=inclusion, bypass_level=bypass_level,
+                inclusion=inclusion, bypass_levels=bypass_level,
             )
             row = hierarchy_stats(trace, spec).as_dict()
             row["benchmark"] = name

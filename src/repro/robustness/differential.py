@@ -512,7 +512,7 @@ def _check_hierarchy(run, cache_words, associativity):
         cache_words, associativity, cache_words * 8, associativity * 2
     )
     for bypass_level in ("l1", "both"):
-        spec = parse_hierarchy(spec_text, bypass_level=bypass_level)
+        spec = parse_hierarchy(spec_text, bypass_levels=bypass_level)
         offline = hierarchy_stats(run.trace, spec)
         online = HierarchyCache(spec)
         for address, flags in run.trace:
@@ -539,7 +539,7 @@ def _check_hierarchy(run, cache_words, associativity):
         inclusive = hierarchy_stats(
             run.trace,
             parse_hierarchy(
-                spec_text, inclusion="inclusive", bypass_level=bypass_level
+                spec_text, inclusion="inclusive", bypass_levels=bypass_level
             ),
         )
         if inclusive.levels[0][1] != offline.levels[0][1]:

@@ -349,14 +349,6 @@ class CrossValidationReport:
         decided = self.events_total - self.event_tiers["unknown"]
         return 100.0 * decided / self.events_total
 
-    def tier_percents(self):
-        """{tier: % of dynamic events} for the reporting breakout."""
-        total = self.events_total or 1
-        return {
-            tier: 100.0 * count / total
-            for tier, count in self.event_tiers.items()
-        }
-
     def describe_geometry(self):
         return "{}w/{}-way/{}".format(
             self.config.size_words,

@@ -38,7 +38,6 @@ from repro.ir.instructions import (
 from repro.lang.errors import ResourceExhausted, VMError
 from repro.vm.machine import (
     _BINOPS,
-    MACHINE,
     MAX_CALL_DEPTH,
     ExecutionResult,
     Machine,
@@ -192,10 +191,3 @@ class ReferenceMachine(Machine):
                 raise VMError(
                     "cannot execute instruction {!r}".format(instruction)
                 )
-
-
-def run_module_reference(module, entry="main", memory=None, machine=MACHINE,
-                         **kwargs):
-    """Convenience mirror of :func:`repro.vm.machine.run_module`."""
-    vm = ReferenceMachine(module, memory=memory, machine=machine, **kwargs)
-    return vm.run(entry)

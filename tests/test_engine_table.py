@@ -146,6 +146,27 @@ WIDE_CONFIGS = [
 ]
 
 
+#: MIN shapes the per-policy family misses: kills ignored on their own,
+#: and four ways with kills invalidating and demoting.
+MIN_CONFIGS = [
+    CacheConfig(size_words=8, line_words=1, associativity=2, policy="min",
+                honor_kill=False),
+    CacheConfig(size_words=16, line_words=1, associativity=4, policy="min"),
+    CacheConfig(size_words=16, line_words=1, associativity=4, policy="min",
+                kill_mode="demote"),
+]
+
+#: One spec of every registered policy at one geometry, which
+#: ``TestRouting.test_one_sweep_over_every_family`` also scores in one
+#: dispatcher call.
+MIXED_SPECS = [
+    CacheConfig(size_words=8, associativity=2, policy=policy, seed=3)
+    if policy == "random" else
+    CacheConfig(size_words=8, associativity=2, policy=policy)
+    for policy in POLICIES
+]
+
+
 #: RRIP-family shapes the per-policy families above miss: two-word
 #: lines (their kills always demote), eight ways, one-way BRRIP over
 #: sixteen sets, and one two-way SHiP set for ``DEMOTED_REVIVAL``.
@@ -173,7 +194,9 @@ SPECS = _unique(
     + SWEEP_CONFIGS
     + [config for policy in POLICIES for config in policy_configs(policy)]
     + WIDE_CONFIGS
+    + MIN_CONFIGS
     + RRIP_CONFIGS
+    + MIXED_SPECS
 )
 
 # ----------------------------------------------------------------------
@@ -227,6 +250,26 @@ probe_traces = st.lists(
 ).map(lambda episodes: [
     (address, flags) for address, run in episodes for flags in run
 ])
+
+#: The policy-protocol suite's hand trace: ``HAND_REFS`` without its
+#: bypassed kill-write of address 2.
+PROTOCOL_REFS = [
+    (0, False, False, False),
+    (1, True, False, False),
+    (2, False, False, False),
+    (3, True, False, True),
+    (0, False, False, False),
+    (4, False, True, False),
+    (1, False, True, True),
+    (5, True, True, False),
+    (6, True, False, False),
+    (7, False, False, True),
+    (0, True, False, False),
+    (8, False, False, False),
+    (9, False, False, False),
+    (1, False, False, False),
+    (3, False, False, False),
+]
 
 #: One set, one way, wide lines — with bypass and kill traffic (the
 #: kernel's probe/mutation path) on every address.
@@ -457,6 +500,7 @@ class TestExactness:
 
     def test_hand_traces(self):
         assert_table_exact(make_ref_trace(HAND_REFS), SPECS)
+        assert_table_exact(make_ref_trace(PROTOCOL_REFS), SPECS)
         assert_table_exact(make_trace(ANNOTATED_EVENTS), SPECS)
         assert_table_exact(make_trace(DEMOTED_REVIVAL), SPECS)
 
@@ -771,12 +815,16 @@ class TestRouting:
         assert checked
 
     def test_one_sweep_over_every_family(self):
-        """One dispatcher call spanning every family merges each
-        group's results back in request order."""
-        trace = make_trace(ROUTING_EVENTS)
-        specs = [spec for specs in FAMILY_SPECS.values() for spec in specs]
-        for spec, stats in zip(specs, replay_trace_sweep(trace, specs)):
-            assert stats == serial(trace, spec), spec
+        """One dispatcher call spanning every family, and one holding
+        one spec of every policy on fuzzer traces, merge each group's
+        results back in request order."""
+        cases = [(
+            make_trace(ROUTING_EVENTS),
+            [spec for specs in FAMILY_SPECS.values() for spec in specs],
+        )] + [(fuzzer_trace(seed), MIXED_SPECS) for seed in (7, 23)]
+        for trace, specs in cases:
+            for spec, stats in zip(specs, replay_trace_sweep(trace, specs)):
+                assert stats == serial(trace, spec), spec
 
     def test_unclaimed_specs_land_on_the_lru_lanes_or_the_reference(
             self, reached):

@@ -99,7 +99,7 @@ class TestParseHierarchy:
         spec = parse_hierarchy(
             "L1:64x2,L2:512x8,inclusive,bypass=both",
             inclusion="non-inclusive",
-            bypass_level="l1",
+            bypass_levels="l1",
         )
         assert spec.inclusion == "non-inclusive"
         assert spec.bypass_level == "l1"
@@ -190,7 +190,7 @@ class TestOfflineMatchesOnline:
     )
     def test_bit_identity(self, text, bypass_level):
         trace = mixed_trace()
-        spec = parse_hierarchy(text, bypass_level=bypass_level)
+        spec = parse_hierarchy(text, bypass_levels=bypass_level)
         offline = hierarchy_stats(trace, spec)
         online = HierarchyCache(spec)
         for address, flags in trace:
@@ -223,13 +223,13 @@ class TestInclusiveScoring:
             trace,
             parse_hierarchy(
                 "L1:64x2,L2:512x8", inclusion="inclusive",
-                bypass_level=bypass_level,
+                bypass_levels=bypass_level,
             ),
         )
         chained = hierarchy_stats(
             trace,
             parse_hierarchy(
-                "L1:64x2,L2:512x8", bypass_level=bypass_level
+                "L1:64x2,L2:512x8", bypass_levels=bypass_level
             ),
         )
         assert inclusive["L1"].as_dict() == chained["L1"].as_dict()
@@ -241,7 +241,7 @@ class TestInclusiveScoring:
             trace,
             parse_hierarchy(
                 "L1:64x2,L2:512x8", inclusion="inclusive",
-                bypass_level=bypass_level,
+                bypass_levels=bypass_level,
             ),
         ).as_dict()
         assert row["l2_local_hits"] >= 0
@@ -273,7 +273,7 @@ class TestBypassAblation:
                 trace,
                 parse_hierarchy(
                     "L1:64x2,L2:512x8", inclusion=inclusion,
-                    bypass_level=bypass_level,
+                    bypass_levels=bypass_level,
                 ),
             ).as_dict()
         return rows
@@ -412,7 +412,7 @@ class TestThreeLevels:
     def test_offline_matches_online_three_levels(self, bypass):
         trace = mixed_trace()
         spec = parse_hierarchy(
-            "L1:16x2,L2:64x4,L3:256x8", bypass_level=bypass
+            "L1:16x2,L2:64x4,L3:256x8", bypass_levels=bypass
         )
         offline = hierarchy_stats(trace, spec)
         online = HierarchyCache(spec)
@@ -450,7 +450,7 @@ class TestThreeLevels:
         """The E16 three-level report geometry, scored offline on the
         report's own traces, equals the per-event online chain."""
         spec = parse_hierarchy(DEFAULT_HIERARCHY3, base=DEFAULT_CACHE,
-                               bypass_level=bypass)
+                               bypass_levels=bypass)
         for name, trace in report_traces.items():
             offline = hierarchy_stats(trace, spec)
             online = HierarchyCache(spec)
@@ -516,7 +516,7 @@ class TestReferenceEquivalence:
         def property_(refs):
             trace = make_trace(refs)
             spec = parse_hierarchy(
-                "L1:16x2,L2:64x4", bypass_level=bypass_level
+                "L1:16x2,L2:64x4", bypass_levels=bypass_level
             )
             offline = hierarchy_stats(trace, spec)
             l1_ref, l2_ref = _reference_two_level(

@@ -22,6 +22,7 @@ from repro.cache.cache import Cache, CacheConfig
 from repro.cache.hierarchy import HierarchyError
 from repro.cache.multicore import (
     MULTICORE_CONFIGS,
+    _PART_OWNER,
     PartitionedLRUPolicy,
     even_partition,
     interleave_traces,
@@ -128,7 +129,7 @@ class TestPartitionedPolicy:
     def occupancy(self, policy):
         counts = {}
         for _block, line in policy.entries():
-            owner = line[7]  # _PART_OWNER
+            owner = line[_PART_OWNER]
             counts[owner] = counts.get(owner, 0) + 1
         return counts
 

@@ -1,13 +1,15 @@
-"""The replacement policies' ``resident`` map stays exact.
+"""The replacement policies' line store stays exact.
 
-:meth:`UnifiedCache.access` finds a block with one ``dict.get`` on
-``policy.resident``, so the map must equal the policy's valid lines
-after every access, and each way policy's per-set free count must
-equal that set's invalid ways (``room`` reads it).  These properties
+Every policy keeps its lines in one ``{block: entry}`` dict per set,
+and :class:`UnifiedCache` finds a block with one ``dict.get`` on
+``policy.resident``, so after every access ``resident`` must equal the
+union of the per-set dicts, entry for entry, each line must sit in its
+block's set under its own block, and no set may hold more lines than
+its associativity (``room`` reads the set's size).  These properties
 drive every policy — LRU, FIFO, Random, MIN, the RRIP zoo and the
 multicore :class:`PartitionedLRUPolicy` — over Hypothesis streams and
 fuzzer traces carrying bypasses (hits included) and kills in both
-modes, and check both invariants after each event.
+modes, and check them after each event.
 """
 
 from dataclasses import replace
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.cache import POLICIES, Cache, CacheConfig
 from repro.cache.multicore import PartitionedLRUPolicy
 from repro.cache.replay import policy_for_trace
-from repro.cache.semantics import _WAY_TAG, _WAY_VALID, MinPolicy
+from repro.cache.semantics import ENTRY_BLOCK
 from repro.vm.trace import (
     FLAG_BYPASS,
     FLAG_KILL,
@@ -57,33 +59,16 @@ refs = st.lists(
 )
 
 
-def valid_lines(policy):
-    """``{block: id(entry)}`` and the per-set invalid-way counts, read
-    off the policy's own per-set storage."""
-    if isinstance(policy, MinPolicy):
-        lines = {}
-        for resident in policy._sets:
-            lines.update(resident)
-        return {block: id(entry) for block, entry in lines.items()}, None
-    lines = {
-        line[_WAY_TAG]: id(line)
-        for ways in policy._sets
-        for line in ways
-        if line[_WAY_VALID]
-    }
-    free = [
-        sum(1 for line in ways if not line[_WAY_VALID])
-        for ways in policy._sets
-    ]
-    return lines, free
-
-
-def assert_exact(policy, where):
-    lines, free = valid_lines(policy)
+def assert_exact(policy, config, where):
+    union = {}
+    for set_index, lines in enumerate(policy._sets):
+        assert len(lines) <= config.associativity, where
+        for block, entry in lines.items():
+            assert block % config.num_sets == set_index, where
+            assert entry[ENTRY_BLOCK] == block, where
+            union[block] = id(entry)
     resident = {block: id(entry) for block, entry in policy.resident.items()}
-    assert resident == lines, where
-    if free is not None:
-        assert policy._free == free, where
+    assert resident == union, where
 
 
 def drive(trace, config, partitioned=False):
@@ -95,13 +80,14 @@ def drive(trace, config, partitioned=False):
     else:
         policy = None
         cache = Cache(config, policy=policy_for_trace(trace, config))
-    assert_exact(cache.policy, "after reset")
+    assert_exact(cache.policy, config, "after reset")
     for index, (address, flags) in enumerate(trace):
         if policy is not None:
             policy.core = address & 1
         cache.access(address, IS_WRITE[flags], IS_BYPASS[flags],
                      IS_KILL[flags], index=index)
-        assert_exact(cache.policy, (config.policy, index, address, flags))
+        assert_exact(cache.policy, config,
+                     (config.policy, index, address, flags))
     return cache
 
 
