@@ -16,7 +16,7 @@ Five claims, all asserted live:
 * **FIFO / MIN sweeps**: the same ladder under FIFO and Belady MIN
   routes through the single-pass lane walks
   (:func:`repro.cache.semantics.fifo_sweep` /
-  :func:`repro.cache.semantics.min_sweep`), at least **1.78x** and
+  :func:`repro.cache.semantics.min_sweep`), at least **1.56x** and
   **2.43x** over the reference per-event loop (min-of-5 per side,
   interleaved), bit-identical.
 * **Trace generation**: the closure-compiled VM hot loop
@@ -93,8 +93,12 @@ RECORD_PATH = os.path.join(
 #: the same way, to keep every engine's absolute time bound: times the
 #: new/old reference time on its own ladder (LRU 0.829, FIFO 0.776, MIN
 #: 0.783: the best of five alternating min-of-5 timings per side).
+#: When every policy moved onto one line store, the FIFO reference (its
+#: victim now the first line of the set's dict) moved by 0.878 and its
+#: floor was re-based again; LRU (0.998) and MIN (0.988) moved by less
+#: than the timings' spread, and their floors stayed.
 REPLAY_SPEEDUP_FLOOR = 9.62
-FIFO_SPEEDUP_FLOOR = 1.78
+FIFO_SPEEDUP_FLOOR = 1.56
 MIN_SPEEDUP_FLOOR = 2.43
 VM_SPEEDUP_FLOOR = 1.5
 #: Fused over unfused closure VM, per promotion level.  The no-promotion
